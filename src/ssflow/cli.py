@@ -152,6 +152,9 @@ def main(argv=None):
             "rhs_evals": result.rhs_evals,
             "steps_accepted": result.steps_accepted,
             "steps_rejected": result.steps_rejected,
+            "jacobian_evals": result.jacobian_evals,
+            "min_step": result.min_step if result.steps_accepted else None,
+            "max_step": result.max_step if result.steps_accepted else None,
             "wall_time": result.wall_time,
         }
         print(json.dumps(payload, indent=2))

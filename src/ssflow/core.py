@@ -1,6 +1,7 @@
 """Shared domain types: models, objectives, conditions, flow state and results."""
 
 import enum
+import math
 from dataclasses import dataclass, field
 from typing import Callable, Optional, Sequence
 
@@ -62,7 +63,9 @@ class ObjectiveSpec:
     """Objective over parameters and per-condition state blocks.
 
     ``grad_theta`` is the explicit parameter gradient holding the states
-    fixed; ``grad_x`` returns one state-block gradient per condition.
+    fixed; ``grad_x`` returns the state-block gradients, either as an
+    ``(m, n_x)`` array with one row per condition or as a sequence of m
+    per-condition arrays.
     """
 
     eval: Callable[[np.ndarray, Sequence[np.ndarray]], float]
@@ -139,7 +142,13 @@ class StopReason(enum.Enum):
 
 @dataclass
 class RunResult:
-    """Outcome of one optimiser-flow run."""
+    """Outcome of one optimiser-flow run.
+
+    The integrator counters: ``rhs_evals`` includes the Jacobian
+    differencing, ``jacobian_evals`` counts the finite-difference Jacobians,
+    and ``min_step``/``max_step`` span the accepted steps (inf and 0.0 when
+    no step was accepted).
+    """
 
     final: FlowState
     objective: float
@@ -150,6 +159,9 @@ class RunResult:
     steps_accepted: int
     steps_rejected: int
     wall_time: float
+    jacobian_evals: int = 0
+    min_step: float = math.inf
+    max_step: float = 0.0
 
     def __post_init__(self):
         if self.converged and self.reason is not StopReason.TOLERANCE_MET:

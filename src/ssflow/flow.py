@@ -75,11 +75,11 @@ def _assemble(problem, theta, states):
                 for x, c in zip(states, conditions)
             ]
         )
-    if not (np.all(np.isfinite(a)) and np.all(np.isfinite(b))):
+    if not (np.isfinite(a).all() and np.isfinite(b).all()):
         bad = [
             i
             for i in range(m)
-            if not (np.all(np.isfinite(a[i])) and np.all(np.isfinite(b[i])))
+            if not (np.isfinite(a[i]).all() and np.isfinite(b[i]).all())
         ]
         raise FlowNumericalError(f"non-finite Jacobian in condition block(s) {bad}")
     # solve where the state Jacobians are invertible (the generic case, on
@@ -98,12 +98,12 @@ def _assemble(problem, theta, states):
     grads_x = np.asarray(objective.grad_x(theta, states), dtype=float)
     grad += np.einsum("ixt,ix->t", s_hat, grads_x)
     d_theta = -grad
-    if not np.all(np.isfinite(d_theta)):
+    if not np.isfinite(d_theta).all():
         raise FlowNumericalError("non-finite derivative in parameter block")
 
     d_states = s_hat @ d_theta + lam * f_mat
-    if not np.all(np.isfinite(d_states)):
-        bad = [i for i in range(m) if not np.all(np.isfinite(d_states[i]))]
+    if not np.isfinite(d_states).all():
+        bad = [i for i in range(m) if not np.isfinite(d_states[i]).all()]
         raise FlowNumericalError(f"non-finite derivative in state block(s) {bad}")
     return d_theta, d_states
 
@@ -149,11 +149,16 @@ def run_flow(problem, init, store_trajectory=False):
     if not init.is_finite():
         raise ValueError("initial state must be finite")
 
+    n_y = n_theta + m * n_x
+
     def rhs_flat(r, yvec):
         theta = yvec[:n_theta]
         states = yvec[n_theta:].reshape(m, n_x)
         d_theta, d_states = _assemble(problem, theta, states)
-        return np.concatenate([d_theta, np.asarray(d_states).ravel()])
+        dy = np.empty(n_y)
+        dy[:n_theta] = d_theta
+        dy[n_theta:] = d_states.ravel()
+        return dy
 
     def stop_flat(yvec, dyvec):
         norms = [np.linalg.norm(dyvec[:n_theta])]
@@ -213,6 +218,9 @@ def run_flow(problem, init, store_trajectory=False):
         steps_accepted=stats.steps_accepted,
         steps_rejected=stats.steps_rejected,
         wall_time=wall,
+        jacobian_evals=stats.jacobian_evals,
+        min_step=stats.min_step,
+        max_step=stats.max_step,
     )
     if store_trajectory:
         return result, trajectory

@@ -3,16 +3,18 @@
 The scheme is the modified Rosenbrock triple (order 2 with a third-order
 error companion, L-stable), which handles the stiffness a large retraction
 factor induces without Newton iterations per step. The right-hand-side
-Jacobian is approximated internally by forward differences.
+Jacobian is approximated internally by forward differences. Each step
+factorises its stage matrix once with LAPACK getrf and runs its three stage
+solves with getrs, the routines behind scipy's lu_factor and lu_solve,
+called directly to skip their per-call wrapper overhead.
 """
 
 import enum
 import math
-import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.linalg import LinAlgWarning, lu_factor, lu_solve
+from scipy.linalg.lapack import dgetrf, dgetrs
 
 _D = 1.0 / (2.0 + math.sqrt(2.0))
 _E32 = 6.0 + math.sqrt(2.0)
@@ -59,29 +61,27 @@ def step(rhs, r, y, h, jac, f0=None, dfdr=None):
     if dfdr is None:
         dfdr = np.zeros(n)
     w = np.eye(n) - (h * _D) * jac
-    try:
-        with warnings.catch_warnings():
-            # a singular stage system is reported via StageSolveFailure below
-            warnings.simplefilter("ignore", LinAlgWarning)
-            lu, piv = lu_factor(w, check_finite=False)
-    except (ValueError, np.linalg.LinAlgError) as exc:
-        raise StageSolveFailure(str(exc)) from exc
-    if not np.all(np.isfinite(lu)):
+    # a singular stage matrix (info > 0) is caught by the finiteness check
+    # on k1 below
+    lu, piv, info = dgetrf(w, overwrite_a=True)
+    if info < 0:
+        raise StageSolveFailure(f"illegal value in argument {-info} of getrf")
+    if not np.isfinite(lu).all():
         raise StageSolveFailure("non-finite stage factorisation")
     hd_t = (h * _D) * dfdr
-    with np.errstate(all="ignore"):
-        k1 = lu_solve((lu, piv), f0 + hd_t, check_finite=False)
-    if not np.all(np.isfinite(k1)):
+    k1 = dgetrs(lu, piv, f0 + hd_t, overwrite_b=True)[0]
+    if not np.isfinite(k1).all():
         raise StageSolveFailure("singular or ill-conditioned stage system")
     f1 = rhs(r + 0.5 * h, y + 0.5 * h * k1)
-    k2 = lu_solve((lu, piv), f1 - k1, check_finite=False) + k1
+    k2 = dgetrs(lu, piv, f1 - k1, overwrite_b=True)[0] + k1
     y_new = y + h * k2
     f_new = rhs(r + h, y_new)
-    k3 = lu_solve(
-        (lu, piv),
+    k3 = dgetrs(
+        lu,
+        piv,
         f_new - _E32 * (k2 - f1) - 2.0 * (k1 - f0) + hd_t,
-        check_finite=False,
-    )
+        overwrite_b=True,
+    )[0]
     err = (h / 6.0) * (k1 - 2.0 * k2 + k3)
     return y_new, err, f_new
 
@@ -89,11 +89,14 @@ def step(rhs, r, y, h, jac, f0=None, dfdr=None):
 def _fd_jacobian(rhs, r, y, f0, stats):
     n = y.size
     jac = np.empty((n, n))
+    steps = _SQRT_EPS * (1.0 + np.abs(y))
+    # one perturbed copy of y, each column's entry restored after its call
+    yp = y.copy()
     for j in range(n):
-        d = _SQRT_EPS * (1.0 + abs(y[j]))
-        yp = y.copy()
-        yp[j] += d
+        d = steps[j]
+        yp[j] = y[j] + d
         jac[:, j] = (rhs(r, yp) - f0) / d
+        yp[j] = y[j]
     stats.rhs_evals += n
     stats.jacobian_evals += 1
     return jac
@@ -132,6 +135,8 @@ def integrate_adaptive(
     Returns (final r, final y, IntegratorStats, IntegrationOutcome).
     """
     y = np.atleast_1d(np.asarray(y0, dtype=float)).copy()
+    if y.size == 0:
+        raise ValueError("initial state must not be empty")
     stats = IntegratorStats()
     r = 0.0
 

@@ -103,7 +103,7 @@ class ConversionReactionProblem:
             return theta - theta_bar
 
         def grad_x(theta, states):
-            return [np.array([w * (states[0][0] - x_bar)])]
+            return np.array([[w * (states[0][0] - x_bar)]])
 
         return ObjectiveSpec(eval=evaluate, grad_theta=grad_theta, grad_x=grad_x)
 
@@ -280,9 +280,10 @@ class NgfErkProblem:
             return np.zeros(6)
 
         def grad_x(theta, states):
-            return [
-                np.array([0.0, states[i][1] - data[i]]) for i in range(len(states))
-            ]
+            x_mat = np.asarray(states, dtype=float)
+            out = np.zeros_like(x_mat)
+            out[:, 1] = x_mat[:, 1] - data
+            return out
 
         return ObjectiveSpec(eval=evaluate, grad_theta=grad_theta, grad_x=grad_x)
 

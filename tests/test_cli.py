@@ -6,6 +6,7 @@ import os
 import numpy as np
 import pytest
 
+from ssflow.bench import CSV_COLUMNS
 from ssflow.cli import main
 from ssflow.models import NgfErkProblem, generate_data
 
@@ -51,6 +52,18 @@ class TestRun:
         payload = json.loads(capsys.readouterr().out)
         assert payload["converged"]
         assert payload["manifold_residual"] < 1e-6
+        # one Jacobian per accepted step; the run stopped right after one
+        assert payload["jacobian_evals"] == payload["steps_accepted"] > 0
+        assert 0.0 < payload["min_step"] <= payload["max_step"]
+
+    def test_run_stopped_at_the_start_prints_no_step_sizes(self, capsys):
+        # with a huge tolerance the stop test passes at the initial point
+        code = main(["run", "--problem", "conversion_reaction", "--tol", "1e9"])
+        assert code == 0
+        payload = json.loads(capsys.readouterr().out)
+        assert payload["reason"] == "ToleranceMet"
+        assert (payload["steps_accepted"], payload["jacobian_evals"]) == (0, 0)
+        assert payload["min_step"] is None and payload["max_step"] is None
 
     def test_out_of_range_start_index(self, capsys):
         code = main(
@@ -88,7 +101,10 @@ class TestBench:
             ]
         )
         assert code == 0
-        assert (out / "runs.csv").exists()
+        with open(out / "runs.csv") as fh:
+            header = fh.readline().strip().split(",")
+        # the run counters printed by `ssflow run` do not enter runs.csv
+        assert header == list(CSV_COLUMNS)
         summary = json.loads((out / "summary.json").read_text())
         assert "flow_lambda_20" in summary["methods"]
 

@@ -4,13 +4,54 @@ import math
 
 import numpy as np
 import pytest
+from scipy.linalg import lu_factor, lu_solve
 
 from ssflow import integrator
-from ssflow.integrator import IntegrationOutcome, integrate_adaptive, step
+from ssflow.integrator import (
+    IntegrationOutcome,
+    IntegratorStats,
+    _fd_jacobian,
+    integrate_adaptive,
+    step,
+)
 
 
 def decay(r, y):
     return -y
+
+
+def coupled(r, y):
+    # a nonlinear, non-autonomous rhs with every entry coupled to its neighbour
+    return -y**3 + np.roll(y, 1) * np.cos(r) - 0.5 * y
+
+
+def reference_step(rhs, r, y, h, jac, f0, dfdr):
+    """The step's stage arithmetic with scipy's lu_factor/lu_solve wrappers."""
+    d = integrator._D
+    lu_piv = lu_factor(np.eye(y.size) - (h * d) * jac, check_finite=False)
+    hd_t = (h * d) * dfdr
+    k1 = lu_solve(lu_piv, f0 + hd_t, check_finite=False)
+    f1 = rhs(r + 0.5 * h, y + 0.5 * h * k1)
+    k2 = lu_solve(lu_piv, f1 - k1, check_finite=False) + k1
+    y_new = y + h * k2
+    f_new = rhs(r + h, y_new)
+    k3 = lu_solve(
+        lu_piv,
+        f_new - integrator._E32 * (k2 - f1) - 2.0 * (k1 - f0) + hd_t,
+        check_finite=False,
+    )
+    return y_new, (h / 6.0) * (k1 - 2.0 * k2 + k3), f_new
+
+
+def reference_fd_jacobian(rhs, r, y, f0):
+    """Forward differences with a fresh copy of y per column."""
+    jac = np.empty((y.size, y.size))
+    for j in range(y.size):
+        d = integrator._SQRT_EPS * (1.0 + abs(y[j]))
+        yp = y.copy()
+        yp[j] += d
+        jac[:, j] = (rhs(r, yp) - f0) / d
+    return jac
 
 
 class TestStep:
@@ -52,6 +93,54 @@ class TestStep:
         jac = np.eye(1) / (h * d)
         with pytest.raises(integrator.StageSolveFailure):
             step(decay, 0.0, np.ones(1), h, jac)
+
+    @pytest.mark.parametrize("n", [1, 3, 26])
+    def test_bit_identical_to_lu_factor_reference(self, n):
+        rng = np.random.default_rng(n)
+        for trial in range(5):
+            y = rng.uniform(-2.0, 2.0, n)
+            # diagonally dominant with a negative diagonal: W is well
+            # conditioned for every step size
+            jac = rng.uniform(-0.5, 0.5, (n, n)) / n - np.diag(rng.uniform(1.0, 5.0, n))
+            h = 10.0 ** rng.uniform(-3.0, 1.0)
+            r = rng.uniform(0.0, 2.0)
+            f0 = coupled(r, y)
+            dfdr = rng.normal(size=n) if trial % 2 else np.zeros(n)
+            got = step(coupled, r, y, h, jac, f0=f0, dfdr=dfdr)
+            want = reference_step(coupled, r, y, h, jac, f0, dfdr)
+            for a, b in zip(got, want):
+                assert a.shape == b.shape == (n,)
+                assert np.array_equal(a, b)
+
+    def test_nan_in_jacobian_raises(self):
+        jac = -np.eye(3)
+        jac[1, 2] = np.nan
+        with pytest.raises(integrator.StageSolveFailure, match="factorisation"):
+            step(decay, 0.0, np.ones(3), 0.1, jac)
+
+
+class TestFdJacobian:
+    @pytest.mark.parametrize(
+        "rhs", [coupled, lambda r, z: z], ids=["nonlinear", "returns_its_input"]
+    )
+    def test_bit_identical_to_copy_per_column_reference(self, rhs):
+        rng = np.random.default_rng(7)
+        y = rng.uniform(-3.0, 3.0, 26)
+        f0 = rhs(0.3, y).copy()
+        got = _fd_jacobian(rhs, 0.3, y, f0, IntegratorStats())
+        assert np.array_equal(got, reference_fd_jacobian(rhs, 0.3, y, f0))
+
+    def test_leaves_y_unchanged(self):
+        y = np.array([1.5, -0.25, 1e8, 0.0])
+        before = y.copy()
+        _fd_jacobian(coupled, 0.0, y, coupled(0.0, y), IntegratorStats())
+        assert np.array_equal(y, before)
+
+    def test_counts_n_rhs_evals_and_one_jacobian(self):
+        stats = IntegratorStats(rhs_evals=4, jacobian_evals=2)
+        y = np.ones(5)
+        _fd_jacobian(coupled, 0.0, y, coupled(0.0, y), stats)
+        assert (stats.rhs_evals, stats.jacobian_evals) == (9, 3)
 
 
 class TestIntegrateAdaptive:
@@ -162,6 +251,17 @@ class TestIntegrateAdaptive:
         assert seen[0] == 0.0
         assert len(seen) == stats.steps_accepted + 1
         assert seen == sorted(seen)
+
+    def test_empty_initial_state_raises(self):
+        calls = []
+
+        def rhs(r, y):
+            calls.append(r)
+            return -y
+
+        with pytest.raises(ValueError, match="empty"):
+            integrate_adaptive(rhs, np.zeros(0), 1.0)
+        assert calls == []
 
     def test_non_finite_initial_rhs_raises(self):
         with pytest.raises(FloatingPointError):

@@ -238,3 +238,26 @@ class TestReducedObjectiveNgf:
         value, grad = reduced_objective_ngf(np.full(6, 400.0), prob)
         assert value == float("inf")
         assert np.all(grad == 0.0)
+
+
+class TestObjectiveGradX:
+    """Both built-in objectives return the state gradients as one (m, n_x)
+    array, equal row by row to the per-condition gradients."""
+
+    @pytest.mark.parametrize("as_list", [False, True], ids=["array", "list"])
+    def test_conversion_reaction(self, as_list):
+        prob = ConversionReactionProblem()
+        states = np.array([[0.37]])
+        theta = np.array([3.9, 1.5])
+        got = prob.objective().grad_x(theta, list(states) if as_list else states)
+        assert isinstance(got, np.ndarray) and got.shape == (1, 1)
+        assert np.array_equal(got[0], np.array([prob.weight * (0.37 - prob.x_bar)]))
+
+    @pytest.mark.parametrize("as_list", [False, True], ids=["array", "list"])
+    def test_ngf_erk(self, as_list):
+        prob = NgfErkProblem().with_generated_data(0)
+        states = np.random.default_rng(10).uniform(0.0, 2.0, (10, 2))
+        got = prob.objective().grad_x(np.zeros(6), list(states) if as_list else states)
+        assert isinstance(got, np.ndarray) and got.shape == (10, 2)
+        for i, (x, d) in enumerate(zip(states, prob.data)):
+            assert np.array_equal(got[i], np.array([0.0, x[1] - d]))
