@@ -129,24 +129,17 @@ def augmented_lagrangian_constrained(problem, init, tol=1e-6, max_outer=20):
     t0 = time.perf_counter()
     model = problem.model
     objective = problem.objective
-    conditions = problem.conditions
     n_theta = model.n_theta
     n_x = model.n_x
-    m = len(conditions)
+    m = len(problem.conditions)
+    u_mat = problem.u_matrix
 
     def unpack(z):
-        theta = z[:n_theta]
-        states = [z[n_theta + i * n_x : n_theta + (i + 1) * n_x] for i in range(m)]
-        return theta, states
+        return z[:n_theta], z[n_theta:].reshape(m, n_x)
 
     def constraints(z):
-        theta, states = unpack(z)
-        return np.concatenate(
-            [
-                np.asarray(model.f(theta, x, c.u), dtype=float)
-                for x, c in zip(states, conditions)
-            ]
-        )
+        theta, x_mat = unpack(z)
+        return np.asarray(model.f_batch(theta, x_mat, u_mat), dtype=float).ravel()
 
     def make_auglag(mu, rho):
         def fun_grad(z):
@@ -157,29 +150,25 @@ def augmented_lagrangian_constrained(problem, init, tol=1e-6, max_outer=20):
                 return _eval(z)
 
         def _eval(z):
-            theta, states = unpack(z)
-            fvals = [
-                np.asarray(model.f(theta, x, c.u), dtype=float)
-                for x, c in zip(states, conditions)
-            ]
-            cvec = np.concatenate(fvals)
+            theta, x_mat = unpack(z)
+            cvec = constraints(z)
             if not np.all(np.isfinite(cvec)):
                 return float("inf"), np.full(z.size, np.nan)
             value = (
-                float(objective.eval(theta, states))
+                float(objective.eval(theta, x_mat))
                 + float(mu @ cvec)
                 + 0.5 * rho * float(cvec @ cvec)
             )
-            g_theta = np.asarray(objective.grad_theta(theta, states), dtype=float).copy()
-            grads_x = objective.grad_x(theta, states)
-            g_blocks = []
-            for i, (x, c) in enumerate(zip(states, conditions)):
-                w = mu[i * n_x : (i + 1) * n_x] + rho * fvals[i]
-                jt = np.asarray(model.jac_theta(theta, x, c.u), dtype=float)
-                jx = np.asarray(model.jac_x(theta, x, c.u), dtype=float)
-                g_theta += jt.T @ w
-                g_blocks.append(np.asarray(grads_x[i], dtype=float) + jx.T @ w)
-            return value, np.concatenate([g_theta] + g_blocks)
+            w = (mu + rho * cvec).reshape(m, n_x)
+            jt = np.asarray(model.jac_theta_batch(theta, x_mat, u_mat), dtype=float)
+            jx = np.asarray(model.jac_x_batch(theta, x_mat, u_mat), dtype=float)
+            g_theta = np.array(objective.grad_theta(theta, x_mat), dtype=float)
+            g_x = np.array(objective.grad_x(theta, x_mat), dtype=float)
+            # condition by condition, so g_theta keeps its summation order
+            for i in range(m):
+                g_theta += jt[i].T @ w[i]
+                g_x[i] += jx[i].T @ w[i]
+            return value, np.concatenate([g_theta, g_x.ravel()])
 
         return fun_grad
 

@@ -7,7 +7,7 @@ import os
 import statistics
 import tempfile
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, replace
 
 import numpy as np
 
@@ -15,12 +15,7 @@ from . import __version__
 from .baselines import augmented_lagrangian_constrained, quasi_newton_unconstrained
 from .core import FlowConfig, FlowState
 from .flow import run_flow
-from .models import (
-    ConversionReactionProblem,
-    NgfErkProblem,
-    reduced_objective_cr,
-    reduced_objective_ngf,
-)
+from .models import ConversionReactionProblem, NgfErkProblem
 
 PROBLEMS = ("conversion_reaction", "ngf_erk")
 METHODS = ("flow", "unconstrained", "constrained")
@@ -96,15 +91,16 @@ class BenchConfig:
 
 
 def default_config(problem, **overrides):
-    """Per-problem sampling boxes matching the benchmark protocols."""
-    if problem == "conversion_reaction":
-        base = dict(problem=problem, theta_box=(0.1, 8.0), state_box=(0.0, 1.0))
-    elif problem == "ngf_erk":
-        base = dict(problem=problem, theta_box=(-3.0, 1.0), state_box=(0.0, 3.0))
-    else:
-        raise ValueError(f"unknown problem {problem!r}")
-    base.update(overrides)
-    return BenchConfig(**base)
+    """Config with the problem bundle's sampling boxes (the benchmark
+    protocol's); overrides take precedence."""
+    config = BenchConfig(problem=problem, **overrides)
+    bundle = _build_problem(config)
+    boxes = {
+        name: getattr(bundle, name)
+        for name in ("theta_box", "state_box")
+        if name not in overrides
+    }
+    return replace(config, **boxes)
 
 
 def _build_problem(config):
@@ -194,10 +190,7 @@ def _reduced_value(config, bundle, theta):
     """Objective restricted to the steady-state manifold at theta."""
     try:
         with np.errstate(all="ignore"):
-            if config.problem == "conversion_reaction":
-                value, _ = reduced_objective_cr(theta, bundle)
-            else:
-                value, _ = reduced_objective_ngf(theta, bundle)
+            value, _ = bundle.reduced_objective(theta)
         return float(value) if np.isfinite(value) else float("inf")
     except Exception:
         return float("inf")
@@ -229,12 +222,8 @@ def _run_task(args):
             rhs_evals=result.rhs_evals,
         )
     elif method == "unconstrained":
-        if config.problem == "conversion_reaction":
-            fun_grad = lambda t: reduced_objective_cr(t, bundle)
-        else:
-            fun_grad = lambda t: reduced_objective_ngf(t, bundle)
         result = quasi_newton_unconstrained(
-            fun_grad, start.theta, tol=config.tol
+            bundle.reduced_objective, start.theta, tol=config.tol
         )
         final_theta = result.theta
         record.update(

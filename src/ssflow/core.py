@@ -10,6 +10,19 @@ import numpy as np
 from . import numerics
 
 
+def _stacked(single):
+    """Batched form of a per-condition kernel: one call per condition,
+    stacked along a leading axis."""
+
+    def batch(theta, x_mat, u_mat):
+        return np.stack(
+            [np.asarray(single(theta, x, u), dtype=float) for x, u in zip(x_mat, u_mat)]
+        )
+
+    batch.stacks = single
+    return batch
+
+
 @dataclass(frozen=True)
 class ModelSpec:
     """A steady-state-constrained dynamical model.
@@ -17,6 +30,11 @@ class ModelSpec:
     ``f(theta, x, u)`` is the vector field; ``jac_x`` and ``jac_theta`` are its
     analytic Jacobians with respect to the state and the parameters. Models
     used as benchmarks additionally carry an analytic steady-state map.
+
+    The batched forms take theta, X (m, n_x) and U (m, n_u) over m
+    conditions and return (m, n_x) / (m, n_x, n_x) / (m, n_x, n_theta);
+    every consumer calls these. A batched form left out is filled by
+    stacking the per-condition calls.
     """
 
     n_x: int
@@ -29,9 +47,6 @@ class ModelSpec:
         Callable[[np.ndarray, np.ndarray], np.ndarray]
     ] = None
     name: str = ""
-    # optional batched forms over m conditions: theta, X (m, n_x), U (m, n_u)
-    # -> (m, n_x) / (m, n_x, n_x) / (m, n_x, n_theta); the flow uses them to
-    # exploit the block structure of the concatenated constraint system
     f_batch: Optional[Callable] = None
     jac_x_batch: Optional[Callable] = None
     jac_theta_batch: Optional[Callable] = None
@@ -39,6 +54,13 @@ class ModelSpec:
     def __post_init__(self):
         if self.n_x < 1 or self.n_theta < 1 or self.n_u < 0:
             raise ValueError("dimensions must be positive (n_u may be zero)")
+        for name in ("f", "jac_x", "jac_theta"):
+            single = getattr(self, name)
+            batch = getattr(self, name + "_batch")
+            # a stacked form copied over by dataclasses.replace is rebuilt
+            # when the per-condition form it stacks was replaced
+            if batch is None or getattr(batch, "stacks", single) is not single:
+                object.__setattr__(self, name + "_batch", _stacked(single))
 
 
 @dataclass(frozen=True)

@@ -8,12 +8,13 @@ lam * f that makes the manifold attractive.
 
 import time
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, partial
 
 import numpy as np
 
 from . import integrator, numerics
 from .core import FlowConfig, FlowState, RunResult, StopReason
+from .sensitivity import pinv_sensitivity, total_gradient
 
 
 class FlowNumericalError(RuntimeError):
@@ -39,97 +40,67 @@ class FlowProblem:
 def _assemble(problem, theta, states):
     """Per-condition sensitivities and the flow derivative blocks.
 
-    The m state Jacobians are stacked and pseudo-inverted in one batched
-    call; the block structure of the concatenated constraint system is never
-    assembled explicitly. Returns (d_theta, d_states) with d_states as an
-    (m, n_x) array.
+    The m state Jacobians are stacked and handed to the sensitivity kernel
+    in one batched call; the block structure of the concatenated constraint
+    system is never assembled explicitly. Returns (d_theta, d_states) with
+    d_states as an (m, n_x) array.
     """
     model = problem.model
     objective = problem.objective
-    lam = problem.config.lam
-    conditions = problem.conditions
-    m = len(conditions)
-
     x_mat = np.asarray(states, dtype=float)
-    if model.jac_x_batch is not None:
-        u_mat = problem.u_matrix
-        a = np.asarray(model.jac_x_batch(theta, x_mat, u_mat), dtype=float)
-        b = np.asarray(model.jac_theta_batch(theta, x_mat, u_mat), dtype=float)
-        f_mat = np.asarray(model.f_batch(theta, x_mat, u_mat), dtype=float)
-    else:
-        a = np.stack(
-            [
-                np.asarray(model.jac_x(theta, x, c.u), dtype=float)
-                for x, c in zip(states, conditions)
-            ]
-        )
-        b = np.stack(
-            [
-                np.asarray(model.jac_theta(theta, x, c.u), dtype=float)
-                for x, c in zip(states, conditions)
-            ]
-        )
-        f_mat = np.stack(
-            [
-                np.asarray(model.f(theta, x, c.u), dtype=float)
-                for x, c in zip(states, conditions)
-            ]
-        )
+    u_mat = problem.u_matrix
+    a = np.asarray(model.jac_x_batch(theta, x_mat, u_mat), dtype=float)
+    b = np.asarray(model.jac_theta_batch(theta, x_mat, u_mat), dtype=float)
+    f_mat = np.asarray(model.f_batch(theta, x_mat, u_mat), dtype=float)
     if not (np.isfinite(a).all() and np.isfinite(b).all()):
-        bad = [
-            i
-            for i in range(m)
-            if not (np.isfinite(a[i]).all() and np.isfinite(b[i]).all())
-        ]
+        ok = np.isfinite(a).all(axis=(1, 2)) & np.isfinite(b).all(axis=(1, 2))
+        bad = np.flatnonzero(~ok).tolist()
         raise FlowNumericalError(f"non-finite Jacobian in condition block(s) {bad}")
-    # solve where the state Jacobians are invertible (the generic case, on
-    # and off manifold); the pseudoinverse is the fallback at exact
-    # singularity, where it truncates instead of blowing up
-    try:
-        s_hat = -np.linalg.solve(a, b)
-    except np.linalg.LinAlgError:
-        rcond = model.n_x * np.finfo(float).eps
-        try:
-            s_hat = -np.matmul(np.linalg.pinv(a, rcond=rcond), b)
-        except np.linalg.LinAlgError as exc:
-            raise numerics.NumericalFailure(f"batched SVD failed: {exc}") from exc
-
-    grad = np.asarray(objective.grad_theta(theta, states), dtype=float).copy()
-    grads_x = np.asarray(objective.grad_x(theta, states), dtype=float)
-    grad += np.einsum("ixt,ix->t", s_hat, grads_x)
-    d_theta = -grad
+    s_hat = pinv_sensitivity(a, b)
+    d_theta = -total_gradient(
+        objective.grad_theta(theta, states), s_hat, objective.grad_x(theta, states)
+    )
     if not np.isfinite(d_theta).all():
         raise FlowNumericalError("non-finite derivative in parameter block")
 
-    d_states = s_hat @ d_theta + lam * f_mat
+    d_states = s_hat @ d_theta + problem.config.lam * f_mat
     if not np.isfinite(d_states).all():
-        bad = [i for i in range(m) if not np.isfinite(d_states[i]).all()]
+        bad = np.flatnonzero(~np.isfinite(d_states).all(axis=1)).tolist()
         raise FlowNumericalError(f"non-finite derivative in state block(s) {bad}")
     return d_theta, d_states
 
 
-def rhs(problem, state):
-    """Flow derivative d(FlowState)/dr, returned as a FlowState of derivatives."""
-    d_theta, d_states = _assemble(problem, state.theta, state.states)
-    return FlowState(theta=d_theta, states=d_states, r=state.r)
+def rhs(problem, r, y):
+    """Flow derivative at the packed state y = (theta, x^1..x^m), as one
+    packed vector; the flow is autonomous, so r is unused."""
+    n_theta = problem.model.n_theta
+    states = y[n_theta:].reshape(len(problem.conditions), problem.model.n_x)
+    d_theta, d_states = _assemble(problem, y[:n_theta], states)
+    dy = np.empty(y.size)
+    dy[:n_theta] = d_theta
+    dy[n_theta:] = d_states.ravel()
+    return dy
 
 
-def stop_check(derivative, tol):
-    """True iff the largest block derivative norm (Euclidean) is below tol."""
-    norms = [np.linalg.norm(derivative.theta)]
-    norms.extend(np.linalg.norm(dx) for dx in derivative.states)
-    return max(norms) < tol
+def stop_check(problem, y, dy):
+    """True iff every block of the packed derivative dy (the parameter block
+    and each condition's state block) has Euclidean norm below the
+    configured tol."""
+    n_theta = problem.model.n_theta
+    n_x = problem.model.n_x
+    norms = [np.linalg.norm(dy[:n_theta])]
+    norms.extend(
+        np.linalg.norm(dy[n_theta + i * n_x : n_theta + (i + 1) * n_x])
+        for i in range(len(problem.conditions))
+    )
+    return max(norms) < problem.config.tol
 
 
 def manifold_residual(problem, state):
     """Max over conditions of the inf-norm of f(theta, x_i, u_i)."""
-    model = problem.model
-    return max(
-        float(
-            np.abs(np.asarray(model.f(state.theta, x, c.u), dtype=float)).max()
-        )
-        for x, c in zip(state.states, problem.conditions)
-    )
+    x_mat = np.asarray(state.states, dtype=float)
+    f_mat = problem.model.f_batch(state.theta, x_mat, problem.u_matrix)
+    return float(np.abs(np.asarray(f_mat, dtype=float)).max())
 
 
 def run_flow(problem, init, store_trajectory=False):
@@ -149,25 +120,6 @@ def run_flow(problem, init, store_trajectory=False):
     if not init.is_finite():
         raise ValueError("initial state must be finite")
 
-    n_y = n_theta + m * n_x
-
-    def rhs_flat(r, yvec):
-        theta = yvec[:n_theta]
-        states = yvec[n_theta:].reshape(m, n_x)
-        d_theta, d_states = _assemble(problem, theta, states)
-        dy = np.empty(n_y)
-        dy[:n_theta] = d_theta
-        dy[n_theta:] = d_states.ravel()
-        return dy
-
-    def stop_flat(yvec, dyvec):
-        norms = [np.linalg.norm(dyvec[:n_theta])]
-        norms.extend(
-            np.linalg.norm(dyvec[n_theta + i * n_x : n_theta + (i + 1) * n_x])
-            for i in range(m)
-        )
-        return max(norms) < cfg.tol
-
     trajectory = []
     last = {"r": 0.0, "y": init.pack()}
 
@@ -178,15 +130,14 @@ def run_flow(problem, init, store_trajectory=False):
             trajectory.append(FlowState.unpack(yvec, n_theta, n_x, m, r=r))
 
     t0 = time.perf_counter()
-    stats = integrator.IntegratorStats()
     try:
         r_end, y_end, stats, outcome = integrator.integrate_adaptive(
-            rhs_flat,
+            partial(rhs, problem),
             init.pack(),
             cfg.r_max,
             rel_tol=cfg.integrator_rel_tol,
             abs_tol=cfg.integrator_abs_tol,
-            stop=stop_flat,
+            stop=partial(stop_check, problem),
             budget=cfg.max_rhs_evals,
             observer=observer,
         )
@@ -196,7 +147,9 @@ def run_flow(problem, init, store_trajectory=False):
             integrator.IntegrationOutcome.BUDGET_EXHAUSTED: StopReason.EVAL_BUDGET_EXHAUSTED,
             integrator.IntegrationOutcome.STEP_UNDERFLOW: StopReason.NUMERICAL_FAILURE,
         }[outcome]
-    except (FlowNumericalError, numerics.NumericalFailure, FloatingPointError):
+    except (FlowNumericalError, numerics.NumericalFailure, FloatingPointError) as exc:
+        # the integrator attaches the counters of the work it did
+        stats = exc.stats
         r_end, y_end = last["r"], last["y"]
         reason = StopReason.NUMERICAL_FAILURE
     wall = time.perf_counter() - t0

@@ -95,9 +95,10 @@ def _fd_jacobian(rhs, r, y, f0, stats):
     for j in range(n):
         d = steps[j]
         yp[j] = y[j] + d
+        # counted before the call, so a call that raises is counted too
+        stats.rhs_evals += 1
         jac[:, j] = (rhs(r, yp) - f0) / d
         yp[j] = y[j]
-    stats.rhs_evals += n
     stats.jacobian_evals += 1
     return jac
 
@@ -132,85 +133,93 @@ def integrate_adaptive(
     the initial point and after every accepted step. budget caps the total
     number of rhs evaluations, Jacobian differencing included.
 
-    Returns (final r, final y, IntegratorStats, IntegrationOutcome).
+    Returns (final r, final y, IntegratorStats, IntegrationOutcome). An
+    exception raised on the way (by rhs, stop or observer, or on a non-finite
+    rhs value) propagates with the IntegratorStats of the work done so far
+    attached as its ``stats`` attribute.
     """
     y = np.atleast_1d(np.asarray(y0, dtype=float)).copy()
     if y.size == 0:
         raise ValueError("initial state must not be empty")
     stats = IntegratorStats()
-    r = 0.0
 
-    f0 = rhs(r, y)
-    stats.rhs_evals += 1
-    if not np.all(np.isfinite(f0)):
-        raise FloatingPointError("non-finite right-hand side at the initial point")
-    if observer is not None:
-        observer(r, y, f0)
-    if stop is not None and stop(y, f0):
-        return r, y, stats, IntegrationOutcome.STOP_CONDITION
-    if r >= r_max:
-        return r, y, stats, IntegrationOutcome.HORIZON
+    def counted_rhs(r, y):
+        stats.rhs_evals += 1
+        return rhs(r, y)
 
-    h = _initial_step(y, f0, r_max, rel_tol, abs_tol)
-    jac = None
-    dfdr = None
-    while True:
-        if r >= r_max:
-            return r, y, stats, IntegrationOutcome.HORIZON
-        if stats.rhs_evals >= budget:
-            return r, y, stats, IntegrationOutcome.BUDGET_EXHAUSTED
-        h = min(h, r_max - r)
-        if h < 1e-14 * max(1.0, abs(r)):
-            return r, y, stats, IntegrationOutcome.STEP_UNDERFLOW
-        if jac is None:
-            jac = _fd_jacobian(rhs, r, y, f0, stats)
-            if autonomous:
-                dfdr = np.zeros(y.size)
-            else:
-                d = _SQRT_EPS * (1.0 + abs(r))
-                dfdr = (rhs(r + d, y) - f0) / d
-                stats.rhs_evals += 1
-        try:
-            y_new, err, f_new = step(rhs, r, y, h, jac, f0=f0, dfdr=dfdr)
-            stats.rhs_evals += 2
-        except StageSolveFailure:
-            stats.steps_rejected += 1
-            h *= FAC_MIN
-            continue
-        sc = abs_tol + rel_tol * np.maximum(np.abs(y), np.abs(y_new))
-        with np.errstate(invalid="ignore", over="ignore"):
-            err_norm = float(np.max(np.abs(err) / sc)) if err.size else 0.0
-        if not np.isfinite(err_norm) or err_norm > 1.0:
-            stats.steps_rejected += 1
-            if np.isfinite(err_norm) and err_norm > 0.0:
-                h *= max(min(SAFETY * err_norm ** (-1.0 / 3.0), 1.0), FAC_MIN)
-            else:
-                h *= FAC_MIN
-            continue
-        # accepted; in the nonstiff regime advance the third-order companion
-        # (local extrapolation) so the global error tracks the tolerance
-        # linearly, but keep the L-stable second-order solution when the step
-        # resolves stiff modes
-        r += h
-        if h * float(np.abs(jac).sum(axis=1).max()) <= 1.0:
-            y = y_new + err
-            f0 = rhs(r, y)
-            stats.rhs_evals += 1
-            if not np.all(np.isfinite(f0)):
-                raise FloatingPointError("non-finite right-hand side after a step")
-        else:
-            y = y_new
-            f0 = f_new
-        jac = None
-        stats.steps_accepted += 1
-        stats.min_step = min(stats.min_step, h)
-        stats.max_step = max(stats.max_step, h)
+    try:
+        r = 0.0
+        f0 = counted_rhs(r, y)
+        if not np.all(np.isfinite(f0)):
+            raise FloatingPointError("non-finite right-hand side at the initial point")
         if observer is not None:
             observer(r, y, f0)
         if stop is not None and stop(y, f0):
             return r, y, stats, IntegrationOutcome.STOP_CONDITION
-        if err_norm > 0.0:
-            fac = min(max(SAFETY * err_norm ** (-1.0 / 3.0), FAC_MIN), FAC_MAX)
-        else:
-            fac = FAC_MAX
-        h *= fac
+        if r >= r_max:
+            return r, y, stats, IntegrationOutcome.HORIZON
+
+        h = _initial_step(y, f0, r_max, rel_tol, abs_tol)
+        jac = None
+        dfdr = None
+        while True:
+            if r >= r_max:
+                return r, y, stats, IntegrationOutcome.HORIZON
+            if stats.rhs_evals >= budget:
+                return r, y, stats, IntegrationOutcome.BUDGET_EXHAUSTED
+            h = min(h, r_max - r)
+            if h < 1e-14 * max(1.0, abs(r)):
+                return r, y, stats, IntegrationOutcome.STEP_UNDERFLOW
+            if jac is None:
+                # _fd_jacobian counts its own rhs calls
+                jac = _fd_jacobian(rhs, r, y, f0, stats)
+                if autonomous:
+                    dfdr = np.zeros(y.size)
+                else:
+                    d = _SQRT_EPS * (1.0 + abs(r))
+                    dfdr = (counted_rhs(r + d, y) - f0) / d
+            try:
+                y_new, err, f_new = step(counted_rhs, r, y, h, jac, f0=f0, dfdr=dfdr)
+            except StageSolveFailure:
+                stats.steps_rejected += 1
+                h *= FAC_MIN
+                continue
+            sc = abs_tol + rel_tol * np.maximum(np.abs(y), np.abs(y_new))
+            with np.errstate(invalid="ignore", over="ignore"):
+                err_norm = float(np.max(np.abs(err) / sc)) if err.size else 0.0
+            if not np.isfinite(err_norm) or err_norm > 1.0:
+                stats.steps_rejected += 1
+                if np.isfinite(err_norm) and err_norm > 0.0:
+                    h *= max(min(SAFETY * err_norm ** (-1.0 / 3.0), 1.0), FAC_MIN)
+                else:
+                    h *= FAC_MIN
+                continue
+            # accepted; in the nonstiff regime advance the third-order
+            # companion (local extrapolation) so the global error tracks the
+            # tolerance linearly, but keep the L-stable second-order solution
+            # when the step resolves stiff modes
+            r += h
+            if h * float(np.abs(jac).sum(axis=1).max()) <= 1.0:
+                y = y_new + err
+                f0 = counted_rhs(r, y)
+                if not np.all(np.isfinite(f0)):
+                    raise FloatingPointError("non-finite right-hand side after a step")
+            else:
+                y = y_new
+                f0 = f_new
+            jac = None
+            stats.steps_accepted += 1
+            stats.min_step = min(stats.min_step, h)
+            stats.max_step = max(stats.max_step, h)
+            if observer is not None:
+                observer(r, y, f0)
+            if stop is not None and stop(y, f0):
+                return r, y, stats, IntegrationOutcome.STOP_CONDITION
+            if err_norm > 0.0:
+                fac = min(max(SAFETY * err_norm ** (-1.0 / 3.0), FAC_MIN), FAC_MAX)
+            else:
+                fac = FAC_MAX
+            h *= fac
+    except Exception as exc:
+        exc.stats = stats
+        raise

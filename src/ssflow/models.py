@@ -7,7 +7,7 @@ seeded synthetic data generation.
 
 import math
 from dataclasses import dataclass, replace
-from typing import Optional
+from typing import ClassVar, Optional
 
 import numpy as np
 
@@ -19,6 +19,28 @@ from .sensitivity import sensitivity_exact
 _LN10 = math.log(10.0)
 
 
+def _model_spec(f_batch, jac_x_batch, jac_theta_batch, **fields):
+    """ModelSpec written once in batched form; each per-condition kernel
+    evaluates the batch of one."""
+
+    def one(batch):
+        def single(theta, x, u):
+            x_mat = np.asarray(x, dtype=float)[None]
+            return batch(theta, x_mat, np.asarray(u, dtype=float)[None])[0]
+
+        return single
+
+    return ModelSpec(
+        f=one(f_batch),
+        jac_x=one(jac_x_batch),
+        jac_theta=one(jac_theta_batch),
+        f_batch=f_batch,
+        jac_x_batch=jac_x_batch,
+        jac_theta_batch=jac_theta_batch,
+        **fields,
+    )
+
+
 # --------------------------------------------------------------------------
 # Example 1: conversion reaction A <-> B
 # --------------------------------------------------------------------------
@@ -26,15 +48,6 @@ _LN10 = math.log(10.0)
 def conversion_reaction_model(xi=1.0):
     """dx/dt = theta_2 * xi - (theta_1 + theta_2) * x, steady state
     x_s = theta_2 * xi / (theta_1 + theta_2)."""
-
-    def f(theta, x, u):
-        return np.array([theta[1] * xi - (theta[0] + theta[1]) * x[0]])
-
-    def jac_x(theta, x, u):
-        return np.array([[-(theta[0] + theta[1])]])
-
-    def jac_theta(theta, x, u):
-        return np.array([[-x[0], xi - x[0]]])
 
     def steady_state(theta, u):
         return np.array([theta[1] * xi / (theta[0] + theta[1])])
@@ -53,18 +66,15 @@ def conversion_reaction_model(xi=1.0):
         out[:, 0, 1] = xi - x_mat[:, 0]
         return out
 
-    return ModelSpec(
+    return _model_spec(
+        f_batch,
+        jac_x_batch,
+        jac_theta_batch,
         n_x=1,
         n_theta=2,
         n_u=0,
-        f=f,
-        jac_x=jac_x,
-        jac_theta=jac_theta,
         analytic_steady_state=steady_state,
         name="conversion_reaction",
-        f_batch=f_batch,
-        jac_x_batch=jac_x_batch,
-        jac_theta_batch=jac_theta_batch,
     )
 
 
@@ -77,6 +87,9 @@ class ConversionReactionProblem:
     x_bar: float = 0.2
     theta_bar: tuple = (3.9, 1.5)
     weight: float = 10.0
+    # multistart sampling boxes of the benchmark protocol
+    theta_box: ClassVar[tuple] = (0.1, 8.0)
+    state_box: ClassVar[tuple] = (0.0, 1.0)
 
     def __post_init__(self):
         if self.xi <= 0:
@@ -115,6 +128,10 @@ class ConversionReactionProblem:
             config=config,
         )
 
+    def reduced_objective(self, theta):
+        """(value, gradient) through the analytic steady state."""
+        return reduced_objective_cr(theta, self)
+
 
 def reduced_objective_cr(theta, problem: ConversionReactionProblem):
     """Unconstrained objective through the analytic steady state; returns
@@ -140,35 +157,6 @@ def reduced_objective_cr(theta, problem: ConversionReactionProblem):
 def ngf_erk_model():
     """Two-state dose-response model; parameters are base-10 exponents of
     the effective rates."""
-
-    def f(theta, x, u):
-        p = np.power(10.0, theta)
-        return np.array(
-            [
-                p[0] * u[0] * (p[4] - x[0]) - p[1] * x[0],
-                (x[0] + p[2]) * (p[5] - x[1]) - p[3] * x[1],
-            ]
-        )
-
-    def jac_x(theta, x, u):
-        p = np.power(10.0, theta)
-        return np.array(
-            [
-                [-(p[0] * u[0] + p[1]), 0.0],
-                [p[5] - x[1], -(x[0] + p[2] + p[3])],
-            ]
-        )
-
-    def jac_theta(theta, x, u):
-        p = np.power(10.0, theta)
-        out = np.zeros((2, 6))
-        out[0, 0] = _LN10 * p[0] * u[0] * (p[4] - x[0])
-        out[0, 1] = -_LN10 * p[1] * x[0]
-        out[0, 4] = _LN10 * p[0] * u[0] * p[4]
-        out[1, 2] = _LN10 * p[2] * (p[5] - x[1])
-        out[1, 3] = -_LN10 * p[3] * x[1]
-        out[1, 5] = _LN10 * p[5] * (x[0] + p[2])
-        return out
 
     def steady_state(theta, u):
         p = np.power(10.0, theta)
@@ -210,18 +198,15 @@ def ngf_erk_model():
         out[:, 1, 5] = _LN10 * p[5] * (x1 + p[2])
         return out
 
-    return ModelSpec(
+    return _model_spec(
+        f_batch,
+        jac_x_batch,
+        jac_theta_batch,
         n_x=2,
         n_theta=6,
         n_u=1,
-        f=f,
-        jac_x=jac_x,
-        jac_theta=jac_theta,
         analytic_steady_state=steady_state,
         name="ngf_erk",
-        f_batch=f_batch,
-        jac_x_batch=jac_x_batch,
-        jac_theta_batch=jac_theta_batch,
     )
 
 
@@ -241,6 +226,9 @@ class NgfErkProblem:
     noise_var: float = 0.01
     theta_true: tuple = (0.0,) * 6
     data_seed: Optional[int] = None
+    # multistart sampling boxes of the benchmark protocol
+    theta_box: ClassVar[tuple] = (-3.0, 1.0)
+    state_box: ClassVar[tuple] = (0.0, 3.0)
 
     def __post_init__(self):
         if len(self.inputs) != 10:
@@ -261,7 +249,6 @@ class NgfErkProblem:
     def conditions(self):
         if self.data is None:
             raise ValueError("data not set; call with_generated_data or supply data")
-        model = self.model()
         conds = []
         for i, (u, d) in enumerate(zip(self.inputs, self.data)):
             conds.append(Condition(u=np.array([u]), data=np.array([d]), id=f"dose{i}"))
@@ -294,6 +281,10 @@ class NgfErkProblem:
             conditions=self.conditions(),
             config=config,
         )
+
+    def reduced_objective(self, theta):
+        """(value, gradient) through the analytic steady state."""
+        return reduced_objective_ngf(theta, self)
 
 
 def generate_data(problem: NgfErkProblem, seed):

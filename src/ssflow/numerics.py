@@ -21,23 +21,24 @@ class SingularMatrixError(RuntimeError):
 
 
 def pinv(m):
-    """Moore-Penrose pseudoinverse via SVD.
+    """Moore-Penrose pseudoinverse via SVD, of one matrix or of a stack
+    ``(..., rows, cols)``.
 
-    Singular values at or below max(rows, cols) * sigma_max * eps are
-    truncated to zero.
+    Per matrix, singular values at or below max(rows, cols) * sigma_max * eps
+    are truncated to zero.
     """
     m = np.asarray(m, dtype=float)
-    if m.ndim != 2:
-        raise ValueError("pinv expects a 2-D array")
+    if m.ndim < 2:
+        raise ValueError("pinv expects a matrix or a stack of matrices")
     try:
         u, s, vt = np.linalg.svd(m, full_matrices=False)
     except np.linalg.LinAlgError as exc:
         raise NumericalFailure(f"SVD did not converge: {exc}") from exc
-    if s.size == 0:
-        return np.zeros((m.shape[1], m.shape[0]))
-    cutoff = max(m.shape) * s[0] * _EPS
+    if s.shape[-1] == 0:
+        return np.zeros(m.shape[:-2] + (m.shape[-1], m.shape[-2]))
+    cutoff = max(m.shape[-2:]) * s[..., :1] * _EPS
     inv_s = np.where(s > cutoff, 1.0 / np.where(s > cutoff, s, 1.0), 0.0)
-    return (vt.T * inv_s) @ u.T
+    return (np.swapaxes(vt, -1, -2) * inv_s[..., None, :]) @ np.swapaxes(u, -1, -2)
 
 
 def solve(a, b):

@@ -226,6 +226,7 @@ def test_criterion_5_sensitivity_equivalences():
     )
 
 
+@pytest.mark.slow
 def test_criterion_6_ngf_multistart_comparison(ngf_bench):
     config, summary, records, elapsed = ngf_bench
     methods = summary["methods"]
@@ -304,6 +305,7 @@ def test_criterion_8_integrator_order_and_stiffness():
     report(8, ok, f"tolerance slope {slope:.2f}, step ratio lam 200/2 = {ratio:.2f}")
 
 
+@pytest.mark.slow
 def test_criterion_9_benchmark_determinism(ngf_bench, tmp_path):
     # wall times are physical measurements and necessarily differ between
     # repetitions; every other field must be byte-identical

@@ -1,5 +1,7 @@
 """Domain type tests: model validation, flow state packing, config checks."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -71,6 +73,31 @@ class TestValidateModel:
         report = validate_model(bad, n_samples=3, seed=0)
         assert len(report.failures) == 3
         assert not report.ok()
+
+
+class TestModelSpecBatchedForms:
+    def test_missing_batched_forms_stack_the_per_condition_calls(self):
+        model = linear_decay_model()
+        x_mat = np.array([[1.0, 2.0], [3.0, -4.0], [0.5, 0.0]])
+        u_mat = np.zeros((3, 0))
+        theta = np.array([0.7])
+        assert np.array_equal(model.f_batch(theta, x_mat, u_mat), -x_mat)
+        assert np.array_equal(
+            model.jac_x_batch(theta, x_mat, u_mat), np.stack([-np.eye(2)] * 3)
+        )
+        assert model.jac_theta_batch(theta, x_mat, u_mat).shape == (3, 2, 1)
+
+    def test_given_batched_form_is_kept(self):
+        def f_batch(theta, x_mat, u_mat):
+            return -x_mat
+
+        model = dataclasses.replace(linear_decay_model(), f_batch=f_batch)
+        assert model.f_batch is f_batch
+
+    def test_replaced_per_condition_form_restacks(self):
+        model = dataclasses.replace(linear_decay_model(), f=lambda theta, x, u: 2.0 * x)
+        x_mat = np.array([[1.0, 2.0]])
+        assert np.array_equal(model.f_batch(np.zeros(1), x_mat, np.zeros((1, 0))), 2.0 * x_mat)
 
 
 class TestAnalyticSteadyStates:

@@ -3,9 +3,10 @@
 import numpy as np
 import pytest
 
-from ssflow.core import FlowConfig, FlowState, StopReason
+from ssflow.core import FlowConfig, FlowState, ModelSpec, ObjectiveSpec, StopReason
 from ssflow.flow import (
     FlowProblem,
+    _assemble,
     manifold_residual,
     rhs,
     run_flow,
@@ -13,6 +14,7 @@ from ssflow.flow import (
 )
 from ssflow.models import (
     ConversionReactionProblem,
+    NgfErkProblem,
     conversion_reaction_model,
     ngf_erk_model,
     reduced_objective_cr,
@@ -43,12 +45,19 @@ def cr_optimum():
     return theta
 
 
+def derivative(problem, state):
+    """The packed flow rhs at state, unpacked into its blocks."""
+    dy = rhs(problem, state.r, state.pack())
+    model = problem.model
+    return FlowState.unpack(dy, model.n_theta, model.n_x, len(problem.conditions))
+
+
 class TestRhs:
     def test_vanishes_at_optimum(self):
         problem = cr_flow_problem(20.0)
         theta_star = cr_optimum()
         x_star = problem.model.analytic_steady_state(theta_star, NO_U)
-        d = rhs(problem, FlowState(theta=theta_star, states=[x_star]))
+        d = derivative(problem, FlowState(theta=theta_star, states=[x_star]))
         assert np.abs(d.theta).max() < 1e-8
         assert np.abs(d.states[0]).max() < 1e-8
 
@@ -59,7 +68,7 @@ class TestRhs:
         problem = cr_flow_problem(0.0)
         theta = np.array([2.0, 1.0])
         x_s = problem.model.analytic_steady_state(theta, NO_U)
-        d = rhs(problem, FlowState(theta=theta, states=[x_s]))
+        d = derivative(problem, FlowState(theta=theta, states=[x_s]))
         s = sensitivity_exact(problem.model, theta, x_s, NO_U)
         assert np.abs(d.states[0] - s @ d.theta).max() < 1e-12
 
@@ -69,8 +78,8 @@ class TestRhs:
         p0 = cr_flow_problem(0.0)
         p20 = cr_flow_problem(20.0)
         state = FlowState(theta=np.array([3.9, 1.5]), states=[np.array([0.9])])
-        d0 = rhs(p0, state)
-        d20 = rhs(p20, state)
+        d0 = derivative(p0, state)
+        d20 = derivative(p20, state)
         contribution = d20.states[0][0] - d0.states[0][0]
         assert abs(contribution - (-67.2)) < 1e-10
 
@@ -82,17 +91,32 @@ class TestRhs:
 
 
 class TestStopCheck:
+    # conversion reaction blocks: theta (2 entries) and one state (1 entry)
+    @staticmethod
+    def stops(d_theta, d_x, tol=1e-6):
+        problem = cr_flow_problem(2.0, tol=tol)
+        dy = np.concatenate([d_theta, d_x])
+        return stop_check(problem, np.zeros(dy.size), dy)
+
     def test_all_zero(self):
-        d = FlowState(theta=np.zeros(2), states=[np.zeros(1)])
-        assert stop_check(d, 1e-6)
+        assert self.stops(np.zeros(2), np.zeros(1))
 
     def test_theta_block_above(self):
-        d = FlowState(theta=np.array([1e-5, 0.0]), states=[np.zeros(1)])
-        assert not stop_check(d, 1e-6)
+        assert not self.stops(np.array([1e-5, 0.0]), np.zeros(1))
 
     def test_both_below(self):
-        d = FlowState(theta=np.array([5e-7]), states=[np.array([9e-7])])
-        assert stop_check(d, 1e-6)
+        # each block is below tol although their joint norm (1.03e-6) is not
+        assert self.stops(np.array([5e-7, 0.0]), np.array([9e-7]))
+
+    def test_later_state_block_above(self):
+        problem = NgfErkProblem().with_generated_data(0).flow_problem(
+            FlowConfig(lam=1.0, tol=1e-6)
+        )
+        dy = np.zeros(6 + 10 * 2)
+        dy[6 + 7 * 2 + 1] = 2e-6
+        assert not stop_check(problem, np.zeros(dy.size), dy)
+        dy[6 + 7 * 2 + 1] = 5e-7
+        assert stop_check(problem, np.zeros(dy.size), dy)
 
 
 class TestManifoldResidual:
@@ -208,3 +232,77 @@ class TestRunFlow:
         assert np.array_equal(traj[0].theta, init.theta)
         assert traj[0].r == 0.0
         assert traj[-1].r == result.final.r
+
+
+def hand_written_conversion_reaction(xi=1.0):
+    """The conversion reaction with per-condition kernels only, as a user
+    would write it; the batched forms are left to ModelSpec."""
+    return ModelSpec(
+        n_x=1,
+        n_theta=2,
+        n_u=0,
+        f=lambda theta, x, u: np.array([theta[1] * xi - (theta[0] + theta[1]) * x[0]]),
+        jac_x=lambda theta, x, u: np.array([[-(theta[0] + theta[1])]]),
+        jac_theta=lambda theta, x, u: np.array([[-x[0], xi - x[0]]]),
+    )
+
+
+class TestOnePath:
+    def test_per_condition_model_runs_bit_identical_to_built_in(self):
+        prob = ConversionReactionProblem()
+        built_in = prob.flow_problem(FlowConfig(lam=20.0))
+        user = FlowProblem(
+            model=hand_written_conversion_reaction(),
+            objective=prob.objective(),
+            conditions=prob.conditions(),
+            config=FlowConfig(lam=20.0),
+        )
+        init = FlowState(theta=np.array([5.0, 3.0]), states=[np.array([0.9])])
+        a = run_flow(built_in, init)
+        b = run_flow(user, init)
+        assert a.reason is b.reason is StopReason.TOLERANCE_MET
+        assert np.array_equal(a.final.pack(), b.final.pack())
+        assert a.final.r == b.final.r
+        assert (a.objective, a.manifold_residual) == (b.objective, b.manifold_residual)
+        counts = ("rhs_evals", "steps_accepted", "steps_rejected", "jacobian_evals")
+        assert [getattr(a, k) for k in counts] == [getattr(b, k) for k in counts]
+        assert (a.min_step, a.max_step) == (b.min_step, b.max_step)
+
+    def test_exactly_singular_state_jacobian_gives_zero_sensitivity(self):
+        # theta = (0, 0): d f/d x = -(theta_1 + theta_2) = 0 and f = 0, so the
+        # truncated pseudoinverse sensitivity is zero and the parameters
+        # follow the prior gradient alone
+        prob = ConversionReactionProblem()
+        problem = prob.flow_problem(FlowConfig(lam=20.0))
+        d_theta, d_states = _assemble(problem, np.zeros(2), np.array([[0.3]]))
+        assert np.array_equal(d_theta, np.asarray(prob.theta_bar))
+        assert np.all(np.isfinite(d_states))
+        assert np.array_equal(d_states, np.zeros((1, 1)))
+
+
+class TestNumericalFailureCounts:
+    def test_reports_the_work_done_before_the_failure(self):
+        # grad_theta (one call per rhs evaluation) turns NaN after 200 calls
+        prob = ConversionReactionProblem()
+        base = prob.objective()
+        calls = []
+
+        def grad_theta(theta, states):
+            calls.append(1)
+            g = base.grad_theta(theta, states)
+            return g if len(calls) <= 200 else np.full_like(g, np.nan)
+
+        problem = FlowProblem(
+            model=prob.model(),
+            objective=ObjectiveSpec(base.eval, grad_theta, base.grad_x),
+            conditions=prob.conditions(),
+            config=FlowConfig(lam=20.0),
+        )
+        init = FlowState(theta=np.array([5.0, 3.0]), states=[np.array([0.9])])
+        result, traj = run_flow(problem, init, store_trajectory=True)
+        assert result.reason is StopReason.NUMERICAL_FAILURE
+        assert result.rhs_evals == len(calls) == 201
+        assert result.steps_accepted == len(traj) - 1 > 0
+        assert result.jacobian_evals >= result.steps_accepted
+        assert 0.0 < result.min_step <= result.max_step
+        assert np.array_equal(result.final.pack(), traj[-1].pack())

@@ -268,3 +268,37 @@ class TestIntegrateAdaptive:
             integrate_adaptive(
                 lambda r, y: np.array([np.nan]), np.array([1.0]), 1.0
             )
+
+    def test_counts_every_call_made_when_rhs_raises(self):
+        # the k-th rhs call raises, wherever it falls: the initial point, the
+        # Jacobian differencing, a stage, or the extrapolated state
+        class Stop(Exception):
+            pass
+
+        for k in range(1, 40):
+            calls = []
+            accepted = []
+
+            def rhs(r, y):
+                calls.append(r)
+                if len(calls) == k:
+                    raise Stop
+                return coupled(r, y)
+
+            with pytest.raises(Stop) as info:
+                integrate_adaptive(
+                    rhs,
+                    np.array([1.0, -0.5, 0.25]),
+                    1e3,
+                    observer=lambda r, y, dy: accepted.append(r),
+                )
+            stats = info.value.stats
+            assert stats.rhs_evals == len(calls) == k
+            assert stats.steps_accepted == max(len(accepted) - 1, 0)
+            assert stats.jacobian_evals >= stats.steps_accepted
+
+    def test_non_finite_initial_rhs_carries_its_count(self):
+        with pytest.raises(FloatingPointError) as info:
+            integrate_adaptive(lambda r, y: y * np.nan, np.array([1.0, 2.0]), 1.0)
+        assert info.value.stats.rhs_evals == 1
+        assert info.value.stats.steps_accepted == 0

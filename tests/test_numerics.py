@@ -48,6 +48,24 @@ class TestPinv:
         with pytest.raises(ValueError):
             numerics.pinv(np.zeros(3))
 
+    @pytest.mark.parametrize("shape", [(1, 1), (2, 2), (2, 6), (20, 6)])
+    def test_stack_equals_per_matrix_bit_for_bit(self, shape):
+        rng = np.random.default_rng(11)
+        stack = rng.standard_normal((2, 5) + shape)
+        stack[0, 1] = 0.0
+        stack[1, 3, :, 0] = 0.0  # rank-deficient
+        # scales far apart: each matrix's cutoff follows its own sigma_max
+        stack[0, 2] *= 1e20
+        stack[1, 4] *= 1e-20
+        out = numerics.pinv(stack)
+        assert out.shape == (2, 5, shape[1], shape[0])
+        for i in range(2):
+            for j in range(5):
+                assert np.array_equal(out[i, j], numerics.pinv(stack[i, j]))
+
+    def test_empty_stack_member_shape(self):
+        assert numerics.pinv(np.zeros((4, 3, 0))).shape == (4, 0, 3)
+
 
 class TestSolve:
     def test_diagonal(self):

@@ -140,6 +140,23 @@ class TestManifoldGradient:
         expected = 10.0 * (x_s[0] - 0.2) * s
         assert np.abs(grad - expected).max() < 1e-12
 
+    def test_is_the_flow_parameter_derivative_off_manifold(self):
+        # the flow's right-hand side and manifold_gradient share one kernel
+        from ssflow.core import FlowConfig
+        from ssflow.flow import _assemble
+
+        prob = NgfErkProblem().with_generated_data(3)
+        problem = prob.flow_problem(FlowConfig(lam=5.0))
+        rng = np.random.default_rng(5)
+        for _ in range(20):
+            theta = rng.uniform(-2.0, 1.0, 6)
+            states = rng.uniform(0.0, 3.0, (10, 2))
+            d_theta, _ = _assemble(problem, theta, states)
+            grad = manifold_gradient(
+                problem.model, problem.objective, theta, list(states), problem.conditions
+            )
+            assert np.array_equal(grad, -d_theta)
+
     def test_state_independent_objective(self):
         prob = ConversionReactionProblem()
         model = prob.model()
