@@ -69,12 +69,19 @@ class BenchConfig:
         unknown = set(self.methods) - set(METHODS)
         if unknown:
             raise ValueError(f"unknown methods {sorted(unknown)}")
+        # the constrained method runs at lambdas[0]
+        if not (self.methods and self.lambdas):
+            raise ValueError("methods and lambdas must not be empty")
+        for lam in self.lambdas:
+            _flow_config(self, lam)
         if self.n_starts < 1:
             raise ValueError("n_starts must be >= 1")
         if not (self.theta_box[0] <= self.theta_box[1]):
             raise ValueError("theta_box must be ordered")
         if not (self.state_box[0] <= self.state_box[1]):
             raise ValueError("state_box must be ordered")
+        if self.classification_tol < 0:
+            raise ValueError("classification_tol must be >= 0")
 
     def to_dict(self):
         d = asdict(self)

@@ -22,8 +22,9 @@ def _load_config_file(path):
         return json.load(fh)
 
 
-def _merged_config(args, extra_overrides=None):
-    """Build a BenchConfig from defaults, then the config file, then flags."""
+def _merged_config(parser, args, extra_overrides=None):
+    """Build a BenchConfig from defaults, then the config file, then flags;
+    an invalid config is a usage error."""
     problem = args.problem
     file_cfg = _load_config_file(args.config) if args.config else {}
     if problem is None:
@@ -43,7 +44,10 @@ def _merged_config(args, extra_overrides=None):
             overrides[key] = value
     if extra_overrides:
         overrides.update(extra_overrides)
-    return default_config(problem, **overrides)
+    try:
+        return default_config(problem, **overrides)
+    except ValueError as exc:
+        parser.error(str(exc))
 
 
 def _add_common_flags(p):
@@ -133,7 +137,7 @@ def main(argv=None):
         return 0 if ok else 1
 
     if args.command == "run":
-        config = _merged_config(args)
+        config = _merged_config(p_run, args, {"lambdas": (args.lam,)})
         bundle = bench_mod._build_problem(config)
         starts = sample_starts(config, bundle)
         idx = args.start_index
@@ -166,7 +170,7 @@ def main(argv=None):
             extra["methods"] = tuple(args.method)
         if args.lam:
             extra["lambdas"] = tuple(args.lam)
-        config = _merged_config(args, extra)
+        config = _merged_config(p_bench, args, extra)
         summary, records = run_bench(config)
         out_dir = config.output_dir or "bench_out"
         runs_path, summary_path = emit(summary, records, out_dir)

@@ -135,7 +135,9 @@ class FlowState:
 
 @dataclass(frozen=True)
 class FlowConfig:
-    """Retraction factor, stopping tolerance and integration limits."""
+    """Retraction factor, stopping tolerance and integration limits.
+    max_rhs_evals is checked before each integrator step, so a run can end
+    up to n + 2 rhs evaluations past it (n: the packed state size)."""
 
     lam: float
     tol: float = 1e-6

@@ -70,9 +70,9 @@ def _assemble(problem, theta, states):
     return d_theta, d_states
 
 
-def rhs(problem, r, y):
+def rhs(problem, y):
     """Flow derivative at the packed state y = (theta, x^1..x^m), as one
-    packed vector; the flow is autonomous, so r is unused."""
+    packed vector; the flow is autonomous, so it takes no pseudo-time."""
     n_theta = problem.model.n_theta
     states = y[n_theta:].reshape(len(problem.conditions), problem.model.n_x)
     d_theta, d_states = _assemble(problem, y[:n_theta], states)

@@ -1,12 +1,13 @@
-"""Adaptive linearly implicit ODE integration.
+"""Adaptive linearly implicit integration of autonomous ODEs dy/dr = rhs(y).
 
 The scheme is the modified Rosenbrock triple (order 2 with a third-order
-error companion, L-stable), which handles the stiffness a large retraction
-factor induces without Newton iterations per step. The right-hand-side
-Jacobian is approximated internally by forward differences. Each step
-factorises its stage matrix once with LAPACK getrf and runs its three stage
-solves with getrs, the routines behind scipy's lu_factor and lu_solve,
-called directly to skip their per-call wrapper overhead.
+error companion, L-stable; Shampine & Reichelt 1997), which handles the
+stiffness a large retraction factor induces without Newton iterations per
+step. The optimiser flow does not depend on r, so the triple's
+time-derivative term is zero and left out (append a clock state y' = 1 to
+integrate a non-autonomous system). The rhs Jacobian is approximated by
+forward differences. Each step factorises its stage matrix once with LAPACK
+getrf and runs its three stage solves with getrs, called directly.
 """
 
 import enum
@@ -46,21 +47,12 @@ class IntegratorStats:
     max_step: float = 0.0
 
 
-def step(rhs, r, y, h, jac, f0=None, dfdr=None):
-    """One step of the linearly implicit scheme.
-
-    Returns (y_new, error_estimate, f_new) where f_new is the right-hand
-    side evaluated at y_new (reusable by the caller). f0 and dfdr may be
-    supplied to avoid recomputation; dfdr defaults to zero (autonomous).
-    """
+def step(rhs, y, h, jac, f0):
+    """One step of the scheme from y, with f0 = rhs(y); returns (y_new,
+    error_estimate, f_new) with f_new = rhs(y_new), reusable by the caller."""
     if h <= 0:
         raise ValueError("step size must be positive")
-    n = y.size
-    if f0 is None:
-        f0 = rhs(r, y)
-    if dfdr is None:
-        dfdr = np.zeros(n)
-    w = np.eye(n) - (h * _D) * jac
+    w = np.eye(y.size) - (h * _D) * jac
     # a singular stage matrix (info > 0) is caught by the finiteness check
     # on k1 below
     lu, piv, info = dgetrf(w, overwrite_a=True)
@@ -68,25 +60,23 @@ def step(rhs, r, y, h, jac, f0=None, dfdr=None):
         raise StageSolveFailure(f"illegal value in argument {-info} of getrf")
     if not np.isfinite(lu).all():
         raise StageSolveFailure("non-finite stage factorisation")
-    hd_t = (h * _D) * dfdr
-    k1 = dgetrs(lu, piv, f0 + hd_t, overwrite_b=True)[0]
+    # f0 belongs to the caller and is read again below: not overwritten
+    k1 = dgetrs(lu, piv, f0)[0]
     if not np.isfinite(k1).all():
         raise StageSolveFailure("singular or ill-conditioned stage system")
-    f1 = rhs(r + 0.5 * h, y + 0.5 * h * k1)
+    f1 = rhs(y + 0.5 * h * k1)
     k2 = dgetrs(lu, piv, f1 - k1, overwrite_b=True)[0] + k1
     y_new = y + h * k2
-    f_new = rhs(r + h, y_new)
+    f_new = rhs(y_new)
     k3 = dgetrs(
-        lu,
-        piv,
-        f_new - _E32 * (k2 - f1) - 2.0 * (k1 - f0) + hd_t,
-        overwrite_b=True,
+        lu, piv, f_new - _E32 * (k2 - f1) - 2.0 * (k1 - f0), overwrite_b=True
     )[0]
     err = (h / 6.0) * (k1 - 2.0 * k2 + k3)
     return y_new, err, f_new
 
 
-def _fd_jacobian(rhs, r, y, f0, stats):
+def _fd_jacobian(rhs, y, f0):
+    """Forward-difference Jacobian of rhs at y, with f0 = rhs(y): n calls."""
     n = y.size
     jac = np.empty((n, n))
     steps = _SQRT_EPS * (1.0 + np.abs(y))
@@ -95,18 +85,15 @@ def _fd_jacobian(rhs, r, y, f0, stats):
     for j in range(n):
         d = steps[j]
         yp[j] = y[j] + d
-        # counted before the call, so a call that raises is counted too
-        stats.rhs_evals += 1
-        jac[:, j] = (rhs(r, yp) - f0) / d
+        jac[:, j] = (rhs(yp) - f0) / d
         yp[j] = y[j]
-    stats.jacobian_evals += 1
     return jac
 
 
 def _initial_step(y, f0, r_max, rel_tol, abs_tol):
     sc = abs_tol + rel_tol * np.abs(y)
-    d0 = float(np.linalg.norm(y / sc)) / math.sqrt(max(y.size, 1))
-    d1 = float(np.linalg.norm(f0 / sc)) / math.sqrt(max(y.size, 1))
+    d0 = float(np.linalg.norm(y / sc)) / math.sqrt(y.size)
+    d1 = float(np.linalg.norm(f0 / sc)) / math.sqrt(y.size)
     if d0 > 1e-5 and d1 > 1e-5:
         h0 = 0.01 * d0 / d1
     else:
@@ -122,16 +109,18 @@ def integrate_adaptive(
     abs_tol=1e-8,
     stop=None,
     budget=100_000,
-    autonomous=True,
     observer=None,
 ):
-    """Integrate dy/dr = rhs(r, y) from r = 0 to r_max with adaptive steps.
+    """Integrate the autonomous system dy/dr = rhs(y) from r = 0 to r_max
+    with adaptive steps.
 
     The stop callback, if given, receives (y, dy/dr) after every accepted
     step (and once at the initial point) and terminates the integration by
     returning True. The observer, if given, is called with (r, y, dy/dr) at
-    the initial point and after every accepted step. budget caps the total
-    number of rhs evaluations, Jacobian differencing included.
+    the initial point and after every accepted step. budget bounds the rhs
+    evaluations, Jacobian differencing included, but is not a cap: it is
+    checked before each step, and a step of n variables makes up to n + 3
+    (Jacobian, two stages, extrapolation), so a run can end n + 2 past it.
 
     Returns (final r, final y, IntegratorStats, IntegrationOutcome). An
     exception raised on the way (by rhs, stop or observer, or on a non-finite
@@ -143,13 +132,14 @@ def integrate_adaptive(
         raise ValueError("initial state must not be empty")
     stats = IntegratorStats()
 
-    def counted_rhs(r, y):
+    def counted_rhs(y):
+        # counted before the call, so a call that raises is counted too
         stats.rhs_evals += 1
-        return rhs(r, y)
+        return rhs(y)
 
     try:
         r = 0.0
-        f0 = counted_rhs(r, y)
+        f0 = counted_rhs(y)
         if not np.all(np.isfinite(f0)):
             raise FloatingPointError("non-finite right-hand side at the initial point")
         if observer is not None:
@@ -161,7 +151,6 @@ def integrate_adaptive(
 
         h = _initial_step(y, f0, r_max, rel_tol, abs_tol)
         jac = None
-        dfdr = None
         while True:
             if r >= r_max:
                 return r, y, stats, IntegrationOutcome.HORIZON
@@ -171,22 +160,17 @@ def integrate_adaptive(
             if h < 1e-14 * max(1.0, abs(r)):
                 return r, y, stats, IntegrationOutcome.STEP_UNDERFLOW
             if jac is None:
-                # _fd_jacobian counts its own rhs calls
-                jac = _fd_jacobian(rhs, r, y, f0, stats)
-                if autonomous:
-                    dfdr = np.zeros(y.size)
-                else:
-                    d = _SQRT_EPS * (1.0 + abs(r))
-                    dfdr = (counted_rhs(r + d, y) - f0) / d
+                jac = _fd_jacobian(counted_rhs, y, f0)
+                stats.jacobian_evals += 1
             try:
-                y_new, err, f_new = step(counted_rhs, r, y, h, jac, f0=f0, dfdr=dfdr)
+                y_new, err, f_new = step(counted_rhs, y, h, jac, f0)
             except StageSolveFailure:
                 stats.steps_rejected += 1
                 h *= FAC_MIN
                 continue
             sc = abs_tol + rel_tol * np.maximum(np.abs(y), np.abs(y_new))
             with np.errstate(invalid="ignore", over="ignore"):
-                err_norm = float(np.max(np.abs(err) / sc)) if err.size else 0.0
+                err_norm = float(np.max(np.abs(err) / sc))
             if not np.isfinite(err_norm) or err_norm > 1.0:
                 stats.steps_rejected += 1
                 if np.isfinite(err_norm) and err_norm > 0.0:
@@ -201,7 +185,7 @@ def integrate_adaptive(
             r += h
             if h * float(np.abs(jac).sum(axis=1).max()) <= 1.0:
                 y = y_new + err
-                f0 = counted_rhs(r, y)
+                f0 = counted_rhs(y)
                 if not np.all(np.isfinite(f0)):
                     raise FloatingPointError("non-finite right-hand side after a step")
             else:

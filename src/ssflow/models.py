@@ -14,7 +14,7 @@ import numpy as np
 from . import numerics
 from .core import Condition, FlowConfig, ModelSpec, ObjectiveSpec
 from .flow import FlowProblem
-from .sensitivity import sensitivity_exact
+from .sensitivity import sensitivity_exact  # noqa: F401  (perfbench traces it here)
 
 _LN10 = math.log(10.0)
 
@@ -310,27 +310,29 @@ def generate_data(problem: NgfErkProblem, seed):
 def reduced_objective_ngf(theta, problem: NgfErkProblem):
     """Unconstrained objective through the analytic steady state; returns
     (value, gradient). The gradient is assembled from the exact steady-state
-    sensitivities per dose."""
+    sensitivities, one batched Jacobian call and one solve per dose."""
     if problem.data is None:
         raise ValueError("data not set; call with_generated_data or supply data")
     model = ngf_erk_model()
     theta = np.asarray(theta, dtype=float)
     data = np.asarray(problem.data, dtype=float)
+    u_mat = np.asarray(problem.inputs, dtype=float)[:, None]
     value = 0.0
     grad = np.zeros(6)
     # extreme theta (e.g. during a line search) can overflow 10**theta;
     # report +inf so callers treat the point as unacceptable
     with np.errstate(all="ignore"):
-        for u_scalar, d in zip(problem.inputs, data):
-            u = np.array([u_scalar])
-            x_s = model.analytic_steady_state(theta, u)
-            if not np.all(np.isfinite(x_s)):
-                return float("inf"), np.zeros(6)
+        x_mat = np.array([model.analytic_steady_state(theta, u) for u in u_mat])
+        if not np.all(np.isfinite(x_mat)):
+            return float("inf"), np.zeros(6)
+        a = np.asarray(model.jac_x_batch(theta, x_mat, u_mat), dtype=float)
+        b = np.asarray(model.jac_theta_batch(theta, x_mat, u_mat), dtype=float)
+        for i, d in enumerate(data):
             try:
-                s = sensitivity_exact(model, theta, x_s, u)
+                s = numerics.solve(a[i], -b[i])
             except (numerics.SingularMatrixError, numerics.NumericalFailure):
                 return float("inf"), np.zeros(6)
-            res = x_s[1] - d
+            res = x_mat[i, 1] - d
             value += 0.5 * res**2
             grad += res * s[1]
     if not (np.isfinite(value) and np.all(np.isfinite(grad))):

@@ -2,9 +2,9 @@
 
 Two singularity rules hold today, one per use:
 
-- ``sensitivity_exact`` factorises with ``numerics.solve`` and raises
-  ``SingularMatrixError`` when a pivot is at or below 1e-14 * ||A||_inf;
-  the reduced objectives then report +inf.
+- ``numerics.solve`` raises ``SingularMatrixError`` when a pivot is at or
+  below 1e-14 * ||A||_inf; ``sensitivity_exact`` and the per-dose solves of
+  ``models.reduced_objective_ngf`` use it, and the latter then reports +inf.
 - ``pinv_sensitivity``, the one kernel behind the flow's right-hand side,
   ``sensitivity_hat`` and ``manifold_gradient``, solves, and truncates with
   the pseudoinverse only at exact singularity (when LAPACK reports a zero

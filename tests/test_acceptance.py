@@ -284,7 +284,7 @@ def test_criterion_8_integrator_order_and_stiffness():
     tols = [1e-4, 1e-6, 1e-8]
     for rel_tol in tols:
         _, y, _, _ = integrate_adaptive(
-            lambda r, z: -z,
+            lambda z: -z,
             np.array([1.0]),
             1.0,
             rel_tol=rel_tol,

@@ -38,6 +38,14 @@ class TestBenchConfig:
             {"methods": ("flow", "nope")},
             {"n_starts": 0},
             {"theta_box": (2.0, 1.0)},
+            {"methods": ()},
+            {"lambdas": ()},
+            {"lambdas": (20.0, -1.0)},
+            {"tol": -1.0},
+            {"r_max": 0.0},
+            {"max_rhs_evals": 0},
+            {"integrator_rel_tol": 0.0},
+            {"classification_tol": -1e-3},
         ],
     )
     def test_rejects_invalid(self, kwargs):
@@ -142,8 +150,12 @@ class TestRunBench:
 
 class TestEmit:
     def test_empty_methods(self, tmp_path):
-        cfg = default_config("conversion_reaction", methods=(), n_starts=2)
-        summary, records = run_bench(cfg)
+        # a config without methods is rejected, so the empty record list is
+        # summarised and emitted directly
+        with pytest.raises(ValueError):
+            default_config("conversion_reaction", methods=(), n_starts=2)
+        records = []
+        summary = summarize(records)
         runs_path, summary_path = emit(summary, records, str(tmp_path))
         lines = open(runs_path).read().splitlines()
         assert len(lines) == 1

@@ -80,7 +80,34 @@ class TestRun:
         assert code == 2
 
 
+    def test_invalid_lambda_is_a_usage_error(self, capsys):
+        with pytest.raises(SystemExit) as info:
+            main(["run", "--problem", "conversion_reaction", "--lambda", "-1"])
+        assert info.value.code == 2
+        assert "retraction factor" in capsys.readouterr().err
+
+
 class TestBench:
+    def test_invalid_lambda_is_a_usage_error(self, tmp_path, capsys):
+        out = tmp_path / "bench"
+        with pytest.raises(SystemExit) as info:
+            main(
+                [
+                    "bench",
+                    "--problem",
+                    "conversion_reaction",
+                    "--starts",
+                    "1",
+                    "--lambda",
+                    "-1",
+                    "--out",
+                    str(out),
+                ]
+            )
+        assert info.value.code == 2
+        assert "retraction factor" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_small_bench_writes_outputs(self, tmp_path, capsys):
         out = tmp_path / "bench"
         code = main(

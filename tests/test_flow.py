@@ -47,7 +47,7 @@ def cr_optimum():
 
 def derivative(problem, state):
     """The packed flow rhs at state, unpacked into its blocks."""
-    dy = rhs(problem, state.r, state.pack())
+    dy = rhs(problem, state.pack())
     model = problem.model
     return FlowState.unpack(dy, model.n_theta, model.n_x, len(problem.conditions))
 

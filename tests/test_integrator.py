@@ -9,48 +9,46 @@ from scipy.linalg import lu_factor, lu_solve
 from ssflow import integrator
 from ssflow.integrator import (
     IntegrationOutcome,
-    IntegratorStats,
     _fd_jacobian,
     integrate_adaptive,
     step,
 )
 
 
-def decay(r, y):
+def decay(y):
     return -y
 
 
-def coupled(r, y):
-    # a nonlinear, non-autonomous rhs with every entry coupled to its neighbour
-    return -y**3 + np.roll(y, 1) * np.cos(r) - 0.5 * y
+def coupled(y):
+    # a nonlinear rhs with every entry coupled to its neighbour
+    return -y**3 + 0.6 * np.roll(y, 1) - 0.5 * y
 
 
-def reference_step(rhs, r, y, h, jac, f0, dfdr):
+def reference_step(rhs, y, h, jac, f0):
     """The step's stage arithmetic with scipy's lu_factor/lu_solve wrappers."""
     d = integrator._D
     lu_piv = lu_factor(np.eye(y.size) - (h * d) * jac, check_finite=False)
-    hd_t = (h * d) * dfdr
-    k1 = lu_solve(lu_piv, f0 + hd_t, check_finite=False)
-    f1 = rhs(r + 0.5 * h, y + 0.5 * h * k1)
+    k1 = lu_solve(lu_piv, f0, check_finite=False)
+    f1 = rhs(y + 0.5 * h * k1)
     k2 = lu_solve(lu_piv, f1 - k1, check_finite=False) + k1
     y_new = y + h * k2
-    f_new = rhs(r + h, y_new)
+    f_new = rhs(y_new)
     k3 = lu_solve(
         lu_piv,
-        f_new - integrator._E32 * (k2 - f1) - 2.0 * (k1 - f0) + hd_t,
+        f_new - integrator._E32 * (k2 - f1) - 2.0 * (k1 - f0),
         check_finite=False,
     )
     return y_new, (h / 6.0) * (k1 - 2.0 * k2 + k3), f_new
 
 
-def reference_fd_jacobian(rhs, r, y, f0):
+def reference_fd_jacobian(rhs, y, f0):
     """Forward differences with a fresh copy of y per column."""
     jac = np.empty((y.size, y.size))
     for j in range(y.size):
         d = integrator._SQRT_EPS * (1.0 + abs(y[j]))
         yp = y.copy()
         yp[j] += d
-        jac[:, j] = (rhs(r, yp) - f0) / d
+        jac[:, j] = (rhs(yp) - f0) / d
     return jac
 
 
@@ -58,7 +56,7 @@ class TestStep:
     def test_zero_rhs_is_exact(self):
         y = np.array([1.0, -2.0])
         y_new, err, f_new = step(
-            lambda r, z: np.zeros(2), 0.0, y, 0.5, np.zeros((2, 2))
+            lambda z: np.zeros(2), y, 0.5, np.zeros((2, 2)), np.zeros(2)
         )
         assert np.array_equal(y_new, y)
         assert np.all(err == 0.0)
@@ -66,25 +64,25 @@ class TestStep:
 
     def test_tiny_step_error_below_abs_tol(self):
         y = np.array([1.0])
-        _, err, _ = step(decay, 0.0, y, 1e-12, np.array([[-1.0]]))
+        _, err, _ = step(decay, y, 1e-12, np.array([[-1.0]]), decay(y))
         assert np.abs(err).max() < 1e-8
 
     def test_error_estimate_order_three(self):
         # the embedded companion is third order: halving h should shrink the
         # estimate by about 2^3 on a smooth nonlinear problem
-        def rhs(r, y):
+        def rhs(y):
             return np.array([-y[0] ** 2])
 
         y = np.array([1.0])
         jac = np.array([[-2.0]])
-        _, e1, _ = step(rhs, 0.0, y, 0.1, jac)
-        _, e2, _ = step(rhs, 0.0, y, 0.05, jac)
+        _, e1, _ = step(rhs, y, 0.1, jac, rhs(y))
+        _, e2, _ = step(rhs, y, 0.05, jac, rhs(y))
         ratio = np.abs(e1).max() / np.abs(e2).max()
         assert 6.0 < ratio < 10.0
 
     def test_rejects_non_positive_step(self):
         with pytest.raises(ValueError):
-            step(decay, 0.0, np.ones(1), 0.0, np.zeros((1, 1)))
+            step(decay, np.ones(1), 0.0, np.zeros((1, 1)), -np.ones(1))
 
     def test_singular_stage_system_raises(self):
         # W = I - h*d*J becomes exactly singular for J = I/(h*d)
@@ -92,7 +90,7 @@ class TestStep:
         d = 1.0 / (2.0 + math.sqrt(2.0))
         jac = np.eye(1) / (h * d)
         with pytest.raises(integrator.StageSolveFailure):
-            step(decay, 0.0, np.ones(1), h, jac)
+            step(decay, np.ones(1), h, jac, -np.ones(1))
 
     @pytest.mark.parametrize("n", [1, 3, 26])
     def test_bit_identical_to_lu_factor_reference(self, n):
@@ -103,44 +101,62 @@ class TestStep:
             # conditioned for every step size
             jac = rng.uniform(-0.5, 0.5, (n, n)) / n - np.diag(rng.uniform(1.0, 5.0, n))
             h = 10.0 ** rng.uniform(-3.0, 1.0)
-            r = rng.uniform(0.0, 2.0)
-            f0 = coupled(r, y)
-            dfdr = rng.normal(size=n) if trial % 2 else np.zeros(n)
-            got = step(coupled, r, y, h, jac, f0=f0, dfdr=dfdr)
-            want = reference_step(coupled, r, y, h, jac, f0, dfdr)
+            f0 = coupled(y)
+            f0_before = f0.copy()
+            got = step(coupled, y, h, jac, f0)
+            want = reference_step(coupled, y, h, jac, f0)
             for a, b in zip(got, want):
                 assert a.shape == b.shape == (n,)
                 assert np.array_equal(a, b)
+            # the first stage solve must not overwrite the caller's f0
+            assert np.array_equal(f0, f0_before)
 
     def test_nan_in_jacobian_raises(self):
         jac = -np.eye(3)
         jac[1, 2] = np.nan
         with pytest.raises(integrator.StageSolveFailure, match="factorisation"):
-            step(decay, 0.0, np.ones(3), 0.1, jac)
+            step(decay, np.ones(3), 0.1, jac, -np.ones(3))
 
 
 class TestFdJacobian:
     @pytest.mark.parametrize(
-        "rhs", [coupled, lambda r, z: z], ids=["nonlinear", "returns_its_input"]
+        "rhs", [coupled, lambda z: z], ids=["nonlinear", "returns_its_input"]
     )
     def test_bit_identical_to_copy_per_column_reference(self, rhs):
         rng = np.random.default_rng(7)
         y = rng.uniform(-3.0, 3.0, 26)
-        f0 = rhs(0.3, y).copy()
-        got = _fd_jacobian(rhs, 0.3, y, f0, IntegratorStats())
-        assert np.array_equal(got, reference_fd_jacobian(rhs, 0.3, y, f0))
+        f0 = rhs(y).copy()
+        got = _fd_jacobian(rhs, y, f0)
+        assert np.array_equal(got, reference_fd_jacobian(rhs, y, f0))
 
     def test_leaves_y_unchanged(self):
         y = np.array([1.5, -0.25, 1e8, 0.0])
         before = y.copy()
-        _fd_jacobian(coupled, 0.0, y, coupled(0.0, y), IntegratorStats())
+        _fd_jacobian(coupled, y, coupled(y))
         assert np.array_equal(y, before)
 
     def test_counts_n_rhs_evals_and_one_jacobian(self):
-        stats = IntegratorStats(rhs_evals=4, jacobian_evals=2)
-        y = np.ones(5)
-        _fd_jacobian(coupled, 0.0, y, coupled(0.0, y), stats)
-        assert (stats.rhs_evals, stats.jacobian_evals) == (9, 3)
+        # integrate_adaptive counts the Jacobian's n rhs calls one by one,
+        # and the Jacobian itself once it is complete: stop the run at the
+        # last differencing call (call 1 + n) and at the first stage call
+        # after it (call n + 2)
+        class Stop(Exception):
+            pass
+
+        n = 5
+        for k, jacobians in ((1 + n, 0), (n + 2, 1)):
+            calls = []
+
+            def rhs(y):
+                calls.append(y.copy())
+                if len(calls) == k:
+                    raise Stop
+                return coupled(y)
+
+            with pytest.raises(Stop) as info:
+                integrate_adaptive(rhs, np.ones(n), 1e3)
+            stats = info.value.stats
+            assert (stats.rhs_evals, stats.jacobian_evals) == (k, jacobians)
 
 
 class TestIntegrateAdaptive:
@@ -154,33 +170,34 @@ class TestIntegrateAdaptive:
         assert abs(y[0] - math.exp(-1.0)) < 10.0 * rel_tol
 
     def test_stiff_problem_step_count(self):
-        # dy/dr = -1000 (y - cos r): explicit Euler needs h < 2/1000 for
+        # dy/dt = -1000 (y - cos t): explicit Euler needs h < 2/1000 for
         # stability, i.e. at least 5000 steps over r_max = 10; the implicit
-        # scheme is accuracy-limited instead and needs far fewer
-        def rhs(r, y):
-            return np.array([-1000.0 * (y[0] - math.cos(r))])
+        # scheme is accuracy-limited instead and needs far fewer. The
+        # autonomous form appends the clock t, with t' = 1
+        def rhs(z):
+            return np.array([-1000.0 * (z[0] - math.cos(z[1])), 1.0])
 
-        r, y, stats, outcome = integrate_adaptive(
+        r, z, stats, outcome = integrate_adaptive(
             rhs,
-            np.array([0.0]),
+            np.array([0.0, 0.0]),
             10.0,
             rel_tol=1e-3,
             abs_tol=1e-6,
-            autonomous=False,
         )
         assert outcome is IntegrationOutcome.HORIZON
         assert stats.steps_accepted < 1000
+        assert abs(z[1] - r) < 1e-12 * r
         # reference: the exact solution of the linear ODE
         a = 1000.0
         exact = (a**2 * math.cos(r) + a * math.sin(r)) / (a**2 + 1) - (
             a**2 / (a**2 + 1)
         ) * math.exp(-a * r)
-        assert abs(y[0] - exact) < 1e-3
+        assert abs(z[0] - exact) < 1e-3
 
     def test_constant_solution(self):
         y0 = np.array([3.0, -1.0])
         r, y, stats, outcome = integrate_adaptive(
-            lambda r, z: np.zeros(2), y0, 100.0
+            lambda z: np.zeros(2), y0, 100.0
         )
         assert outcome is IntegrationOutcome.HORIZON
         assert np.array_equal(y, y0)
@@ -218,14 +235,22 @@ class TestIntegrateAdaptive:
         assert stats.steps_accepted == 0
 
     def test_budget_exhausted(self):
-        r, y, stats, outcome = integrate_adaptive(
-            decay, np.array([1.0]), 1e6, budget=20
-        )
-        assert outcome is IntegrationOutcome.BUDGET_EXHAUSTED
-        assert stats.rhs_evals >= 20
+        # the budget is checked before each step, and a step makes up to
+        # n + 3 rhs calls: a run ends at most n + 2 calls past it
+        for n in (1, 3, 26):
+            y0 = np.linspace(1.0, 2.0, n)
+            overshoots = set()
+            for budget in range(1, 4 * n + 40):
+                r, y, stats, outcome = integrate_adaptive(
+                    coupled, y0, 1e6, budget=budget
+                )
+                assert outcome is IntegrationOutcome.BUDGET_EXHAUSTED
+                assert budget <= stats.rhs_evals <= budget + n + 2
+                overshoots.add(stats.rhs_evals - budget)
+            assert max(overshoots) == n + 2
 
     def test_determinism(self):
-        def rhs(r, y):
+        def rhs(y):
             return np.array([-y[0] ** 3 - 0.1 * y[0]])
 
         runs = []
@@ -255,8 +280,8 @@ class TestIntegrateAdaptive:
     def test_empty_initial_state_raises(self):
         calls = []
 
-        def rhs(r, y):
-            calls.append(r)
+        def rhs(y):
+            calls.append(y)
             return -y
 
         with pytest.raises(ValueError, match="empty"):
@@ -266,7 +291,7 @@ class TestIntegrateAdaptive:
     def test_non_finite_initial_rhs_raises(self):
         with pytest.raises(FloatingPointError):
             integrate_adaptive(
-                lambda r, y: np.array([np.nan]), np.array([1.0]), 1.0
+                lambda y: np.array([np.nan]), np.array([1.0]), 1.0
             )
 
     def test_counts_every_call_made_when_rhs_raises(self):
@@ -279,11 +304,11 @@ class TestIntegrateAdaptive:
             calls = []
             accepted = []
 
-            def rhs(r, y):
-                calls.append(r)
+            def rhs(y):
+                calls.append(y.copy())
                 if len(calls) == k:
                     raise Stop
-                return coupled(r, y)
+                return coupled(y)
 
             with pytest.raises(Stop) as info:
                 integrate_adaptive(
@@ -299,6 +324,6 @@ class TestIntegrateAdaptive:
 
     def test_non_finite_initial_rhs_carries_its_count(self):
         with pytest.raises(FloatingPointError) as info:
-            integrate_adaptive(lambda r, y: y * np.nan, np.array([1.0, 2.0]), 1.0)
+            integrate_adaptive(lambda y: y * np.nan, np.array([1.0, 2.0]), 1.0)
         assert info.value.stats.rhs_evals == 1
         assert info.value.stats.steps_accepted == 0

@@ -14,8 +14,38 @@ from ssflow.models import (
     reduced_objective_cr,
     reduced_objective_ngf,
 )
+from ssflow.sensitivity import sensitivity_exact
 
 NO_U = np.zeros(0)
+
+
+def reduced_objective_ngf_per_dose(theta, problem, causes):
+    """Reference: one steady state and one ``sensitivity_exact`` call per
+    dose; ``causes`` counts how each evaluation ended."""
+    model = ngf_erk_model()
+    theta = np.asarray(theta, dtype=float)
+    value = 0.0
+    grad = np.zeros(6)
+    with np.errstate(all="ignore"):
+        for u_scalar, d in zip(problem.inputs, np.asarray(problem.data, dtype=float)):
+            u = np.array([u_scalar])
+            x_s = model.analytic_steady_state(theta, u)
+            if not np.all(np.isfinite(x_s)):
+                causes["state"] += 1
+                return float("inf"), np.zeros(6)
+            try:
+                s = sensitivity_exact(model, theta, x_s, u)
+            except (numerics.SingularMatrixError, numerics.NumericalFailure):
+                causes["singular"] += 1
+                return float("inf"), np.zeros(6)
+            res = x_s[1] - d
+            value += 0.5 * res**2
+            grad += res * s[1]
+    if not (np.isfinite(value) and np.all(np.isfinite(grad))):
+        causes["overflow"] += 1
+        return float("inf"), np.zeros(6)
+    causes["finite"] += 1
+    return value, grad
 
 
 class TestConversionReactionModel:
@@ -118,7 +148,7 @@ class TestNgfErkModel:
             u = rng.uniform(0.1, 10.0, 1)
             x0 = rng.uniform(0.0, 3.0, 2)
             _, x_end, _, _ = integrate_adaptive(
-                lambda t, x: model.f(theta, x, u),
+                lambda x: model.f(theta, x, u),
                 x0,
                 1e4,
                 rel_tol=1e-9,
@@ -238,6 +268,24 @@ class TestReducedObjectiveNgf:
         value, grad = reduced_objective_ngf(np.full(6, 400.0), prob)
         assert value == float("inf")
         assert np.all(grad == 0.0)
+
+    def test_bit_identical_to_per_dose_reference(self):
+        # the sampling box, the wide box and the overflow box together
+        # reach every way an evaluation ends
+        prob = NgfErkProblem().with_generated_data(0)
+        rng = np.random.default_rng(10)
+        causes = dict.fromkeys(("finite", "state", "singular", "overflow"), 0)
+        for half_width in (None, 20.0, 400.0):
+            for _ in range(1000):
+                if half_width is None:
+                    theta = rng.uniform(-3.0, 1.0, 6)
+                else:
+                    theta = rng.uniform(-half_width, half_width, 6)
+                value, grad = reduced_objective_ngf(theta, prob)
+                ref_value, ref_grad = reduced_objective_ngf_per_dose(theta, prob, causes)
+                assert value == ref_value
+                assert np.array_equal(grad, ref_grad)
+        assert min(causes.values()) > 0, causes
 
 
 class TestObjectiveGradX:
