@@ -7,7 +7,8 @@ import os
 import statistics
 import tempfile
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import asdict, dataclass, replace
+from dataclasses import asdict, dataclass
+from typing import Optional
 
 import numpy as np
 
@@ -17,23 +18,43 @@ from .core import FlowConfig, FlowState
 from .flow import run_flow
 from .models import ConversionReactionProblem, NgfErkProblem
 
-PROBLEMS = ("conversion_reaction", "ngf_erk")
+# problem name -> bundle class; the one place a name picks a problem
+PROBLEMS = {
+    "conversion_reaction": ConversionReactionProblem,
+    "ngf_erk": NgfErkProblem,
+}
 METHODS = ("flow", "unconstrained", "constrained")
 
-CSV_COLUMNS = (
-    "method",
-    "lam",
-    "start_index",
-    "seed",
-    "start",
-    "final_objective",
-    "reduced_objective",
-    "manifold_residual",
-    "converged",
-    "reason",
-    "wall_time",
-    "rhs_evals",
+
+def _write_float(value):
+    return format(float(value), ".17g")
+
+
+# The runs.csv schema, in column order: (name, write, read). write turns a
+# record value into its cell, read turns the cell back into the value.
+COLUMNS = (
+    ("method", str, str),
+    (
+        "lam",
+        lambda v: "" if v is None else _write_float(v),
+        lambda s: float(s) if s else None,
+    ),
+    ("start_index", str, int),
+    ("seed", str, int),
+    (
+        "start",
+        lambda v: ";".join(format(x, ".17g") for x in v),
+        lambda s: [float(x) for x in s.split(";") if x],
+    ),
+    ("final_objective", _write_float, float),
+    ("reduced_objective", _write_float, float),
+    ("manifold_residual", _write_float, float),
+    ("converged", lambda v: "true" if v else "false", lambda s: s == "true"),
+    ("reason", str, str),
+    ("wall_time", _write_float, float),
+    ("rhs_evals", str, int),
 )
+CSV_COLUMNS = tuple(name for name, _, _ in COLUMNS)
 
 SCHEMA_VERSION = 1
 WORKERS_ENV = "SSFLOW_WORKERS"
@@ -46,8 +67,9 @@ class BenchConfig:
     lambdas: tuple = (2.0, 20.0)
     n_starts: int = 100
     seed: int = 0
-    theta_box: tuple = (0.1, 8.0)
-    state_box: tuple = (0.0, 1.0)
+    # sampling boxes; None takes the problem bundle's (the benchmark protocol's)
+    theta_box: Optional[tuple] = None
+    state_box: Optional[tuple] = None
     output_dir: str = ""
     tol: float = 1e-6
     r_max: float = 1e4
@@ -59,13 +81,18 @@ class BenchConfig:
     classification_tol: float = 1e-3
 
     def __post_init__(self):
+        if self.problem not in PROBLEMS:
+            raise ValueError(f"unknown problem {self.problem!r}")
+        bundle_class = PROBLEMS[self.problem]
+        if self.theta_box is None:
+            self.theta_box = bundle_class.theta_box
+        if self.state_box is None:
+            self.state_box = bundle_class.state_box
         self.methods = tuple(self.methods)
         self.lambdas = tuple(float(v) for v in self.lambdas)
         self.theta_true = tuple(float(v) for v in self.theta_true)
         self.theta_box = tuple(float(v) for v in self.theta_box)
         self.state_box = tuple(float(v) for v in self.state_box)
-        if self.problem not in PROBLEMS:
-            raise ValueError(f"unknown problem {self.problem!r}")
         unknown = set(self.methods) - set(METHODS)
         if unknown:
             raise ValueError(f"unknown methods {sorted(unknown)}")
@@ -92,22 +119,10 @@ class BenchConfig:
         d["theta_true"] = list(self.theta_true)
         return d
 
-    @classmethod
-    def from_dict(cls, d):
-        return cls(**d)
-
 
 def default_config(problem, **overrides):
-    """Config with the problem bundle's sampling boxes (the benchmark
-    protocol's); overrides take precedence."""
-    config = BenchConfig(problem=problem, **overrides)
-    bundle = _build_problem(config)
-    boxes = {
-        name: getattr(bundle, name)
-        for name in ("theta_box", "state_box")
-        if name not in overrides
-    }
-    return replace(config, **boxes)
+    """Config for a problem; overrides take precedence over the defaults."""
+    return BenchConfig(problem=problem, **overrides)
 
 
 def _build_problem(config):
@@ -116,16 +131,11 @@ def _build_problem(config):
     For ngf_erk the synthetic data are generated deterministically from
     config.seed.
     """
-    if config.problem == "conversion_reaction":
-        return ConversionReactionProblem()
-    prob = NgfErkProblem(noise_var=config.noise_var, theta_true=config.theta_true)
-    return prob.with_generated_data(config.seed)
-
-
-def _problem_dims(config, bundle):
-    model = bundle.model()
-    m = len(bundle.conditions())
-    return model.n_theta, model.n_x, m
+    bundle_class = PROBLEMS[config.problem]
+    if bundle_class is NgfErkProblem:
+        bundle = bundle_class(noise_var=config.noise_var, theta_true=config.theta_true)
+        return bundle.with_generated_data(config.seed)
+    return bundle_class()
 
 
 def sample_starts(config, bundle=None):
@@ -137,23 +147,18 @@ def sample_starts(config, bundle=None):
     """
     if bundle is None:
         bundle = _build_problem(config)
-    n_theta, n_x, m = _problem_dims(config, bundle)
+    model = bundle.model()
+    m = len(bundle.conditions())
     rng = np.random.default_rng(config.seed + 1)
     starts = []
     for _ in range(config.n_starts):
-        theta = rng.uniform(config.theta_box[0], config.theta_box[1], n_theta)
+        theta = rng.uniform(config.theta_box[0], config.theta_box[1], model.n_theta)
         states = [
-            rng.uniform(config.state_box[0], config.state_box[1], n_x)
+            rng.uniform(config.state_box[0], config.state_box[1], model.n_x)
             for _ in range(m)
         ]
         starts.append(FlowState(theta=theta, states=states))
     return starts
-
-
-def _method_label(method, lam=None):
-    if method == "flow":
-        return f"flow_lambda_{lam:g}"
-    return method
 
 
 def _flow_config(config, lam):
@@ -167,32 +172,6 @@ def _flow_config(config, lam):
     )
 
 
-def _execute_task(args):
-    """Run one (method, start) pair; top-level so a worker pool can pickle it.
-
-    Any per-run failure is converted into a non-converged record; the bench
-    never aborts because one run failed.
-    """
-    cfg_dict, method, lam, start_index, start_vec = args
-    try:
-        return _run_task(args)
-    except Exception as exc:
-        return {
-            "method": _method_label(method, lam),
-            "lam": lam if method == "flow" else None,
-            "start_index": start_index,
-            "seed": cfg_dict["seed"],
-            "start": list(start_vec),
-            "final_objective": float("inf"),
-            "reduced_objective": float("inf"),
-            "manifold_residual": float("inf"),
-            "converged": False,
-            "reason": f"Error:{type(exc).__name__}",
-            "wall_time": 0.0,
-            "rhs_evals": 0,
-        }
-
-
 def _reduced_value(config, bundle, theta):
     """Objective restricted to the steady-state manifold at theta."""
     try:
@@ -203,63 +182,61 @@ def _reduced_value(config, bundle, theta):
         return float("inf")
 
 
-def _run_task(args):
-    cfg_dict, method, lam, start_index, start_vec = args
-    config = BenchConfig.from_dict(cfg_dict)
-    bundle = _build_problem(config)
-    n_theta, n_x, m = _problem_dims(config, bundle)
-    start = FlowState.unpack(np.asarray(start_vec, dtype=float), n_theta, n_x, m)
+def _finite_or_inf(value):
+    return value if np.isfinite(value) else float("inf")
+
+
+def _execute_task(task):
+    """Run one (method, start) pair; top-level so a worker pool can pickle it.
+
+    A task is (config, bundle, method, lam, start_index, start), with lam
+    None for the baselines. Any per-run failure is converted into a
+    non-converged record; the bench never aborts because one run failed.
+    """
+    config, bundle, method, lam, start_index, start = task
     record = {
-        "method": _method_label(method, lam),
-        "lam": lam if method == "flow" else None,
+        "method": method if lam is None else f"flow_lambda_{lam:g}",
+        "lam": lam,
         "start_index": start_index,
         "seed": config.seed,
         "start": list(start.pack()),
         "converged": False,
     }
-    if method == "flow":
-        problem = bundle.flow_problem(_flow_config(config, lam))
-        result = run_flow(problem, start)
-        final_theta = result.final.theta
+    try:
+        if method == "flow":
+            result = run_flow(bundle.flow_problem(_flow_config(config, lam)), start)
+            theta, residual = result.final.theta, result.manifold_residual
+            reason, evals = result.reason.value, result.rhs_evals
+        elif method == "unconstrained":
+            result = quasi_newton_unconstrained(
+                bundle.reduced_objective, start.theta, tol=config.tol
+            )
+            theta, residual = result.theta, 0.0
+            reason = "ToleranceMet" if result.converged else "IterationLimit"
+            evals = result.n_evals
+        else:
+            problem = bundle.flow_problem(_flow_config(config, config.lambdas[0]))
+            result = augmented_lagrangian_constrained(problem, start, tol=config.tol)
+            theta, residual = result.theta, result.constraint_violation
+            reason = "ToleranceMet" if result.converged else "OuterLimit"
+            evals = result.n_evals
         record.update(
-            final_objective=result.objective,
-            manifold_residual=result.manifold_residual,
-            reason=result.reason.value,
+            final_objective=_finite_or_inf(result.objective),
+            reduced_objective=_reduced_value(config, bundle, theta),
+            manifold_residual=_finite_or_inf(residual),
+            reason=reason,
             wall_time=result.wall_time,
-            rhs_evals=result.rhs_evals,
+            rhs_evals=evals,
         )
-    elif method == "unconstrained":
-        result = quasi_newton_unconstrained(
-            bundle.reduced_objective, start.theta, tol=config.tol
-        )
-        final_theta = result.theta
+    except Exception as exc:
         record.update(
-            final_objective=result.objective,
-            manifold_residual=0.0,
-            reason="ToleranceMet" if result.converged else "IterationLimit",
-            wall_time=result.wall_time,
-            rhs_evals=result.n_evals,
+            final_objective=float("inf"),
+            reduced_objective=float("inf"),
+            manifold_residual=float("inf"),
+            reason=f"Error:{type(exc).__name__}",
+            wall_time=0.0,
+            rhs_evals=0,
         )
-    elif method == "constrained":
-        problem = bundle.flow_problem(_flow_config(config, config.lambdas[0]))
-        result = augmented_lagrangian_constrained(
-            problem, start, tol=config.tol
-        )
-        final_theta = result.theta
-        record.update(
-            final_objective=result.objective,
-            manifold_residual=result.constraint_violation,
-            reason="ToleranceMet" if result.converged else "OuterLimit",
-            wall_time=result.wall_time,
-            rhs_evals=result.n_evals,
-        )
-    else:
-        raise ValueError(f"unknown method {method!r}")
-    record["reduced_objective"] = _reduced_value(config, bundle, final_theta)
-    if not np.isfinite(record["final_objective"]):
-        record["final_objective"] = float("inf")
-    if not np.isfinite(record["manifold_residual"]):
-        record["manifold_residual"] = float("inf")
     return record
 
 
@@ -319,13 +296,12 @@ def run_bench(config):
     """
     bundle = _build_problem(config)
     starts = sample_starts(config, bundle)
-    cfg_dict = config.to_dict()
     tasks = []
     for method in config.methods:
         lams = config.lambdas if method == "flow" else (None,)
         for lam in lams:
             for idx, start in enumerate(starts):
-                tasks.append((cfg_dict, method, lam, idx, list(start.pack())))
+                tasks.append((config, bundle, method, lam, idx, start))
 
     workers = int(os.environ.get(WORKERS_ENV, os.cpu_count() or 1))
     records = []
@@ -340,7 +316,7 @@ def run_bench(config):
     summary = {
         "schema_version": SCHEMA_VERSION,
         "artifact_version": __version__,
-        "config": cfg_dict,
+        "config": config.to_dict(),
         **summary,
     }
     return summary, records
@@ -349,16 +325,6 @@ def run_bench(config):
 # --------------------------------------------------------------------------
 # File emission
 # --------------------------------------------------------------------------
-
-def _fmt(value):
-    if value is None:
-        return ""
-    if isinstance(value, bool):
-        return "true" if value else "false"
-    if isinstance(value, float):
-        return format(value, ".17g")
-    return str(value)
-
 
 def _atomic_write(path, text):
     d = os.path.dirname(os.path.abspath(path))
@@ -378,21 +344,7 @@ def emit(summary, records, out_dir):
     os.makedirs(out_dir, exist_ok=True)
     lines = [",".join(CSV_COLUMNS)]
     for r in records:
-        row = [
-            r["method"],
-            _fmt(r["lam"]),
-            str(r["start_index"]),
-            str(r["seed"]),
-            ";".join(format(v, ".17g") for v in r["start"]),
-            _fmt(float(r["final_objective"])),
-            _fmt(float(r["reduced_objective"])),
-            _fmt(float(r["manifold_residual"])),
-            _fmt(bool(r["converged"])),
-            r["reason"],
-            _fmt(float(r["wall_time"])),
-            str(r["rhs_evals"]),
-        ]
-        lines.append(",".join(row))
+        lines.append(",".join(write(r[name]) for name, write, _ in COLUMNS))
     runs_path = os.path.join(out_dir, "runs.csv")
     summary_path = os.path.join(out_dir, "summary.json")
     try:
@@ -405,23 +357,8 @@ def emit(summary, records, out_dir):
 
 def read_runs_csv(path):
     """Parse runs.csv back into record dicts (floats round-trip exactly)."""
-    records = []
     with open(path, newline="") as fh:
-        for row in csv.DictReader(fh):
-            records.append(
-                {
-                    "method": row["method"],
-                    "lam": float(row["lam"]) if row["lam"] else None,
-                    "start_index": int(row["start_index"]),
-                    "seed": int(row["seed"]),
-                    "start": [float(v) for v in row["start"].split(";") if v],
-                    "final_objective": float(row["final_objective"]),
-                    "reduced_objective": float(row["reduced_objective"]),
-                    "manifold_residual": float(row["manifold_residual"]),
-                    "converged": row["converged"] == "true",
-                    "reason": row["reason"],
-                    "wall_time": float(row["wall_time"]),
-                    "rhs_evals": int(row["rhs_evals"]),
-                }
-            )
-    return records
+        return [
+            {name: read(row[name]) for name, _, read in COLUMNS}
+            for row in csv.DictReader(fh)
+        ]

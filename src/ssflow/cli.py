@@ -17,16 +17,24 @@ from .flow import run_flow
 from .models import NgfErkProblem, generate_data
 
 
-def _load_config_file(path):
-    with open(path) as fh:
-        return json.load(fh)
+def _load_config_file(parser, path):
+    """The JSON object in a config file; an unreadable file is a usage error."""
+    try:
+        with open(path) as fh:
+            file_cfg = json.load(fh)
+    except (OSError, ValueError) as exc:
+        parser.error(f"cannot read config file {path}: {exc}")
+    if not isinstance(file_cfg, dict):
+        parser.error(f"config file {path} must hold a JSON object")
+    return file_cfg
 
 
 def _merged_config(parser, args, extra_overrides=None):
     """Build a BenchConfig from defaults, then the config file, then flags;
-    an invalid config is a usage error."""
+    an invalid config (an unknown field, a value of the wrong type or out of
+    range) is a usage error."""
     problem = args.problem
-    file_cfg = _load_config_file(args.config) if args.config else {}
+    file_cfg = _load_config_file(parser, args.config) if args.config else {}
     if problem is None:
         problem = file_cfg.get("problem", "conversion_reaction")
     overrides = dict(file_cfg)
@@ -46,7 +54,7 @@ def _merged_config(parser, args, extra_overrides=None):
         overrides.update(extra_overrides)
     try:
         return default_config(problem, **overrides)
-    except ValueError as exc:
+    except (TypeError, ValueError) as exc:
         parser.error(str(exc))
 
 

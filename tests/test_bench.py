@@ -6,7 +6,9 @@ import os
 import numpy as np
 import pytest
 
+from ssflow import bench
 from ssflow.bench import (
+    CSV_COLUMNS,
     BenchConfig,
     classify,
     default_config,
@@ -16,6 +18,10 @@ from ssflow.bench import (
     sample_starts,
     summarize,
 )
+from ssflow.flow import FlowNumericalError
+from ssflow.models import ConversionReactionProblem, NgfErkProblem
+
+README = os.path.join(os.path.dirname(__file__), os.pardir, "README.md")
 
 WALL_FIELDS = ("wall_time",)
 
@@ -54,7 +60,24 @@ class TestBenchConfig:
 
     def test_round_trips_through_dict(self):
         cfg = default_config("ngf_erk", n_starts=7, seed=3)
-        assert BenchConfig.from_dict(cfg.to_dict()) == cfg
+        assert BenchConfig(**cfg.to_dict()) == cfg
+
+    @pytest.mark.parametrize(
+        "problem, bundle_class",
+        [("conversion_reaction", ConversionReactionProblem), ("ngf_erk", NgfErkProblem)],
+    )
+    def test_sampling_boxes_default_to_the_problems(self, problem, bundle_class):
+        cfg = BenchConfig(problem=problem)
+        assert cfg.theta_box == bundle_class.theta_box
+        assert cfg.state_box == bundle_class.state_box
+
+    def test_default_config_builds_no_bundle(self, monkeypatch):
+        def no_bundle(config):
+            raise AssertionError("default_config built a problem bundle")
+
+        monkeypatch.setattr(bench, "_build_problem", no_bundle)
+        cfg = default_config("ngf_erk", n_starts=2)
+        assert cfg.theta_box == NgfErkProblem.theta_box
 
 
 class TestSampleStarts:
@@ -147,6 +170,42 @@ class TestRunBench:
         assert recomputed["methods"] == summary["methods"]
         assert recomputed["best_objective"] == summary["best_objective"]
 
+    def test_pool_and_sequential_runs_agree(self, monkeypatch):
+        cfg = default_config("conversion_reaction", n_starts=3, seed=7)
+        runs = {}
+        for workers in ("1", "2"):
+            monkeypatch.setenv("SSFLOW_WORKERS", workers)
+            runs[workers] = run_bench(cfg)[1]
+        assert len(runs["1"]) == 12
+        assert strip_wall_time(runs["1"]) == strip_wall_time(runs["2"])
+
+    def test_failed_run_gives_a_failure_record(self, monkeypatch, tmp_path):
+        monkeypatch.setenv("SSFLOW_WORKERS", "1")
+        cfg = default_config("conversion_reaction", n_starts=2, seed=8, lambdas=(20.0,))
+        _, reference = run_bench(cfg)
+
+        def failing_run_flow(problem, init):
+            raise FlowNumericalError("forced failure")
+
+        monkeypatch.setattr(bench, "run_flow", failing_run_flow)
+        _, records = run_bench(cfg)
+        failed = [r for r in records if r["method"] == "flow_lambda_20"]
+        starts = sample_starts(cfg)
+        assert len(failed) == 2
+        for r in failed:
+            assert r["reason"] == "Error:FlowNumericalError"
+            assert r["lam"] == 20.0 and r["seed"] == 8
+            assert r["final_objective"] == r["reduced_objective"] == float("inf")
+            assert r["manifold_residual"] == float("inf")
+            assert (r["rhs_evals"], r["wall_time"], r["converged"]) == (0, 0.0, False)
+            assert r["start"] == list(starts[r["start_index"]].pack())
+        runs_path, _ = emit(summarize(records), records, str(tmp_path))
+        assert read_runs_csv(runs_path) == records
+        baselines = [r for r in records if r["lam"] is None]
+        expected = [r for r in reference if r["lam"] is None]
+        assert len(baselines) == 4
+        assert strip_wall_time(baselines) == strip_wall_time(expected)
+
 
 class TestEmit:
     def test_empty_methods(self, tmp_path):
@@ -161,6 +220,11 @@ class TestEmit:
         assert len(lines) == 1
         assert lines[0].startswith("method,lam,start_index")
         assert json.load(open(summary_path))["methods"] == {}
+
+    def test_readme_documents_the_column_order(self):
+        with open(README) as fh:
+            readme = fh.read()
+        assert f"`{','.join(CSV_COLUMNS)}`" in readme
 
     def test_round_trip_and_recompute(self, tmp_path):
         cfg = default_config(

@@ -108,6 +108,27 @@ class TestBench:
         assert "retraction factor" in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize(
+        "content, message",
+        [
+            ('{"bogus": 1}', "bogus"),
+            ('{"n_starts": 1,', "cannot read config file"),
+            ("[1, 2]", "must hold a JSON object"),
+            (None, "cannot read config file"),
+        ],
+        ids=["unknown-key", "malformed-json", "not-an-object", "missing-file"],
+    )
+    def test_bad_config_file_is_a_usage_error(self, tmp_path, capsys, content, message):
+        cfg_file = tmp_path / "cfg.json"
+        if content is not None:
+            cfg_file.write_text(content)
+        out = tmp_path / "bench"
+        with pytest.raises(SystemExit) as info:
+            main(["bench", "--config", str(cfg_file), "--starts", "1", "--out", str(out)])
+        assert info.value.code == 2
+        assert message in capsys.readouterr().err
+        assert not out.exists()
+
     def test_small_bench_writes_outputs(self, tmp_path, capsys):
         out = tmp_path / "bench"
         code = main(
