@@ -35,6 +35,12 @@ class ModelSpec:
     conditions and return (m, n_x) / (m, n_x, n_x) / (m, n_x, n_theta);
     every consumer calls these. A batched form left out is filled by
     stacking the per-condition calls.
+
+    Contract: the batched forms are row-separable. Row i of the output
+    depends only on theta and row i of X and U, and has the bits that row
+    gets when evaluated as a batch of one. The flow relies on this to
+    evaluate the rows of several points in one call (the state columns of
+    its finite-difference Jacobian).
     """
 
     n_x: int

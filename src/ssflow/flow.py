@@ -37,26 +37,45 @@ class FlowProblem:
         return np.stack([c.u for c in self.conditions])
 
 
-def _assemble(problem, theta, states):
-    """Per-condition sensitivities and the flow derivative blocks.
+def _kernel_rows(model, theta, x_mat, u_mat):
+    """(jac_x, jac_theta, f) at the condition rows (x_mat, u_mat), one
+    batched call per kernel.
 
-    The m state Jacobians are stacked and handed to the sensitivity kernel
-    in one batched call; the block structure of the concatenated constraint
+    Each output row depends on its own input row only (the ModelSpec
+    contract), so the rows of several points may share one call.
+    """
+    return (
+        np.asarray(model.jac_x_batch(theta, x_mat, u_mat), dtype=float),
+        np.asarray(model.jac_theta_batch(theta, x_mat, u_mat), dtype=float),
+        np.asarray(model.f_batch(theta, x_mat, u_mat), dtype=float),
+    )
+
+
+def _assemble(problem, theta, states, rows=None):
+    """The flow derivative blocks at one point.
+
+    rows is the point's model part, (jac_x, jac_theta, f, s_hat) per
+    condition row with s_hat the pinv sensitivity, read only once every
+    Jacobian row is finite; when not given, it is evaluated here. On it
+    runs the per-point assembly: every finiteness check, the objective's
+    gradients pulled back through the stacked sensitivities and the
+    retraction term. The block structure of the concatenated constraint
     system is never assembled explicitly. Returns (d_theta, d_states) with
     d_states as an (m, n_x) array.
     """
-    model = problem.model
     objective = problem.objective
-    x_mat = np.asarray(states, dtype=float)
-    u_mat = problem.u_matrix
-    a = np.asarray(model.jac_x_batch(theta, x_mat, u_mat), dtype=float)
-    b = np.asarray(model.jac_theta_batch(theta, x_mat, u_mat), dtype=float)
-    f_mat = np.asarray(model.f_batch(theta, x_mat, u_mat), dtype=float)
+    if rows is None:
+        x_mat = np.asarray(states, dtype=float)
+        a, b, f_mat = _kernel_rows(problem.model, theta, x_mat, problem.u_matrix)
+        s_hat = None
+    else:
+        a, b, f_mat, s_hat = rows
     if not (np.isfinite(a).all() and np.isfinite(b).all()):
         ok = np.isfinite(a).all(axis=(1, 2)) & np.isfinite(b).all(axis=(1, 2))
         bad = np.flatnonzero(~ok).tolist()
         raise FlowNumericalError(f"non-finite Jacobian in condition block(s) {bad}")
-    s_hat = pinv_sensitivity(a, b)
+    if s_hat is None:
+        s_hat = pinv_sensitivity(a, b)
     d_theta = -total_gradient(
         objective.grad_theta(theta, states), s_hat, objective.grad_x(theta, states)
     )
@@ -70,16 +89,55 @@ def _assemble(problem, theta, states):
     return d_theta, d_states
 
 
-def rhs(problem, y):
+def rhs(problem, y, rows=None):
     """Flow derivative at the packed state y = (theta, x^1..x^m), as one
-    packed vector; the flow is autonomous, so it takes no pseudo-time."""
+    packed vector; the flow is autonomous, so it takes no pseudo-time.
+    rows, if given, is the model part at y (see _assemble)."""
     n_theta = problem.model.n_theta
     states = y[n_theta:].reshape(len(problem.conditions), problem.model.n_x)
-    d_theta, d_states = _assemble(problem, y[:n_theta], states)
+    d_theta, d_states = _assemble(problem, y[:n_theta], states, rows)
     dy = np.empty(y.size)
     dy[:n_theta] = d_theta
     dy[n_theta:] = d_states.ravel()
     return dy
+
+
+def _fd_columns(problem, y, steps):
+    """The per-column rhs arguments of the forward-difference Jacobian at y
+    (see integrator._fd_jacobian): None for each parameter column, and for
+    each state column the model part of its perturbed point.
+
+    A state column of condition i moves only row i, so one batched call per
+    kernel and one stacked sensitivity solve over the m base rows and the
+    m*n_x single-perturbed rows serve every state column: each takes the
+    base rows with its own row swapped in. A non-finite Jacobian row is
+    reported by _assemble at its column's own rhs call.
+    """
+    n_theta = problem.model.n_theta
+    n_x = problem.model.n_x
+    m = len(problem.conditions)
+    x_mat = y[n_theta:].reshape(m, n_x)
+    u_mat = problem.u_matrix
+    cols = np.arange(m * n_x)
+    x_pert = np.repeat(x_mat, n_x, axis=0)
+    x_pert[cols, cols % n_x] += steps[n_theta:]
+    try:
+        a, b, f_mat = _kernel_rows(
+            problem.model,
+            y[:n_theta],
+            np.concatenate([x_mat, x_pert]),
+            np.concatenate([u_mat, np.repeat(u_mat, n_x, axis=0)]),
+        )
+        s_hat = pinv_sensitivity(a, b)
+    except (numerics.NumericalFailure, FloatingPointError):
+        # run_flow reports these with the counts of the work done: the plain
+        # rhs calls raise them at their own column instead
+        return None
+    # state column j: the base rows, with row j // n_x from perturbed row j
+    idx = np.tile(np.arange(m), (m * n_x, 1))
+    idx[cols, cols // n_x] = m + cols
+    rows = (a[idx], b[idx], f_mat[idx], s_hat[idx])
+    return [None] * n_theta + list(zip(*rows))
 
 
 def stop_check(problem, y, dy):
@@ -117,6 +175,12 @@ def run_flow(problem, init, store_trajectory=False):
     m = len(problem.conditions)
     if init.theta.size != n_theta or len(init.states) != m:
         raise ValueError("initial state dimensions do not match the problem")
+    for i, x in enumerate(init.states):
+        if x.size != n_x:
+            raise ValueError(
+                f"initial state block {i} has {x.size} entries; "
+                f"the model has n_x = {n_x}"
+            )
     if not init.is_finite():
         raise ValueError("initial state must be finite")
 
@@ -129,6 +193,8 @@ def run_flow(problem, init, store_trajectory=False):
         if store_trajectory:
             trajectory.append(FlowState.unpack(yvec, n_theta, n_x, m, r=r))
 
+    # one shared model evaluation saves kernel calls from two state columns on
+    columns = partial(_fd_columns, problem) if m * n_x >= 2 else None
     t0 = time.perf_counter()
     try:
         r_end, y_end, stats, outcome = integrator.integrate_adaptive(
@@ -140,6 +206,7 @@ def run_flow(problem, init, store_trajectory=False):
             stop=partial(stop_check, problem),
             budget=cfg.max_rhs_evals,
             observer=observer,
+            columns=columns,
         )
         reason = {
             integrator.IntegrationOutcome.STOP_CONDITION: StopReason.TOLERANCE_MET,

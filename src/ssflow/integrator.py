@@ -75,17 +75,28 @@ def step(rhs, y, h, jac, f0):
     return y_new, err, f_new
 
 
-def _fd_jacobian(rhs, y, f0):
-    """Forward-difference Jacobian of rhs at y, with f0 = rhs(y): n calls."""
+def _fd_jacobian(rhs, y, f0, columns=None):
+    """Forward-difference Jacobian of rhs at y, with f0 = rhs(y): n calls,
+    column j at y + steps[j] e_j.
+
+    columns, if given, lets rhs share work across the columns: it is called
+    once as columns(y, steps) and returns None or one extra rhs argument per
+    column, so that column j calls rhs(y + steps[j] e_j, args[j]). Such an
+    argument must leave the value rhs returns unchanged (the flow passes
+    the model part of each state column's point, evaluated for all of them
+    at once). Every column is still one rhs call.
+    """
     n = y.size
     jac = np.empty((n, n))
     steps = _SQRT_EPS * (1.0 + np.abs(y))
+    args = None if columns is None else columns(y, steps)
     # one perturbed copy of y, each column's entry restored after its call
     yp = y.copy()
     for j in range(n):
         d = steps[j]
         yp[j] = y[j] + d
-        jac[:, j] = (rhs(yp) - f0) / d
+        fj = rhs(yp) if args is None else rhs(yp, args[j])
+        jac[:, j] = (fj - f0) / d
         yp[j] = y[j]
     return jac
 
@@ -110,6 +121,7 @@ def integrate_adaptive(
     stop=None,
     budget=100_000,
     observer=None,
+    columns=None,
 ):
     """Integrate the autonomous system dy/dr = rhs(y) from r = 0 to r_max
     with adaptive steps.
@@ -121,6 +133,10 @@ def integrate_adaptive(
     evaluations, Jacobian differencing included, but is not a cap: it is
     checked before each step, and a step of n variables makes up to n + 3
     (Jacobian, two stages, extrapolation), so a run can end n + 2 past it.
+    columns, if given, is passed to every Jacobian (see _fd_jacobian); its
+    per-column arguments reach rhs through the counting, so rhs_evals still
+    counts n calls per Jacobian, one by one before each call, and the
+    budget keeps its meaning.
 
     Returns (final r, final y, IntegratorStats, IntegrationOutcome). An
     exception raised on the way (by rhs, stop or observer, or on a non-finite
@@ -132,10 +148,10 @@ def integrate_adaptive(
         raise ValueError("initial state must not be empty")
     stats = IntegratorStats()
 
-    def counted_rhs(y):
+    def counted_rhs(y, *column):
         # counted before the call, so a call that raises is counted too
         stats.rhs_evals += 1
-        return rhs(y)
+        return rhs(y, *column)
 
     try:
         r = 0.0
@@ -160,7 +176,7 @@ def integrate_adaptive(
             if h < 1e-14 * max(1.0, abs(r)):
                 return r, y, stats, IntegrationOutcome.STEP_UNDERFLOW
             if jac is None:
-                jac = _fd_jacobian(counted_rhs, y, f0)
+                jac = _fd_jacobian(counted_rhs, y, f0, columns)
                 stats.jacobian_evals += 1
             try:
                 y_new, err, f_new = step(counted_rhs, y, h, jac, f0)

@@ -8,9 +8,10 @@ Two singularity rules hold today, one per use:
 - ``pinv_sensitivity``, the one kernel behind the flow's right-hand side,
   ``sensitivity_hat`` and ``manifold_gradient``, solves, and truncates with
   the pseudoinverse only at exact singularity (when LAPACK reports a zero
-  pivot).
+  pivot). In a stack the rule holds per matrix: each matrix gets the bits
+  it would get alone, so a stack may hold the rows of several flow points.
 
-Unifying the two is ROADMAP item 5; it changes results near singular points.
+Unifying the two is ROADMAP item 8; it changes results near singular points.
 """
 
 import numpy as np
@@ -33,14 +34,18 @@ def pinv_sensitivity(jac_x, jac_theta):
     """Pseudoinverse sensitivity S_hat = -(d f/d x)^+ (d f/d theta) of one
     Jacobian pair or of a stack ``(m, n_x, n_x)``, ``(m, n_x, n_theta)``.
 
-    Solves where every state Jacobian is invertible (the generic case, on
-    and off manifold); at exact singularity the whole stack takes the
-    truncated pseudoinverse instead of blowing up.
+    Solves where the state Jacobian is invertible (the generic case, on and
+    off manifold); an exactly singular one takes the truncated pseudoinverse
+    instead of blowing up. In a stack this is decided per matrix, and every
+    matrix equals the result for it alone, bit for bit.
     """
     try:
         return -np.linalg.solve(jac_x, jac_theta)
     except np.linalg.LinAlgError:
-        return -(numerics.pinv(jac_x) @ jac_theta)
+        if jac_x.ndim == 2:
+            return -(numerics.pinv(jac_x) @ jac_theta)
+        # the stacked solve raises for the whole stack: redo it per matrix
+        return np.stack([pinv_sensitivity(a, b) for a, b in zip(jac_x, jac_theta)])
 
 
 def total_gradient(grad_theta, s_hat, grads_x):

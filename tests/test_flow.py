@@ -1,10 +1,15 @@
 """Optimiser-flow tests: right-hand side, stopping, retraction, descent."""
 
+import dataclasses
+from functools import partial
+
 import numpy as np
 import pytest
 
+from ssflow import flow, integrator
 from ssflow.core import FlowConfig, FlowState, ModelSpec, ObjectiveSpec, StopReason
 from ssflow.flow import (
+    FlowNumericalError,
     FlowProblem,
     _assemble,
     manifold_residual,
@@ -87,6 +92,15 @@ class TestRhs:
         problem = cr_flow_problem(2.0)
         bad = FlowState(theta=np.zeros(3), states=[np.zeros(1)])
         with pytest.raises(ValueError):
+            run_flow(problem, bad)
+
+    def test_ragged_state_blocks_rejected(self):
+        # the right total size, but not one n_x = 2 block per condition
+        prob = NgfErkProblem().with_generated_data(0)
+        problem = prob.flow_problem(FlowConfig(lam=20.0, max_rhs_evals=50))
+        sizes = [3, 1] + [2] * 8
+        bad = FlowState(theta=np.zeros(6), states=[np.full(k, 0.5) for k in sizes])
+        with pytest.raises(ValueError, match="block 0 has 3 entries"):
             run_flow(problem, bad)
 
 
@@ -306,3 +320,155 @@ class TestNumericalFailureCounts:
         assert result.jacobian_evals >= result.steps_accepted
         assert 0.0 < result.min_step <= result.max_step
         assert np.array_equal(result.final.pack(), traj[-1].pack())
+
+
+SHARED_FD_JACOBIAN = integrator._fd_jacobian
+
+
+def plain_fd_jacobian(rhs, y, f0, columns=None):
+    """The FD Jacobian with one plain rhs call per column: columns ignored."""
+    return SHARED_FD_JACOBIAN(rhs, y, f0)
+
+
+def ngf_start():
+    rng = np.random.default_rng(8)
+    theta = rng.uniform(*NgfErkProblem.theta_box, 6)
+    states = rng.uniform(*NgfErkProblem.state_box, (10, 2))
+    return FlowState(theta=theta, states=list(states))
+
+
+def run_flow_integration(problem, init):
+    """The integration run_flow makes, with its exception left to propagate."""
+    cfg = problem.config
+    return integrator.integrate_adaptive(
+        partial(flow.rhs, problem),
+        init.pack(),
+        cfg.r_max,
+        rel_tol=cfg.integrator_rel_tol,
+        abs_tol=cfg.integrator_abs_tol,
+        columns=partial(flow._fd_columns, problem),
+    )
+
+
+def run_shared_and_plain(make_problem, init, monkeypatch):
+    """run_flow on a fresh make_problem() as it is, and with plain columns."""
+    shared = run_flow(make_problem(), init)
+    with monkeypatch.context() as mp:
+        mp.setattr(integrator, "_fd_jacobian", plain_fd_jacobian)
+        plain = run_flow(make_problem(), init)
+    return shared, plain
+
+
+def assert_same_run(a, b):
+    counts = (
+        "reason",
+        "rhs_evals",
+        "steps_accepted",
+        "steps_rejected",
+        "jacobian_evals",
+    )
+    assert [getattr(a, k) for k in counts] == [getattr(b, k) for k in counts]
+    assert np.array_equal(a.final.pack(), b.final.pack())
+    assert a.final.r == b.final.r
+    assert (a.min_step, a.max_step) == (b.min_step, b.max_step)
+
+
+def test_state_columns_share_their_model_part_from_two_on(monkeypatch):
+    # the conversion reaction (one state column) keeps plain rhs calls
+    seen = []
+    integrate = integrator.integrate_adaptive
+
+    def capture(*args, columns=None, **kwargs):
+        seen.append(columns)
+        return integrate(*args, columns=columns, **kwargs)
+
+    monkeypatch.setattr(integrator, "integrate_adaptive", capture)
+    cr_init = FlowState(theta=np.array([5.0, 3.0]), states=[np.array([0.9])])
+    run_flow(cr_flow_problem(20.0, max_rhs_evals=10), cr_init)
+    ngf = NgfErkProblem().with_generated_data(0)
+    run_flow(ngf.flow_problem(FlowConfig(lam=20.0, max_rhs_evals=10)), ngf_start())
+    assert seen[0] is None
+    assert seen[1].func is flow._fd_columns
+
+
+class TestSharedColumnFailureParity:
+    """A failure inside an FD Jacobian whose state columns share one model
+    evaluation ends the run at the same counted rhs call, with the same
+    error, as one plain rhs call per column."""
+
+    @pytest.mark.parametrize(
+        "fault, error, message",
+        [
+            ("nan", FlowNumericalError, "non-finite Jacobian in condition block(s) [4]"),
+            ("raise", FloatingPointError, "jac_x beyond the limit"),
+        ],
+    )
+    def test_jacobian_fault_beyond_one_state_step(
+        self, monkeypatch, fault, error, message
+    ):
+        # condition 4's state Jacobian turns NaN, or its kernel raises, once
+        # the second state entry passes half its FD step: only that state
+        # column's point reaches it
+        prob = NgfErkProblem().with_generated_data(0)
+        base = prob.flow_problem(FlowConfig(lam=20.0))
+        init = ngf_start()
+        i, k = 4, 1
+        x0 = init.states[i][k]
+        limit = x0 + 0.5 * integrator._SQRT_EPS * (1.0 + abs(x0))
+        jac_x_batch = base.model.jac_x_batch
+
+        def faulty(theta, x_mat, u_mat):
+            out = jac_x_batch(theta, x_mat, u_mat)
+            beyond = (u_mat[:, 0] == prob.inputs[i]) & (x_mat[:, k] > limit)
+            if beyond.any() and fault == "raise":
+                raise FloatingPointError(message)
+            out[beyond] = np.nan
+            return out
+
+        model = dataclasses.replace(base.model, jac_x_batch=faulty)
+        problem = dataclasses.replace(base, model=model)
+        column = 6 + 2 * i + k
+        for fd_jacobian in (SHARED_FD_JACOBIAN, plain_fd_jacobian):
+            with monkeypatch.context() as mp:
+                mp.setattr(integrator, "_fd_jacobian", fd_jacobian)
+                with pytest.raises(error) as info:
+                    run_flow_integration(problem, init)
+            assert str(info.value) == message
+            stats = info.value.stats
+            assert (stats.rhs_evals, stats.jacobian_evals) == (1 + column + 1, 0)
+        shared, plain = run_shared_and_plain(lambda: problem, init, monkeypatch)
+        assert shared.reason is StopReason.NUMERICAL_FAILURE
+        assert shared.rhs_evals == 1 + column + 1
+        assert_same_run(shared, plain)
+
+    def test_grad_x_raising_at_each_call_of_the_first_two_jacobians(self, monkeypatch):
+        prob = NgfErkProblem().with_generated_data(0)
+        base = prob.objective()
+        init = ngf_start()
+        n = 26
+        jacobians = set()
+        for k in range(1, 2 * (n + 3) + 2):
+
+            def raising_at_call_k():
+                calls = []
+
+                def grad_x(theta, states):
+                    calls.append(1)
+                    if len(calls) == k:
+                        raise FloatingPointError(f"grad_x call {k}")
+                    return base.grad_x(theta, states)
+
+                return FlowProblem(
+                    model=prob.model(),
+                    objective=ObjectiveSpec(base.eval, base.grad_theta, grad_x),
+                    conditions=prob.conditions(),
+                    config=FlowConfig(lam=20.0),
+                )
+
+            shared, plain = run_shared_and_plain(raising_at_call_k, init, monkeypatch)
+            assert shared.reason is StopReason.NUMERICAL_FAILURE
+            assert shared.rhs_evals == k
+            assert_same_run(shared, plain)
+            jacobians.add(shared.jacobian_evals)
+        assert jacobians == {0, 1, 2}
+

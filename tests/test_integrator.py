@@ -1,18 +1,22 @@
 """Adaptive stiff integrator tests: accuracy, order, stiffness, termination."""
 
+import dataclasses
 import math
+from functools import partial
 
 import numpy as np
 import pytest
 from scipy.linalg import lu_factor, lu_solve
 
-from ssflow import integrator
+from ssflow import flow, integrator
+from ssflow.core import Condition, FlowConfig, ObjectiveSpec
 from ssflow.integrator import (
     IntegrationOutcome,
     _fd_jacobian,
     integrate_adaptive,
     step,
 )
+from ssflow.models import NgfErkProblem, conversion_reaction_model
 
 
 def decay(y):
@@ -157,6 +161,95 @@ class TestFdJacobian:
                 integrate_adaptive(rhs, np.ones(n), 1e3)
             stats = info.value.stats
             assert (stats.rhs_evals, stats.jacobian_evals) == (k, jacobians)
+
+
+def counting_kernels(model):
+    """model with every batched kernel call appended to the returned list."""
+    calls = []
+
+    def counted(name):
+        kernel = getattr(model, name)
+
+        def call(theta, x_mat, u_mat):
+            calls.append((name, len(x_mat)))
+            return kernel(theta, x_mat, u_mat)
+
+        return call
+
+    names = ("f_batch", "jac_x_batch", "jac_theta_batch")
+    return dataclasses.replace(model, **{k: counted(k) for k in names}), calls
+
+
+class TestSharedColumns:
+    """The flow's per-column arguments: one model evaluation shared by the
+    state columns, the same Jacobian bit for bit."""
+
+    def test_ngf_bit_identical_to_copy_per_column_reference(self):
+        prob = NgfErkProblem().with_generated_data(0)
+        base = prob.flow_problem(FlowConfig(lam=20.0))
+        model, calls = counting_kernels(base.model)
+        problem = dataclasses.replace(base, model=model)
+        rhs = partial(flow.rhs, problem)
+        columns = partial(flow._fd_columns, problem)
+        rng = np.random.default_rng(11)
+        for _ in range(12):
+            y = np.concatenate(
+                [rng.uniform(*prob.theta_box, 6), rng.uniform(*prob.state_box, 20)]
+            )
+            f0 = rhs(y)
+            calls.clear()
+            got = _fd_jacobian(rhs, y, f0, columns)
+            # one call per kernel over the 10 base and 20 perturbed rows,
+            # then one per kernel for each of the 6 parameter columns
+            assert sorted(calls[:3]) == [
+                ("f_batch", 30),
+                ("jac_theta_batch", 30),
+                ("jac_x_batch", 30),
+            ]
+            kernels = ("jac_x_batch", "jac_theta_batch", "f_batch")
+            assert calls[3:] == [(k, 10) for _ in range(6) for k in kernels]
+            assert np.array_equal(got, reference_fd_jacobian(rhs, y, f0))
+
+    def test_exactly_singular_rows_bit_identical(self):
+        # two conversion-reaction conditions at theta = (0, 0): every state
+        # Jacobian in the shared stack is exactly zero and takes the
+        # truncated pseudoinverse
+        cond = Condition(u=np.zeros(0), data=np.array([0.2]))
+        objective = ObjectiveSpec(
+            eval=lambda theta, states: 0.0,
+            grad_theta=lambda theta, states: theta - 1.0,
+            grad_x=lambda theta, states: np.asarray(states) - 0.2,
+        )
+        problem = flow.FlowProblem(
+            conversion_reaction_model(), objective, [cond, cond], FlowConfig(lam=20.0)
+        )
+        rhs = partial(flow.rhs, problem)
+        y = np.array([0.0, 0.0, 0.3, 0.7])
+        f0 = rhs(y)
+        got = _fd_jacobian(rhs, y, f0, partial(flow._fd_columns, problem))
+        assert np.all(np.isfinite(got))
+        assert np.array_equal(got, reference_fd_jacobian(rhs, y, f0))
+
+    def test_column_arguments_reach_rhs_through_the_counting(self):
+        # each column's argument goes with its own counted rhs call, so the
+        # budget still sees n calls per Jacobian; None from columns means
+        # plain calls
+        n = 4
+        for args in ([("col", j) for j in range(n)], None):
+            seen = []
+
+            def rhs(y, *column):
+                seen.append(column)
+                return coupled(y)
+
+            _, _, stats, outcome = integrate_adaptive(
+                rhs, np.ones(n), 1e3, budget=2, columns=lambda y, steps: args
+            )
+            assert outcome is IntegrationOutcome.BUDGET_EXHAUSTED
+            assert stats.rhs_evals == len(seen) >= 1 + n + 2
+            expected = [()] * n if args is None else [(a,) for a in args]
+            assert seen[1 : 1 + n] == expected
+            assert all(c == () for c in seen[:1] + seen[1 + n :])
 
 
 class TestIntegrateAdaptive:

@@ -2,6 +2,9 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from ssflow import numerics
 from ssflow.core import validate_model
@@ -157,6 +160,30 @@ class TestNgfErkModel:
             )
             x_s = model.analytic_steady_state(theta, u)
             assert np.abs(x_end - x_s).max() < 1e-6
+
+
+@pytest.mark.parametrize("make_model", [conversion_reaction_model, ngf_erk_model])
+@settings(max_examples=60, deadline=None)
+@given(data=st.data())
+def test_batched_kernels_are_row_separable(make_model, data):
+    # the ModelSpec contract the flow's shared FD columns rely on: row i of
+    # a stack has the bits of row i evaluated as a batch of one; theta up
+    # to 400 overflows NGF's 10**theta and reaches inf and NaN entries
+    model = make_model()
+    m = data.draw(st.integers(1, 12), label="m")
+    value = st.floats(-400.0, 400.0)
+    theta = data.draw(arrays(float, model.n_theta, elements=value), label="theta")
+    x_mat = data.draw(arrays(float, (m, model.n_x), elements=value), label="x")
+    u_mat = data.draw(
+        arrays(float, (m, model.n_u), elements=st.floats(0.0, 100.0)), label="u"
+    )
+    for kernel in (model.f_batch, model.jac_x_batch, model.jac_theta_batch):
+        with np.errstate(all="ignore"):
+            stacked = np.asarray(kernel(theta, x_mat, u_mat))
+            ones = [kernel(theta, x_mat[i : i + 1], u_mat[i : i + 1]) for i in range(m)]
+        for i, one in enumerate(ones):
+            assert one.shape == (1,) + stacked.shape[1:]
+            assert one[0].tobytes() == stacked[i].tobytes()
 
 
 class TestNgfErkProblem:

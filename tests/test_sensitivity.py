@@ -12,7 +12,12 @@ from ssflow.models import (
     ngf_erk_model,
     reduced_objective_cr,
 )
-from ssflow.sensitivity import manifold_gradient, sensitivity_exact, sensitivity_hat
+from ssflow.sensitivity import (
+    manifold_gradient,
+    pinv_sensitivity,
+    sensitivity_exact,
+    sensitivity_hat,
+)
 
 NO_U = np.zeros(0)
 
@@ -123,6 +128,29 @@ class TestSensitivityHat:
         total = theta[0] + theta[1]
         expected = np.array([[-x[0] / total, (1.0 - x[0]) / total]])
         assert np.abs(s_hat - expected).max() < 1e-12
+
+
+class TestPinvSensitivity:
+    def test_singular_matrix_in_a_stack_falls_back_alone(self):
+        # one exactly singular (zero) state Jacobian in a stack of NGF rows:
+        # it alone takes the truncated pseudoinverse, every other matrix is
+        # solved as it would be on its own
+        model = ngf_erk_model()
+        rng = np.random.default_rng(23)
+        theta = rng.uniform(-3.0, 1.0, 6)
+        x_mat = rng.uniform(0.0, 3.0, (12, 2))
+        u_mat = rng.uniform(0.0, 100.0, (12, 1))
+        a = model.jac_x_batch(theta, x_mat, u_mat)
+        b = model.jac_theta_batch(theta, x_mat, u_mat)
+        a[5] = 0.0
+        got = pinv_sensitivity(a, b)
+        assert got.shape == b.shape
+        for k in range(12):
+            if k == 5:
+                expected = -(numerics.pinv(a[k]) @ b[k])
+            else:
+                expected = -np.linalg.solve(a[k], b[k])
+            assert np.array_equal(got[k], expected), k
 
 
 class TestManifoldGradient:
