@@ -1,6 +1,7 @@
 """Shared domain types: models, objectives, conditions, flow state and results."""
 
 import enum
+import itertools
 import math
 from dataclasses import dataclass, field
 from typing import Callable, Optional, Sequence
@@ -11,12 +12,16 @@ from . import numerics
 
 
 def _stacked(single):
-    """Batched form of a per-condition kernel: one call per condition,
-    stacked along a leading axis."""
+    """Batched form of a per-condition kernel: one call per condition row,
+    stacked along a leading axis; a 2-D theta gives each row its own."""
 
     def batch(theta, x_mat, u_mat):
+        thetas = theta if np.ndim(theta) == 2 else itertools.repeat(theta)
         return np.stack(
-            [np.asarray(single(theta, x, u), dtype=float) for x, u in zip(x_mat, u_mat)]
+            [
+                np.asarray(single(t, x, u), dtype=float)
+                for t, x, u in zip(thetas, x_mat, u_mat)
+            ]
         )
 
     batch.stacks = single
@@ -32,15 +37,18 @@ class ModelSpec:
     used as benchmarks additionally carry an analytic steady-state map.
 
     The batched forms take theta, X (m, n_x) and U (m, n_u) over m
-    conditions and return (m, n_x) / (m, n_x, n_x) / (m, n_x, n_theta);
-    every consumer calls these. A batched form left out is filled by
-    stacking the per-condition calls.
+    condition rows and return (m, n_x) / (m, n_x, n_x) / (m, n_x, n_theta);
+    every consumer calls these. theta is either one parameter vector
+    (n_theta,) for every row or one per row, (m, n_theta). A batched form
+    left out is filled by stacking the per-condition calls.
 
     Contract: the batched forms are row-separable. Row i of the output
-    depends only on theta and row i of X and U, and has the bits that row
-    gets when evaluated as a batch of one. The flow relies on this to
-    evaluate the rows of several points in one call (the state columns of
-    its finite-difference Jacobian).
+    depends only on row i of X and U and on theta (row i of theta when it
+    has one per row), and has the bits that row gets when evaluated as a
+    batch of one at its own theta. The flow relies on this to evaluate the
+    rows of several points in one call: every column of its
+    finite-difference Jacobian, the parameter columns at their perturbed
+    theta. ``validate_model`` checks the per-row theta form.
     """
 
     n_x: int
@@ -198,6 +206,13 @@ class RunResult:
             raise ValueError("converged runs must report ToleranceMet")
 
 
+# the default threshold of ValidationReport.ok, and the relative error up to
+# which validate_model accepts a row of a batched kernel with one theta per row
+_THRESHOLD = 1e-6
+# the sampled points validate_model stacks for the per-row theta check
+_PER_ROW_SAMPLES = 5
+
+
 @dataclass
 class ValidationReport:
     """Jacobian consistency check against central finite differences."""
@@ -207,7 +222,7 @@ class ValidationReport:
     n_samples: int
     failures: list = field(default_factory=list)
 
-    def ok(self, threshold=1e-6):
+    def ok(self, threshold=_THRESHOLD):
         return (
             not self.failures
             and self.max_rel_err_jac_x < threshold
@@ -222,15 +237,24 @@ def validate_model(model, n_samples=100, seed=0):
     the reported errors are the maxima over samples and matrix entries of
     |analytic - fd| / (1 + |fd|). Non-finite model output at a sample is
     recorded as a failure together with the offending point.
+
+    The first few samples also check the batched kernels with one theta per
+    row (the ModelSpec contract): each kernel is called once on their
+    stack, and a call that raises, or a row whose relative error against
+    the per-condition kernel exceeds the default threshold of
+    ValidationReport.ok, is recorded as a failure naming the kernel.
     """
     rng = np.random.default_rng(seed)
     max_err_x = 0.0
     max_err_theta = 0.0
     failures = []
+    points = []
     for k in range(n_samples):
         theta = rng.uniform(-1.0, 1.0, model.n_theta)
         x = rng.uniform(0.0, 1.0, model.n_x)
         u = rng.uniform(0.0, 2.0, model.n_u)
+        if k < _PER_ROW_SAMPLES:
+            points.append((theta, x, u))
         fval = np.asarray(model.f(theta, x, u), dtype=float)
         if not np.all(np.isfinite(fval)):
             failures.append((k, theta, x, u, "non-finite f"))
@@ -251,9 +275,46 @@ def validate_model(model, n_samples=100, seed=0):
         err_theta = np.abs(jt - fd_theta) / (1.0 + np.abs(fd_theta))
         max_err_x = max(max_err_x, float(err_x.max()))
         max_err_theta = max(max_err_theta, float(err_theta.max()))
+    if points:
+        failures.extend(_theta_per_row_failures(model, points))
     return ValidationReport(
         max_rel_err_jac_x=max_err_x,
         max_rel_err_jac_theta=max_err_theta,
         n_samples=n_samples,
         failures=failures,
     )
+
+
+def _theta_per_row_failures(model, points):
+    """validate_model's failure entries for the batched kernels called once
+    on the stack of points (theta, x, u), with one theta per row."""
+    thetas, x_mat, u_mat = (np.stack(column) for column in zip(*points))
+    stack = (list(range(len(points))), thetas, x_mat, u_mat)
+    failures = []
+    for name in ("f", "jac_x", "jac_theta"):
+        kernel = name + "_batch"
+        single = getattr(model, name)
+        want = np.stack([np.asarray(single(*point), dtype=float) for point in points])
+        try:
+            got = np.asarray(getattr(model, kernel)(thetas, x_mat, u_mat), dtype=float)
+        except Exception as exc:
+            failures.append(stack + (f"{kernel} with one theta per row raises {exc!r}",))
+            continue
+        if got.shape != want.shape:
+            message = (
+                f"{kernel} with one theta per row returns shape {got.shape}, "
+                f"not {want.shape}"
+            )
+            failures.append(stack + (message,))
+            continue
+        # |got - want| <= t (1 + |want|): the relative error of the report
+        close = np.isclose(got, want, rtol=_THRESHOLD, atol=_THRESHOLD, equal_nan=True)
+        for i in np.flatnonzero(~close.reshape(len(points), -1).all(axis=1)):
+            with np.errstate(invalid="ignore"):
+                err = float((np.abs(got[i] - want[i]) / (1.0 + np.abs(want[i]))).max())
+            message = (
+                f"{kernel} with one theta per row: row {i} differs from {name} "
+                f"by a relative error of {err:.3e}"
+            )
+            failures.append((int(i),) + points[i] + (message,))
+    return failures

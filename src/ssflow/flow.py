@@ -39,7 +39,7 @@ class FlowProblem:
 
 def _kernel_rows(model, theta, x_mat, u_mat):
     """(jac_x, jac_theta, f) at the condition rows (x_mat, u_mat), one
-    batched call per kernel.
+    batched call per kernel; theta is one vector or one per row.
 
     Each output row depends on its own input row only (the ModelSpec
     contract), so the rows of several points may share one call.
@@ -55,27 +55,23 @@ def _assemble(problem, theta, states, rows=None):
     """The flow derivative blocks at one point.
 
     rows is the point's model part, (jac_x, jac_theta, f, s_hat) per
-    condition row with s_hat the pinv sensitivity, read only once every
-    Jacobian row is finite; when not given, it is evaluated here. On it
-    runs the per-point assembly: every finiteness check, the objective's
-    gradients pulled back through the stacked sensitivities and the
-    retraction term. The block structure of the concatenated constraint
-    system is never assembled explicitly. Returns (d_theta, d_states) with
-    d_states as an (m, n_x) array.
+    condition row with s_hat the pinv sensitivity, from _fd_columns, which
+    has checked that every Jacobian row in it is finite. When not given, it
+    is evaluated here, and the Jacobian rows are checked before the solve.
+    On it runs the per-point assembly: the objective's gradients pulled
+    back through the stacked sensitivities, the retraction term and the
+    finiteness checks of both derivative blocks. The block structure of the
+    concatenated constraint system is never assembled explicitly. Returns
+    (d_theta, d_states) with d_states as an (m, n_x) array.
     """
     objective = problem.objective
     if rows is None:
         x_mat = np.asarray(states, dtype=float)
         a, b, f_mat = _kernel_rows(problem.model, theta, x_mat, problem.u_matrix)
-        s_hat = None
+        _check_jacobian_rows(a, b)
+        s_hat = pinv_sensitivity(a, b)
     else:
         a, b, f_mat, s_hat = rows
-    if not (np.isfinite(a).all() and np.isfinite(b).all()):
-        ok = np.isfinite(a).all(axis=(1, 2)) & np.isfinite(b).all(axis=(1, 2))
-        bad = np.flatnonzero(~ok).tolist()
-        raise FlowNumericalError(f"non-finite Jacobian in condition block(s) {bad}")
-    if s_hat is None:
-        s_hat = pinv_sensitivity(a, b)
     d_theta = -total_gradient(
         objective.grad_theta(theta, states), s_hat, objective.grad_x(theta, states)
     )
@@ -87,6 +83,15 @@ def _assemble(problem, theta, states, rows=None):
         bad = np.flatnonzero(~np.isfinite(d_states).all(axis=1)).tolist()
         raise FlowNumericalError(f"non-finite derivative in state block(s) {bad}")
     return d_theta, d_states
+
+
+def _check_jacobian_rows(a, b):
+    """Raise FlowNumericalError naming the rows of the Jacobian stacks
+    (jac_x, jac_theta) that hold a non-finite entry."""
+    if not (np.isfinite(a).all() and np.isfinite(b).all()):
+        ok = np.isfinite(a).all(axis=(1, 2)) & np.isfinite(b).all(axis=(1, 2))
+        bad = np.flatnonzero(~ok).tolist()
+        raise FlowNumericalError(f"non-finite Jacobian in condition block(s) {bad}")
 
 
 def rhs(problem, y, rows=None):
@@ -104,40 +109,60 @@ def rhs(problem, y, rows=None):
 
 def _fd_columns(problem, y, steps):
     """The per-column rhs arguments of the forward-difference Jacobian at y
-    (see integrator._fd_jacobian): None for each parameter column, and for
-    each state column the model part of its perturbed point.
+    (see integrator._fd_jacobian): the model part of every column's
+    perturbed point, or None when the columns are to make plain calls.
 
-    A state column of condition i moves only row i, so one batched call per
-    kernel and one stacked sensitivity solve over the m base rows and the
-    m*n_x single-perturbed rows serve every state column: each takes the
-    base rows with its own row swapped in. A non-finite Jacobian row is
-    reported by _assemble at its column's own rhs call.
+    Column j perturbs y[j] to y[j] + steps[j]. A state column of condition i
+    moves only row i, so it takes the m base rows with its own perturbed
+    row swapped in; a parameter column moves theta, so it takes all m rows
+    at its own perturbed theta. One batched call per kernel, with one theta
+    per row, and one stacked sensitivity solve over the m base rows, the
+    m*n_x single-perturbed rows and the n_theta*m parameter-column rows
+    serve every column.
+
+    The Jacobian rows of the whole stack are checked here, once: if any is
+    non-finite, or the shared evaluation raises a numerical failure, the
+    result is None, and the plain rhs calls report the failure at their
+    own column, as without sharing.
     """
     n_theta = problem.model.n_theta
     n_x = problem.model.n_x
     m = len(problem.conditions)
+    theta = y[:n_theta]
     x_mat = y[n_theta:].reshape(m, n_x)
     u_mat = problem.u_matrix
     cols = np.arange(m * n_x)
     x_pert = np.repeat(x_mat, n_x, axis=0)
     x_pert[cols, cols % n_x] += steps[n_theta:]
+    params = np.arange(n_theta)
+    theta_pert = np.tile(theta, (n_theta, 1))
+    theta_pert[params, params] += steps[:n_theta]
+    at_base = m + m * n_x  # the rows at the base theta
+    thetas = np.concatenate(
+        [np.tile(theta, (at_base, 1)), np.repeat(theta_pert, m, axis=0)]
+    )
     try:
         a, b, f_mat = _kernel_rows(
             problem.model,
-            y[:n_theta],
-            np.concatenate([x_mat, x_pert]),
-            np.concatenate([u_mat, np.repeat(u_mat, n_x, axis=0)]),
+            thetas,
+            np.concatenate([x_mat, x_pert, np.tile(x_mat, (n_theta, 1))]),
+            np.concatenate(
+                [u_mat, np.repeat(u_mat, n_x, axis=0), np.tile(u_mat, (n_theta, 1))]
+            ),
         )
+        _check_jacobian_rows(a, b)
         s_hat = pinv_sensitivity(a, b)
-    except (numerics.NumericalFailure, FloatingPointError):
+    except (FlowNumericalError, numerics.NumericalFailure, FloatingPointError):
         # run_flow reports these with the counts of the work done: the plain
         # rhs calls raise them at their own column instead
         return None
-    # state column j: the base rows, with row j // n_x from perturbed row j
-    idx = np.tile(np.arange(m), (m * n_x, 1))
-    idx[cols, cols // n_x] = m + cols
-    rows = (a[idx], b[idx], f_mat[idx], s_hat[idx])
-    return [None] * n_theta + list(zip(*rows))
+    # parameter column j: rows at_base + j*m .. at_base + (j+1)*m - 1; state
+    # column c: the base rows, with row c // n_x from perturbed row c
+    idx = np.empty((n_theta + m * n_x, m), dtype=int)
+    idx[:n_theta] = at_base + np.arange(n_theta * m).reshape(n_theta, m)
+    idx[n_theta:] = np.arange(m)
+    idx[n_theta + cols, cols // n_x] = m + cols
+    return list(zip(a[idx], b[idx], f_mat[idx], s_hat[idx]))
 
 
 def stop_check(problem, y, dy):
@@ -193,7 +218,10 @@ def run_flow(problem, init, store_trajectory=False):
         if store_trajectory:
             trajectory.append(FlowState.unpack(yvec, n_theta, n_x, m, r=r))
 
-    # one shared model evaluation saves kernel calls from two state columns on
+    # every Jacobian column shares one model evaluation from two state
+    # columns on; with one, sharing saves too little: on the conversion
+    # reaction's 3-column Jacobian it measured 10-50 % slower than plain
+    # rhs calls (in-process timing on a 2-core x86_64 machine)
     columns = partial(_fd_columns, problem) if m * n_x >= 2 else None
     t0 = time.perf_counter()
     try:

@@ -83,8 +83,8 @@ def _fd_jacobian(rhs, y, f0, columns=None):
     once as columns(y, steps) and returns None or one extra rhs argument per
     column, so that column j calls rhs(y + steps[j] e_j, args[j]). Such an
     argument must leave the value rhs returns unchanged (the flow passes
-    the model part of each state column's point, evaluated for all of them
-    at once). Every column is still one rhs call.
+    the model part of each column's point, evaluated for all of them at
+    once). Every column is still one rhs call.
     """
     n = y.size
     jac = np.empty((n, n))

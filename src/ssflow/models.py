@@ -52,12 +52,20 @@ def conversion_reaction_model(xi=1.0):
     def steady_state(theta, u):
         return np.array([theta[1] * xi / (theta[0] + theta[1])])
 
+    def rates(theta):
+        # theta[k] as a scalar, or as a (rows, 1) column for one theta per row
+        theta = np.asarray(theta)
+        return theta.T[..., None] if theta.ndim == 2 else theta
+
     def f_batch(theta, x_mat, u_mat):
-        return theta[1] * xi - (theta[0] + theta[1]) * x_mat
+        k = rates(theta)
+        return k[1] * xi - (k[0] + k[1]) * x_mat
 
     def jac_x_batch(theta, x_mat, u_mat):
-        m = x_mat.shape[0]
-        return np.full((m, 1, 1), -(theta[0] + theta[1]))
+        k = rates(theta)
+        out = np.empty((x_mat.shape[0], 1, 1))
+        out[:, 0] = -(k[0] + k[1])
+        return out
 
     def jac_theta_batch(theta, x_mat, u_mat):
         m = x_mat.shape[0]
@@ -164,8 +172,10 @@ def ngf_erk_model():
         x2 = p[5] * (x1 + p[2]) / (x1 + p[2] + p[3])
         return np.array([x1, x2])
 
+    # p is transposed: p[k] is a scalar for one theta, and holds the value
+    # of every row for one theta per row
     def f_batch(theta, x_mat, u_mat):
-        p = np.power(10.0, theta)
+        p = np.power(10.0, theta).T
         u = u_mat[:, 0]
         x1 = x_mat[:, 0]
         x2 = x_mat[:, 1]
@@ -175,7 +185,7 @@ def ngf_erk_model():
         return out
 
     def jac_x_batch(theta, x_mat, u_mat):
-        p = np.power(10.0, theta)
+        p = np.power(10.0, theta).T
         m = x_mat.shape[0]
         out = np.zeros((m, 2, 2))
         out[:, 0, 0] = -(p[0] * u_mat[:, 0] + p[1])
@@ -184,7 +194,7 @@ def ngf_erk_model():
         return out
 
     def jac_theta_batch(theta, x_mat, u_mat):
-        p = np.power(10.0, theta)
+        p = np.power(10.0, theta).T
         m = x_mat.shape[0]
         u = u_mat[:, 0]
         x1 = x_mat[:, 0]

@@ -29,6 +29,20 @@ def linear_decay_model():
     )
 
 
+def rate_decay_model(**batched):
+    """dx/dt = -theta_1 x with two states; batched forms as given."""
+    return ModelSpec(
+        n_x=2,
+        n_theta=1,
+        n_u=0,
+        f=lambda theta, x, u: -theta[0] * x,
+        jac_x=lambda theta, x, u: -theta[0] * np.eye(2),
+        jac_theta=lambda theta, x, u: -x[:, None],
+        name="rate_decay",
+        **batched,
+    )
+
+
 class TestValidateModel:
     def test_conversion_reaction_jacobians(self):
         report = validate_model(conversion_reaction_model(), n_samples=100, seed=0)
@@ -73,6 +87,32 @@ class TestValidateModel:
         report = validate_model(bad, n_samples=3, seed=0)
         assert len(report.failures) == 3
         assert not report.ok()
+
+    def test_batched_kernels_with_one_theta_per_row(self):
+        # the per-condition kernels stacked by ModelSpec pass; a batched
+        # jac_x that reads theta[0] as a scalar gives every row the first
+        # row's rate, and a batched f that needs one theta raises
+        assert validate_model(rate_decay_model(), n_samples=20, seed=3).ok()
+
+        def jac_x_batch(theta, x_mat, u_mat):
+            return np.stack([-theta[0] * np.eye(2)] * len(x_mat))
+
+        def f_batch(theta, x_mat, u_mat):
+            return -np.asarray(theta).item() * x_mat
+
+        report = validate_model(
+            rate_decay_model(jac_x_batch=jac_x_batch, f_batch=f_batch),
+            n_samples=20,
+            seed=3,
+        )
+        assert report.max_rel_err_jac_x < 1e-6
+        assert not report.ok()
+        messages = [failure[-1] for failure in report.failures]
+        assert messages[0].startswith("f_batch with one theta per row raises ValueError")
+        assert [failure[0] for failure in report.failures[1:]] == [1, 2, 3, 4]
+        for message in messages[1:]:
+            assert message.startswith("jac_x_batch with one theta per row: row ")
+            assert "differs from jac_x" in message
 
 
 class TestModelSpecBatchedForms:

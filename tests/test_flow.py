@@ -282,6 +282,30 @@ class TestOnePath:
         assert [getattr(a, k) for k in counts] == [getattr(b, k) for k in counts]
         assert (a.min_step, a.max_step) == (b.min_step, b.max_step)
 
+    def test_per_condition_ngf_runs_bit_identical_to_built_in(self):
+        # with 20 state columns every FD Jacobian shares one model
+        # evaluation, so the stacked per-condition kernels get one theta per
+        # row
+        prob = NgfErkProblem().with_generated_data(0)
+        config = FlowConfig(lam=20.0, max_rhs_evals=1500)
+        built_in = prob.flow_problem(config)
+        model = built_in.model
+        per_condition = ModelSpec(
+            n_x=2,
+            n_theta=6,
+            n_u=1,
+            f=model.f,
+            jac_x=model.jac_x,
+            jac_theta=model.jac_theta,
+        )
+        user = dataclasses.replace(built_in, model=per_condition)
+        a = run_flow(built_in, ngf_start())
+        b = run_flow(user, ngf_start())
+        assert a.reason is b.reason is StopReason.EVAL_BUDGET_EXHAUSTED
+        assert a.jacobian_evals > 10
+        assert_same_run(a, b)
+        assert (a.objective, a.manifold_residual) == (b.objective, b.manifold_residual)
+
     def test_exactly_singular_state_jacobian_gives_zero_sensitivity(self):
         # theta = (0, 0): d f/d x = -(theta_1 + theta_2) = 0 and f = 0, so the
         # truncated pseudoinverse sensitivity is zero and the parameters

@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from ssflow import numerics
-from ssflow.core import validate_model
+from ssflow.core import ModelSpec, validate_model
 from ssflow.models import (
     ConversionReactionProblem,
     NgfErkProblem,
@@ -162,25 +162,49 @@ class TestNgfErkModel:
             assert np.abs(x_end - x_s).max() < 1e-6
 
 
-@pytest.mark.parametrize("make_model", [conversion_reaction_model, ngf_erk_model])
+def stacked_ngf_erk_model():
+    """The NGF model with its per-condition kernels only: ModelSpec stacks
+    them into the batched forms."""
+    built_in = ngf_erk_model()
+    return ModelSpec(
+        n_x=2,
+        n_theta=6,
+        n_u=1,
+        f=built_in.f,
+        jac_x=built_in.jac_x,
+        jac_theta=built_in.jac_theta,
+        name="stacked_ngf_erk",
+    )
+
+
+@pytest.mark.parametrize(
+    "make_model", [conversion_reaction_model, ngf_erk_model, stacked_ngf_erk_model]
+)
 @settings(max_examples=60, deadline=None)
 @given(data=st.data())
 def test_batched_kernels_are_row_separable(make_model, data):
     # the ModelSpec contract the flow's shared FD columns rely on: row i of
-    # a stack has the bits of row i evaluated as a batch of one; theta up
-    # to 400 overflows NGF's 10**theta and reaches inf and NaN entries
+    # a stack has the bits of row i evaluated as a batch of one at its own
+    # theta, whether theta is one vector or one per row; theta up to 400
+    # overflows NGF's 10**theta and reaches inf and NaN entries
     model = make_model()
     m = data.draw(st.integers(1, 12), label="m")
+    per_row = data.draw(st.booleans(), label="theta per row")
     value = st.floats(-400.0, 400.0)
-    theta = data.draw(arrays(float, model.n_theta, elements=value), label="theta")
+    theta_shape = (m, model.n_theta) if per_row else model.n_theta
+    theta = data.draw(arrays(float, theta_shape, elements=value), label="theta")
     x_mat = data.draw(arrays(float, (m, model.n_x), elements=value), label="x")
     u_mat = data.draw(
         arrays(float, (m, model.n_u), elements=st.floats(0.0, 100.0)), label="u"
     )
+    thetas = theta if per_row else [theta] * m
     for kernel in (model.f_batch, model.jac_x_batch, model.jac_theta_batch):
         with np.errstate(all="ignore"):
             stacked = np.asarray(kernel(theta, x_mat, u_mat))
-            ones = [kernel(theta, x_mat[i : i + 1], u_mat[i : i + 1]) for i in range(m)]
+            ones = [
+                kernel(thetas[i], x_mat[i : i + 1], u_mat[i : i + 1]) for i in range(m)
+            ]
+        assert stacked.shape[0] == m
         for i, one in enumerate(ones):
             assert one.shape == (1,) + stacked.shape[1:]
             assert one[0].tobytes() == stacked[i].tobytes()
