@@ -46,9 +46,10 @@ class ModelSpec:
     depends only on row i of X and U and on theta (row i of theta when it
     has one per row), and has the bits that row gets when evaluated as a
     batch of one at its own theta. The flow relies on this to evaluate the
-    rows of several points in one call: every column of its
-    finite-difference Jacobian, the parameter columns at their perturbed
-    theta. ``validate_model`` checks the per-row theta form.
+    distinct rows of a stack of points in one call per kernel: every point
+    of its finite-difference Jacobian, the parameter columns' points at
+    their perturbed theta. ``validate_model`` checks the per-row theta
+    form.
     """
 
     n_x: int
@@ -102,11 +103,21 @@ class ObjectiveSpec:
     fixed; ``grad_x`` returns the state-block gradients, either as an
     ``(m, n_x)`` array with one row per condition or as a sequence of m
     per-condition arrays.
+
+    The stacked forms mirror ModelSpec's batched kernels over points:
+    ``grad_theta_batch`` and ``grad_x_batch`` take p points as thetas
+    ``(p, n_theta)`` and states ``(p, m, n_x)`` and return ``(p, n_theta)``
+    and ``(p, m, n_x)``. Row q must have the bits of the per-point form at
+    point q. The flow calls them once for all the points of its
+    finite-difference Jacobian; a form left out is filled by per-point
+    calls in row order.
     """
 
     eval: Callable[[np.ndarray, Sequence[np.ndarray]], float]
     grad_theta: Callable[[np.ndarray, Sequence[np.ndarray]], np.ndarray]
     grad_x: Callable[[np.ndarray, Sequence[np.ndarray]], Sequence[np.ndarray]]
+    grad_theta_batch: Optional[Callable[[np.ndarray, np.ndarray], np.ndarray]] = None
+    grad_x_batch: Optional[Callable[[np.ndarray, np.ndarray], np.ndarray]] = None
 
 
 @dataclass

@@ -21,6 +21,10 @@ class FlowNumericalError(RuntimeError):
     """Non-finite quantity while assembling the flow right-hand side."""
 
 
+# the failures run_flow reports as a numerical failure of the run
+_NUMERICAL_FAILURES = (FlowNumericalError, numerics.NumericalFailure, FloatingPointError)
+
+
 @dataclass(frozen=True)
 class FlowProblem:
     model: object
@@ -35,6 +39,14 @@ class FlowProblem:
     @cached_property
     def u_matrix(self):
         return np.stack([c.u for c in self.conditions])
+
+    @cached_property
+    def block_starts(self):
+        """Where the parameter block and each state block start in the
+        packed state."""
+        n_theta = self.model.n_theta
+        states = n_theta + self.model.n_x * np.arange(len(self.conditions))
+        return np.concatenate([[0], states])
 
 
 def _kernel_rows(model, theta, x_mat, u_mat):
@@ -51,38 +63,173 @@ def _kernel_rows(model, theta, x_mat, u_mat):
     )
 
 
-def _assemble(problem, theta, states, rows=None):
-    """The flow derivative blocks at one point.
+def _assemble(problem, theta, states):
+    """The flow derivative blocks at one point or at a stack of points;
+    every evaluation of the flow derivative is one call.
 
-    rows is the point's model part, (jac_x, jac_theta, f, s_hat) per
-    condition row with s_hat the pinv sensitivity, from _fd_columns, which
-    has checked that every Jacobian row in it is finite. When not given, it
-    is evaluated here, and the Jacobian rows are checked before the solve.
-    On it runs the per-point assembly: the objective's gradients pulled
-    back through the stacked sensitivities, the retraction term and the
-    finiteness checks of both derivative blocks. The block structure of the
-    concatenated constraint system is never assembled explicitly. Returns
-    (d_theta, d_states) with d_states as an (m, n_x) array.
+    One point: theta (n_theta,) and states (m, n_x). One batched call per
+    kernel over the m condition rows, the finiteness check of the Jacobian
+    rows before the pinv sensitivity solve, then the objective's gradients
+    pulled back through the stacked sensitivities, the retraction term and
+    the finiteness checks of both derivative blocks. The block structure of
+    the concatenated constraint system is never assembled explicitly.
+    Returns (d_theta, d_states) with d_states as an (m, n_x) array.
+
+    A stack of p points: theta (p, n_theta) and states (p, m, n_x); returns
+    (p, n_theta) and (p, m, n_x) arrays whose row q has the bits of point q
+    alone (see _assemble_stack).
     """
+    if np.ndim(theta) == 2:
+        return _assemble_stack(problem, theta, states)
+    return _assemble_point(problem, theta, states)
+
+
+def _assemble_point(problem, theta, states):
+    x_mat = np.asarray(states, dtype=float)
+    a, b, f_mat = _kernel_rows(problem.model, theta, x_mat, problem.u_matrix)
+    _check_jacobian_rows(a, b)
+    s_hat = pinv_sensitivity(a, b)
     objective = problem.objective
-    if rows is None:
-        x_mat = np.asarray(states, dtype=float)
-        a, b, f_mat = _kernel_rows(problem.model, theta, x_mat, problem.u_matrix)
-        _check_jacobian_rows(a, b)
-        s_hat = pinv_sensitivity(a, b)
-    else:
-        a, b, f_mat, s_hat = rows
-    d_theta = -total_gradient(
-        objective.grad_theta(theta, states), s_hat, objective.grad_x(theta, states)
+    return _blocks(
+        problem,
+        s_hat,
+        f_mat,
+        objective.grad_theta(theta, states),
+        objective.grad_x(theta, states),
     )
+
+
+def _blocks(problem, s_hat, f_mat, g_theta, g_x):
+    """(d_theta, d_states) at one point from its model part and objective
+    gradients, each block checked for finiteness."""
+    d_theta = -total_gradient(g_theta, s_hat, g_x)
     if not np.isfinite(d_theta).all():
-        raise FlowNumericalError("non-finite derivative in parameter block")
+        raise _parameter_block_error()
 
     d_states = s_hat @ d_theta + problem.config.lam * f_mat
     if not np.isfinite(d_states).all():
-        bad = np.flatnonzero(~np.isfinite(d_states).all(axis=1)).tolist()
-        raise FlowNumericalError(f"non-finite derivative in state block(s) {bad}")
+        raise _state_block_error(np.isfinite(d_states).all(axis=1))
     return d_theta, d_states
+
+
+def _parameter_block_error():
+    return FlowNumericalError("non-finite derivative in parameter block")
+
+
+def _state_block_error(finite_rows):
+    bad = np.flatnonzero(~finite_rows).tolist()
+    return FlowNumericalError(f"non-finite derivative in state block(s) {bad}")
+
+
+def _assemble_stack(problem, thetas, states):
+    """The derivative blocks at a stack of points (see _assemble).
+
+    The model part of the whole stack comes from one batched call per
+    kernel and one stacked sensitivity solve (_stack_model_part), the
+    objective's gradients from one call of each stacked form, and the
+    pull-back, the retraction term and the finiteness checks run vectorised
+    over the stack. When the objective leaves a stacked form out, the
+    points are assembled one by one on the shared model part, with
+    per-point calls of the missing form in stack order.
+
+    A failure is the one the first failing point raises alone, in stack
+    order, and carries that point's index as its ``point`` attribute. The
+    vectorised checks name the point; point by point, the first failure
+    ends the stack; a failure of the shared model evaluation, which comes
+    before any objective call, makes the points run one by one, as plain
+    calls, until one fails. A stacked objective form that raises fails the
+    whole stack and names no point.
+    """
+    try:
+        s_hat, f_mat = _stack_model_part(problem, thetas, states)
+    except _NUMERICAL_FAILURES:
+        return _point_by_point(
+            thetas, states, lambda q: _assemble_point(problem, thetas[q], states[q])
+        )
+    objective = problem.objective
+    g_theta, g_x = (
+        None if form is None else np.asarray(form(thetas, states), dtype=float)
+        for form in (objective.grad_theta_batch, objective.grad_x_batch)
+    )
+    if g_theta is None or g_x is None:
+
+        def point(q):
+            theta, x_mat = thetas[q], states[q]
+            gt = objective.grad_theta(theta, x_mat) if g_theta is None else g_theta[q]
+            gx = objective.grad_x(theta, x_mat) if g_x is None else g_x[q]
+            return _blocks(problem, s_hat[q], f_mat[q], gt, gx)
+
+        return _point_by_point(thetas, states, point)
+    d_theta = -total_gradient(g_theta, s_hat, g_x)
+    d_states = (s_hat @ d_theta[:, None, :, None])[..., 0]
+    d_states += problem.config.lam * f_mat
+    finite_theta = np.isfinite(d_theta).all(axis=1)
+    finite_rows = np.isfinite(d_states).all(axis=2)
+    bad = np.flatnonzero(~(finite_theta & finite_rows.all(axis=1)))
+    if bad.size:
+        q = int(bad[0])
+        if finite_theta[q]:
+            exc = _state_block_error(finite_rows[q])
+        else:
+            exc = _parameter_block_error()
+        exc.point = q
+        raise exc
+    return d_theta, d_states
+
+
+def _point_by_point(thetas, states, point):
+    """The derivative blocks at a stack from point(q) = (d_theta, d_states)
+    of each point q in stack order; the first failure carries its point's
+    index as ``point``."""
+    d_theta = np.empty(thetas.shape)
+    d_states = np.empty(states.shape)
+    for q in range(len(thetas)):
+        try:
+            d_theta[q], d_states[q] = point(q)
+        except Exception as exc:
+            exc.point = q
+            raise
+    return d_theta, d_states
+
+
+def _stack_model_part(problem, thetas, states):
+    """The model part of every point of a stack: the pinv sensitivities
+    (p, m, n_x, n_theta) and vector field values (p, m, n_x).
+
+    Row (q, i) is condition i at point q. The reference point takes
+    coordinate j from point (j + 1) mod p; on the finite-difference stack of
+    a point y that is y itself. A row with the bits of the reference point's
+    row of its condition is evaluated once for every point that has it,
+    every other row on its own, all of them in one batched call per kernel
+    (one theta per row) and one stacked solve. On the finite-difference
+    stack that is m + m*n_x + n_theta*m rows: one reference row per
+    condition, the perturbed row of each state column, and all m rows of
+    each parameter column. Raises on a failing kernel or solve, or a
+    non-finite Jacobian row.
+    """
+    p, m, n_x = states.shape
+    n_theta = thetas.shape[1]
+    x_flat = states.reshape(p, m * n_x)
+    ref = (np.arange(n_theta + m * n_x) + 1) % p
+    ref_theta = thetas[ref[:n_theta], np.arange(n_theta)]
+    ref_x = x_flat[ref[n_theta:], np.arange(m * n_x)]
+    # bit patterns, so that 0.0 and -0.0 are different rows
+    own = (x_flat.view(np.int64) != ref_x.view(np.int64)).reshape(p, m, n_x).any(axis=2)
+    own |= (thetas.view(np.int64) != ref_theta.view(np.int64)).any(axis=1)[:, None]
+    shared = np.flatnonzero(~own.all(axis=0))
+    own_q, own_i = np.nonzero(own)
+    row = np.empty((p, m), dtype=np.intp)
+    row[:, shared] = np.arange(shared.size)
+    row[own_q, own_i] = shared.size + np.arange(own_q.size)
+    u_mat = problem.u_matrix
+    a, b, f_mat = _kernel_rows(
+        problem.model,
+        np.concatenate([np.tile(ref_theta, (shared.size, 1)), thetas[own_q]]),
+        np.concatenate([ref_x.reshape(m, n_x)[shared], states[own_q, own_i]]),
+        np.concatenate([u_mat[shared], u_mat[own_i]]),
+    )
+    _check_jacobian_rows(a, b)
+    return pinv_sensitivity(a, b)[row], f_mat[row]
 
 
 def _check_jacobian_rows(a, b):
@@ -94,89 +241,37 @@ def _check_jacobian_rows(a, b):
         raise FlowNumericalError(f"non-finite Jacobian in condition block(s) {bad}")
 
 
-def rhs(problem, y, rows=None):
+def rhs(problem, y):
     """Flow derivative at the packed state y = (theta, x^1..x^m), as one
-    packed vector; the flow is autonomous, so it takes no pseudo-time.
-    rows, if given, is the model part at y (see _assemble)."""
+    packed vector; the flow is autonomous, so it takes no pseudo-time."""
     n_theta = problem.model.n_theta
     states = y[n_theta:].reshape(len(problem.conditions), problem.model.n_x)
-    d_theta, d_states = _assemble(problem, y[:n_theta], states, rows)
+    d_theta, d_states = _assemble(problem, y[:n_theta], states)
     dy = np.empty(y.size)
     dy[:n_theta] = d_theta
     dy[n_theta:] = d_states.ravel()
     return dy
 
 
-def _fd_columns(problem, y, steps):
-    """The per-column rhs arguments of the forward-difference Jacobian at y
-    (see integrator._fd_jacobian): the model part of every column's
-    perturbed point, or None when the columns are to make plain calls.
-
-    Column j perturbs y[j] to y[j] + steps[j]. A state column of condition i
-    moves only row i, so it takes the m base rows with its own perturbed
-    row swapped in; a parameter column moves theta, so it takes all m rows
-    at its own perturbed theta. One batched call per kernel, with one theta
-    per row, and one stacked sensitivity solve over the m base rows, the
-    m*n_x single-perturbed rows and the n_theta*m parameter-column rows
-    serve every column.
-
-    The Jacobian rows of the whole stack are checked here, once: if any is
-    non-finite, or the shared evaluation raises a numerical failure, the
-    result is None, and the plain rhs calls report the failure at their
-    own column, as without sharing.
-    """
+def rhs_stack(problem, ys):
+    """Flow derivative at every row of the stack ys (p, n_theta + m*n_x) in
+    one _assemble call, as a (p, n) array whose row q has the bits of
+    rhs(problem, ys[q]). A failure is the one rhs raises at the first
+    failing row, with that row's index as the exception's ``point``."""
+    ys = np.asarray(ys, dtype=float)
+    p = len(ys)
     n_theta = problem.model.n_theta
-    n_x = problem.model.n_x
-    m = len(problem.conditions)
-    theta = y[:n_theta]
-    x_mat = y[n_theta:].reshape(m, n_x)
-    u_mat = problem.u_matrix
-    cols = np.arange(m * n_x)
-    x_pert = np.repeat(x_mat, n_x, axis=0)
-    x_pert[cols, cols % n_x] += steps[n_theta:]
-    params = np.arange(n_theta)
-    theta_pert = np.tile(theta, (n_theta, 1))
-    theta_pert[params, params] += steps[:n_theta]
-    at_base = m + m * n_x  # the rows at the base theta
-    thetas = np.concatenate(
-        [np.tile(theta, (at_base, 1)), np.repeat(theta_pert, m, axis=0)]
-    )
-    try:
-        a, b, f_mat = _kernel_rows(
-            problem.model,
-            thetas,
-            np.concatenate([x_mat, x_pert, np.tile(x_mat, (n_theta, 1))]),
-            np.concatenate(
-                [u_mat, np.repeat(u_mat, n_x, axis=0), np.tile(u_mat, (n_theta, 1))]
-            ),
-        )
-        _check_jacobian_rows(a, b)
-        s_hat = pinv_sensitivity(a, b)
-    except (FlowNumericalError, numerics.NumericalFailure, FloatingPointError):
-        # run_flow reports these with the counts of the work done: the plain
-        # rhs calls raise them at their own column instead
-        return None
-    # parameter column j: rows at_base + j*m .. at_base + (j+1)*m - 1; state
-    # column c: the base rows, with row c // n_x from perturbed row c
-    idx = np.empty((n_theta + m * n_x, m), dtype=int)
-    idx[:n_theta] = at_base + np.arange(n_theta * m).reshape(n_theta, m)
-    idx[n_theta:] = np.arange(m)
-    idx[n_theta + cols, cols // n_x] = m + cols
-    return list(zip(a[idx], b[idx], f_mat[idx], s_hat[idx]))
+    states = ys[:, n_theta:].reshape(p, len(problem.conditions), problem.model.n_x)
+    d_theta, d_states = _assemble(problem, ys[:, :n_theta], states)
+    return np.concatenate([d_theta, d_states.reshape(p, -1)], axis=1)
 
 
 def stop_check(problem, y, dy):
     """True iff every block of the packed derivative dy (the parameter block
     and each condition's state block) has Euclidean norm below the
     configured tol."""
-    n_theta = problem.model.n_theta
-    n_x = problem.model.n_x
-    norms = [np.linalg.norm(dy[:n_theta])]
-    norms.extend(
-        np.linalg.norm(dy[n_theta + i * n_x : n_theta + (i + 1) * n_x])
-        for i in range(len(problem.conditions))
-    )
-    return max(norms) < problem.config.tol
+    squares = np.add.reduceat(dy * dy, problem.block_starts)
+    return np.sqrt(squares).max() < problem.config.tol
 
 
 def manifold_residual(problem, state):
@@ -218,11 +313,13 @@ def run_flow(problem, init, store_trajectory=False):
         if store_trajectory:
             trajectory.append(FlowState.unpack(yvec, n_theta, n_x, m, r=r))
 
-    # every Jacobian column shares one model evaluation from two state
-    # columns on; with one, sharing saves too little: on the conversion
-    # reaction's 3-column Jacobian it measured 10-50 % slower than plain
-    # rhs calls (in-process timing on a 2-core x86_64 machine)
-    columns = partial(_fd_columns, problem) if m * n_x >= 2 else None
+    # every FD Jacobian is one stacked derivative call from two state
+    # columns on. With one, stacking saves nothing: on the conversion
+    # reaction's 3-column Jacobian the stack took 115-175 us against plain
+    # calls' 115-170 us (in-process timing on a 2-core x86_64 machine), and
+    # plain calls keep one _assemble call per rhs evaluation there, which
+    # perfbench's traced cr_methods run checks
+    stacked = partial(rhs_stack, problem) if m * n_x >= 2 else None
     t0 = time.perf_counter()
     try:
         r_end, y_end, stats, outcome = integrator.integrate_adaptive(
@@ -234,7 +331,7 @@ def run_flow(problem, init, store_trajectory=False):
             stop=partial(stop_check, problem),
             budget=cfg.max_rhs_evals,
             observer=observer,
-            columns=columns,
+            rhs_stack=stacked,
         )
         reason = {
             integrator.IntegrationOutcome.STOP_CONDITION: StopReason.TOLERANCE_MET,
@@ -242,7 +339,7 @@ def run_flow(problem, init, store_trajectory=False):
             integrator.IntegrationOutcome.BUDGET_EXHAUSTED: StopReason.EVAL_BUDGET_EXHAUSTED,
             integrator.IntegrationOutcome.STEP_UNDERFLOW: StopReason.NUMERICAL_FAILURE,
         }[outcome]
-    except (FlowNumericalError, numerics.NumericalFailure, FloatingPointError) as exc:
+    except _NUMERICAL_FAILURES as exc:
         # the integrator attaches the counters of the work it did
         stats = exc.stats
         r_end, y_end = last["r"], last["y"]

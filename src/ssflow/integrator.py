@@ -75,28 +75,30 @@ def step(rhs, y, h, jac, f0):
     return y_new, err, f_new
 
 
-def _fd_jacobian(rhs, y, f0, columns=None):
-    """Forward-difference Jacobian of rhs at y, with f0 = rhs(y): n calls,
-    column j at y + steps[j] e_j.
+def _fd_jacobian(rhs, y, f0, rhs_stack=None):
+    """Forward-difference Jacobian of rhs at y, with f0 = rhs(y): column j
+    from the point y + steps[j] e_j.
 
-    columns, if given, lets rhs share work across the columns: it is called
-    once as columns(y, steps) and returns None or one extra rhs argument per
-    column, so that column j calls rhs(y + steps[j] e_j, args[j]). Such an
-    argument must leave the value rhs returns unchanged (the flow passes
-    the model part of each column's point, evaluated for all of them at
-    once). Every column is still one rhs call.
+    Without rhs_stack, n rhs calls, one per column. With it, one call
+    rhs_stack(ys) on the stack ys whose row j is column j's point; it
+    returns the n values as rows, row j with the bits of rhs(ys[j]), so the
+    Jacobian is the same bit for bit (the flow evaluates the stack in one
+    pass).
     """
     n = y.size
-    jac = np.empty((n, n))
     steps = _SQRT_EPS * (1.0 + np.abs(y))
-    args = None if columns is None else columns(y, steps)
+    if rhs_stack is not None:
+        ys = np.tile(y, (n, 1))
+        diag = np.arange(n)
+        ys[diag, diag] = y + steps
+        return np.ascontiguousarray(((rhs_stack(ys) - f0) / steps[:, None]).T)
+    jac = np.empty((n, n))
     # one perturbed copy of y, each column's entry restored after its call
     yp = y.copy()
     for j in range(n):
         d = steps[j]
         yp[j] = y[j] + d
-        fj = rhs(yp) if args is None else rhs(yp, args[j])
-        jac[:, j] = (fj - f0) / d
+        jac[:, j] = (rhs(yp) - f0) / d
         yp[j] = y[j]
     return jac
 
@@ -121,7 +123,7 @@ def integrate_adaptive(
     stop=None,
     budget=100_000,
     observer=None,
-    columns=None,
+    rhs_stack=None,
 ):
     """Integrate the autonomous system dy/dr = rhs(y) from r = 0 to r_max
     with adaptive steps.
@@ -133,10 +135,12 @@ def integrate_adaptive(
     evaluations, Jacobian differencing included, but is not a cap: it is
     checked before each step, and a step of n variables makes up to n + 3
     (Jacobian, two stages, extrapolation), so a run can end n + 2 past it.
-    columns, if given, is passed to every Jacobian (see _fd_jacobian); its
-    per-column arguments reach rhs through the counting, so rhs_evals still
-    counts n calls per Jacobian, one by one before each call, and the
-    budget keeps its meaning.
+    rhs_stack, if given, evaluates every Jacobian's n perturbed points in
+    one call (see _fd_jacobian). It goes through the counting too: the call
+    adds n to rhs_evals, so the budget keeps its meaning. When it raises an
+    exception that names its first failing row as ``point``, the count
+    covers the rows up to and including that one, as n plain calls that
+    stop at the failing one would; any other exception counts all n.
 
     Returns (final r, final y, IntegratorStats, IntegrationOutcome). An
     exception raised on the way (by rhs, stop or observer, or on a non-finite
@@ -148,10 +152,21 @@ def integrate_adaptive(
         raise ValueError("initial state must not be empty")
     stats = IntegratorStats()
 
-    def counted_rhs(y, *column):
+    def counted_rhs(y):
         # counted before the call, so a call that raises is counted too
         stats.rhs_evals += 1
-        return rhs(y, *column)
+        return rhs(y)
+
+    def counted_stack(ys):
+        before = stats.rhs_evals
+        stats.rhs_evals += len(ys)
+        try:
+            return rhs_stack(ys)
+        except Exception as exc:
+            point = getattr(exc, "point", None)
+            if point is not None:
+                stats.rhs_evals = before + point + 1
+            raise
 
     try:
         r = 0.0
@@ -176,7 +191,9 @@ def integrate_adaptive(
             if h < 1e-14 * max(1.0, abs(r)):
                 return r, y, stats, IntegrationOutcome.STEP_UNDERFLOW
             if jac is None:
-                jac = _fd_jacobian(counted_rhs, y, f0, columns)
+                jac = _fd_jacobian(
+                    counted_rhs, y, f0, None if rhs_stack is None else counted_stack
+                )
                 stats.jacobian_evals += 1
             try:
                 y_new, err, f_new = step(counted_rhs, y, h, jac, f0)

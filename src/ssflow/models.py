@@ -126,7 +126,20 @@ class ConversionReactionProblem:
         def grad_x(theta, states):
             return np.array([[w * (states[0][0] - x_bar)]])
 
-        return ObjectiveSpec(eval=evaluate, grad_theta=grad_theta, grad_x=grad_x)
+        # the stacked forms: thetas (p, 2) and states (p, 1, 1)
+        def grad_theta_batch(thetas, states):
+            return thetas - theta_bar
+
+        def grad_x_batch(thetas, states):
+            return w * (states - x_bar)
+
+        return ObjectiveSpec(
+            eval=evaluate,
+            grad_theta=grad_theta,
+            grad_x=grad_x,
+            grad_theta_batch=grad_theta_batch,
+            grad_x_batch=grad_x_batch,
+        )
 
     def flow_problem(self, config: FlowConfig):
         return FlowProblem(
@@ -282,7 +295,22 @@ class NgfErkProblem:
             out[:, 1] = x_mat[:, 1] - data
             return out
 
-        return ObjectiveSpec(eval=evaluate, grad_theta=grad_theta, grad_x=grad_x)
+        # the stacked forms: thetas (p, 6) and states (p, 10, 2)
+        def grad_theta_batch(thetas, states):
+            return np.zeros((len(thetas), 6))
+
+        def grad_x_batch(thetas, states):
+            out = np.zeros_like(states)
+            out[..., 1] = states[..., 1] - data
+            return out
+
+        return ObjectiveSpec(
+            eval=evaluate,
+            grad_theta=grad_theta,
+            grad_x=grad_x,
+            grad_theta_batch=grad_theta_batch,
+            grad_x_batch=grad_x_batch,
+        )
 
     def flow_problem(self, config: FlowConfig):
         return FlowProblem(

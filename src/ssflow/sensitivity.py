@@ -50,9 +50,11 @@ def pinv_sensitivity(jac_x, jac_theta):
 
 def total_gradient(grad_theta, s_hat, grads_x):
     """Explicit parameter gradient plus every condition's state gradient
-    pulled back through its sensitivity: g + sum_i S_i^T (d J/d x_i)."""
+    pulled back through its sensitivity: g + sum_i S_i^T (d J/d x_i), at
+    one point or at each point of a stack (a leading axis on every
+    argument), each point with the bits it gets alone."""
     return np.asarray(grad_theta, dtype=float) + np.einsum(
-        "ixt,ix->t", s_hat, np.asarray(grads_x, dtype=float)
+        "...ixt,...ix->...t", s_hat, np.asarray(grads_x, dtype=float)
     )
 
 

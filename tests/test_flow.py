@@ -5,6 +5,9 @@ from functools import partial
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from ssflow import flow, integrator
 from ssflow.core import FlowConfig, FlowState, ModelSpec, ObjectiveSpec, StopReason
@@ -131,6 +134,9 @@ class TestStopCheck:
         assert not stop_check(problem, np.zeros(dy.size), dy)
         dy[6 + 7 * 2 + 1] = 5e-7
         assert stop_check(problem, np.zeros(dy.size), dy)
+        # the parameter block alone above tol, by its last entry
+        dy[5] = 2e-6
+        assert not stop_check(problem, np.zeros(dy.size), dy)
 
 
 class TestManifoldResidual:
@@ -345,12 +351,74 @@ class TestNumericalFailureCounts:
         assert 0.0 < result.min_step <= result.max_step
         assert np.array_equal(result.final.pack(), traj[-1].pack())
 
+    def test_reports_the_work_done_before_a_failure_inside_a_stack(self):
+        # NGF: every FD Jacobian is one stack; the objective has per-point
+        # forms only, so the stack calls grad_theta point by point and stops
+        # at the failing point, as plain rhs calls would
+        prob = NgfErkProblem().with_generated_data(0)
+        base = prob.objective()
+        calls = []
+
+        def grad_theta(theta, states):
+            calls.append(1)
+            g = base.grad_theta(theta, states)
+            return g if len(calls) <= 200 else np.full_like(g, np.nan)
+
+        problem = FlowProblem(
+            model=prob.model(),
+            objective=ObjectiveSpec(base.eval, grad_theta, base.grad_x),
+            conditions=prob.conditions(),
+            config=FlowConfig(lam=20.0),
+        )
+        result, traj = run_flow(problem, ngf_start(), store_trajectory=True)
+        assert result.reason is StopReason.NUMERICAL_FAILURE
+        assert result.rhs_evals == len(calls) == 201
+        assert result.steps_accepted == len(traj) - 1 > 0
+        assert result.jacobian_evals >= result.steps_accepted
+        assert 0.0 < result.min_step <= result.max_step
+        assert np.array_equal(result.final.pack(), traj[-1].pack())
+
+    def test_stacked_gradient_failure_counts_up_to_its_point(self, monkeypatch):
+        # the stacked grad_theta turns NaN from the 201st point on, counting
+        # the points of per-point and stacked calls alike: the stack names
+        # its failing row, and the run ends at the same count as with plain
+        # rhs calls
+        prob = NgfErkProblem().with_generated_data(0)
+        base = prob.objective()
+
+        def make_problem():
+            points = []
+
+            def grad_theta(theta, states):
+                points.append(1)
+                g = base.grad_theta(theta, states)
+                return g if len(points) <= 200 else np.full_like(g, np.nan)
+
+            def grad_theta_batch(thetas, states):
+                g = base.grad_theta_batch(thetas, states)
+                g[max(200 - len(points), 0) :] = np.nan
+                points.extend([1] * len(thetas))
+                return g
+
+            objective = dataclasses.replace(
+                base, grad_theta=grad_theta, grad_theta_batch=grad_theta_batch
+            )
+            return dataclasses.replace(
+                prob.flow_problem(FlowConfig(lam=20.0)), objective=objective
+            )
+
+        shared, plain = run_shared_and_plain(make_problem, ngf_start(), monkeypatch)
+        assert shared.reason is StopReason.NUMERICAL_FAILURE
+        assert shared.rhs_evals == 201
+        assert shared.steps_accepted > 0
+        assert_same_run(shared, plain)
+
 
 SHARED_FD_JACOBIAN = integrator._fd_jacobian
 
 
-def plain_fd_jacobian(rhs, y, f0, columns=None):
-    """The FD Jacobian with one plain rhs call per column: columns ignored."""
+def plain_fd_jacobian(rhs, y, f0, rhs_stack=None):
+    """The FD Jacobian with one plain rhs call per column: the stack ignored."""
     return SHARED_FD_JACOBIAN(rhs, y, f0)
 
 
@@ -370,7 +438,7 @@ def run_flow_integration(problem, init):
         cfg.r_max,
         rel_tol=cfg.integrator_rel_tol,
         abs_tol=cfg.integrator_abs_tol,
-        columns=partial(flow._fd_columns, problem),
+        rhs_stack=partial(flow.rhs_stack, problem),
     )
 
 
@@ -398,13 +466,14 @@ def assert_same_run(a, b):
 
 
 def test_state_columns_share_their_model_part_from_two_on(monkeypatch):
-    # the conversion reaction (one state column) keeps plain rhs calls
+    # the conversion reaction (one state column) keeps plain rhs calls; NGF
+    # evaluates each FD Jacobian as one stack
     seen = []
     integrate = integrator.integrate_adaptive
 
-    def capture(*args, columns=None, **kwargs):
-        seen.append(columns)
-        return integrate(*args, columns=columns, **kwargs)
+    def capture(*args, rhs_stack=None, **kwargs):
+        seen.append(rhs_stack)
+        return integrate(*args, rhs_stack=rhs_stack, **kwargs)
 
     monkeypatch.setattr(integrator, "integrate_adaptive", capture)
     cr_init = FlowState(theta=np.array([5.0, 3.0]), states=[np.array([0.9])])
@@ -412,13 +481,13 @@ def test_state_columns_share_their_model_part_from_two_on(monkeypatch):
     ngf = NgfErkProblem().with_generated_data(0)
     run_flow(ngf.flow_problem(FlowConfig(lam=20.0, max_rhs_evals=10)), ngf_start())
     assert seen[0] is None
-    assert seen[1].func is flow._fd_columns
+    assert seen[1].func is flow.rhs_stack
 
 
 class TestSharedColumnFailureParity:
-    """A failure inside an FD Jacobian whose state columns share one model
-    evaluation ends the run at the same counted rhs call, with the same
-    error, as one plain rhs call per column."""
+    """A failure inside an FD Jacobian evaluated as one stack ends the run at
+    the same counted rhs call, with the same error, as one plain rhs call
+    per column."""
 
     @pytest.mark.parametrize(
         "fault, error, message",
@@ -496,3 +565,116 @@ class TestSharedColumnFailureParity:
             jacobians.add(shared.jacobian_evals)
         assert jacobians == {0, 1, 2}
 
+
+
+def per_condition_ngf_problem():
+    """NGF with a per-point-only objective and a per-condition-only model:
+    the stack fills both in, point by point and row by row."""
+    prob = NgfErkProblem().with_generated_data(0)
+    built_in = prob.flow_problem(FlowConfig(lam=20.0))
+    model = built_in.model
+    base = built_in.objective
+    return FlowProblem(
+        model=ModelSpec(
+            n_x=2,
+            n_theta=6,
+            n_u=1,
+            f=model.f,
+            jac_x=model.jac_x,
+            jac_theta=model.jac_theta,
+        ),
+        objective=ObjectiveSpec(base.eval, base.grad_theta, base.grad_x),
+        conditions=built_in.conditions,
+        config=built_in.config,
+    )
+
+
+STACK_PROBLEMS = {
+    "conversion_reaction": lambda: cr_flow_problem(20.0),
+    "ngf": lambda: NgfErkProblem().with_generated_data(0).flow_problem(
+        FlowConfig(lam=20.0)
+    ),
+    "ngf_per_point": per_condition_ngf_problem,
+}
+
+
+def draw_stack(data, n):
+    """A stack of points around one base point: each row is the base point,
+    the base point with one coordinate redrawn, or a point of its own, so
+    that rows share condition rows as the FD stack does. A redrawn
+    coordinate may take any float, inf and NaN included, so that a stack
+    can fail at any row; 0.0 and -0.0 are both drawn."""
+    value = st.floats(-4.0, 4.0)
+    base = data.draw(arrays(float, n, elements=value), label="base")
+    rows = []
+    for _ in range(data.draw(st.integers(1, 30), label="p")):
+        kind = data.draw(st.sampled_from(["base", "one", "own"]))
+        if kind == "own":
+            rows.append(data.draw(arrays(float, n, elements=value)))
+            continue
+        row = base.copy()
+        if kind == "one":
+            coordinate = data.draw(st.integers(0, n - 1))
+            row[coordinate] = data.draw(st.one_of(value, st.floats()))
+        rows.append(row)
+    return np.array(rows)
+
+
+def first_failure(problem, ys):
+    """The per-point rhs values before the first failing row, and that row's
+    index and exception (None when no row fails)."""
+    values = []
+    for q, y in enumerate(ys):
+        try:
+            values.append(rhs(problem, y))
+        except (FlowNumericalError, FloatingPointError) as exc:
+            return values, (q, exc)
+    return values, None
+
+
+@pytest.mark.parametrize("name", sorted(STACK_PROBLEMS))
+@settings(max_examples=60, deadline=None)
+@given(data=st.data())
+def test_stacked_derivative_equals_per_point_rhs(name, data):
+    # batched equals a batch of one: row q of the stack has the bits of
+    # rhs at row q alone, and a failing stack raises what rhs raises at its
+    # first failing row, naming that row
+    problem = STACK_PROBLEMS[name]()
+    n = problem.model.n_theta + len(problem.conditions) * problem.model.n_x
+    ys = draw_stack(data, n)
+    with np.errstate(all="ignore"):
+        values, failure = first_failure(problem, ys)
+        if failure is None:
+            got = flow.rhs_stack(problem, ys)
+            assert got.shape == ys.shape
+            for q, want in enumerate(values):
+                assert got[q].tobytes() == want.tobytes(), q
+        else:
+            with pytest.raises(type(failure[1])) as info:
+                flow.rhs_stack(problem, ys)
+            assert str(info.value) == str(failure[1])
+            assert info.value.point == failure[0]
+
+
+@pytest.mark.parametrize(
+    "make", [ConversionReactionProblem, lambda: NgfErkProblem().with_generated_data(0)]
+)
+@settings(max_examples=60, deadline=None)
+@given(data=st.data())
+def test_stacked_objective_gradients_equal_per_point(make, data):
+    prob = make()
+    model = prob.model()
+    m = len(prob.conditions())
+    objective = prob.objective()
+    p = data.draw(st.integers(1, 30), label="p")
+    value = st.floats(-1e6, 1e6)
+    thetas = data.draw(arrays(float, (p, model.n_theta), elements=value))
+    states = data.draw(arrays(float, (p, m, model.n_x), elements=value))
+    g_theta = objective.grad_theta_batch(thetas, states)
+    g_x = objective.grad_x_batch(thetas, states)
+    assert g_theta.shape == thetas.shape and g_x.shape == states.shape
+    for q in range(p):
+        want_theta = np.asarray(objective.grad_theta(thetas[q], states[q]), dtype=float)
+        want_x = np.asarray(objective.grad_x(thetas[q], states[q]), dtype=float)
+        assert g_theta[q].tobytes() == want_theta.tobytes()
+        assert g_x[q].tobytes() == want_x.tobytes()

@@ -9,7 +9,7 @@ import pytest
 from scipy.linalg import lu_factor, lu_solve
 
 from ssflow import flow, integrator
-from ssflow.core import Condition, FlowConfig, ObjectiveSpec
+from ssflow.core import Condition, FlowConfig, FlowState, ObjectiveSpec
 from ssflow.integrator import (
     IntegrationOutcome,
     _fd_jacobian,
@@ -133,6 +133,27 @@ class TestFdJacobian:
         got = _fd_jacobian(rhs, y, f0)
         assert np.array_equal(got, reference_fd_jacobian(rhs, y, f0))
 
+    @pytest.mark.parametrize(
+        "rhs", [coupled, lambda z: z], ids=["nonlinear", "returns_its_input"]
+    )
+    def test_stacked_bit_identical_to_copy_per_column_reference(self, rhs):
+        # one call on the stack of perturbed points; the Jacobian is
+        # C-ordered like the per-column one, so reductions over it keep
+        # their bits
+        rng = np.random.default_rng(7)
+        y = rng.uniform(-3.0, 3.0, 26)
+        f0 = rhs(y).copy()
+        stacks = []
+
+        def rhs_stack(ys):
+            stacks.append(ys.copy())
+            return np.array([rhs(row) for row in ys])
+
+        got = _fd_jacobian(rhs, y, f0, rhs_stack)
+        assert len(stacks) == 1
+        assert np.array_equal(got, reference_fd_jacobian(rhs, y, f0))
+        assert got.flags.c_contiguous
+
     def test_leaves_y_unchanged(self):
         y = np.array([1.5, -0.25, 1e8, 0.0])
         before = y.copy()
@@ -180,17 +201,38 @@ def counting_kernels(model):
     return dataclasses.replace(model, **{k: counted(k) for k in names}), calls
 
 
+def counting_gradients(objective):
+    """objective with every gradient call appended to the returned list, as
+    (name, points): a stacked form's points, or 1 for a per-point form."""
+    calls = []
+
+    def counted(name):
+        form = getattr(objective, name)
+        stacked = name.endswith("_batch")
+
+        def call(theta, states):
+            calls.append((name, len(theta) if stacked else 1))
+            return form(theta, states)
+
+        return call
+
+    names = ("grad_theta", "grad_x", "grad_theta_batch", "grad_x_batch")
+    return dataclasses.replace(objective, **{k: counted(k) for k in names}), calls
+
+
 class TestSharedColumns:
-    """The flow's per-column arguments: one model evaluation shared by the
-    state columns, the same Jacobian bit for bit."""
+    """The flow's FD Jacobian as one stacked derivative call: one model
+    evaluation and one call of each stacked objective gradient shared by
+    all columns, the same Jacobian bit for bit."""
 
     def test_ngf_bit_identical_to_copy_per_column_reference(self):
         prob = NgfErkProblem().with_generated_data(0)
         base = prob.flow_problem(FlowConfig(lam=20.0))
         model, calls = counting_kernels(base.model)
-        problem = dataclasses.replace(base, model=model)
+        objective, gradient_calls = counting_gradients(base.objective)
+        problem = dataclasses.replace(base, model=model, objective=objective)
         rhs = partial(flow.rhs, problem)
-        columns = partial(flow._fd_columns, problem)
+        stack = partial(flow.rhs_stack, problem)
         rng = np.random.default_rng(11)
         for _ in range(12):
             y = np.concatenate(
@@ -198,7 +240,8 @@ class TestSharedColumns:
             )
             f0 = rhs(y)
             calls.clear()
-            got = _fd_jacobian(rhs, y, f0, columns)
+            gradient_calls.clear()
+            got = _fd_jacobian(rhs, y, f0, stack)
             # one call per kernel over the 10 base rows, the 20 perturbed
             # state rows and the 6 x 10 parameter-column rows, and no other
             assert sorted(calls) == [
@@ -206,48 +249,123 @@ class TestSharedColumns:
                 ("jac_theta_batch", 90),
                 ("jac_x_batch", 90),
             ]
+            # one call of each stacked gradient over the 26 points, and no
+            # per-point gradient call
+            assert sorted(gradient_calls) == [
+                ("grad_theta_batch", 26),
+                ("grad_x_batch", 26),
+            ]
             assert np.array_equal(got, reference_fd_jacobian(rhs, y, f0))
+
+    def test_ngf_run_makes_one_stacked_evaluation_per_jacobian(self):
+        prob = NgfErkProblem().with_generated_data(0)
+        base = prob.flow_problem(FlowConfig(lam=20.0, max_rhs_evals=300))
+        model, calls = counting_kernels(base.model)
+        objective, gradient_calls = counting_gradients(base.objective)
+        problem = dataclasses.replace(base, model=model, objective=objective)
+        rng = np.random.default_rng(5)
+        init = FlowState(
+            theta=rng.uniform(*prob.theta_box, 6),
+            states=list(rng.uniform(*prob.state_box, (10, 2))),
+        )
+        result = flow.run_flow(problem, init)
+        assert result.jacobian_evals > 5
+        # exactly one 90-row call per kernel and one stacked call of each
+        # objective gradient per Jacobian; every other evaluation is a
+        # single point
+        for name in ("f_batch", "jac_x_batch", "jac_theta_batch"):
+            assert calls.count((name, 90)) == result.jacobian_evals
+        assert {rows for _, rows in calls} == {10, 90}
+        for name in ("grad_theta_batch", "grad_x_batch"):
+            assert gradient_calls.count((name, 26)) == result.jacobian_evals
+        single = result.rhs_evals - 26 * result.jacobian_evals
+        assert gradient_calls.count(("grad_x", 1)) == single
+        assert len(gradient_calls) == 2 * (single + result.jacobian_evals)
 
     def test_exactly_singular_rows_bit_identical(self):
         # two conversion-reaction conditions at theta = (0, 0): every state
         # Jacobian in the shared stack is exactly zero and takes the
-        # truncated pseudoinverse
+        # truncated pseudoinverse; the objective with per-point forms only,
+        # and with its stacked forms too
         cond = Condition(u=np.zeros(0), data=np.array([0.2]))
-        objective = ObjectiveSpec(
+        per_point = ObjectiveSpec(
             eval=lambda theta, states: 0.0,
             grad_theta=lambda theta, states: theta - 1.0,
             grad_x=lambda theta, states: np.asarray(states) - 0.2,
         )
-        problem = flow.FlowProblem(
-            conversion_reaction_model(), objective, [cond, cond], FlowConfig(lam=20.0)
+        stacked = dataclasses.replace(
+            per_point,
+            grad_theta_batch=lambda thetas, states: thetas - 1.0,
+            grad_x_batch=lambda thetas, states: states - 0.2,
         )
-        rhs = partial(flow.rhs, problem)
-        y = np.array([0.0, 0.0, 0.3, 0.7])
-        f0 = rhs(y)
-        got = _fd_jacobian(rhs, y, f0, partial(flow._fd_columns, problem))
-        assert np.all(np.isfinite(got))
-        assert np.array_equal(got, reference_fd_jacobian(rhs, y, f0))
+        for objective in (per_point, stacked):
+            problem = flow.FlowProblem(
+                conversion_reaction_model(),
+                objective,
+                [cond, cond],
+                FlowConfig(lam=20.0),
+            )
+            rhs = partial(flow.rhs, problem)
+            y = np.array([0.0, 0.0, 0.3, 0.7])
+            f0 = rhs(y)
+            got = _fd_jacobian(rhs, y, f0, partial(flow.rhs_stack, problem))
+            assert np.all(np.isfinite(got))
+            assert np.array_equal(got, reference_fd_jacobian(rhs, y, f0))
 
-    def test_column_arguments_reach_rhs_through_the_counting(self):
-        # each column's argument goes with its own counted rhs call, so the
-        # budget still sees n calls per Jacobian; None from columns means
-        # plain calls
+    def test_stack_goes_through_the_counting(self):
+        # the stack call adds n to rhs_evals, so the budget still sees n
+        # evaluations per Jacobian; its rows are the perturbed points. No
+        # stack means plain calls
         n = 4
-        for args in ([("col", j) for j in range(n)], None):
+        y0 = np.ones(n)
+        for stacked in (True, False):
             seen = []
+            stacks = []
 
-            def rhs(y, *column):
-                seen.append(column)
+            def rhs(y):
+                seen.append(y.copy())
                 return coupled(y)
 
+            def rhs_stack(ys):
+                stacks.append(ys.copy())
+                return np.array([coupled(y) for y in ys])
+
             _, _, stats, outcome = integrate_adaptive(
-                rhs, np.ones(n), 1e3, budget=2, columns=lambda y, steps: args
+                rhs, y0, 1e3, budget=2, rhs_stack=rhs_stack if stacked else None
             )
             assert outcome is IntegrationOutcome.BUDGET_EXHAUSTED
-            assert stats.rhs_evals == len(seen) >= 1 + n + 2
-            expected = [()] * n if args is None else [(a,) for a in args]
-            assert seen[1 : 1 + n] == expected
-            assert all(c == () for c in seen[:1] + seen[1 + n :])
+            assert stats.rhs_evals == len(seen) + n * len(stacks) >= 1 + n + 2
+            steps = integrator._SQRT_EPS * (1.0 + np.abs(y0))
+            points = y0 + np.diag(steps)
+            if stacked:
+                assert len(stacks) == stats.jacobian_evals == 1
+                assert np.array_equal(stacks[0], points)
+                assert len(seen) == stats.rhs_evals - n
+            else:
+                assert stacks == []
+                assert np.array_equal(np.array(seen[1 : 1 + n]), points)
+
+    def test_failing_stack_counts_up_to_its_failing_point(self):
+        # a stack that names its failing row counts the rows up to and
+        # including it, as plain calls that stop there would; one that
+        # names none counts all n
+        class Stop(Exception):
+            pass
+
+        n = 5
+        for point in (None, 0, 2, n - 1):
+
+            def rhs_stack(ys):
+                exc = Stop()
+                if point is not None:
+                    exc.point = point
+                raise exc
+
+            with pytest.raises(Stop) as info:
+                integrate_adaptive(coupled, np.ones(n), 1e3, rhs_stack=rhs_stack)
+            stats = info.value.stats
+            counted = n if point is None else point + 1
+            assert (stats.rhs_evals, stats.jacobian_evals) == (1 + counted, 0)
 
 
 class TestIntegrateAdaptive:
