@@ -22,7 +22,11 @@ class FlowNumericalError(RuntimeError):
 
 
 # the failures run_flow reports as a numerical failure of the run
-_NUMERICAL_FAILURES = (FlowNumericalError, numerics.NumericalFailure, FloatingPointError)
+_NUMERICAL_FAILURES = (
+    FlowNumericalError,
+    numerics.NumericalFailure,
+    FloatingPointError,
+)
 
 
 @dataclass(frozen=True)
@@ -315,8 +319,8 @@ def run_flow(problem, init, store_trajectory=False):
 
     # every FD Jacobian is one stacked derivative call from two state
     # columns on. With one, stacking saves nothing: on the conversion
-    # reaction's 3-column Jacobian the stack took 115-175 us against plain
-    # calls' 115-170 us (in-process timing on a 2-core x86_64 machine), and
+    # reaction's 3-column Jacobian the stack took 123-173 us against plain
+    # calls' 114-170 us (in-process timing on a 2-core x86_64 machine), and
     # plain calls keep one _assemble call per rhs evaluation there, which
     # perfbench's traced cr_methods run checks
     stacked = partial(rhs_stack, problem) if m * n_x >= 2 else None

@@ -267,6 +267,19 @@ def hand_written_conversion_reaction(xi=1.0):
     )
 
 
+def per_condition_model(model):
+    """model with its per-condition kernels only; ModelSpec stacks them into
+    the batched forms."""
+    return ModelSpec(
+        n_x=model.n_x,
+        n_theta=model.n_theta,
+        n_u=model.n_u,
+        f=model.f,
+        jac_x=model.jac_x,
+        jac_theta=model.jac_theta,
+    )
+
+
 class TestOnePath:
     def test_per_condition_model_runs_bit_identical_to_built_in(self):
         prob = ConversionReactionProblem()
@@ -295,16 +308,7 @@ class TestOnePath:
         prob = NgfErkProblem().with_generated_data(0)
         config = FlowConfig(lam=20.0, max_rhs_evals=1500)
         built_in = prob.flow_problem(config)
-        model = built_in.model
-        per_condition = ModelSpec(
-            n_x=2,
-            n_theta=6,
-            n_u=1,
-            f=model.f,
-            jac_x=model.jac_x,
-            jac_theta=model.jac_theta,
-        )
-        user = dataclasses.replace(built_in, model=per_condition)
+        user = dataclasses.replace(built_in, model=per_condition_model(built_in.model))
         a = run_flow(built_in, ngf_start())
         b = run_flow(user, ngf_start())
         assert a.reason is b.reason is StopReason.EVAL_BUDGET_EXHAUSTED
@@ -354,7 +358,8 @@ class TestNumericalFailureCounts:
     def test_reports_the_work_done_before_a_failure_inside_a_stack(self):
         # NGF: every FD Jacobian is one stack; the objective has per-point
         # forms only, so the stack calls grad_theta point by point and stops
-        # at the failing point, as plain rhs calls would
+        # at the failing point, as plain rhs calls would. The 190th point is
+        # row 15 of the seventh Jacobian's stack (points 176-201)
         prob = NgfErkProblem().with_generated_data(0)
         base = prob.objective()
         calls = []
@@ -362,7 +367,7 @@ class TestNumericalFailureCounts:
         def grad_theta(theta, states):
             calls.append(1)
             g = base.grad_theta(theta, states)
-            return g if len(calls) <= 200 else np.full_like(g, np.nan)
+            return g if len(calls) < 190 else np.full_like(g, np.nan)
 
         problem = FlowProblem(
             model=prob.model(),
@@ -372,17 +377,17 @@ class TestNumericalFailureCounts:
         )
         result, traj = run_flow(problem, ngf_start(), store_trajectory=True)
         assert result.reason is StopReason.NUMERICAL_FAILURE
-        assert result.rhs_evals == len(calls) == 201
+        assert result.rhs_evals == len(calls) == 190
         assert result.steps_accepted == len(traj) - 1 > 0
         assert result.jacobian_evals >= result.steps_accepted
         assert 0.0 < result.min_step <= result.max_step
         assert np.array_equal(result.final.pack(), traj[-1].pack())
 
     def test_stacked_gradient_failure_counts_up_to_its_point(self, monkeypatch):
-        # the stacked grad_theta turns NaN from the 201st point on, counting
-        # the points of per-point and stacked calls alike: the stack names
-        # its failing row, and the run ends at the same count as with plain
-        # rhs calls
+        # the stacked grad_theta turns NaN from the 190th point on (row 15
+        # of the seventh Jacobian's stack), counting the points of per-point
+        # and stacked calls alike: the stack names its failing row, and the
+        # run ends at the same count as with plain rhs calls
         prob = NgfErkProblem().with_generated_data(0)
         base = prob.objective()
 
@@ -392,11 +397,11 @@ class TestNumericalFailureCounts:
             def grad_theta(theta, states):
                 points.append(1)
                 g = base.grad_theta(theta, states)
-                return g if len(points) <= 200 else np.full_like(g, np.nan)
+                return g if len(points) < 190 else np.full_like(g, np.nan)
 
             def grad_theta_batch(thetas, states):
                 g = base.grad_theta_batch(thetas, states)
-                g[max(200 - len(points), 0) :] = np.nan
+                g[max(189 - len(points), 0) :] = np.nan
                 points.extend([1] * len(thetas))
                 return g
 
@@ -409,7 +414,7 @@ class TestNumericalFailureCounts:
 
         shared, plain = run_shared_and_plain(make_problem, ngf_start(), monkeypatch)
         assert shared.reason is StopReason.NUMERICAL_FAILURE
-        assert shared.rhs_evals == 201
+        assert shared.rhs_evals == 190
         assert shared.steps_accepted > 0
         assert_same_run(shared, plain)
 
@@ -572,17 +577,9 @@ def per_condition_ngf_problem():
     the stack fills both in, point by point and row by row."""
     prob = NgfErkProblem().with_generated_data(0)
     built_in = prob.flow_problem(FlowConfig(lam=20.0))
-    model = built_in.model
     base = built_in.objective
     return FlowProblem(
-        model=ModelSpec(
-            n_x=2,
-            n_theta=6,
-            n_u=1,
-            f=model.f,
-            jac_x=model.jac_x,
-            jac_theta=model.jac_theta,
-        ),
+        model=per_condition_model(built_in.model),
         objective=ObjectiveSpec(base.eval, base.grad_theta, base.grad_x),
         conditions=built_in.conditions,
         config=built_in.config,
