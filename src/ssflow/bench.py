@@ -286,14 +286,31 @@ def summarize(records, classification_tol=1e-3):
     return {"best_objective": best, "methods": out}
 
 
+def worker_count():
+    """The bench's worker count: the SSFLOW_WORKERS environment variable,
+    or the available parallelism when it is unset. Raises ValueError naming
+    the variable when its value is not an integer >= 1."""
+    value = os.environ.get(WORKERS_ENV)
+    if value is None:
+        return os.cpu_count() or 1
+    try:
+        workers = int(value)
+    except ValueError:
+        workers = 0
+    if workers < 1:
+        raise ValueError(f"{WORKERS_ENV} must be an integer >= 1, got {value!r}")
+    return workers
+
+
 def run_bench(config):
     """Execute every (method, start) pair and return (summary, records).
 
     Individual run failures are recorded, never propagated. Worker count
-    comes from the SSFLOW_WORKERS environment variable (default: available
-    parallelism); results are ordered by (method, start index) regardless
-    of completion order.
+    comes from worker_count() (a bad SSFLOW_WORKERS raises ValueError
+    before any run); results are ordered by (method, start index)
+    regardless of completion order.
     """
+    workers = worker_count()
     bundle = _build_problem(config)
     starts = sample_starts(config, bundle)
     tasks = []
@@ -303,7 +320,6 @@ def run_bench(config):
             for idx, start in enumerate(starts):
                 tasks.append((config, bundle, method, lam, idx, start))
 
-    workers = int(os.environ.get(WORKERS_ENV, os.cpu_count() or 1))
     records = []
     if workers > 1 and len(tasks) > 1:
         with ProcessPoolExecutor(max_workers=workers) as pool:

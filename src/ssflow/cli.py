@@ -179,6 +179,10 @@ def main(argv=None):
         if args.lam:
             extra["lambdas"] = tuple(args.lam)
         config = _merged_config(p_bench, args, extra)
+        try:
+            bench_mod.worker_count()
+        except ValueError as exc:
+            p_bench.error(str(exc))
         summary, records = run_bench(config)
         out_dir = config.output_dir or "bench_out"
         runs_path, summary_path = emit(summary, records, out_dir)

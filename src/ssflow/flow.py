@@ -132,9 +132,11 @@ def _assemble_stack(problem, thetas, states):
     kernel and one stacked sensitivity solve (_stack_model_part), the
     objective's gradients from one call of each stacked form, and the
     pull-back, the retraction term and the finiteness checks run vectorised
-    over the stack. When the objective leaves a stacked form out, the
-    points are assembled one by one on the shared model part, with
-    per-point calls of the missing form in stack order.
+    over the stack: one finiteness pass over each derivative block, and the
+    per-point masks only when a block holds a non-finite entry. When the
+    objective leaves a stacked form out, the points are assembled one by
+    one on the shared model part, with per-point calls of the missing form
+    in stack order.
 
     A failure is the one the first failing point raises alone, in stack
     order, and carries that point's index as its ``point`` attribute. The
@@ -167,18 +169,23 @@ def _assemble_stack(problem, thetas, states):
     d_theta = -total_gradient(g_theta, s_hat, g_x)
     d_states = (s_hat @ d_theta[:, None, :, None])[..., 0]
     d_states += problem.config.lam * f_mat
+    if not (np.isfinite(d_theta).all() and np.isfinite(d_states).all()):
+        raise _first_failing_point(d_theta, d_states)
+    return d_theta, d_states
+
+
+def _first_failing_point(d_theta, d_states):
+    """The error of the first point of a stack with a non-finite derivative
+    block, as that point alone raises it, with its index as ``point``."""
     finite_theta = np.isfinite(d_theta).all(axis=1)
     finite_rows = np.isfinite(d_states).all(axis=2)
-    bad = np.flatnonzero(~(finite_theta & finite_rows.all(axis=1)))
-    if bad.size:
-        q = int(bad[0])
-        if finite_theta[q]:
-            exc = _state_block_error(finite_rows[q])
-        else:
-            exc = _parameter_block_error()
-        exc.point = q
-        raise exc
-    return d_theta, d_states
+    q = int(np.flatnonzero(~(finite_theta & finite_rows.all(axis=1)))[0])
+    if finite_theta[q]:
+        exc = _state_block_error(finite_rows[q])
+    else:
+        exc = _parameter_block_error()
+    exc.point = q
+    return exc
 
 
 def _point_by_point(thetas, states, point):
@@ -210,30 +217,44 @@ def _stack_model_part(problem, thetas, states):
     condition, the perturbed row of each state column, and all m rows of
     each parameter column. Raises on a failing kernel or solve, or a
     non-finite Jacobian row.
+
+    The plan comes from one mask, own: the rows whose bit patterns differ
+    from the reference row of their condition (so 0.0 and -0.0 are
+    different rows). The kernels see the shared rows (the conditions some
+    point does not own) in condition order, then the own rows in stack
+    order; their parameters fill one preallocated array and their inputs
+    are one gather from u_matrix. Gathering the outputs by row gives each
+    point its rows back. Gathers along one axis are takes, the cheapest
+    form of the same copy.
     """
     p, m, n_x = states.shape
     n_theta = thetas.shape[1]
     x_flat = states.reshape(p, m * n_x)
-    ref = (np.arange(n_theta + m * n_x) + 1) % p
-    ref_theta = thetas[ref[:n_theta], np.arange(n_theta)]
-    ref_x = x_flat[ref[n_theta:], np.arange(m * n_x)]
-    # bit patterns, so that 0.0 and -0.0 are different rows
+    cols = np.arange(n_theta + m * n_x)
+    ref = (cols + 1) % p
+    ref_theta = thetas[ref[:n_theta], cols[:n_theta]]
+    ref_x = x_flat[ref[n_theta:], cols[: m * n_x]]
     own = (x_flat.view(np.int64) != ref_x.view(np.int64)).reshape(p, m, n_x).any(axis=2)
     own |= (thetas.view(np.int64) != ref_theta.view(np.int64)).any(axis=1)[:, None]
-    shared = np.flatnonzero(~own.all(axis=0))
     own_q, own_i = np.nonzero(own)
+    shared = np.flatnonzero(np.bincount(own_i, minlength=m) < p)
+    n_shared = shared.size
+    n_rows = n_shared + own_q.size
     row = np.empty((p, m), dtype=np.intp)
-    row[:, shared] = np.arange(shared.size)
-    row[own_q, own_i] = shared.size + np.arange(own_q.size)
-    u_mat = problem.u_matrix
+    row[:, shared] = np.arange(n_shared)
+    row[own] = np.arange(n_shared, n_rows)
+    theta_rows = np.empty((n_rows, n_theta))
+    theta_rows[:n_shared] = ref_theta
+    theta_rows[n_shared:] = thetas.take(own_q, axis=0)
+    x_rows = [ref_x.reshape(m, n_x).take(shared, axis=0), states[own_q, own_i]]
     a, b, f_mat = _kernel_rows(
         problem.model,
-        np.concatenate([np.tile(ref_theta, (shared.size, 1)), thetas[own_q]]),
-        np.concatenate([ref_x.reshape(m, n_x)[shared], states[own_q, own_i]]),
-        np.concatenate([u_mat[shared], u_mat[own_i]]),
+        theta_rows,
+        np.concatenate(x_rows),
+        problem.u_matrix.take(np.concatenate([shared, own_i]), axis=0),
     )
     _check_jacobian_rows(a, b)
-    return pinv_sensitivity(a, b)[row], f_mat[row]
+    return pinv_sensitivity(a, b).take(row, axis=0), f_mat.take(row, axis=0)
 
 
 def _check_jacobian_rows(a, b):
@@ -251,10 +272,7 @@ def rhs(problem, y):
     n_theta = problem.model.n_theta
     states = y[n_theta:].reshape(len(problem.conditions), problem.model.n_x)
     d_theta, d_states = _assemble(problem, y[:n_theta], states)
-    dy = np.empty(y.size)
-    dy[:n_theta] = d_theta
-    dy[n_theta:] = d_states.ravel()
-    return dy
+    return np.concatenate([d_theta, d_states.ravel()])
 
 
 def rhs_stack(problem, ys):
@@ -318,11 +336,12 @@ def run_flow(problem, init, store_trajectory=False):
             trajectory.append(FlowState.unpack(yvec, n_theta, n_x, m, r=r))
 
     # every FD Jacobian is one stacked derivative call from two state
-    # columns on. With one, stacking saves nothing: on the conversion
-    # reaction's 3-column Jacobian the stack took 123-173 us against plain
-    # calls' 114-170 us (in-process timing on a 2-core x86_64 machine), and
-    # plain calls keep one _assemble call per rhs evaluation there, which
-    # perfbench's traced cr_methods run checks
+    # columns on. With one, plain calls stay: they keep one _assemble call
+    # per rhs evaluation, which perfbench's traced cr_methods run checks.
+    # The stack would now pay there too: on the conversion reaction's
+    # 3-column Jacobian it took 85 us against plain calls' 105 us (fastest
+    # of 30 interleaved in-process rounds on a 2-core x86_64 machine;
+    # BENCH_lean_stack_plan.json)
     stacked = partial(rhs_stack, problem) if m * n_x >= 2 else None
     t0 = time.perf_counter()
     try:

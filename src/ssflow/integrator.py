@@ -83,15 +83,19 @@ def _fd_jacobian(rhs, y, f0, rhs_stack=None):
     rhs_stack(ys) on the stack ys whose row j is column j's point; it
     returns the n values as rows, row j with the bits of rhs(ys[j]), so the
     Jacobian is the same bit for bit (the flow evaluates the stack in one
-    pass).
+    pass). The stack is y in every row with its diagonal stepped, and the
+    differences go straight into the C-ordered Jacobian; the array that
+    rhs_stack returns is only read, never written.
     """
     n = y.size
     steps = _SQRT_EPS * (1.0 + np.abs(y))
     if rhs_stack is not None:
-        ys = np.tile(y, (n, 1))
-        diag = np.arange(n)
-        ys[diag, diag] = y + steps
-        return np.ascontiguousarray(((rhs_stack(ys) - f0) / steps[:, None]).T)
+        ys = np.empty((n, n))
+        ys[:] = y
+        ys.flat[:: n + 1] = y + steps
+        jac = np.subtract(rhs_stack(ys).T, f0[:, None], order="C")
+        jac /= steps
+        return jac
     jac = np.empty((n, n))
     # one perturbed copy of y, each column's entry restored after its call
     yp = y.copy()

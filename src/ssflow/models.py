@@ -213,9 +213,10 @@ def ngf_erk_model():
         x1 = x_mat[:, 0]
         x2 = x_mat[:, 1]
         out = np.zeros((m, 2, 6))
-        out[:, 0, 0] = _LN10 * p[0] * u * (p[4] - x1)
+        activation = _LN10 * p[0] * u
+        out[:, 0, 0] = activation * (p[4] - x1)
         out[:, 0, 1] = -_LN10 * p[1] * x1
-        out[:, 0, 4] = _LN10 * p[0] * u * p[4]
+        out[:, 0, 4] = activation * p[4]
         out[:, 1, 2] = _LN10 * p[2] * (p[5] - x2)
         out[:, 1, 3] = -_LN10 * p[3] * x2
         out[:, 1, 5] = _LN10 * p[5] * (x1 + p[2])

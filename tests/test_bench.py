@@ -179,6 +179,20 @@ class TestRunBench:
         assert len(runs["1"]) == 12
         assert strip_wall_time(runs["1"]) == strip_wall_time(runs["2"])
 
+    @pytest.mark.parametrize("workers", ["abc", "-3", "0"])
+    def test_bad_worker_count_raises_before_any_run(self, monkeypatch, workers):
+        monkeypatch.setenv("SSFLOW_WORKERS", workers)
+        monkeypatch.setattr(bench, "_execute_task", None)
+        cfg = default_config("conversion_reaction", n_starts=1, lambdas=(20.0,))
+        with pytest.raises(ValueError, match="SSFLOW_WORKERS must be an integer >= 1"):
+            run_bench(cfg)
+
+    def test_worker_count(self, monkeypatch):
+        monkeypatch.setenv("SSFLOW_WORKERS", "3")
+        assert bench.worker_count() == 3
+        monkeypatch.delenv("SSFLOW_WORKERS")
+        assert bench.worker_count() == (os.cpu_count() or 1)
+
     def test_failed_run_gives_a_failure_record(self, monkeypatch, tmp_path):
         monkeypatch.setenv("SSFLOW_WORKERS", "1")
         cfg = default_config("conversion_reaction", n_starts=2, seed=8, lambdas=(20.0,))

@@ -108,6 +108,20 @@ class TestBench:
         assert "retraction factor" in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize("workers", ["abc", "-3", "0", "1.5", ""])
+    def test_bad_worker_count_is_a_usage_error(
+        self, tmp_path, capsys, monkeypatch, workers
+    ):
+        monkeypatch.setenv("SSFLOW_WORKERS", workers)
+        out = tmp_path / "bench"
+        with pytest.raises(SystemExit) as info:
+            main(["bench", "--starts", "1", "--out", str(out)])
+        assert info.value.code == 2
+        assert f"SSFLOW_WORKERS must be an integer >= 1, got {workers!r}" in (
+            capsys.readouterr().err
+        )
+        assert not out.exists()
+
     @pytest.mark.parametrize(
         "content, message",
         [

@@ -675,3 +675,116 @@ def test_stacked_objective_gradients_equal_per_point(make, data):
         want_x = np.asarray(objective.grad_x(thetas[q], states[q]), dtype=float)
         assert g_theta[q].tobytes() == want_theta.tobytes()
         assert g_x[q].tobytes() == want_x.tobytes()
+
+
+def recording_kernels(problem):
+    """problem with every batched kernel call's inputs appended to the
+    returned list, as (name, theta, x_mat, u_mat)."""
+    calls = []
+
+    def recorded(name):
+        kernel = getattr(problem.model, name)
+
+        def call(theta, x_mat, u_mat):
+            calls.append((name, np.array(theta), np.array(x_mat), np.array(u_mat)))
+            return kernel(theta, x_mat, u_mat)
+
+        return call
+
+    names = ("f_batch", "jac_x_batch", "jac_theta_batch")
+    model = dataclasses.replace(problem.model, **{k: recorded(k) for k in names})
+    return dataclasses.replace(problem, model=model), calls
+
+
+class TestDistinctRowPlan:
+    """A stack evaluates each distinct condition row once: a row with the
+    bits of the reference point's row is shared by every point that has
+    it, every other row is its own, all in one call per kernel."""
+
+    def setup_method(self):
+        prob = NgfErkProblem().with_generated_data(0)
+        problem = prob.flow_problem(FlowConfig(lam=20.0))
+        self.problem, self.calls = recording_kernels(problem)
+
+    def rows_per_kernel(self, ys):
+        """(kernel, rows) of the rhs_stack call on ys, whose calls are left
+        in self.calls; each row of its value has the bits of rhs alone."""
+        self.calls.clear()
+        got = flow.rhs_stack(self.problem, ys)
+        stack_calls = list(self.calls)
+        for q, y in enumerate(ys):
+            assert got[q].tobytes() == rhs(self.problem, y).tobytes(), q
+        self.calls[:] = stack_calls
+        return sorted((name, len(x_mat)) for name, _, x_mat, _ in stack_calls)
+
+    def test_identical_points_make_one_row_per_condition(self):
+        ys = np.tile(ngf_start().pack(), (7, 1))
+        assert self.rows_per_kernel(ys) == [
+            ("f_batch", 10),
+            ("jac_theta_batch", 10),
+            ("jac_x_batch", 10),
+        ]
+
+    def test_unrelated_points_make_every_row_their_own(self):
+        rng = np.random.default_rng(3)
+        p = 5
+        ys = np.concatenate(
+            [
+                rng.uniform(*NgfErkProblem.theta_box, (p, 6)),
+                rng.uniform(*NgfErkProblem.state_box, (p, 20)),
+            ],
+            axis=1,
+        )
+        assert self.rows_per_kernel(ys) == [
+            ("f_batch", p * 10),
+            ("jac_theta_batch", p * 10),
+            ("jac_x_batch", p * 10),
+        ]
+
+    def test_signed_zero_makes_a_row_of_its_own(self):
+        # every point has 0.0 at condition 3's first state but point 1,
+        # which has -0.0: equal as floats, different as bits. The reference
+        # takes coordinate j from point (j + 1) mod 5 = 3, so it has 0.0
+        y = ngf_start().pack()
+        j = 6 + 2 * 3
+        y[j] = 0.0
+        ys = np.tile(y, (5, 1))
+        ys[1, j] = -0.0
+        assert self.rows_per_kernel(ys) == [
+            ("f_batch", 11),
+            ("jac_theta_batch", 11),
+            ("jac_x_batch", 11),
+        ]
+        for _, _, x_mat, _ in self.calls:
+            assert np.signbit(x_mat[:, 0]).tolist() == [False] * 10 + [True]
+
+    def test_fd_stack_is_one_ninety_row_call_per_kernel_in_plan_order(self):
+        # the 10 reference rows, then the 10 rows of each parameter column,
+        # then the one perturbed row of each state column, in stack order
+        y = ngf_start().pack()
+        n = y.size
+        steps = integrator._SQRT_EPS * (1.0 + np.abs(y))
+        ys = y + np.diag(steps)
+        assert self.rows_per_kernel(ys) == [
+            ("f_batch", 90),
+            ("jac_theta_batch", 90),
+            ("jac_x_batch", 90),
+        ]
+        theta, states = y[:6], y[6:].reshape(10, 2)
+        u = self.problem.u_matrix
+        want_theta = [theta] * 10
+        want_x = list(states)
+        want_u = list(u)
+        for j in range(6):
+            want_theta += [ys[j, :6]] * 10
+            want_x += list(states)
+            want_u += list(u)
+        for j in range(6, n):
+            i = (j - 6) // 2
+            want_theta.append(theta)
+            want_x.append(ys[j, 6:].reshape(10, 2)[i])
+            want_u.append(u[i])
+        for _, theta_rows, x_mat, u_mat in self.calls:
+            assert theta_rows.tobytes() == np.array(want_theta).tobytes()
+            assert x_mat.tobytes() == np.array(want_x).tobytes()
+            assert u_mat.tobytes() == np.array(want_u).tobytes()

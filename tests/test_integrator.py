@@ -139,20 +139,23 @@ class TestFdJacobian:
     def test_stacked_bit_identical_to_copy_per_column_reference(self, rhs):
         # one call on the stack of perturbed points; the Jacobian is
         # C-ordered like the per-column one, so reductions over it keep
-        # their bits
+        # their bits, and the values the stack returns are only read
         rng = np.random.default_rng(7)
         y = rng.uniform(-3.0, 3.0, 26)
         f0 = rhs(y).copy()
         stacks = []
+        values = []
 
         def rhs_stack(ys):
             stacks.append(ys.copy())
-            return np.array([rhs(row) for row in ys])
+            values.append(np.array([rhs(row) for row in ys]))
+            return values[-1]
 
         got = _fd_jacobian(rhs, y, f0, rhs_stack)
         assert len(stacks) == 1
         assert np.array_equal(got, reference_fd_jacobian(rhs, y, f0))
         assert got.flags.c_contiguous
+        assert np.array_equal(values[0], [rhs(row) for row in stacks[0]])
 
     def test_leaves_y_unchanged(self):
         y = np.array([1.5, -0.25, 1e8, 0.0])
