@@ -22,7 +22,7 @@ VIOLATION_SHRINK = 4.0
 @dataclass
 class BaselineResult:
     theta: np.ndarray
-    states: Optional[list]
+    states: Optional[np.ndarray]
     objective: float
     constraint_violation: float
     iterations: int
@@ -203,7 +203,7 @@ def augmented_lagrangian_constrained(problem, init, tol=1e-6, max_outer=20):
     violation = float(np.abs(cvec).max()) if np.all(np.isfinite(cvec)) else np.inf
     return BaselineResult(
         theta=theta,
-        states=[x.copy() for x in states],
+        states=states,
         objective=float(objective.eval(theta, states)),
         constraint_violation=violation,
         iterations=total_iters,

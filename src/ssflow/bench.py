@@ -153,10 +153,8 @@ def sample_starts(config, bundle=None):
     starts = []
     for _ in range(config.n_starts):
         theta = rng.uniform(config.theta_box[0], config.theta_box[1], model.n_theta)
-        states = [
-            rng.uniform(config.state_box[0], config.state_box[1], model.n_x)
-            for _ in range(m)
-        ]
+        # row by row, as one draw per condition would make them
+        states = rng.uniform(config.state_box[0], config.state_box[1], (m, model.n_x))
         starts.append(FlowState(theta=theta, states=states))
     return starts
 

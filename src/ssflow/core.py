@@ -4,7 +4,7 @@ import enum
 import itertools
 import math
 from dataclasses import dataclass, field
-from typing import Callable, Optional, Sequence
+from typing import Callable, Optional
 
 import numpy as np
 
@@ -99,63 +99,55 @@ class Condition:
 class ObjectiveSpec:
     """Objective over parameters and per-condition state blocks.
 
-    ``grad_theta`` is the explicit parameter gradient holding the states
-    fixed; ``grad_x`` returns the state-block gradients, either as an
-    ``(m, n_x)`` array with one row per condition or as a sequence of m
-    per-condition arrays.
-
-    The stacked forms mirror ModelSpec's batched kernels over points:
-    ``grad_theta_batch`` and ``grad_x_batch`` take p points as thetas
-    ``(p, n_theta)`` and states ``(p, m, n_x)`` and return ``(p, n_theta)``
-    and ``(p, m, n_x)``. Row q must have the bits of the per-point form at
-    point q. The flow calls them once for all the points of its
-    finite-difference Jacobian; a form left out is filled by per-point
-    calls in row order.
+    ``eval`` is the value at one point: theta ``(n_theta,)`` and states
+    ``(m, n_x)``, one row per condition. ``grad_theta`` is the explicit
+    parameter gradient holding the states fixed, and ``grad_x`` the state
+    gradient, one row per condition. Both take one point, or a stack of p
+    points with a leading point axis, thetas ``(p, n_theta)`` and states
+    ``(p, m, n_x)``, and return the shape of their theta and states. Row q
+    of a stack must have the bits of point q alone, the rule ModelSpec's
+    batched kernels follow for one theta per row: the flow calls each
+    gradient once for all the points of its finite-difference Jacobian.
     """
 
-    eval: Callable[[np.ndarray, Sequence[np.ndarray]], float]
-    grad_theta: Callable[[np.ndarray, Sequence[np.ndarray]], np.ndarray]
-    grad_x: Callable[[np.ndarray, Sequence[np.ndarray]], Sequence[np.ndarray]]
-    grad_theta_batch: Optional[Callable[[np.ndarray, np.ndarray], np.ndarray]] = None
-    grad_x_batch: Optional[Callable[[np.ndarray, np.ndarray], np.ndarray]] = None
+    eval: Callable[[np.ndarray, np.ndarray], float]
+    grad_theta: Callable[[np.ndarray, np.ndarray], np.ndarray]
+    grad_x: Callable[[np.ndarray, np.ndarray], np.ndarray]
 
 
 @dataclass
 class FlowState:
-    """Concatenated optimisation state (theta, x^1..x^m) at pseudo-time r."""
+    """Concatenated optimisation state (theta, x^1..x^m) at pseudo-time r;
+    states is one ``(m, n_x)`` array, one row per condition."""
 
     theta: np.ndarray
-    states: list
+    states: np.ndarray
     r: float = 0.0
 
     def __post_init__(self):
         self.theta = np.atleast_1d(np.asarray(self.theta, dtype=float))
-        self.states = [np.atleast_1d(np.asarray(x, dtype=float)) for x in self.states]
+        self.states = np.asarray(self.states, dtype=float)
 
     def is_finite(self):
         return bool(
             np.all(np.isfinite(self.theta))
-            and all(np.all(np.isfinite(x)) for x in self.states)
+            and np.isfinite(self.states).all()
             and np.isfinite(self.r)
         )
 
     def pack(self):
         """Flatten to a single vector (theta first, then the state blocks)."""
-        return np.concatenate([self.theta] + list(self.states))
+        return np.concatenate([self.theta, self.states.ravel()])
 
     @classmethod
     def unpack(cls, vec, n_theta, n_x, m, r=0.0):
-        vec = np.asarray(vec, dtype=float)
+        vec = np.array(vec, dtype=float)
         if vec.size != n_theta + m * n_x:
             raise ValueError("vector length does not match (n_theta, n_x, m)")
-        theta = vec[:n_theta].copy()
-        states = [
-            vec[n_theta + i * n_x : n_theta + (i + 1) * n_x].copy() for i in range(m)
-        ]
-        return cls(theta=theta, states=states, r=r)
+        return cls(theta=vec[:n_theta], states=vec[n_theta:].reshape(m, n_x), r=r)
 
     def copy(self):
-        return FlowState(self.theta.copy(), [x.copy() for x in self.states], self.r)
+        return FlowState(self.theta.copy(), self.states.copy(), self.r)
 
 
 @dataclass(frozen=True)

@@ -71,132 +71,73 @@ def _assemble(problem, theta, states):
     """The flow derivative blocks at one point or at a stack of points;
     every evaluation of the flow derivative is one call.
 
-    One point: theta (n_theta,) and states (m, n_x). One batched call per
-    kernel over the m condition rows, the finiteness check of the Jacobian
-    rows before the pinv sensitivity solve, then the objective's gradients
-    pulled back through the stacked sensitivities, the retraction term and
-    the finiteness checks of both derivative blocks. The block structure of
-    the concatenated constraint system is never assembled explicitly.
-    Returns (d_theta, d_states) with d_states as an (m, n_x) array.
+    One point: theta (n_theta,) and states (m, n_x); returns d_theta
+    (n_theta,) and d_states (m, n_x). A stack of p points: theta
+    (p, n_theta) and states (p, m, n_x); returns (p, n_theta) and
+    (p, m, n_x) arrays whose row q has the bits of point q alone.
 
-    A stack of p points: theta (p, n_theta) and states (p, m, n_x); returns
-    (p, n_theta) and (p, m, n_x) arrays whose row q has the bits of point q
-    alone (see _assemble_stack).
+    The model part is the one branch. A point makes one batched call per
+    kernel over its m condition rows, checks the Jacobian rows for
+    finiteness and solves for the pinv sensitivities; a stack gets all of
+    it from _stack_model_part, one call per kernel and one stacked solve.
+    Then, at a point or a stack alike: one call of each objective gradient,
+    the gradients pulled back through the sensitivities, the retraction term
+    lam * f, and one finiteness pass that covers both derivative blocks. The
+    block structure of the concatenated constraint system is never
+    assembled explicitly.
+
+    A failure at a stack is the one its first failing point raises alone,
+    with that point's index as the exception's ``point``. A failure of the
+    stack's model part, which comes before any objective call, makes the
+    points run one by one, as plain calls, until one fails. An objective
+    gradient that raises on a stack fails the whole stack, and names a point
+    only if its exception carries ``point`` itself.
     """
-    if np.ndim(theta) == 2:
-        return _assemble_stack(problem, theta, states)
-    return _assemble_point(problem, theta, states)
-
-
-def _assemble_point(problem, theta, states):
-    x_mat = np.asarray(states, dtype=float)
-    a, b, f_mat = _kernel_rows(problem.model, theta, x_mat, problem.u_matrix)
-    _check_jacobian_rows(a, b)
-    s_hat = pinv_sensitivity(a, b)
+    if np.ndim(theta) == 1:
+        a, b, f_mat = _kernel_rows(problem.model, theta, states, problem.u_matrix)
+        _check_jacobian_rows(a, b)
+        s_hat = pinv_sensitivity(a, b)
+    else:
+        try:
+            s_hat, f_mat = _stack_model_part(problem, theta, states)
+        except _NUMERICAL_FAILURES:
+            return _point_by_point(problem, theta, states)
     objective = problem.objective
-    return _blocks(
-        problem,
-        s_hat,
-        f_mat,
-        objective.grad_theta(theta, states),
-        objective.grad_x(theta, states),
+    d_theta = -total_gradient(
+        objective.grad_theta(theta, states), s_hat, objective.grad_x(theta, states)
     )
-
-
-def _blocks(problem, s_hat, f_mat, g_theta, g_x):
-    """(d_theta, d_states) at one point from its model part and objective
-    gradients, each block checked for finiteness."""
-    d_theta = -total_gradient(g_theta, s_hat, g_x)
-    if not np.isfinite(d_theta).all():
-        raise _parameter_block_error()
-
-    d_states = s_hat @ d_theta + problem.config.lam * f_mat
+    lam = problem.config.lam
+    d_states = (s_hat @ d_theta[..., None, :, None])[..., 0] + lam * f_mat
+    # a non-finite entry of d_theta makes every entry of its point's d_states
+    # non-finite (0 * inf and inf - inf are NaN), so one pass checks both
     if not np.isfinite(d_states).all():
-        raise _state_block_error(np.isfinite(d_states).all(axis=1))
-    return d_theta, d_states
-
-
-def _parameter_block_error():
-    return FlowNumericalError("non-finite derivative in parameter block")
-
-
-def _state_block_error(finite_rows):
-    bad = np.flatnonzero(~finite_rows).tolist()
-    return FlowNumericalError(f"non-finite derivative in state block(s) {bad}")
-
-
-def _assemble_stack(problem, thetas, states):
-    """The derivative blocks at a stack of points (see _assemble).
-
-    The model part of the whole stack comes from one batched call per
-    kernel and one stacked sensitivity solve (_stack_model_part), the
-    objective's gradients from one call of each stacked form, and the
-    pull-back, the retraction term and the finiteness checks run vectorised
-    over the stack: one finiteness pass over each derivative block, and the
-    per-point masks only when a block holds a non-finite entry. When the
-    objective leaves a stacked form out, the points are assembled one by
-    one on the shared model part, with per-point calls of the missing form
-    in stack order.
-
-    A failure is the one the first failing point raises alone, in stack
-    order, and carries that point's index as its ``point`` attribute. The
-    vectorised checks name the point; point by point, the first failure
-    ends the stack; a failure of the shared model evaluation, which comes
-    before any objective call, makes the points run one by one, as plain
-    calls, until one fails. A stacked objective form that raises fails the
-    whole stack and names no point.
-    """
-    try:
-        s_hat, f_mat = _stack_model_part(problem, thetas, states)
-    except _NUMERICAL_FAILURES:
-        return _point_by_point(
-            thetas, states, lambda q: _assemble_point(problem, thetas[q], states[q])
-        )
-    objective = problem.objective
-    g_theta, g_x = (
-        None if form is None else np.asarray(form(thetas, states), dtype=float)
-        for form in (objective.grad_theta_batch, objective.grad_x_batch)
-    )
-    if g_theta is None or g_x is None:
-
-        def point(q):
-            theta, x_mat = thetas[q], states[q]
-            gt = objective.grad_theta(theta, x_mat) if g_theta is None else g_theta[q]
-            gx = objective.grad_x(theta, x_mat) if g_x is None else g_x[q]
-            return _blocks(problem, s_hat[q], f_mat[q], gt, gx)
-
-        return _point_by_point(thetas, states, point)
-    d_theta = -total_gradient(g_theta, s_hat, g_x)
-    d_states = (s_hat @ d_theta[:, None, :, None])[..., 0]
-    d_states += problem.config.lam * f_mat
-    if not (np.isfinite(d_theta).all() and np.isfinite(d_states).all()):
         raise _first_failing_point(d_theta, d_states)
     return d_theta, d_states
 
 
 def _first_failing_point(d_theta, d_states):
-    """The error of the first point of a stack with a non-finite derivative
-    block, as that point alone raises it, with its index as ``point``."""
-    finite_theta = np.isfinite(d_theta).all(axis=1)
-    finite_rows = np.isfinite(d_states).all(axis=2)
+    """The error of the first point with a non-finite derivative block, as
+    that point alone raises it, with its index in the stack as ``point``."""
+    finite_theta = np.isfinite(d_theta).all(axis=-1).reshape(-1)
+    finite_rows = np.isfinite(d_states).all(axis=-1).reshape(len(finite_theta), -1)
     q = int(np.flatnonzero(~(finite_theta & finite_rows.all(axis=1)))[0])
     if finite_theta[q]:
-        exc = _state_block_error(finite_rows[q])
+        bad = np.flatnonzero(~finite_rows[q]).tolist()
+        exc = FlowNumericalError(f"non-finite derivative in state block(s) {bad}")
     else:
-        exc = _parameter_block_error()
+        exc = FlowNumericalError("non-finite derivative in parameter block")
     exc.point = q
     return exc
 
 
-def _point_by_point(thetas, states, point):
-    """The derivative blocks at a stack from point(q) = (d_theta, d_states)
-    of each point q in stack order; the first failure carries its point's
-    index as ``point``."""
+def _point_by_point(problem, thetas, states):
+    """The derivative blocks at a stack as plain calls at each point, in
+    stack order; the first failure carries its point's index as ``point``."""
     d_theta = np.empty(thetas.shape)
     d_states = np.empty(states.shape)
     for q in range(len(thetas)):
         try:
-            d_theta[q], d_states[q] = point(q)
+            d_theta[q], d_states[q] = _assemble(problem, thetas[q], states[q])
         except Exception as exc:
             exc.point = q
             raise
@@ -298,8 +239,7 @@ def stop_check(problem, y, dy):
 
 def manifold_residual(problem, state):
     """Max over conditions of the inf-norm of f(theta, x_i, u_i)."""
-    x_mat = np.asarray(state.states, dtype=float)
-    f_mat = problem.model.f_batch(state.theta, x_mat, problem.u_matrix)
+    f_mat = problem.model.f_batch(state.theta, state.states, problem.u_matrix)
     return float(np.abs(np.asarray(f_mat, dtype=float)).max())
 
 
@@ -315,14 +255,12 @@ def run_flow(problem, init, store_trajectory=False):
     n_theta = problem.model.n_theta
     n_x = problem.model.n_x
     m = len(problem.conditions)
-    if init.theta.size != n_theta or len(init.states) != m:
-        raise ValueError("initial state dimensions do not match the problem")
-    for i, x in enumerate(init.states):
-        if x.size != n_x:
-            raise ValueError(
-                f"initial state block {i} has {x.size} entries; "
-                f"the model has n_x = {n_x}"
-            )
+    if init.theta.shape != (n_theta,) or init.states.shape != (m, n_x):
+        raise ValueError(
+            f"initial state has theta {init.theta.shape} and states "
+            f"{init.states.shape}; the problem has n_theta = {n_theta}, "
+            f"m = {m} conditions and n_x = {n_x}"
+        )
     if not init.is_finite():
         raise ValueError("initial state must be finite")
 

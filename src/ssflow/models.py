@@ -120,26 +120,14 @@ class ConversionReactionProblem:
                 np.sum((theta - theta_bar) ** 2)
             )
 
+        # at one point, or at each point of a stack (ObjectiveSpec)
         def grad_theta(theta, states):
             return theta - theta_bar
 
         def grad_x(theta, states):
-            return np.array([[w * (states[0][0] - x_bar)]])
+            return w * (np.asarray(states, dtype=float) - x_bar)
 
-        # the stacked forms: thetas (p, 2) and states (p, 1, 1)
-        def grad_theta_batch(thetas, states):
-            return thetas - theta_bar
-
-        def grad_x_batch(thetas, states):
-            return w * (states - x_bar)
-
-        return ObjectiveSpec(
-            eval=evaluate,
-            grad_theta=grad_theta,
-            grad_x=grad_x,
-            grad_theta_batch=grad_theta_batch,
-            grad_x_batch=grad_x_batch,
-        )
+        return ObjectiveSpec(eval=evaluate, grad_theta=grad_theta, grad_x=grad_x)
 
     def flow_problem(self, config: FlowConfig):
         return FlowProblem(
@@ -284,34 +272,20 @@ class NgfErkProblem:
         data = np.asarray(self.data, dtype=float)
 
         def evaluate(theta, states):
-            res = np.array([x[1] for x in states]) - data
+            res = np.asarray(states, dtype=float)[:, 1] - data
             return 0.5 * float(np.sum(res**2))
 
+        # at one point, or at each point of a stack (ObjectiveSpec)
         def grad_theta(theta, states):
-            return np.zeros(6)
+            return np.zeros(np.shape(theta))
 
         def grad_x(theta, states):
-            x_mat = np.asarray(states, dtype=float)
-            out = np.zeros_like(x_mat)
-            out[:, 1] = x_mat[:, 1] - data
+            x = np.asarray(states, dtype=float)
+            out = np.zeros_like(x)
+            out[..., 1] = x[..., 1] - data
             return out
 
-        # the stacked forms: thetas (p, 6) and states (p, 10, 2)
-        def grad_theta_batch(thetas, states):
-            return np.zeros((len(thetas), 6))
-
-        def grad_x_batch(thetas, states):
-            out = np.zeros_like(states)
-            out[..., 1] = states[..., 1] - data
-            return out
-
-        return ObjectiveSpec(
-            eval=evaluate,
-            grad_theta=grad_theta,
-            grad_x=grad_x,
-            grad_theta_batch=grad_theta_batch,
-            grad_x_batch=grad_x_batch,
-        )
+        return ObjectiveSpec(eval=evaluate, grad_theta=grad_theta, grad_x=grad_x)
 
     def flow_problem(self, config: FlowConfig):
         return FlowProblem(

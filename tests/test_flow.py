@@ -98,12 +98,16 @@ class TestRhs:
             run_flow(problem, bad)
 
     def test_ragged_state_blocks_rejected(self):
-        # the right total size, but not one n_x = 2 block per condition
+        # the right total size, but not one n_x = 2 block per condition: a
+        # ragged list is no state array, and a (5, 4) one fails the shape
+        # check
         prob = NgfErkProblem().with_generated_data(0)
         problem = prob.flow_problem(FlowConfig(lam=20.0, max_rhs_evals=50))
         sizes = [3, 1] + [2] * 8
-        bad = FlowState(theta=np.zeros(6), states=[np.full(k, 0.5) for k in sizes])
-        with pytest.raises(ValueError, match="block 0 has 3 entries"):
+        with pytest.raises(ValueError):
+            FlowState(theta=np.zeros(6), states=[np.full(k, 0.5) for k in sizes])
+        bad = FlowState(theta=np.zeros(6), states=np.full((5, 4), 0.5))
+        with pytest.raises(ValueError, match=r"states \(5, 4\).*n_x = 2"):
             run_flow(problem, bad)
 
 
@@ -328,18 +332,65 @@ class TestOnePath:
         assert np.array_equal(d_states, np.zeros((1, 1)))
 
 
+class TestNonFiniteBlocks:
+    """At one point, a non-finite derivative block raises an error naming
+    it: the parameter block when it holds one, else each state block that
+    does."""
+
+    @pytest.mark.parametrize(
+        "bad_rows, bad_gradient, message",
+        [
+            ([2, 7], False, "non-finite derivative in state block(s) [2, 7]"),
+            ([], True, "non-finite derivative in parameter block"),
+            ([2, 7], True, "non-finite derivative in parameter block"),
+        ],
+    )
+    def test_names_the_failing_block(self, bad_rows, bad_gradient, message):
+        # an infinite f at some condition rows reaches only their state
+        # blocks, through the retraction term; a NaN parameter gradient
+        # reaches both blocks
+        prob = NgfErkProblem().with_generated_data(0)
+        base = prob.flow_problem(FlowConfig(lam=20.0))
+        f_batch = base.model.f_batch
+
+        def f_inf_at_rows(theta, x_mat, u_mat):
+            out = f_batch(theta, x_mat, u_mat)
+            out[bad_rows] = np.inf
+            return out
+
+        objective = base.objective
+        if bad_gradient:
+            objective = dataclasses.replace(
+                objective, grad_theta=lambda theta, states: np.full(6, np.nan)
+            )
+        model = dataclasses.replace(base.model, f_batch=f_inf_at_rows)
+        problem = dataclasses.replace(base, model=model, objective=objective)
+        with pytest.raises(FlowNumericalError) as info:
+            rhs(problem, ngf_start().pack())
+        assert str(info.value) == message
+
+
+def nan_from_point(grad, k):
+    """grad at one point or a stack, with a NaN gradient at the k-th point
+    it sees and every later one, and the list of the points of each call."""
+    calls = []
+
+    def wrapped(theta, states):
+        seen = sum(calls)
+        calls.append(len(theta) if np.ndim(theta) == 2 else 1)
+        g = np.array(grad(theta, states), dtype=float)
+        g.reshape(calls[-1], -1)[max(k - 1 - seen, 0) :] = np.nan
+        return g
+
+    return wrapped, calls
+
+
 class TestNumericalFailureCounts:
     def test_reports_the_work_done_before_the_failure(self):
         # grad_theta (one call per rhs evaluation) turns NaN after 200 calls
         prob = ConversionReactionProblem()
         base = prob.objective()
-        calls = []
-
-        def grad_theta(theta, states):
-            calls.append(1)
-            g = base.grad_theta(theta, states)
-            return g if len(calls) <= 200 else np.full_like(g, np.nan)
-
+        grad_theta, calls = nan_from_point(base.grad_theta, 201)
         problem = FlowProblem(
             model=prob.model(),
             objective=ObjectiveSpec(base.eval, grad_theta, base.grad_x),
@@ -349,26 +400,20 @@ class TestNumericalFailureCounts:
         init = FlowState(theta=np.array([5.0, 3.0]), states=[np.array([0.9])])
         result, traj = run_flow(problem, init, store_trajectory=True)
         assert result.reason is StopReason.NUMERICAL_FAILURE
-        assert result.rhs_evals == len(calls) == 201
+        assert result.rhs_evals == len(calls) == sum(calls) == 201
         assert result.steps_accepted == len(traj) - 1 > 0
         assert result.jacobian_evals >= result.steps_accepted
         assert 0.0 < result.min_step <= result.max_step
         assert np.array_equal(result.final.pack(), traj[-1].pack())
 
     def test_reports_the_work_done_before_a_failure_inside_a_stack(self):
-        # NGF: every FD Jacobian is one stack; the objective has per-point
-        # forms only, so the stack calls grad_theta point by point and stops
-        # at the failing point, as plain rhs calls would. The 190th point is
-        # row 15 of the seventh Jacobian's stack (points 176-201)
+        # NGF: every FD Jacobian is one stack, and grad_theta sees all of
+        # its points in one call. The 190th point is row 15 of the seventh
+        # Jacobian's stack (points 176-201); the stack names that row, so
+        # the run counts up to it, as plain rhs calls would
         prob = NgfErkProblem().with_generated_data(0)
         base = prob.objective()
-        calls = []
-
-        def grad_theta(theta, states):
-            calls.append(1)
-            g = base.grad_theta(theta, states)
-            return g if len(calls) < 190 else np.full_like(g, np.nan)
-
+        grad_theta, calls = nan_from_point(base.grad_theta, 190)
         problem = FlowProblem(
             model=prob.model(),
             objective=ObjectiveSpec(base.eval, grad_theta, base.grad_x),
@@ -377,37 +422,24 @@ class TestNumericalFailureCounts:
         )
         result, traj = run_flow(problem, ngf_start(), store_trajectory=True)
         assert result.reason is StopReason.NUMERICAL_FAILURE
-        assert result.rhs_evals == len(calls) == 190
+        assert calls[-1] == 26 and sum(calls[:-1]) == 175
+        assert result.rhs_evals == sum(calls[:-1]) + 15 == 190
         assert result.steps_accepted == len(traj) - 1 > 0
         assert result.jacobian_evals >= result.steps_accepted
         assert 0.0 < result.min_step <= result.max_step
         assert np.array_equal(result.final.pack(), traj[-1].pack())
 
     def test_stacked_gradient_failure_counts_up_to_its_point(self, monkeypatch):
-        # the stacked grad_theta turns NaN from the 190th point on (row 15
-        # of the seventh Jacobian's stack), counting the points of per-point
+        # grad_theta turns NaN from the 190th point on (row 15 of the
+        # seventh Jacobian's stack), counting the points of single-point
         # and stacked calls alike: the stack names its failing row, and the
         # run ends at the same count as with plain rhs calls
         prob = NgfErkProblem().with_generated_data(0)
         base = prob.objective()
 
         def make_problem():
-            points = []
-
-            def grad_theta(theta, states):
-                points.append(1)
-                g = base.grad_theta(theta, states)
-                return g if len(points) < 190 else np.full_like(g, np.nan)
-
-            def grad_theta_batch(thetas, states):
-                g = base.grad_theta_batch(thetas, states)
-                g[max(189 - len(points), 0) :] = np.nan
-                points.extend([1] * len(thetas))
-                return g
-
-            objective = dataclasses.replace(
-                base, grad_theta=grad_theta, grad_theta_batch=grad_theta_batch
-            )
+            grad_theta, _ = nan_from_point(base.grad_theta, 190)
+            objective = dataclasses.replace(base, grad_theta=grad_theta)
             return dataclasses.replace(
                 prob.flow_problem(FlowConfig(lam=20.0)), objective=objective
             )
@@ -540,6 +572,10 @@ class TestSharedColumnFailureParity:
         assert_same_run(shared, plain)
 
     def test_grad_x_raising_at_each_call_of_the_first_two_jacobians(self, monkeypatch):
+        # grad_x raises at its k-th point, for every point of the first two
+        # Jacobians' steps. In a stack it names that point's row as
+        # ``point``, so the run counts up to it, as with one plain rhs call
+        # per point
         prob = NgfErkProblem().with_generated_data(0)
         base = prob.objective()
         init = ngf_start()
@@ -551,9 +587,13 @@ class TestSharedColumnFailureParity:
                 calls = []
 
                 def grad_x(theta, states):
-                    calls.append(1)
-                    if len(calls) == k:
-                        raise FloatingPointError(f"grad_x call {k}")
+                    seen = sum(calls)
+                    calls.append(len(theta) if np.ndim(theta) == 2 else 1)
+                    if seen < k <= sum(calls):
+                        exc = FloatingPointError(f"grad_x call {k}")
+                        if np.ndim(theta) == 2:
+                            exc.point = k - 1 - seen
+                        raise exc
                     return base.grad_x(theta, states)
 
                 return FlowProblem(
@@ -571,19 +611,12 @@ class TestSharedColumnFailureParity:
         assert jacobians == {0, 1, 2}
 
 
-
 def per_condition_ngf_problem():
-    """NGF with a per-point-only objective and a per-condition-only model:
-    the stack fills both in, point by point and row by row."""
+    """NGF with a per-condition-only model: the stack's rows are filled in
+    row by row."""
     prob = NgfErkProblem().with_generated_data(0)
     built_in = prob.flow_problem(FlowConfig(lam=20.0))
-    base = built_in.objective
-    return FlowProblem(
-        model=per_condition_model(built_in.model),
-        objective=ObjectiveSpec(base.eval, base.grad_theta, base.grad_x),
-        conditions=built_in.conditions,
-        config=built_in.config,
-    )
+    return dataclasses.replace(built_in, model=per_condition_model(built_in.model))
 
 
 STACK_PROBLEMS = {
@@ -591,7 +624,7 @@ STACK_PROBLEMS = {
     "ngf": lambda: NgfErkProblem().with_generated_data(0).flow_problem(
         FlowConfig(lam=20.0)
     ),
-    "ngf_per_point": per_condition_ngf_problem,
+    "ngf_per_condition_model": per_condition_ngf_problem,
 }
 
 
@@ -659,6 +692,8 @@ def test_stacked_derivative_equals_per_point_rhs(name, data):
 @settings(max_examples=60, deadline=None)
 @given(data=st.data())
 def test_stacked_objective_gradients_equal_per_point(make, data):
+    # each gradient on a stack of points equals the same callable at each
+    # point alone, bit for bit
     prob = make()
     model = prob.model()
     m = len(prob.conditions())
@@ -667,12 +702,13 @@ def test_stacked_objective_gradients_equal_per_point(make, data):
     value = st.floats(-1e6, 1e6)
     thetas = data.draw(arrays(float, (p, model.n_theta), elements=value))
     states = data.draw(arrays(float, (p, m, model.n_x), elements=value))
-    g_theta = objective.grad_theta_batch(thetas, states)
-    g_x = objective.grad_x_batch(thetas, states)
+    g_theta = objective.grad_theta(thetas, states)
+    g_x = objective.grad_x(thetas, states)
     assert g_theta.shape == thetas.shape and g_x.shape == states.shape
     for q in range(p):
-        want_theta = np.asarray(objective.grad_theta(thetas[q], states[q]), dtype=float)
-        want_x = np.asarray(objective.grad_x(thetas[q], states[q]), dtype=float)
+        want_theta = objective.grad_theta(thetas[q], states[q])
+        want_x = objective.grad_x(thetas[q], states[q])
+        assert want_theta.shape == thetas[q].shape and want_x.shape == states[q].shape
         assert g_theta[q].tobytes() == want_theta.tobytes()
         assert g_x[q].tobytes() == want_x.tobytes()
 

@@ -206,26 +206,25 @@ def counting_kernels(model):
 
 def counting_gradients(objective):
     """objective with every gradient call appended to the returned list, as
-    (name, points): a stacked form's points, or 1 for a per-point form."""
+    (name, points): a stack's points, or 1 for one point."""
     calls = []
 
     def counted(name):
         form = getattr(objective, name)
-        stacked = name.endswith("_batch")
 
         def call(theta, states):
-            calls.append((name, len(theta) if stacked else 1))
+            calls.append((name, len(theta) if np.ndim(theta) == 2 else 1))
             return form(theta, states)
 
         return call
 
-    names = ("grad_theta", "grad_x", "grad_theta_batch", "grad_x_batch")
+    names = ("grad_theta", "grad_x")
     return dataclasses.replace(objective, **{k: counted(k) for k in names}), calls
 
 
 class TestSharedColumns:
     """The flow's FD Jacobian as one stacked derivative call: one model
-    evaluation and one call of each stacked objective gradient shared by
+    evaluation and one stacked call of each objective gradient shared by
     all columns, the same Jacobian bit for bit."""
 
     def test_ngf_bit_identical_to_copy_per_column_reference(self):
@@ -252,11 +251,11 @@ class TestSharedColumns:
                 ("jac_theta_batch", 90),
                 ("jac_x_batch", 90),
             ]
-            # one call of each stacked gradient over the 26 points, and no
-            # per-point gradient call
+            # one call of each gradient over the 26 points, and no
+            # single-point gradient call
             assert sorted(gradient_calls) == [
-                ("grad_theta_batch", 26),
-                ("grad_x_batch", 26),
+                ("grad_theta", 26),
+                ("grad_x", 26),
             ]
             assert np.array_equal(got, reference_fd_jacobian(rhs, y, f0))
 
@@ -279,7 +278,7 @@ class TestSharedColumns:
         for name in ("f_batch", "jac_x_batch", "jac_theta_batch"):
             assert calls.count((name, 90)) == result.jacobian_evals
         assert {rows for _, rows in calls} == {10, 90}
-        for name in ("grad_theta_batch", "grad_x_batch"):
+        for name in ("grad_theta", "grad_x"):
             assert gradient_calls.count((name, 26)) == result.jacobian_evals
         single = result.rhs_evals - 26 * result.jacobian_evals
         assert gradient_calls.count(("grad_x", 1)) == single
@@ -288,32 +287,26 @@ class TestSharedColumns:
     def test_exactly_singular_rows_bit_identical(self):
         # two conversion-reaction conditions at theta = (0, 0): every state
         # Jacobian in the shared stack is exactly zero and takes the
-        # truncated pseudoinverse; the objective with per-point forms only,
-        # and with its stacked forms too
+        # truncated pseudoinverse; the objective's gradients take a point or
+        # a stack
         cond = Condition(u=np.zeros(0), data=np.array([0.2]))
-        per_point = ObjectiveSpec(
+        objective = ObjectiveSpec(
             eval=lambda theta, states: 0.0,
             grad_theta=lambda theta, states: theta - 1.0,
-            grad_x=lambda theta, states: np.asarray(states) - 0.2,
+            grad_x=lambda theta, states: states - 0.2,
         )
-        stacked = dataclasses.replace(
-            per_point,
-            grad_theta_batch=lambda thetas, states: thetas - 1.0,
-            grad_x_batch=lambda thetas, states: states - 0.2,
+        problem = flow.FlowProblem(
+            conversion_reaction_model(),
+            objective,
+            [cond, cond],
+            FlowConfig(lam=20.0),
         )
-        for objective in (per_point, stacked):
-            problem = flow.FlowProblem(
-                conversion_reaction_model(),
-                objective,
-                [cond, cond],
-                FlowConfig(lam=20.0),
-            )
-            rhs = partial(flow.rhs, problem)
-            y = np.array([0.0, 0.0, 0.3, 0.7])
-            f0 = rhs(y)
-            got = _fd_jacobian(rhs, y, f0, partial(flow.rhs_stack, problem))
-            assert np.all(np.isfinite(got))
-            assert np.array_equal(got, reference_fd_jacobian(rhs, y, f0))
+        rhs = partial(flow.rhs, problem)
+        y = np.array([0.0, 0.0, 0.3, 0.7])
+        f0 = rhs(y)
+        got = _fd_jacobian(rhs, y, f0, partial(flow.rhs_stack, problem))
+        assert np.all(np.isfinite(got))
+        assert np.array_equal(got, reference_fd_jacobian(rhs, y, f0))
 
     def test_stack_goes_through_the_counting(self):
         # the stack call adds n to rhs_evals, so the budget still sees n
