@@ -162,6 +162,7 @@ def main(argv=None):
             "converged": result.converged,
             "reason": result.reason.value,
             "rhs_evals": result.rhs_evals,
+            "discarded_evals": result.discarded_evals,
             "steps_accepted": result.steps_accepted,
             "steps_rejected": result.steps_rejected,
             "jacobian_evals": result.jacobian_evals,

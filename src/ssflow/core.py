@@ -154,7 +154,10 @@ class FlowState:
 class FlowConfig:
     """Retraction factor, stopping tolerance and integration limits.
     max_rhs_evals is checked before each integrator step, so a run can end
-    up to n + 2 rhs evaluations past it (n: the packed state size)."""
+    up to n + 2 rhs evaluations past it (n: the packed state size). The
+    FD points the integrator evaluates ahead, in one call with a step's
+    base point, count only once a Jacobian takes them; the ones no Jacobian
+    takes are not rhs evaluations here (RunResult.discarded_evals)."""
 
     lam: float
     tol: float = 1e-6
@@ -187,8 +190,11 @@ class RunResult:
 
     The integrator counters: ``rhs_evals`` includes the Jacobian
     differencing, ``jacobian_evals`` counts the finite-difference Jacobians,
-    and ``min_step``/``max_step`` span the accepted steps (inf and 0.0 when
-    no step was accepted).
+    ``discarded_evals`` counts the FD points evaluated ahead with a base
+    point that no Jacobian took (a rejected step's new point, the run's last
+    point), so ``rhs_evals + discarded_evals`` points were evaluated, and
+    ``min_step``/``max_step`` span the accepted steps (inf and 0.0 when no
+    step was accepted).
     """
 
     final: FlowState
@@ -201,6 +207,7 @@ class RunResult:
     steps_rejected: int
     wall_time: float
     jacobian_evals: int = 0
+    discarded_evals: int = 0
     min_step: float = math.inf
     max_step: float = 0.0
 

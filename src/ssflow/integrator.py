@@ -8,6 +8,14 @@ time-derivative term is zero and left out (append a clock state y' = 1 to
 integrate a non-autonomous system). The rhs Jacobian is approximated by
 forward differences. Each step factorises its stage matrix once with LAPACK
 getrf and runs its three stage solves with getrs, called directly.
+
+Given a stacked rhs, every point that may become the next step's base (the
+initial point, the new point of a step that keeps its L-stable solution, the
+extrapolated point of one that does not) is evaluated in one call together
+with its n forward-difference points: the stack holds the n perturbed
+points, then the point itself, and its last row is the value. The other n
+rows become that point's Jacobian if the next step starts there, so each
+such point costs one derivative call instead of two.
 """
 
 import enum
@@ -43,13 +51,18 @@ class IntegratorStats:
     steps_rejected: int = 0
     rhs_evals: int = 0
     jacobian_evals: int = 0
+    discarded_evals: int = 0
     min_step: float = field(default=math.inf)
     max_step: float = 0.0
 
 
-def step(rhs, y, h, jac, f0):
+def step(rhs, y, h, jac, f0, rhs_new=None):
     """One step of the scheme from y, with f0 = rhs(y); returns (y_new,
-    error_estimate, f_new) with f_new = rhs(y_new), reusable by the caller."""
+    error_estimate, f_new) with f_new = rhs(y_new), reusable by the caller.
+
+    rhs_new, if given, makes f_new in place of rhs: integrate_adaptive
+    passes the call that also evaluates y_new's forward-difference points
+    when y_new will be the next step's base."""
     if h <= 0:
         raise ValueError("step size must be positive")
     w = np.eye(y.size) - (h * _D) * jac
@@ -67,7 +80,7 @@ def step(rhs, y, h, jac, f0):
     f1 = rhs(y + 0.5 * h * k1)
     k2 = dgetrs(lu, piv, f1 - k1, overwrite_b=True)[0] + k1
     y_new = y + h * k2
-    f_new = rhs(y_new)
+    f_new = (rhs if rhs_new is None else rhs_new)(y_new)
     k3 = dgetrs(
         lu, piv, f_new - _E32 * (k2 - f1) - 2.0 * (k1 - f0), overwrite_b=True
     )[0]
@@ -75,25 +88,33 @@ def step(rhs, y, h, jac, f0):
     return y_new, err, f_new
 
 
+def _fd_stack(y, value=False):
+    """The stack of y's n forward-difference points, row j being y with its
+    entry j stepped by _SQRT_EPS * (1 + |y[j]|); with value=True, y itself
+    follows as row n."""
+    n = y.size
+    ys = np.empty((n + value, n))
+    ys[:] = y
+    ys.flat[:: n + 1] = y + _SQRT_EPS * (1.0 + np.abs(y))
+    return ys
+
+
 def _fd_jacobian(rhs, y, f0, rhs_stack=None):
     """Forward-difference Jacobian of rhs at y, with f0 = rhs(y): column j
-    from the point y + steps[j] e_j.
+    from the point y + steps[j] e_j, row j of _fd_stack(y).
 
     Without rhs_stack, n rhs calls, one per column. With it, one call
-    rhs_stack(ys) on the stack ys whose row j is column j's point; it
-    returns the n values as rows, row j with the bits of rhs(ys[j]), so the
-    Jacobian is the same bit for bit (the flow evaluates the stack in one
-    pass). The stack is y in every row with its diagonal stepped, and the
-    differences go straight into the C-ordered Jacobian; the array that
-    rhs_stack returns is only read, never written.
+    rhs_stack(ys) on the stack ys of those points; it returns the n values
+    as rows, row j with the bits of rhs(ys[j]), so the Jacobian is the same
+    bit for bit (the flow evaluates the stack in one pass; the integrator
+    may hand back rows it made ahead). The differences go straight into the
+    C-ordered Jacobian; the array that rhs_stack returns is only read,
+    never written.
     """
     n = y.size
     steps = _SQRT_EPS * (1.0 + np.abs(y))
     if rhs_stack is not None:
-        ys = np.empty((n, n))
-        ys[:] = y
-        ys.flat[:: n + 1] = y + steps
-        jac = np.subtract(rhs_stack(ys).T, f0[:, None], order="C")
+        jac = np.subtract(rhs_stack(_fd_stack(y)).T, f0[:, None], order="C")
         jac /= steps
         return jac
     jac = np.empty((n, n))
@@ -139,10 +160,27 @@ def integrate_adaptive(
     evaluations, Jacobian differencing included, but is not a cap: it is
     checked before each step, and a step of n variables makes up to n + 3
     (Jacobian, two stages, extrapolation), so a run can end n + 2 past it.
-    rhs_stack, if given, evaluates every Jacobian's n perturbed points in
-    one call (see _fd_jacobian). It goes through the counting too: the call
-    adds n to rhs_evals, so the budget keeps its meaning. When it raises an
-    exception that names its first failing row as ``point``, the count
+
+    rhs_stack, if given, evaluates a stack of points in one call, row q with
+    the bits of rhs at row q. Each point that may be the next step's base
+    is then evaluated in one rhs_stack call together with its n FD points
+    (see the module docstring): the initial point, a step's new point when
+    h * ||jac||_inf > 1 (the step keeps its L-stable solution; the test
+    needs only h and the Jacobian, so it is made before the step), and the
+    extrapolated point otherwise. The counting is that of one plain call
+    for the value and one stack call per Jacobian: the value counts 1 when
+    it is made, and the n rows add n to rhs_evals when a step takes its
+    Jacobian from them, after the budget check, where the Jacobian's own
+    call would count. Rows that no step takes (a rejected step's new point,
+    the run's last point) count in discarded_evals instead (rows count there
+    from their call until a step takes them), so rhs_evals + discarded_evals
+    is the number of points evaluated, merged calls that raised apart. If
+    this merged call
+    raises, the value is made again by a plain rhs call and the next
+    Jacobian by a stack call of its own (see _fd_jacobian), so a failing
+    row fails the run only where those calls would reach it, with their
+    counts. That Jacobian stack call adds n to rhs_evals; when it raises
+    an exception that names its first failing row as ``point``, the count
     covers the rows up to and including that one, as n plain calls that
     stop at the failing one would; any other exception counts all n.
 
@@ -154,7 +192,10 @@ def integrate_adaptive(
     y = np.atleast_1d(np.asarray(y0, dtype=float)).copy()
     if y.size == 0:
         raise ValueError("initial state must not be empty")
+    n = y.size
     stats = IntegratorStats()
+    # the FD rows of the point last evaluated by base_value, or None
+    ahead = None
 
     def counted_rhs(y):
         # counted before the call, so a call that raises is counted too
@@ -172,9 +213,32 @@ def integrate_adaptive(
                 stats.rhs_evals = before + point + 1
             raise
 
+    def take_rows(ys):
+        # y's FD rows, made ahead with its value: counted now that a
+        # Jacobian takes them
+        stats.discarded_evals -= n
+        stats.rhs_evals += n
+        return rows
+
+    def base_value(y):
+        # rhs(y) for a point that may be the next step's base: the last row
+        # of one call on y's FD stack and y, whose other rows wait in ahead
+        nonlocal ahead
+        ahead = None
+        if rhs_stack is None:
+            return counted_rhs(y)
+        try:
+            values = rhs_stack(_fd_stack(y, value=True))
+        except Exception:
+            return counted_rhs(y)
+        stats.rhs_evals += 1
+        stats.discarded_evals += n
+        ahead = values[:-1]
+        return values[-1]
+
     try:
         r = 0.0
-        f0 = counted_rhs(y)
+        f0 = base_value(y)
         if not np.all(np.isfinite(f0)):
             raise FloatingPointError("non-finite right-hand side at the initial point")
         if observer is not None:
@@ -186,6 +250,7 @@ def integrate_adaptive(
 
         h = _initial_step(y, f0, r_max, rel_tol, abs_tol)
         jac = None
+        rows = ahead
         while True:
             if r >= r_max:
                 return r, y, stats, IntegrationOutcome.HORIZON
@@ -195,12 +260,26 @@ def integrate_adaptive(
             if h < 1e-14 * max(1.0, abs(r)):
                 return r, y, stats, IntegrationOutcome.STEP_UNDERFLOW
             if jac is None:
-                jac = _fd_jacobian(
-                    counted_rhs, y, f0, None if rhs_stack is None else counted_stack
-                )
+                if rows is not None:
+                    stack = take_rows
+                elif rhs_stack is not None:
+                    stack = counted_stack
+                else:
+                    stack = None
+                jac = _fd_jacobian(counted_rhs, y, f0, stack)
+                rows = None
                 stats.jacobian_evals += 1
+                jac_norm = float(np.abs(jac).sum(axis=1).max())
+            # in the nonstiff regime an accepted step advances the
+            # third-order companion (local extrapolation) so the global
+            # error tracks the tolerance linearly; when the step resolves
+            # stiff modes it keeps the L-stable second-order solution, whose
+            # value is then the next base
+            extrapolate = h * jac_norm <= 1.0
             try:
-                y_new, err, f_new = step(counted_rhs, y, h, jac, f0)
+                y_new, err, f_new = step(
+                    counted_rhs, y, h, jac, f0, None if extrapolate else base_value
+                )
             except StageSolveFailure:
                 stats.steps_rejected += 1
                 h *= FAC_MIN
@@ -215,19 +294,16 @@ def integrate_adaptive(
                 else:
                     h *= FAC_MIN
                 continue
-            # accepted; in the nonstiff regime advance the third-order
-            # companion (local extrapolation) so the global error tracks the
-            # tolerance linearly, but keep the L-stable second-order solution
-            # when the step resolves stiff modes
             r += h
-            if h * float(np.abs(jac).sum(axis=1).max()) <= 1.0:
+            if extrapolate:
                 y = y_new + err
-                f0 = counted_rhs(y)
+                f0 = base_value(y)
                 if not np.all(np.isfinite(f0)):
                     raise FloatingPointError("non-finite right-hand side after a step")
             else:
                 y = y_new
                 f0 = f_new
+            rows = ahead
             jac = None
             stats.steps_accepted += 1
             stats.min_step = min(stats.min_step, h)

@@ -55,6 +55,8 @@ class TestRun:
         # one Jacobian per accepted step; the run stopped right after one
         assert payload["jacobian_evals"] == payload["steps_accepted"] > 0
         assert 0.0 < payload["min_step"] <= payload["max_step"]
+        # one state column: plain calls, nothing evaluated ahead
+        assert payload["discarded_evals"] == 0
 
     def test_run_stopped_at_the_start_prints_no_step_sizes(self, capsys):
         # with a huge tolerance the stop test passes at the initial point
@@ -64,6 +66,17 @@ class TestRun:
         assert payload["reason"] == "ToleranceMet"
         assert (payload["steps_accepted"], payload["jacobian_evals"]) == (0, 0)
         assert payload["min_step"] is None and payload["max_step"] is None
+
+    def test_ngf_run_stopped_at_the_start_prints_its_discarded_rows(self, capsys):
+        # the initial point's value comes with its 26 FD points; the run
+        # stops there, so no Jacobian takes them
+        code = main(["run", "--problem", "ngf_erk", "--tol", "1e9"])
+        assert code == 0
+        payload = json.loads(capsys.readouterr().out)
+        assert payload["reason"] == "ToleranceMet"
+        assert (payload["rhs_evals"], payload["discarded_evals"]) == (1, 26)
+        keys = list(payload)
+        assert keys.index("discarded_evals") == keys.index("rhs_evals") + 1
 
     def test_out_of_range_start_index(self, capsys):
         code = main(

@@ -407,48 +407,45 @@ class TestNumericalFailureCounts:
         assert np.array_equal(result.final.pack(), traj[-1].pack())
 
     def test_reports_the_work_done_before_a_failure_inside_a_stack(self):
-        # NGF: every FD Jacobian is one stack, and grad_theta sees all of
-        # its points in one call. The 190th point is row 15 of the seventh
-        # Jacobian's stack (points 176-201); the stack names that row, so
-        # the run counts up to it, as plain rhs calls would
-        prob = NgfErkProblem().with_generated_data(0)
-        base = prob.objective()
-        grad_theta, calls = nan_from_point(base.grad_theta, 190)
-        problem = FlowProblem(
-            model=prob.model(),
-            objective=ObjectiveSpec(base.eval, grad_theta, base.grad_x),
-            conditions=prob.conditions(),
-            config=FlowConfig(lam=20.0),
-        )
+        # NGF: grad_theta is NaN at the 190th point of the plain-call run,
+        # row 15 of the seventh Jacobian's FD stack (points 176-201). The
+        # merged call at that Jacobian's base point meets it first and
+        # raises, so the value is made again as a plain call and the
+        # Jacobian as its own 26-point stack, which names the row: the run
+        # counts up to it, as plain rhs calls would
+        base = ngf_flow_problem()
+        points = plain_points(base, ngf_start(), 190)
+        grad_theta, calls = nan_at(base.objective.grad_theta, points[-1:])
+        problem = with_gradient(base, grad_theta=grad_theta)
         result, traj = run_flow(problem, ngf_start(), store_trajectory=True)
         assert result.reason is StopReason.NUMERICAL_FAILURE
-        assert calls[-1] == 26 and sum(calls[:-1]) == 175
-        assert result.rhs_evals == sum(calls[:-1]) + 15 == 190
+        assert calls[-3:] == [27, 1, 26]
+        # every point evaluated before the failing stack: the 175 counted,
+        # the discarded rows and the merged call that failed
+        assert sum(calls[:-1]) == 175 + result.discarded_evals + 27
+        assert result.rhs_evals == 175 + 15 == 190
         assert result.steps_accepted == len(traj) - 1 > 0
         assert result.jacobian_evals >= result.steps_accepted
         assert 0.0 < result.min_step <= result.max_step
         assert np.array_equal(result.final.pack(), traj[-1].pack())
 
     def test_stacked_gradient_failure_counts_up_to_its_point(self, monkeypatch):
-        # grad_theta turns NaN from the 190th point on (row 15 of the
-        # seventh Jacobian's stack), counting the points of single-point
-        # and stacked calls alike: the stack names its failing row, and the
-        # run ends at the same count as with plain rhs calls
-        prob = NgfErkProblem().with_generated_data(0)
-        base = prob.objective()
-
-        def make_problem():
-            grad_theta, _ = nan_from_point(base.grad_theta, 190)
-            objective = dataclasses.replace(base, grad_theta=grad_theta)
-            return dataclasses.replace(
-                prob.flow_problem(FlowConfig(lam=20.0)), objective=objective
-            )
-
-        shared, plain = run_shared_and_plain(make_problem, ngf_start(), monkeypatch)
-        assert shared.reason is StopReason.NUMERICAL_FAILURE
-        assert shared.rhs_evals == 190
-        assert shared.steps_accepted > 0
-        assert_same_run(shared, plain)
+        # grad_theta is NaN from the 190th point of the plain-call run on
+        # (row 15 of the seventh Jacobian's stack): with merged stacks,
+        # with separate ones and with plain calls the run ends at that
+        # point, with the same error, counts and final point
+        base = ngf_flow_problem()
+        points = plain_points(base, ngf_start(), 260)
+        grad_theta, _ = nan_at(base.objective.grad_theta, points[189:])
+        problem = with_gradient(base, grad_theta=grad_theta)
+        runs = each_evaluation_mode(problem, ngf_start(), monkeypatch)
+        merged, error = runs["merged"]
+        assert merged.reason is StopReason.NUMERICAL_FAILURE
+        assert merged.rhs_evals == error.stats.rhs_evals == 190
+        assert merged.steps_accepted > 0
+        assert str(error) == "non-finite derivative in parameter block"
+        assert error.point == 14
+        assert_same_failure(runs)
 
 
 SHARED_FD_JACOBIAN = integrator._fd_jacobian
@@ -477,6 +474,136 @@ def run_flow_integration(problem, init):
         abs_tol=cfg.integrator_abs_tol,
         rhs_stack=partial(flow.rhs_stack, problem),
     )
+
+
+def ngf_flow_problem():
+    return NgfErkProblem().with_generated_data(0).flow_problem(FlowConfig(lam=20.0))
+
+
+def with_gradient(problem, **gradients):
+    """problem with the given objective gradients swapped in."""
+    objective = dataclasses.replace(problem.objective, **gradients)
+    return dataclasses.replace(problem, objective=objective)
+
+
+def plain_points(problem, init, count):
+    """The first count points that run_flow's integration from init
+    evaluates with plain rhs calls, packed, in order; they are distinct."""
+    points = []
+
+    def record(y):
+        points.append(y.copy())
+        return rhs(problem, y)
+
+    cfg = problem.config
+    integrator.integrate_adaptive(
+        record,
+        init.pack(),
+        cfg.r_max,
+        rel_tol=cfg.integrator_rel_tol,
+        abs_tol=cfg.integrator_abs_tol,
+        budget=count,
+    )
+    assert len({y.tobytes() for y in points[:count]}) == count
+    return points[:count]
+
+
+def packed_rows(theta, states):
+    """The packed points of a gradient call at one point or a stack, one
+    row each."""
+    theta = np.atleast_2d(theta)
+    return np.concatenate([theta, np.reshape(states, (len(theta), -1))], axis=1)
+
+
+def nan_at(grad, points):
+    """grad at one point or a stack, NaN at every one of the packed points
+    (bit for bit), and the list of the points of each call."""
+    bad = {y.tobytes() for y in points}
+    calls = []
+
+    def wrapped(theta, states):
+        rows = packed_rows(theta, states)
+        calls.append(len(rows))
+        g = np.array(grad(theta, states), dtype=float)
+        g.reshape(len(rows), -1)[[y.tobytes() in bad for y in rows]] = np.nan
+        return g
+
+    return wrapped, calls
+
+
+def raising_at(grad, point, message):
+    """grad at one point or a stack, raising FloatingPointError(message) at
+    a call that meets the packed point (bit for bit); in a stack the error
+    names that row as ``point``."""
+    key = point.tobytes()
+
+    def wrapped(theta, states):
+        rows = [y.tobytes() for y in packed_rows(theta, states)]
+        if key in rows:
+            exc = FloatingPointError(message)
+            if np.ndim(theta) == 2:
+                exc.point = rows.index(key)
+            raise exc
+        return grad(theta, states)
+
+    return wrapped
+
+
+MERGED_RHS_STACK = flow.rhs_stack
+INTEGRATE = integrator.integrate_adaptive
+
+
+def separate_rhs_stack(problem, ys):
+    """flow.rhs_stack refusing a base point's merged stack (its n FD points
+    and itself), so each base value is a plain call and each FD Jacobian a
+    stack call of its own."""
+    if len(ys) > ys.shape[1]:
+        raise RuntimeError("merged stack refused")
+    return MERGED_RHS_STACK(problem, ys)
+
+
+def plain_integration(*args, rhs_stack=None, **kwargs):
+    """integrate_adaptive with every evaluation a plain rhs call."""
+    return INTEGRATE(*args, **kwargs)
+
+
+EVALUATION_MODES = {
+    "merged": None,
+    "separate": (flow, "rhs_stack", separate_rhs_stack),
+    "plain": (integrator, "integrate_adaptive", plain_integration),
+}
+
+
+def each_evaluation_mode(problem, init, monkeypatch):
+    """Per evaluation mode, run_flow's result from init and the exception
+    its integration raises (run_flow_integration)."""
+    runs = {}
+    for mode, patch in EVALUATION_MODES.items():
+        with monkeypatch.context() as mp:
+            if patch is not None:
+                mp.setattr(*patch)
+            result = run_flow(problem, init)
+            with pytest.raises(Exception) as info:
+                run_flow_integration(problem, init)
+        runs[mode] = (result, info.value)
+    return runs
+
+
+def assert_same_failure(runs):
+    """Every mode ends alike: the same run, and an error of the same type,
+    message and counts (discarded rows apart); the two stacked modes name
+    the same failing row."""
+    merged, error = runs["merged"]
+    assert runs["plain"][0].discarded_evals == runs["plain"][1].stats.discarded_evals == 0
+    for result, other in runs.values():
+        assert_same_run(merged, result)
+        assert type(other) is type(error)
+        assert str(other) == str(error)
+        assert dataclasses.replace(other.stats, discarded_evals=0) == (
+            dataclasses.replace(error.stats, discarded_evals=0)
+        )
+    separate = runs["separate"][1]
+    assert getattr(separate, "point", None) == getattr(error, "point", None)
 
 
 def run_shared_and_plain(make_problem, init, monkeypatch):
@@ -572,42 +699,25 @@ class TestSharedColumnFailureParity:
         assert_same_run(shared, plain)
 
     def test_grad_x_raising_at_each_call_of_the_first_two_jacobians(self, monkeypatch):
-        # grad_x raises at its k-th point, for every point of the first two
-        # Jacobians' steps. In a stack it names that point's row as
-        # ``point``, so the run counts up to it, as with one plain rhs call
-        # per point
-        prob = NgfErkProblem().with_generated_data(0)
-        base = prob.objective()
+        # grad_x raises at the k-th point of the plain-call run, for every
+        # point of the first two Jacobians' steps. In a stack it names that
+        # point's row as ``point``; a merged call that meets it is made
+        # again as separate calls, so in every mode the run counts up to the
+        # k-th point and ends with the same error
+        base = ngf_flow_problem()
         init = ngf_start()
         n = 26
         jacobians = set()
-        for k in range(1, 2 * (n + 3) + 2):
-
-            def raising_at_call_k():
-                calls = []
-
-                def grad_x(theta, states):
-                    seen = sum(calls)
-                    calls.append(len(theta) if np.ndim(theta) == 2 else 1)
-                    if seen < k <= sum(calls):
-                        exc = FloatingPointError(f"grad_x call {k}")
-                        if np.ndim(theta) == 2:
-                            exc.point = k - 1 - seen
-                        raise exc
-                    return base.grad_x(theta, states)
-
-                return FlowProblem(
-                    model=prob.model(),
-                    objective=ObjectiveSpec(base.eval, base.grad_theta, grad_x),
-                    conditions=prob.conditions(),
-                    config=FlowConfig(lam=20.0),
-                )
-
-            shared, plain = run_shared_and_plain(raising_at_call_k, init, monkeypatch)
-            assert shared.reason is StopReason.NUMERICAL_FAILURE
-            assert shared.rhs_evals == k
-            assert_same_run(shared, plain)
-            jacobians.add(shared.jacobian_evals)
+        for k, point in enumerate(plain_points(base, init, 2 * (n + 3) + 1), 1):
+            grad_x = raising_at(base.objective.grad_x, point, f"grad_x point {k}")
+            problem = with_gradient(base, grad_x=grad_x)
+            runs = each_evaluation_mode(problem, init, monkeypatch)
+            merged, error = runs["merged"]
+            assert merged.reason is StopReason.NUMERICAL_FAILURE
+            assert merged.rhs_evals == error.stats.rhs_evals == k
+            assert str(error) == f"grad_x point {k}"
+            assert_same_failure(runs)
+            jacobians.add(merged.jacobian_evals)
         assert jacobians == {0, 1, 2}
 
 
@@ -796,31 +906,37 @@ class TestDistinctRowPlan:
 
     def test_fd_stack_is_one_ninety_row_call_per_kernel_in_plan_order(self):
         # the 10 reference rows, then the 10 rows of each parameter column,
-        # then the one perturbed row of each state column, in stack order
+        # then the one perturbed row of each state column, in stack order.
+        # The integrator's merged stack puts the base point last: the
+        # reference still resolves to it, and its row owns no kernel row
         y = ngf_start().pack()
         n = y.size
         steps = integrator._SQRT_EPS * (1.0 + np.abs(y))
-        ys = y + np.diag(steps)
-        assert self.rows_per_kernel(ys) == [
-            ("f_batch", 90),
-            ("jac_theta_batch", 90),
-            ("jac_x_batch", 90),
-        ]
+        fd = y + np.diag(steps)
+        merged = np.vstack([fd, y])
+        assert np.array_equal(integrator._fd_stack(y), fd)
+        assert np.array_equal(integrator._fd_stack(y, value=True), merged)
         theta, states = y[:6], y[6:].reshape(10, 2)
         u = self.problem.u_matrix
         want_theta = [theta] * 10
         want_x = list(states)
         want_u = list(u)
         for j in range(6):
-            want_theta += [ys[j, :6]] * 10
+            want_theta += [fd[j, :6]] * 10
             want_x += list(states)
             want_u += list(u)
         for j in range(6, n):
             i = (j - 6) // 2
             want_theta.append(theta)
-            want_x.append(ys[j, 6:].reshape(10, 2)[i])
+            want_x.append(fd[j, 6:].reshape(10, 2)[i])
             want_u.append(u[i])
-        for _, theta_rows, x_mat, u_mat in self.calls:
-            assert theta_rows.tobytes() == np.array(want_theta).tobytes()
-            assert x_mat.tobytes() == np.array(want_x).tobytes()
-            assert u_mat.tobytes() == np.array(want_u).tobytes()
+        for ys in (fd, merged):
+            assert self.rows_per_kernel(ys) == [
+                ("f_batch", 90),
+                ("jac_theta_batch", 90),
+                ("jac_x_batch", 90),
+            ]
+            for _, theta_rows, x_mat, u_mat in self.calls:
+                assert theta_rows.tobytes() == np.array(want_theta).tobytes()
+                assert x_mat.tobytes() == np.array(want_x).tobytes()
+                assert u_mat.tobytes() == np.array(want_u).tobytes()

@@ -6,6 +6,9 @@ from functools import partial
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 from scipy.linalg import lu_factor, lu_solve
 
 from ssflow import flow, integrator
@@ -272,17 +275,24 @@ class TestSharedColumns:
         )
         result = flow.run_flow(problem, init)
         assert result.jacobian_evals > 5
-        # exactly one 90-row call per kernel and one stacked call of each
-        # objective gradient per Jacobian; every other evaluation is a
-        # single point
+        # every base point is one merged call of its 26 FD points and
+        # itself: one 90-row call per kernel and one 27-point call of each
+        # objective gradient. Every Jacobian takes its rows from one, and
+        # each merged call no Jacobian takes leaves 26 discarded rows (the
+        # run's last point at least); every other evaluation is a single
+        # point
+        n = 26
+        assert result.discarded_evals > 0
+        assert result.discarded_evals % n == 0
+        merged = result.jacobian_evals + result.discarded_evals // n
         for name in ("f_batch", "jac_x_batch", "jac_theta_batch"):
-            assert calls.count((name, 90)) == result.jacobian_evals
+            assert calls.count((name, 90)) == merged
         assert {rows for _, rows in calls} == {10, 90}
         for name in ("grad_theta", "grad_x"):
-            assert gradient_calls.count((name, 26)) == result.jacobian_evals
-        single = result.rhs_evals - 26 * result.jacobian_evals
+            assert gradient_calls.count((name, n + 1)) == merged
+        single = result.rhs_evals - n * result.jacobian_evals - merged
         assert gradient_calls.count(("grad_x", 1)) == single
-        assert len(gradient_calls) == 2 * (single + result.jacobian_evals)
+        assert len(gradient_calls) == 2 * (single + merged)
 
     def test_exactly_singular_rows_bit_identical(self):
         # two conversion-reaction conditions at theta = (0, 0): every state
@@ -309,11 +319,15 @@ class TestSharedColumns:
         assert np.array_equal(got, reference_fd_jacobian(rhs, y, f0))
 
     def test_stack_goes_through_the_counting(self):
-        # the stack call adds n to rhs_evals, so the budget still sees n
-        # evaluations per Jacobian; its rows are the perturbed points. No
-        # stack means plain calls
+        # every base point is one stack of its n FD points and itself, last.
+        # Its value counts 1 and its n rows count when a Jacobian takes
+        # them, so the budget still sees n evaluations per Jacobian, and the
+        # rows no Jacobian takes are discarded: rhs_evals + discarded_evals
+        # is every point evaluated. No stack means plain calls, with the
+        # same counts
         n = 4
         y0 = np.ones(n)
+        runs = []
         for stacked in (True, False):
             seen = []
             stacks = []
@@ -326,20 +340,28 @@ class TestSharedColumns:
                 stacks.append(ys.copy())
                 return np.array([coupled(y) for y in ys])
 
-            _, _, stats, outcome = integrate_adaptive(
+            _, y, stats, outcome = integrate_adaptive(
                 rhs, y0, 1e3, budget=2, rhs_stack=rhs_stack if stacked else None
             )
+            runs.append((y.tobytes(), stats.rhs_evals, stats.steps_accepted))
             assert outcome is IntegrationOutcome.BUDGET_EXHAUSTED
-            assert stats.rhs_evals == len(seen) + n * len(stacks) >= 1 + n + 2
+            points = len(seen) + sum(len(ys) for ys in stacks)
+            assert stats.rhs_evals + stats.discarded_evals == points
+            assert stats.rhs_evals >= 1 + n + 2
             steps = integrator._SQRT_EPS * (1.0 + np.abs(y0))
-            points = y0 + np.diag(steps)
+            fd_points = y0 + np.diag(steps)
             if stacked:
-                assert len(stacks) == stats.jacobian_evals == 1
-                assert np.array_equal(stacks[0], points)
-                assert len(seen) == stats.rhs_evals - n
+                assert stats.jacobian_evals == 1 < len(stacks)
+                assert np.array_equal(stacks[0], np.vstack([fd_points, y0]))
+                for ys in stacks:
+                    assert np.array_equal(ys, integrator._fd_stack(ys[-1], True))
+                assert stats.discarded_evals == n * (len(stacks) - 1)
+                assert len(seen) == stats.rhs_evals - n - len(stacks)
             else:
                 assert stacks == []
-                assert np.array_equal(np.array(seen[1 : 1 + n]), points)
+                assert stats.discarded_evals == 0
+                assert np.array_equal(np.array(seen[1 : 1 + n]), fd_points)
+        assert runs[0] == runs[1]
 
     def test_failing_stack_counts_up_to_its_failing_point(self):
         # a stack that names its failing row counts the rows up to and
@@ -532,3 +554,91 @@ class TestIntegrateAdaptive:
             integrate_adaptive(lambda y: y * np.nan, np.array([1.0, 2.0]), 1.0)
         assert info.value.stats.rhs_evals == 1
         assert info.value.stats.steps_accepted == 0
+
+
+VDP_MU = np.array([1.0, 30.0, 1000.0])
+
+
+def van_der_pol(y):
+    # three uncoupled van der Pol oscillators (x, v) of stiffness 1 to 1000:
+    # runs take steps that extrapolate, steps that keep the L-stable
+    # solution, and rejected ones
+    x, v = y[0::2], y[1::2]
+    out = np.empty_like(y)
+    out[0::2] = v
+    out[1::2] = VDP_MU * ((1.0 - x * x) * v - x)
+    return out
+
+
+def draw_system(name, data):
+    """(rhs, rhs_stack, y0, r_max, tolerances) of a drawn start."""
+    if name == "van_der_pol":
+        y0 = data.draw(arrays(float, 6, elements=st.floats(-2.0, 2.0)), label="y0")
+        r_max = data.draw(st.floats(1e-3, 3e3), label="r_max")
+        rel_tol = data.draw(st.sampled_from([1e-2, 1e-3]), label="rel_tol")
+        stack = lambda ys: np.array([van_der_pol(y) for y in ys])  # noqa: E731
+        return van_der_pol, stack, y0, r_max, {"rel_tol": rel_tol, "abs_tol": 1e-2 * rel_tol}
+    prob = NgfErkProblem().with_generated_data(0)
+    problem = prob.flow_problem(FlowConfig(lam=20.0))
+    theta = data.draw(arrays(float, 6, elements=st.floats(*prob.theta_box)))
+    states = data.draw(arrays(float, 20, elements=st.floats(*prob.state_box)))
+    return (
+        partial(flow.rhs, problem),
+        partial(flow.rhs_stack, problem),
+        np.concatenate([theta, states]),
+        1e4,
+        {"rel_tol": 1e-4, "abs_tol": 1e-6},
+    )
+
+
+def counted_run(rhs, y0, r_max, budget, tolerances, rhs_stack=None):
+    """integrate_adaptive's end ((r, y bits, outcome), or the raised error's
+    type and message), its IntegratorStats, and the number of points its
+    rhs and rhs_stack evaluated."""
+    points = [0]
+
+    def counted_rhs(y):
+        points[0] += 1
+        return rhs(y)
+
+    def counted_stack(ys):
+        points[0] += len(ys)
+        return rhs_stack(ys)
+
+    try:
+        r, y, stats, outcome = integrate_adaptive(
+            counted_rhs,
+            y0,
+            r_max,
+            budget=budget,
+            rhs_stack=None if rhs_stack is None else counted_stack,
+            **tolerances,
+        )
+        end = (r, y.tobytes(), outcome)
+    except Exception as exc:
+        stats = exc.stats
+        end = (type(exc), str(exc))
+    return end, stats, points[0]
+
+
+@pytest.mark.parametrize("name", ["ngf", "van_der_pol"])
+@settings(max_examples=25, deadline=None)
+@given(data=st.data())
+def test_merged_run_equals_plain_calls_within_the_budget_bound(name, data):
+    # with each base point's value and FD points in one stack call, a run
+    # has the bits, counters and outcome of plain rhs calls; only the
+    # discarded rows differ, and they are every point not counted. On
+    # BudgetExhausted the run ends at most n + 2 evaluations past the budget
+    rhs, rhs_stack, y0, r_max, tolerances = draw_system(name, data)
+    budget = data.draw(st.integers(1, 400), label="budget")
+    end, stats, points = counted_run(rhs, y0, r_max, budget, tolerances, rhs_stack)
+    plain_end, plain_stats, plain_points = counted_run(
+        rhs, y0, r_max, budget, tolerances
+    )
+    assert end == plain_end
+    assert dataclasses.replace(stats, discarded_evals=0) == plain_stats
+    assert plain_stats.discarded_evals == 0
+    assert plain_stats.rhs_evals == plain_points
+    assert stats.rhs_evals + stats.discarded_evals == points
+    if end[-1] is IntegrationOutcome.BUDGET_EXHAUSTED:
+        assert budget <= stats.rhs_evals <= budget + y0.size + 2
