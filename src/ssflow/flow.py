@@ -150,15 +150,15 @@ def _stack_model_part(problem, thetas, states):
 
     Row (q, i) is condition i at point q. The reference point takes
     coordinate j from point (j + 1) mod p; on the finite-difference stack of
-    a point y that is y itself, and so it is on the integrator's merged
-    stack, whose base row y comes last (after its n FD points): the base
-    row is the reference and owns no row. A row with the bits of the reference point's
-    row of its condition is evaluated once for every point that has it,
-    every other row on its own, all of them in one batched call per kernel
-    (one theta per row) and one stacked solve. On the finite-difference
-    stack, merged or not, that is m + m*n_x + n_theta*m rows: one reference
-    row per condition, the perturbed row of each state column, and all m
-    rows of each parameter column. Raises on a failing kernel or solve, or a
+    a point y that is y itself. So it is on the integrator's merged stack,
+    the n FD points followed by y: the reference is its base row, which
+    owns no row. A row with the bits of the reference point's row of its
+    condition is evaluated once for every point that has it, every other
+    row on its own, all of them in one batched call per kernel (one theta
+    per row) and one stacked solve. On the finite-difference stack, merged
+    or not, that is m + m*n_x + n_theta*m rows: one reference row per
+    condition, the perturbed row of each state column, and all m rows of
+    each parameter column. Raises on a failing kernel or solve, or a
     non-finite Jacobian row.
 
     The plan comes from one mask, own: the rows whose bit patterns differ
@@ -278,8 +278,8 @@ def run_flow(problem, init, store_trajectory=False):
     # from two state columns on, each point that may be a step's base is
     # one stacked derivative call together with its FD points, whose rows
     # give its FD Jacobian (integrator module docstring). With one, plain
-    # calls stay: they keep one _assemble call
-    # per rhs evaluation, which perfbench's traced cr_methods run checks.
+    # calls stay: they keep one _assemble call per rhs evaluation, which
+    # perfbench's traced cr_methods run checks.
     # The stack would now pay there too: on the conversion reaction's
     # 3-column Jacobian it took 85 us against plain calls' 105 us (fastest
     # of 30 interleaved in-process rounds on a 2-core x86_64 machine;

@@ -194,7 +194,9 @@ def integrate_adaptive(
         raise ValueError("initial state must not be empty")
     n = y.size
     stats = IntegratorStats()
-    # the FD rows of the point last evaluated by base_value, or None
+    # the FD rows made with the last base_value call, or None. Every accepted
+    # step ends with one for its new point, so when a step needs a Jacobian
+    # they are y's
     ahead = None
 
     def counted_rhs(y):
@@ -218,7 +220,7 @@ def integrate_adaptive(
         # Jacobian takes them
         stats.discarded_evals -= n
         stats.rhs_evals += n
-        return rows
+        return ahead
 
     def base_value(y):
         # rhs(y) for a point that may be the next step's base: the last row
@@ -230,6 +232,8 @@ def integrate_adaptive(
         try:
             values = rhs_stack(_fd_stack(y, value=True))
         except Exception:
+            # whatever failed, the separate calls raise it again where they
+            # reach the failing row, if the run gets there
             return counted_rhs(y)
         stats.rhs_evals += 1
         stats.discarded_evals += n
@@ -250,7 +254,6 @@ def integrate_adaptive(
 
         h = _initial_step(y, f0, r_max, rel_tol, abs_tol)
         jac = None
-        rows = ahead
         while True:
             if r >= r_max:
                 return r, y, stats, IntegrationOutcome.HORIZON
@@ -260,14 +263,14 @@ def integrate_adaptive(
             if h < 1e-14 * max(1.0, abs(r)):
                 return r, y, stats, IntegrationOutcome.STEP_UNDERFLOW
             if jac is None:
-                if rows is not None:
+                if ahead is not None:
                     stack = take_rows
                 elif rhs_stack is not None:
                     stack = counted_stack
                 else:
                     stack = None
                 jac = _fd_jacobian(counted_rhs, y, f0, stack)
-                rows = None
+                ahead = None
                 stats.jacobian_evals += 1
                 jac_norm = float(np.abs(jac).sum(axis=1).max())
             # in the nonstiff regime an accepted step advances the
@@ -303,7 +306,6 @@ def integrate_adaptive(
             else:
                 y = y_new
                 f0 = f_new
-            rows = ahead
             jac = None
             stats.steps_accepted += 1
             stats.min_step = min(stats.min_step, h)

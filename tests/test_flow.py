@@ -594,7 +594,8 @@ def assert_same_failure(runs):
     message and counts (discarded rows apart); the two stacked modes name
     the same failing row."""
     merged, error = runs["merged"]
-    assert runs["plain"][0].discarded_evals == runs["plain"][1].stats.discarded_evals == 0
+    plain, plain_error = runs["plain"]
+    assert plain.discarded_evals == plain_error.stats.discarded_evals == 0
     for result, other in runs.values():
         assert_same_run(merged, result)
         assert type(other) is type(error)

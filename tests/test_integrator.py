@@ -577,7 +577,8 @@ def draw_system(name, data):
         r_max = data.draw(st.floats(1e-3, 3e3), label="r_max")
         rel_tol = data.draw(st.sampled_from([1e-2, 1e-3]), label="rel_tol")
         stack = lambda ys: np.array([van_der_pol(y) for y in ys])  # noqa: E731
-        return van_der_pol, stack, y0, r_max, {"rel_tol": rel_tol, "abs_tol": 1e-2 * rel_tol}
+        tolerances = {"rel_tol": rel_tol, "abs_tol": 1e-2 * rel_tol}
+        return van_der_pol, stack, y0, r_max, tolerances
     prob = NgfErkProblem().with_generated_data(0)
     problem = prob.flow_problem(FlowConfig(lam=20.0))
     theta = data.draw(arrays(float, 6, elements=st.floats(*prob.theta_box)))
