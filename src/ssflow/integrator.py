@@ -174,15 +174,15 @@ def integrate_adaptive(
     call would count. Rows that no step takes (a rejected step's new point,
     the run's last point) count in discarded_evals instead (rows count there
     from their call until a step takes them), so rhs_evals + discarded_evals
-    is the number of points evaluated, merged calls that raised apart. If
-    this merged call
-    raises, the value is made again by a plain rhs call and the next
-    Jacobian by a stack call of its own (see _fd_jacobian), so a failing
-    row fails the run only where those calls would reach it, with their
-    counts. That Jacobian stack call adds n to rhs_evals; when it raises
-    an exception that names its first failing row as ``point``, the count
-    covers the rows up to and including that one, as n plain calls that
-    stop at the failing one would; any other exception counts all n.
+    is the number of points evaluated, merged calls that raised apart.
+
+    If a merged call raises, the value is made again by a plain rhs call and
+    the next Jacobian by a stack call of its own (see _fd_jacobian), so a
+    failing row fails the run only where those calls would reach it, with
+    their counts. That Jacobian stack call adds n to rhs_evals; when it
+    raises an exception that names its first failing row as ``point``, the
+    count covers the rows up to and including that one, as n plain calls
+    that stop at the failing one would; any other exception counts all n.
 
     Returns (final r, final y, IntegratorStats, IntegrationOutcome). An
     exception raised on the way (by rhs, stop or observer, or on a non-finite
