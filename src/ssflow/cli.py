@@ -115,7 +115,10 @@ def main(argv=None):
     args = parser.parse_args(argv)
 
     if args.command == "generate-data":
-        problem = NgfErkProblem(noise_var=args.noise_var)
+        try:
+            problem = NgfErkProblem(noise_var=args.noise_var)
+        except ValueError as exc:
+            p_gen.error(str(exc))
         data = generate_data(problem, args.seed)
         payload = {
             "seed": args.seed,
@@ -134,7 +137,10 @@ def main(argv=None):
     if args.command == "validate":
         config = default_config(args.problem)
         model = bench_mod._build_problem(config).model()
-        report = validate_model(model, n_samples=args.samples, seed=args.seed)
+        try:
+            report = validate_model(model, n_samples=args.samples, seed=args.seed)
+        except ValueError as exc:
+            p_val.error(str(exc))
         print(f"model: {model.name}")
         print(f"max rel err jac_x:     {report.max_rel_err_jac_x:.3e}")
         print(f"max rel err jac_theta: {report.max_rel_err_jac_theta:.3e}")

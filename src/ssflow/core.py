@@ -167,13 +167,14 @@ class FlowConfig:
     integrator_abs_tol: float = 1e-8
 
     def __post_init__(self):
-        if self.lam < 0:
+        # written so that NaN fails every check
+        if not self.lam >= 0:
             raise ValueError("retraction factor must be >= 0")
-        if self.tol <= 0 or self.r_max <= 0:
+        if not (self.tol > 0 and self.r_max > 0):
             raise ValueError("tol and r_max must be strictly positive")
-        if self.integrator_rel_tol <= 0 or self.integrator_abs_tol <= 0:
+        if not (self.integrator_rel_tol > 0 and self.integrator_abs_tol > 0):
             raise ValueError("integrator tolerances must be strictly positive")
-        if self.max_rhs_evals < 1:
+        if not self.max_rhs_evals >= 1:
             raise ValueError("max_rhs_evals must be >= 1")
 
 
@@ -253,7 +254,10 @@ def validate_model(model, n_samples=100, seed=0):
     stack, and a call that raises, or a row whose relative error against
     the per-condition kernel exceeds the default threshold of
     ValidationReport.ok, is recorded as a failure naming the kernel.
+    n_samples must be at least 1: a report over no sample checks nothing.
     """
+    if not n_samples >= 1:
+        raise ValueError(f"n_samples must be >= 1, got {n_samples}")
     rng = np.random.default_rng(seed)
     max_err_x = 0.0
     max_err_theta = 0.0

@@ -86,22 +86,17 @@ def _assemble(problem, theta, states):
     block structure of the concatenated constraint system is never
     assembled explicitly.
 
-    A failure at a stack is the one its first failing point raises alone,
-    with that point's index as the exception's ``point``. A failure of the
-    stack's model part, which comes before any objective call, makes the
-    points run one by one, as plain calls, until one fails. An objective
-    gradient that raises on a stack fails the whole stack, and names a point
-    only if its exception carries ``point`` itself.
+    A failure raises FlowNumericalError, or whatever a kernel, the solve or
+    an objective gradient raises. At a stack it fails the whole call: the
+    integrator then makes the stack's points again as plain calls, which
+    meet the failure where it is (integrator module docstring).
     """
     if np.ndim(theta) == 1:
         a, b, f_mat = _kernel_rows(problem.model, theta, states, problem.u_matrix)
         _check_jacobian_rows(a, b)
         s_hat = pinv_sensitivity(a, b)
     else:
-        try:
-            s_hat, f_mat = _stack_model_part(problem, theta, states)
-        except _NUMERICAL_FAILURES:
-            return _point_by_point(problem, theta, states)
+        s_hat, f_mat = _stack_model_part(problem, theta, states)
     objective = problem.objective
     d_theta = -total_gradient(
         objective.grad_theta(theta, states), s_hat, objective.grad_x(theta, states)
@@ -117,31 +112,14 @@ def _assemble(problem, theta, states):
 
 def _first_failing_point(d_theta, d_states):
     """The error of the first point with a non-finite derivative block, as
-    that point alone raises it, with its index in the stack as ``point``."""
+    that point alone raises it."""
     finite_theta = np.isfinite(d_theta).all(axis=-1).reshape(-1)
     finite_rows = np.isfinite(d_states).all(axis=-1).reshape(len(finite_theta), -1)
     q = int(np.flatnonzero(~(finite_theta & finite_rows.all(axis=1)))[0])
     if finite_theta[q]:
         bad = np.flatnonzero(~finite_rows[q]).tolist()
-        exc = FlowNumericalError(f"non-finite derivative in state block(s) {bad}")
-    else:
-        exc = FlowNumericalError("non-finite derivative in parameter block")
-    exc.point = q
-    return exc
-
-
-def _point_by_point(problem, thetas, states):
-    """The derivative blocks at a stack as plain calls at each point, in
-    stack order; the first failure carries its point's index as ``point``."""
-    d_theta = np.empty(thetas.shape)
-    d_states = np.empty(states.shape)
-    for q in range(len(thetas)):
-        try:
-            d_theta[q], d_states[q] = _assemble(problem, thetas[q], states[q])
-        except Exception as exc:
-            exc.point = q
-            raise
-    return d_theta, d_states
+        return FlowNumericalError(f"non-finite derivative in state block(s) {bad}")
+    return FlowNumericalError("non-finite derivative in parameter block")
 
 
 def _stack_model_part(problem, thetas, states):
@@ -159,7 +137,7 @@ def _stack_model_part(problem, thetas, states):
     or not, that is m + m*n_x + n_theta*m rows: one reference row per
     condition, the perturbed row of each state column, and all m rows of
     each parameter column. Raises on a failing kernel or solve, or a
-    non-finite Jacobian row.
+    non-finite Jacobian row; the error names kernel rows, not a point.
 
     The plan comes from one mask, own: the rows whose bit patterns differ
     from the reference row of their condition (so 0.0 and -0.0 are
@@ -221,8 +199,8 @@ def rhs(problem, y):
 def rhs_stack(problem, ys):
     """Flow derivative at every row of the stack ys (p, n_theta + m*n_x) in
     one _assemble call, as a (p, n) array whose row q has the bits of
-    rhs(problem, ys[q]). A failure is the one rhs raises at the first
-    failing row, with that row's index as the exception's ``point``."""
+    rhs(problem, ys[q]). Any failing row fails the whole call; the
+    integrator makes the rows again as plain rhs calls to find it."""
     ys = np.asarray(ys, dtype=float)
     p = len(ys)
     n_theta = problem.model.n_theta
@@ -275,15 +253,8 @@ def run_flow(problem, init, store_trajectory=False):
         if store_trajectory:
             trajectory.append(FlowState.unpack(yvec, n_theta, n_x, m, r=r))
 
-    # from two state columns on, each point that may be a step's base is
-    # one stacked derivative call together with its FD points, whose rows
-    # give its FD Jacobian (integrator module docstring). With one, plain
-    # calls stay: they keep one _assemble call per rhs evaluation, which
-    # perfbench's traced cr_methods run checks.
-    # The stack would now pay there too: on the conversion reaction's
-    # 3-column Jacobian it took 85 us against plain calls' 105 us (fastest
-    # of 30 interleaved in-process rounds on a 2-core x86_64 machine;
-    # BENCH_lean_stack_plan.json)
+    # one state column keeps plain calls, so perfbench's traced cr_methods
+    # run still makes one _assemble call per rhs evaluation
     stacked = partial(rhs_stack, problem) if m * n_x >= 2 else None
     t0 = time.perf_counter()
     try:

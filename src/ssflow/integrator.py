@@ -16,6 +16,11 @@ with its n forward-difference points: the stack holds the n perturbed
 points, then the point itself, and its last row is the value. The other n
 rows become that point's Jacobian if the next step starts there, so each
 such point costs one derivative call instead of two.
+
+One rule covers failures: a stack call that raises is made again as plain
+rhs calls, one per row in stack order. So a failing row fails the run where
+plain calls meet it, with their count and their error; a stack's own
+exception decides neither.
 """
 
 import enum
@@ -99,32 +104,14 @@ def _fd_stack(y, value=False):
     return ys
 
 
-def _fd_jacobian(rhs, y, f0, rhs_stack=None):
-    """Forward-difference Jacobian of rhs at y, with f0 = rhs(y): column j
-    from the point y + steps[j] e_j, row j of _fd_stack(y).
-
-    Without rhs_stack, n rhs calls, one per column. With it, one call
-    rhs_stack(ys) on the stack ys of those points; it returns the n values
-    as rows, row j with the bits of rhs(ys[j]), so the Jacobian is the same
-    bit for bit (the flow evaluates the stack in one pass; the integrator
-    may hand back rows it made ahead). The differences go straight into the
-    C-ordered Jacobian; the array that rhs_stack returns is only read,
-    never written.
+def _fd_jacobian(values, y, f0):
+    """Forward-difference Jacobian at y, with f0 = rhs(y), from values, the
+    rhs values at the rows of _fd_stack(y) as rows: column j is
+    (values[j] - f0) / steps[j]. The differences go straight into the
+    C-ordered Jacobian; values is only read, never written.
     """
-    n = y.size
-    steps = _SQRT_EPS * (1.0 + np.abs(y))
-    if rhs_stack is not None:
-        jac = np.subtract(rhs_stack(_fd_stack(y)).T, f0[:, None], order="C")
-        jac /= steps
-        return jac
-    jac = np.empty((n, n))
-    # one perturbed copy of y, each column's entry restored after its call
-    yp = y.copy()
-    for j in range(n):
-        d = steps[j]
-        yp[j] = y[j] + d
-        jac[:, j] = (rhs(yp) - f0) / d
-        yp[j] = y[j]
+    jac = np.subtract(values.T, f0[:, None], order="C")
+    jac /= _SQRT_EPS * (1.0 + np.abs(y))
     return jac
 
 
@@ -174,15 +161,14 @@ def integrate_adaptive(
     call would count. Rows that no step takes (a rejected step's new point,
     the run's last point) count in discarded_evals instead (rows count there
     from their call until a step takes them), so rhs_evals + discarded_evals
-    is the number of points evaluated, merged calls that raised apart.
+    is the number of points evaluated, stack calls that raised apart.
 
-    If a merged call raises, the value is made again by a plain rhs call and
-    the next Jacobian by a stack call of its own (see _fd_jacobian), so a
-    failing row fails the run only where those calls would reach it, with
-    their counts. That Jacobian stack call adds n to rhs_evals; when it
-    raises an exception that names its first failing row as ``point``, the
-    count covers the rows up to and including that one, as n plain calls
-    that stop at the failing one would; any other exception counts all n.
+    Failures follow the one rule of the module docstring. A merged call
+    that raises is made again as one plain rhs call for the value, and the
+    next Jacobian's rows, if a step needs them, as one rhs_stack call of
+    their own, made again as n plain calls if it raises too. A stack call
+    adds its rows to rhs_evals when it returns; a plain call counts before
+    it is made, so the call that raises is counted.
 
     Returns (final r, final y, IntegratorStats, IntegrationOutcome). An
     exception raised on the way (by rhs, stop or observer, or on a non-finite
@@ -204,23 +190,18 @@ def integrate_adaptive(
         stats.rhs_evals += 1
         return rhs(y)
 
-    def counted_stack(ys):
-        before = stats.rhs_evals
-        stats.rhs_evals += len(ys)
-        try:
-            return rhs_stack(ys)
-        except Exception as exc:
-            point = getattr(exc, "point", None)
-            if point is not None:
-                stats.rhs_evals = before + point + 1
-            raise
-
-    def take_rows(ys):
-        # y's FD rows, made ahead with its value: counted now that a
-        # Jacobian takes them
-        stats.discarded_evals -= n
-        stats.rhs_evals += n
-        return ahead
+    def evaluate(ys):
+        # rhs at every row of ys, as rows: one rhs_stack call, or plain
+        # calls in stack order when there is none or it raises
+        if rhs_stack is not None:
+            try:
+                values = rhs_stack(ys)
+            except Exception:
+                pass
+            else:
+                stats.rhs_evals += len(ys)
+                return values
+        return np.array([counted_rhs(row) for row in ys])
 
     def base_value(y):
         # rhs(y) for a point that may be the next step's base: the last row
@@ -263,14 +244,15 @@ def integrate_adaptive(
             if h < 1e-14 * max(1.0, abs(r)):
                 return r, y, stats, IntegrationOutcome.STEP_UNDERFLOW
             if jac is None:
-                if ahead is not None:
-                    stack = take_rows
-                elif rhs_stack is not None:
-                    stack = counted_stack
+                if ahead is None:
+                    values = evaluate(_fd_stack(y))
                 else:
-                    stack = None
-                jac = _fd_jacobian(counted_rhs, y, f0, stack)
-                ahead = None
+                    # y's FD rows, made ahead with its value: counted now
+                    # that a Jacobian takes them
+                    values, ahead = ahead, None
+                    stats.discarded_evals -= n
+                    stats.rhs_evals += n
+                jac = _fd_jacobian(values, y, f0)
                 stats.jacobian_evals += 1
                 jac_norm = float(np.abs(jac).sum(axis=1).max())
             # in the nonstiff regime an accepted step advances the

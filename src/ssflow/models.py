@@ -100,7 +100,7 @@ class ConversionReactionProblem:
     state_box: ClassVar[tuple] = (0.0, 1.0)
 
     def __post_init__(self):
-        if self.xi <= 0:
+        if not self.xi > 0:
             raise ValueError("total concentration xi must be positive")
 
     def model(self):
@@ -245,7 +245,7 @@ class NgfErkProblem:
     def __post_init__(self):
         if len(self.inputs) != 10:
             raise ValueError("the dose-response protocol uses 10 inputs")
-        if self.noise_var < 0:
+        if not self.noise_var >= 0:
             raise ValueError("noise variance must be non-negative")
         if self.data is not None and len(self.data) != len(self.inputs):
             raise ValueError("one datum per input is required")

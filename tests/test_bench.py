@@ -1,10 +1,15 @@
 """Multistart harness tests: sampling, classification, statistics, emission."""
 
 import json
+import math
 import os
+import struct
+import tempfile
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ssflow import bench
 from ssflow.bench import (
@@ -24,6 +29,33 @@ from ssflow.models import ConversionReactionProblem, NgfErkProblem
 README = os.path.join(os.path.dirname(__file__), os.pardir, "README.md")
 
 WALL_FIELDS = ("wall_time",)
+
+NAN = float("nan")
+
+FLOAT_FIELDS = ("final_objective", "reduced_objective", "manifold_residual", "wall_time")
+
+# runs.csv records with any float (NaN, +-inf and -0.0 included) in every
+# float field and in the start, and lam None or a float
+RECORDS = st.fixed_dictionaries(
+    {
+        "method": st.sampled_from(bench.METHODS),
+        "lam": st.none() | st.floats(),
+        "start_index": st.integers(0, 10**6),
+        "seed": st.integers(-(2**63), 2**63 - 1),
+        "start": st.lists(st.floats(), max_size=30),
+        "converged": st.booleans(),
+        "reason": st.sampled_from(["ToleranceMet", "NumericalFailure", "Error:ValueError"]),
+        "rhs_evals": st.integers(0, 10**9),
+        **{name: st.floats() for name in FLOAT_FIELDS},
+    }
+)
+
+
+def same_float(a, b):
+    """a and b are the same double bit for bit, or both NaN."""
+    if math.isnan(b):
+        return math.isnan(a)
+    return struct.pack("<d", a) == struct.pack("<d", b)
 
 
 def strip_wall_time(records):
@@ -52,6 +84,15 @@ class TestBenchConfig:
             {"max_rhs_evals": 0},
             {"integrator_rel_tol": 0.0},
             {"classification_tol": -1e-3},
+            {"problem": "ngf_erk", "noise_var": -1.0},
+            # NaN fails every check
+            {"classification_tol": NAN},
+            {"noise_var": NAN},
+            {"tol": NAN},
+            {"r_max": NAN},
+            {"integrator_rel_tol": NAN},
+            {"integrator_abs_tol": NAN},
+            {"lambdas": (NAN,)},
         ],
     )
     def test_rejects_invalid(self, kwargs):
@@ -239,6 +280,30 @@ class TestEmit:
         with open(README) as fh:
             readme = fh.read()
         assert f"`{','.join(CSV_COLUMNS)}`" in readme
+
+    @settings(max_examples=100, deadline=None)
+    @given(records=st.lists(RECORDS, max_size=5))
+    def test_emit_read_round_trip_keeps_every_float(self, records):
+        # every float, +-inf and -0.0 included, is read back bit for bit; a
+        # NaN is read back as a NaN; lam None stays None
+        with tempfile.TemporaryDirectory() as out_dir:
+            runs_path, _ = emit({}, records, out_dir)
+            parsed = read_runs_csv(runs_path)
+        assert len(parsed) == len(records)
+        for got, want in zip(parsed, records):
+            assert set(got) == set(CSV_COLUMNS)
+            for name in CSV_COLUMNS:
+                if name in FLOAT_FIELDS:
+                    assert same_float(got[name], want[name]), name
+                elif name == "start":
+                    assert len(got[name]) == len(want[name])
+                    assert all(map(same_float, got[name], want[name]))
+                elif name == "lam" and want[name] is None:
+                    assert got[name] is None
+                elif name == "lam":
+                    assert same_float(got[name], want[name])
+                else:
+                    assert got[name] == want[name], name
 
     def test_round_trip_and_recompute(self, tmp_path):
         cfg = default_config(

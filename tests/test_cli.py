@@ -26,11 +26,31 @@ class TestGenerateData:
         assert len(payload["data"]) == 10
 
 
+    @pytest.mark.parametrize("noise_var", ["-1", "nan"])
+    def test_invalid_noise_variance_is_a_usage_error(self, capsys, noise_var):
+        with pytest.raises(SystemExit) as info:
+            main(["generate-data", "--noise-var", noise_var])
+        assert info.value.code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "noise variance must be non-negative" in captured.err
+
+
 class TestValidate:
     @pytest.mark.parametrize("problem", ["conversion_reaction", "ngf_erk"])
     def test_passes_for_benchmarks(self, problem, capsys):
         assert main(["validate", "--problem", problem]) == 0
         assert "PASS" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("samples", ["0", "-3"])
+    def test_no_samples_is_a_usage_error(self, capsys, samples):
+        # no PASS for a check of nothing
+        with pytest.raises(SystemExit) as info:
+            main(["validate", "--samples", samples])
+        assert info.value.code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "n_samples must be >= 1" in captured.err
 
 
 class TestRun:
@@ -98,6 +118,16 @@ class TestRun:
             main(["run", "--problem", "conversion_reaction", "--lambda", "-1"])
         assert info.value.code == 2
         assert "retraction factor" in capsys.readouterr().err
+
+
+    @pytest.mark.parametrize("flag", ["--tol", "--r-max", "--lambda"])
+    def test_nan_is_a_usage_error(self, capsys, flag):
+        with pytest.raises(SystemExit) as info:
+            main(["run", "--problem", "conversion_reaction", flag, "nan"])
+        assert info.value.code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "must be" in captured.err
 
 
 class TestBench:

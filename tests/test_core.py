@@ -4,6 +4,9 @@ import dataclasses
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from ssflow.core import (
     Condition,
@@ -15,6 +18,8 @@ from ssflow.core import (
     validate_model,
 )
 from ssflow.models import conversion_reaction_model, ngf_erk_model
+
+NAN = float("nan")
 
 
 def linear_decay_model():
@@ -68,6 +73,12 @@ class TestValidateModel:
         )
         report = validate_model(wrong, n_samples=50, seed=1)
         assert report.max_rel_err_jac_theta > 1e-2
+
+    @pytest.mark.parametrize("n_samples", [0, -3])
+    def test_rejects_fewer_than_one_sample(self, n_samples):
+        # a report over no sample would pass having checked nothing
+        with pytest.raises(ValueError, match="n_samples must be >= 1"):
+            validate_model(linear_decay_model(), n_samples=n_samples)
 
     def test_linear_model_exact(self):
         report = validate_model(linear_decay_model(), n_samples=20, seed=2)
@@ -177,6 +188,28 @@ class TestFlowState:
         assert all(np.array_equal(a, b) for a, b in zip(back.states, state.states))
         assert back.r == 3.5
 
+    @settings(max_examples=100, deadline=None)
+    @given(data=st.data())
+    def test_pack_unpack_round_trip_keeps_every_bit(self, data):
+        # any floats, NaN, +-inf and -0.0 included, come back bit for bit,
+        # and the unpacked state does not share memory with the vector
+        n_theta = data.draw(st.integers(1, 6), label="n_theta")
+        m = data.draw(st.integers(1, 10), label="m")
+        n_x = data.draw(st.integers(1, 3), label="n_x")
+        theta = data.draw(arrays(float, n_theta), label="theta")
+        states = data.draw(arrays(float, (m, n_x)), label="states")
+        r = data.draw(st.floats(), label="r")
+        vec = FlowState(theta=theta, states=states, r=r).pack()
+        assert vec.shape == (n_theta + m * n_x,)
+        back = FlowState.unpack(vec, n_theta, n_x, m, r=r)
+        assert back.theta.shape == theta.shape
+        assert back.states.shape == states.shape
+        assert back.theta.tobytes() == theta.tobytes()
+        assert back.states.tobytes() == states.tobytes()
+        assert back.r is r
+        assert not np.shares_memory(back.theta, vec)
+        assert not np.shares_memory(back.states, vec)
+
     def test_unpack_rejects_wrong_length(self):
         with pytest.raises(ValueError):
             FlowState.unpack(np.zeros(5), n_theta=2, n_x=1, m=2)
@@ -205,6 +238,13 @@ class TestFlowConfig:
             {"lam": 2.0, "r_max": -1.0},
             {"lam": 2.0, "integrator_rel_tol": 0.0},
             {"lam": 2.0, "max_rhs_evals": 0},
+            # NaN fails every check
+            {"lam": NAN},
+            {"lam": 2.0, "tol": NAN},
+            {"lam": 2.0, "r_max": NAN},
+            {"lam": 2.0, "integrator_rel_tol": NAN},
+            {"lam": 2.0, "integrator_abs_tol": NAN},
+            {"lam": 2.0, "max_rhs_evals": NAN},
         ],
     )
     def test_rejects_invalid(self, kwargs):

@@ -411,18 +411,19 @@ class TestNumericalFailureCounts:
         # row 15 of the seventh Jacobian's FD stack (points 176-201). The
         # merged call at that Jacobian's base point meets it first and
         # raises, so the value is made again as a plain call and the
-        # Jacobian as its own 26-point stack, which names the row: the run
-        # counts up to it, as plain rhs calls would
+        # Jacobian as its own 26-point stack, which raises too and is made
+        # again as plain calls up to the failing one: the run counts up to
+        # it, as plain rhs calls would
         base = ngf_flow_problem()
         points = plain_points(base, ngf_start(), 190)
         grad_theta, calls = nan_at(base.objective.grad_theta, points[-1:])
         problem = with_gradient(base, grad_theta=grad_theta)
         result, traj = run_flow(problem, ngf_start(), store_trajectory=True)
         assert result.reason is StopReason.NUMERICAL_FAILURE
-        assert calls[-3:] == [27, 1, 26]
+        assert calls[-18:] == [27, 1, 26] + [1] * 15
         # every point evaluated before the failing stack: the 175 counted,
         # the discarded rows and the merged call that failed
-        assert sum(calls[:-1]) == 175 + result.discarded_evals + 27
+        assert sum(calls[:-16]) == 175 + result.discarded_evals + 27
         assert result.rhs_evals == 175 + 15 == 190
         assert result.steps_accepted == len(traj) - 1 > 0
         assert result.jacobian_evals >= result.steps_accepted
@@ -444,16 +445,7 @@ class TestNumericalFailureCounts:
         assert merged.rhs_evals == error.stats.rhs_evals == 190
         assert merged.steps_accepted > 0
         assert str(error) == "non-finite derivative in parameter block"
-        assert error.point == 14
         assert_same_failure(runs)
-
-
-SHARED_FD_JACOBIAN = integrator._fd_jacobian
-
-
-def plain_fd_jacobian(rhs, y, f0, rhs_stack=None):
-    """The FD Jacobian with one plain rhs call per column: the stack ignored."""
-    return SHARED_FD_JACOBIAN(rhs, y, f0)
 
 
 def ngf_start():
@@ -533,17 +525,12 @@ def nan_at(grad, points):
 
 def raising_at(grad, point, message):
     """grad at one point or a stack, raising FloatingPointError(message) at
-    a call that meets the packed point (bit for bit); in a stack the error
-    names that row as ``point``."""
+    a call that meets the packed point (bit for bit)."""
     key = point.tobytes()
 
     def wrapped(theta, states):
-        rows = [y.tobytes() for y in packed_rows(theta, states)]
-        if key in rows:
-            exc = FloatingPointError(message)
-            if np.ndim(theta) == 2:
-                exc.point = rows.index(key)
-            raise exc
+        if key in [y.tobytes() for y in packed_rows(theta, states)]:
+            raise FloatingPointError(message)
         return grad(theta, states)
 
     return wrapped
@@ -591,8 +578,7 @@ def each_evaluation_mode(problem, init, monkeypatch):
 
 def assert_same_failure(runs):
     """Every mode ends alike: the same run, and an error of the same type,
-    message and counts (discarded rows apart); the two stacked modes name
-    the same failing row."""
+    message and counts (discarded rows apart)."""
     merged, error = runs["merged"]
     plain, plain_error = runs["plain"]
     assert plain.discarded_evals == plain_error.stats.discarded_evals == 0
@@ -603,17 +589,6 @@ def assert_same_failure(runs):
         assert dataclasses.replace(other.stats, discarded_evals=0) == (
             dataclasses.replace(error.stats, discarded_evals=0)
         )
-    separate = runs["separate"][1]
-    assert getattr(separate, "point", None) == getattr(error, "point", None)
-
-
-def run_shared_and_plain(make_problem, init, monkeypatch):
-    """run_flow on a fresh make_problem() as it is, and with plain columns."""
-    shared = run_flow(make_problem(), init)
-    with monkeypatch.context() as mp:
-        mp.setattr(integrator, "_fd_jacobian", plain_fd_jacobian)
-        plain = run_flow(make_problem(), init)
-    return shared, plain
 
 
 def assert_same_run(a, b):
@@ -686,25 +661,22 @@ class TestSharedColumnFailureParity:
         model = dataclasses.replace(base.model, jac_x_batch=faulty)
         problem = dataclasses.replace(base, model=model)
         column = 6 + 2 * i + k
-        for fd_jacobian in (SHARED_FD_JACOBIAN, plain_fd_jacobian):
-            with monkeypatch.context() as mp:
-                mp.setattr(integrator, "_fd_jacobian", fd_jacobian)
-                with pytest.raises(error) as info:
-                    run_flow_integration(problem, init)
-            assert str(info.value) == message
-            stats = info.value.stats
-            assert (stats.rhs_evals, stats.jacobian_evals) == (1 + column + 1, 0)
-        shared, plain = run_shared_and_plain(lambda: problem, init, monkeypatch)
-        assert shared.reason is StopReason.NUMERICAL_FAILURE
-        assert shared.rhs_evals == 1 + column + 1
-        assert_same_run(shared, plain)
+        runs = each_evaluation_mode(problem, init, monkeypatch)
+        merged, merged_error = runs["merged"]
+        assert type(merged_error) is error
+        assert str(merged_error) == message
+        stats = merged_error.stats
+        assert (stats.rhs_evals, stats.jacobian_evals) == (1 + column + 1, 0)
+        assert merged.reason is StopReason.NUMERICAL_FAILURE
+        assert merged.rhs_evals == 1 + column + 1
+        assert_same_failure(runs)
 
     def test_grad_x_raising_at_each_call_of_the_first_two_jacobians(self, monkeypatch):
         # grad_x raises at the k-th point of the plain-call run, for every
-        # point of the first two Jacobians' steps. In a stack it names that
-        # point's row as ``point``; a merged call that meets it is made
-        # again as separate calls, so in every mode the run counts up to the
-        # k-th point and ends with the same error
+        # point of the first two Jacobians' steps. A merged call that meets
+        # it is made again as separate calls, and a stack that meets it as
+        # plain calls, so in every mode the run counts up to the k-th point
+        # and ends with the same error
         base = ngf_flow_problem()
         init = ngf_start()
         n = 26
@@ -761,16 +733,15 @@ def draw_stack(data, n):
     return np.array(rows)
 
 
-def first_failure(problem, ys):
-    """The per-point rhs values before the first failing row, and that row's
-    index and exception (None when no row fails)."""
+def per_point_values(problem, ys):
+    """The per-point rhs values at the rows of ys, or None when a row fails."""
     values = []
-    for q, y in enumerate(ys):
+    for y in ys:
         try:
             values.append(rhs(problem, y))
-        except (FlowNumericalError, FloatingPointError) as exc:
-            return values, (q, exc)
-    return values, None
+        except (FlowNumericalError, FloatingPointError):
+            return None
+    return values
 
 
 @pytest.mark.parametrize("name", sorted(STACK_PROBLEMS))
@@ -778,23 +749,21 @@ def first_failure(problem, ys):
 @given(data=st.data())
 def test_stacked_derivative_equals_per_point_rhs(name, data):
     # batched equals a batch of one: row q of the stack has the bits of
-    # rhs at row q alone, and a failing stack raises what rhs raises at its
-    # first failing row, naming that row
+    # rhs at row q alone, and the stack raises a numerical failure iff some
+    # row fails alone (the integrator then finds the row with plain calls)
     problem = STACK_PROBLEMS[name]()
     n = problem.model.n_theta + len(problem.conditions) * problem.model.n_x
     ys = draw_stack(data, n)
     with np.errstate(all="ignore"):
-        values, failure = first_failure(problem, ys)
-        if failure is None:
+        values = per_point_values(problem, ys)
+        if values is not None:
             got = flow.rhs_stack(problem, ys)
             assert got.shape == ys.shape
             for q, want in enumerate(values):
                 assert got[q].tobytes() == want.tobytes(), q
         else:
-            with pytest.raises(type(failure[1])) as info:
+            with pytest.raises(flow._NUMERICAL_FAILURES):
                 flow.rhs_stack(problem, ys)
-            assert str(info.value) == str(failure[1])
-            assert info.value.point == failure[0]
 
 
 @pytest.mark.parametrize(

@@ -130,10 +130,13 @@ class TestFdJacobian:
         "rhs", [coupled, lambda z: z], ids=["nonlinear", "returns_its_input"]
     )
     def test_bit_identical_to_copy_per_column_reference(self, rhs):
+        # the rows of one plain rhs call per FD point, as integrate_adaptive
+        # makes them without a stacked rhs
         rng = np.random.default_rng(7)
         y = rng.uniform(-3.0, 3.0, 26)
         f0 = rhs(y).copy()
-        got = _fd_jacobian(rhs, y, f0)
+        values = np.array([rhs(row) for row in integrator._fd_stack(y)])
+        got = _fd_jacobian(values, y, f0)
         assert np.array_equal(got, reference_fd_jacobian(rhs, y, f0))
 
     @pytest.mark.parametrize(
@@ -154,7 +157,7 @@ class TestFdJacobian:
             values.append(np.array([rhs(row) for row in ys]))
             return values[-1]
 
-        got = _fd_jacobian(rhs, y, f0, rhs_stack)
+        got = _fd_jacobian(rhs_stack(integrator._fd_stack(y)), y, f0)
         assert len(stacks) == 1
         assert np.array_equal(got, reference_fd_jacobian(rhs, y, f0))
         assert got.flags.c_contiguous
@@ -163,7 +166,8 @@ class TestFdJacobian:
     def test_leaves_y_unchanged(self):
         y = np.array([1.5, -0.25, 1e8, 0.0])
         before = y.copy()
-        _fd_jacobian(coupled, y, coupled(y))
+        values = np.array([coupled(row) for row in integrator._fd_stack(y)])
+        _fd_jacobian(values, y, coupled(y))
         assert np.array_equal(y, before)
 
     def test_counts_n_rhs_evals_and_one_jacobian(self):
@@ -246,7 +250,7 @@ class TestSharedColumns:
             f0 = rhs(y)
             calls.clear()
             gradient_calls.clear()
-            got = _fd_jacobian(rhs, y, f0, stack)
+            got = _fd_jacobian(stack(integrator._fd_stack(y)), y, f0)
             # one call per kernel over the 10 base rows, the 20 perturbed
             # state rows and the 6 x 10 parameter-column rows, and no other
             assert sorted(calls) == [
@@ -314,7 +318,7 @@ class TestSharedColumns:
         rhs = partial(flow.rhs, problem)
         y = np.array([0.0, 0.0, 0.3, 0.7])
         f0 = rhs(y)
-        got = _fd_jacobian(rhs, y, f0, partial(flow.rhs_stack, problem))
+        got = _fd_jacobian(flow.rhs_stack(problem, integrator._fd_stack(y)), y, f0)
         assert np.all(np.isfinite(got))
         assert np.array_equal(got, reference_fd_jacobian(rhs, y, f0))
 
@@ -363,27 +367,53 @@ class TestSharedColumns:
                 assert np.array_equal(np.array(seen[1 : 1 + n]), fd_points)
         assert runs[0] == runs[1]
 
+    def test_raising_stack_runs_as_plain_calls(self):
+        # every stack call raises, its exception naming a row: each one is
+        # made again as plain calls, so the run equals the plain run in
+        # bits and in every counter, whatever the stack's exception says
+        class Refused(Exception):
+            point = 0
+
+        def rhs_stack(ys):
+            raise Refused
+
+        runs = []
+        for stack in (rhs_stack, None):
+            r, y, stats, outcome = integrate_adaptive(
+                coupled, np.ones(5), 3.0, rhs_stack=stack
+            )
+            runs.append((r, y.tobytes(), stats, outcome))
+        assert runs[0] == runs[1]
+        assert runs[0][2].steps_accepted > 1
+        assert runs[0][2].discarded_evals == 0
+
     def test_failing_stack_counts_up_to_its_failing_point(self):
-        # a stack that names its failing row counts the rows up to and
-        # including it, as plain calls that stop there would; one that
-        # names none counts all n
+        # a plain rhs that raises at call k counts k, with a stack that
+        # raises (and whose rows are then made as plain calls) as without
+        # one: the failing row is met, counted and raised where plain calls
+        # meet it. k runs over the first two Jacobians' rows and stages
         class Stop(Exception):
             pass
 
+        def rhs_stack(ys):
+            raise RuntimeError("stack refused")
+
         n = 5
-        for point in (None, 0, 2, n - 1):
+        for k in range(1, 2 * (n + 2) + 2):
+            for stack in (rhs_stack, None):
+                calls = []
 
-            def rhs_stack(ys):
-                exc = Stop()
-                if point is not None:
-                    exc.point = point
-                raise exc
+                def rhs(y):
+                    calls.append(y.copy())
+                    if len(calls) == k:
+                        raise Stop(k)
+                    return coupled(y)
 
-            with pytest.raises(Stop) as info:
-                integrate_adaptive(coupled, np.ones(n), 1e3, rhs_stack=rhs_stack)
-            stats = info.value.stats
-            counted = n if point is None else point + 1
-            assert (stats.rhs_evals, stats.jacobian_evals) == (1 + counted, 0)
+                with pytest.raises(Stop) as info:
+                    integrate_adaptive(rhs, np.ones(n), 1e3, rhs_stack=stack)
+                assert info.value.args == (k,)
+                assert info.value.stats.rhs_evals == k
+                assert info.value.stats.discarded_evals == 0
 
 
 class TestIntegrateAdaptive:

@@ -215,6 +215,11 @@ class TestNgfErkProblem:
         with pytest.raises(ValueError):
             NgfErkProblem(inputs=(0.0, 1.0))
 
+    @pytest.mark.parametrize("noise_var", [-1.0, float("nan")])
+    def test_rejects_negative_or_nan_noise(self, noise_var):
+        with pytest.raises(ValueError, match="noise variance"):
+            NgfErkProblem(noise_var=noise_var)
+
     def test_conditions_require_data(self):
         with pytest.raises(ValueError, match="data not set"):
             NgfErkProblem().conditions()
