@@ -46,9 +46,10 @@ class ModelSpec:
     depends only on row i of X and U and on theta (row i of theta when it
     has one per row), and has the bits that row gets when evaluated as a
     batch of one at its own theta. The flow relies on this to evaluate the
-    distinct rows of a stack of points in one call per kernel: every point
-    of its finite-difference Jacobian, the parameter columns' points at
-    their perturbed theta. ``validate_model`` checks the per-row theta
+    finite-difference stack of a point in one call per kernel: the point's
+    own rows once, the rows of each parameter column at its perturbed
+    theta and the one perturbed row of each state column, in a fixed order
+    planned once per problem. ``validate_model`` checks the per-row theta
     form.
     """
 
@@ -107,7 +108,8 @@ class ObjectiveSpec:
     ``(p, m, n_x)``, and return the shape of their theta and states. Row q
     of a stack must have the bits of point q alone, the rule ModelSpec's
     batched kernels follow for one theta per row: the flow calls each
-    gradient once for all the points of its finite-difference Jacobian.
+    gradient once for a point's finite-difference stack, its n perturbed
+    points and, when it also needs the point's value, the point itself.
     """
 
     eval: Callable[[np.ndarray, np.ndarray], float]

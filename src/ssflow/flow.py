@@ -9,6 +9,7 @@ lam * f that makes the manifold attractive.
 import time
 from dataclasses import dataclass
 from functools import cached_property, partial
+from typing import NamedTuple
 
 import numpy as np
 
@@ -52,6 +53,14 @@ class FlowProblem:
         states = n_theta + self.model.n_x * np.arange(len(self.conditions))
         return np.concatenate([[0], states])
 
+    @cached_property
+    def fd_plans(self):
+        """The kernel-row plans of the FD stack of a point (_fd_plan), by
+        its row count: n, and n + 1 with the point itself last. Built once;
+        every stacked evaluation of the problem reuses them."""
+        n = self.model.n_theta + len(self.conditions) * self.model.n_x
+        return {p: _fd_plan(self, p) for p in (n, n + 1)}
+
 
 def _kernel_rows(model, theta, x_mat, u_mat):
     """(jac_x, jac_theta, f) at the condition rows (x_mat, u_mat), one
@@ -68,13 +77,15 @@ def _kernel_rows(model, theta, x_mat, u_mat):
 
 
 def _assemble(problem, theta, states):
-    """The flow derivative blocks at one point or at a stack of points;
+    """The flow derivative blocks at one point or at the FD stack of one;
     every evaluation of the flow derivative is one call.
 
     One point: theta (n_theta,) and states (m, n_x); returns d_theta
-    (n_theta,) and d_states (m, n_x). A stack of p points: theta
-    (p, n_theta) and states (p, m, n_x); returns (p, n_theta) and
-    (p, m, n_x) arrays whose row q has the bits of point q alone.
+    (n_theta,) and d_states (m, n_x). The FD stack of a point
+    (integrator._fd_stack, p = n or n + 1 rows): theta (p, n_theta) and
+    states (p, m, n_x); returns (p, n_theta) and (p, m, n_x) arrays whose
+    row q has the bits of point q alone. Any other stack is wrong: the
+    model part follows the problem's fixed FD plan.
 
     The model part is the one branch. A point makes one batched call per
     kernel over its m condition rows, checks the Jacobian rows for
@@ -122,60 +133,74 @@ def _first_failing_point(d_theta, d_states):
     return FlowNumericalError("non-finite derivative in parameter block")
 
 
-def _stack_model_part(problem, thetas, states):
-    """The model part of every point of a stack: the pinv sensitivities
-    (p, m, n_x, n_theta) and vector field values (p, m, n_x).
+class _FdPlan(NamedTuple):
+    """The kernel rows of one FD stack shape, as indices into the stack."""
 
-    Row (q, i) is condition i at point q. The reference point takes
-    coordinate j from point (j + 1) mod p; on the finite-difference stack of
-    a point y that is y itself. So it is on the integrator's merged stack,
-    the n FD points followed by y: the reference is its base row, which
-    owns no row. A row with the bits of the reference point's row of its
-    condition is evaluated once for every point that has it, every other
-    row on its own, all of them in one batched call per kernel (one theta
-    per row) and one stacked solve. On the finite-difference stack, merged
-    or not, that is m + m*n_x + n_theta*m rows: one reference row per
-    condition, the perturbed row of each state column, and all m rows of
-    each parameter column. Raises on a failing kernel or solve, or a
-    non-finite Jacobian row; the error names kernel rows, not a point.
+    theta_rows: np.ndarray  # stack row of each kernel row's theta
+    x_rows: np.ndarray  # (stack row) * m + condition of each kernel row's x
+    u_rows: np.ndarray  # each kernel row's input, gathered from u_matrix
+    row: np.ndarray  # (p, m): the kernel row of each condition of each point
 
-    The plan comes from one mask, own: the rows whose bit patterns differ
-    from the reference row of their condition (so 0.0 and -0.0 are
-    different rows). The kernels see the shared rows (the conditions some
-    point does not own) in condition order, then the own rows in stack
-    order; their parameters fill one preallocated array and their inputs
-    are one gather from u_matrix. Gathering the outputs by row gives each
-    point its rows back. Gathers along one axis are takes, the cheapest
-    form of the same copy.
+
+def _fd_plan(problem, p):
+    """The kernel-row plan of a p-row FD stack of the problem
+    (integrator._fd_stack: any point's n forward-difference points, then,
+    when p = n + 1, the point itself).
+
+    Each parameter column's point owns all m condition rows, each state
+    column's point the row of its condition, and every other row is the
+    base point's, shared. The kernels see the shared rows first, in
+    condition order, then the own rows in stack order. There are no shared
+    rows when every point owns the one condition (m = 1, p = n). A shared
+    row takes its theta from the first state column's point and condition
+    i's state from row (n_theta + (i + 1) * n_x) mod p, a point with no
+    step in condition i.
     """
-    p, m, n_x = states.shape
-    n_theta = thetas.shape[1]
-    x_flat = states.reshape(p, m * n_x)
-    cols = np.arange(n_theta + m * n_x)
-    ref = (cols + 1) % p
-    ref_theta = thetas[ref[:n_theta], cols[:n_theta]]
-    ref_x = x_flat[ref[n_theta:], cols[: m * n_x]]
-    own = (x_flat.view(np.int64) != ref_x.view(np.int64)).reshape(p, m, n_x).any(axis=2)
-    own |= (thetas.view(np.int64) != ref_theta.view(np.int64)).any(axis=1)[:, None]
-    own_q, own_i = np.nonzero(own)
-    shared = np.flatnonzero(np.bincount(own_i, minlength=m) < p)
-    n_shared = shared.size
-    n_rows = n_shared + own_q.size
+    n_theta, n_x = problem.model.n_theta, problem.model.n_x
+    m = len(problem.conditions)
+    n_shared = m if n_theta + n_x < p else 0
+    conditions = np.arange(m)
+    own_q = np.concatenate(
+        [np.repeat(np.arange(n_theta), m), n_theta + np.arange(m * n_x)]
+    )
+    own_i = np.concatenate([np.tile(conditions, n_theta), np.repeat(conditions, n_x)])
+    shared = conditions[:n_shared]
+    shared_q = (n_theta + (shared + 1) * n_x) % p
     row = np.empty((p, m), dtype=np.intp)
     row[:, shared] = np.arange(n_shared)
-    row[own] = np.arange(n_shared, n_rows)
-    theta_rows = np.empty((n_rows, n_theta))
-    theta_rows[:n_shared] = ref_theta
-    theta_rows[n_shared:] = thetas.take(own_q, axis=0)
-    x_rows = [ref_x.reshape(m, n_x).take(shared, axis=0), states[own_q, own_i]]
+    row[own_q, own_i] = np.arange(n_shared, n_shared + own_q.size)
+    return _FdPlan(
+        theta_rows=np.concatenate([np.full(n_shared, n_theta), own_q]),
+        x_rows=np.concatenate([shared_q * m + shared, own_q * m + own_i]),
+        u_rows=problem.u_matrix.take(np.concatenate([shared, own_i]), axis=0),
+        row=row,
+    )
+
+
+def _stack_model_part(problem, thetas, states):
+    """The model part of every point of an FD stack: the pinv sensitivities
+    (p, m, n_x, n_theta) and vector field values (p, m, n_x).
+
+    Row (q, i) is condition i at point q. The kernel rows come from the
+    problem's plan for p rows (_fd_plan): on the FD stack of a point y, m
+    shared rows of y (none for the plain stack of one condition), the m
+    rows of each parameter column and the one perturbed row of each state
+    column, all of them in one batched call per kernel (one theta per row)
+    and one stacked solve. A call only gathers the theta and x rows; the
+    inputs and the row map are the plan's. Raises on a failing kernel or
+    solve, or a non-finite Jacobian row; the error names kernel rows, not a
+    point.
+    """
+    p, m, n_x = states.shape
+    plan = problem.fd_plans[p]
     a, b, f_mat = _kernel_rows(
         problem.model,
-        theta_rows,
-        np.concatenate(x_rows),
-        problem.u_matrix.take(np.concatenate([shared, own_i]), axis=0),
+        thetas.take(plan.theta_rows, axis=0),
+        states.reshape(p * m, n_x).take(plan.x_rows, axis=0),
+        plan.u_rows,
     )
     _check_jacobian_rows(a, b)
-    return pinv_sensitivity(a, b).take(row, axis=0), f_mat.take(row, axis=0)
+    return pinv_sensitivity(a, b).take(plan.row, axis=0), f_mat.take(plan.row, axis=0)
 
 
 def _check_jacobian_rows(a, b):
@@ -196,12 +221,14 @@ def rhs(problem, y):
     return np.concatenate([d_theta, d_states.ravel()])
 
 
-def rhs_stack(problem, ys):
-    """Flow derivative at every row of the stack ys (p, n_theta + m*n_x) in
-    one _assemble call, as a (p, n) array whose row q has the bits of
-    rhs(problem, ys[q]). Any failing row fails the whole call; the
-    integrator makes the rows again as plain rhs calls to find it."""
-    ys = np.asarray(ys, dtype=float)
+def rhs_fd(problem, y, value=False):
+    """Flow derivative at every row of ys = integrator._fd_stack(y, value),
+    the FD stack of the packed point y (its n forward-difference points,
+    then y itself with value=True), in one _assemble call, as a (p, n)
+    array whose row q has the bits of rhs(problem, ys[q]). Any failing row
+    fails the whole call; the integrator makes the rows again as plain rhs
+    calls to find it."""
+    ys = integrator._fd_stack(y, value)
     p = len(ys)
     n_theta = problem.model.n_theta
     states = ys[:, n_theta:].reshape(p, len(problem.conditions), problem.model.n_x)
@@ -255,7 +282,7 @@ def run_flow(problem, init, store_trajectory=False):
 
     # one state column keeps plain calls, so perfbench's traced cr_methods
     # run still makes one _assemble call per rhs evaluation
-    stacked = partial(rhs_stack, problem) if m * n_x >= 2 else None
+    stacked = partial(rhs_fd, problem) if m * n_x >= 2 else None
     t0 = time.perf_counter()
     try:
         r_end, y_end, stats, outcome = integrator.integrate_adaptive(
@@ -267,7 +294,7 @@ def run_flow(problem, init, store_trajectory=False):
             stop=partial(stop_check, problem),
             budget=cfg.max_rhs_evals,
             observer=observer,
-            rhs_stack=stacked,
+            rhs_fd=stacked,
         )
         reason = {
             integrator.IntegrationOutcome.STOP_CONDITION: StopReason.TOLERANCE_MET,

@@ -9,13 +9,15 @@ integrate a non-autonomous system). The rhs Jacobian is approximated by
 forward differences. Each step factorises its stage matrix once with LAPACK
 getrf and runs its three stage solves with getrs, called directly.
 
-Given a stacked rhs, every point that may become the next step's base (the
-initial point, the new point of a step that keeps its L-stable solution, the
-extrapolated point of one that does not) is evaluated in one call together
-with its n forward-difference points: the stack holds the n perturbed
-points, then the point itself, and its last row is the value. The other n
-rows become that point's Jacobian if the next step starts there, so each
-such point costs one derivative call instead of two.
+Given rhs_fd, which evaluates the FD stack of one point (_fd_stack: its n
+forward-difference points, optionally the point itself last) in one call,
+every point that may become the next step's base (the initial point, the new
+point of a step that keeps its L-stable solution, the extrapolated point of
+one that does not) is evaluated in one call together with its n
+forward-difference points, and the stack's last row is the value. The other
+n rows become that point's Jacobian if the next step starts there, so each
+such point costs one derivative call instead of two. The stacks are always
+FD stacks, so the rows they share follow one fixed pattern per problem.
 
 One rule covers failures: a stack call that raises is made again as plain
 rhs calls, one per row in stack order. So a failing row fails the run where
@@ -135,7 +137,7 @@ def integrate_adaptive(
     stop=None,
     budget=100_000,
     observer=None,
-    rhs_stack=None,
+    rhs_fd=None,
 ):
     """Integrate the autonomous system dy/dr = rhs(y) from r = 0 to r_max
     with adaptive steps.
@@ -148,10 +150,13 @@ def integrate_adaptive(
     checked before each step, and a step of n variables makes up to n + 3
     (Jacobian, two stages, extrapolation), so a run can end n + 2 past it.
 
-    rhs_stack, if given, evaluates a stack of points in one call, row q with
-    the bits of rhs at row q. Each point that may be the next step's base
-    is then evaluated in one rhs_stack call together with its n FD points
-    (see the module docstring): the initial point, a step's new point when
+    rhs_fd, if given, evaluates the FD stack of a point in one call:
+    rhs_fd(y, value) returns rhs at every row of _fd_stack(y, value) as
+    rows, row q with the bits of rhs at row q. It sees no other stack, so
+    it may plan its evaluation once for both shapes (n and n + 1 rows).
+    Each point that may be the next step's base is evaluated in one
+    rhs_fd(y, True) call together with its n FD points (see the module
+    docstring): the initial point, a step's new point when
     h * ||jac||_inf > 1 (the step keeps its L-stable solution; the test
     needs only h and the Jacobian, so it is made before the step), and the
     extrapolated point otherwise. The counting is that of one plain call
@@ -165,10 +170,10 @@ def integrate_adaptive(
 
     Failures follow the one rule of the module docstring. A merged call
     that raises is made again as one plain rhs call for the value, and the
-    next Jacobian's rows, if a step needs them, as one rhs_stack call of
-    their own, made again as n plain calls if it raises too. A stack call
-    adds its rows to rhs_evals when it returns; a plain call counts before
-    it is made, so the call that raises is counted.
+    next Jacobian's rows, if a step needs them, as one rhs_fd(y, False)
+    call of their own, made again as n plain calls if it raises too. A
+    stack call adds its rows to rhs_evals when it returns; a plain call
+    counts before it is made, so the call that raises is counted.
 
     Returns (final r, final y, IntegratorStats, IntegrationOutcome). An
     exception raised on the way (by rhs, stop or observer, or on a non-finite
@@ -190,28 +195,28 @@ def integrate_adaptive(
         stats.rhs_evals += 1
         return rhs(y)
 
-    def evaluate(ys):
-        # rhs at every row of ys, as rows: one rhs_stack call, or plain
-        # calls in stack order when there is none or it raises
-        if rhs_stack is not None:
+    def fd_values(y):
+        # rhs at every row of _fd_stack(y), as rows: one rhs_fd call, or
+        # plain calls in stack order when there is none or it raises
+        if rhs_fd is not None:
             try:
-                values = rhs_stack(ys)
+                values = rhs_fd(y, False)
             except Exception:
                 pass
             else:
-                stats.rhs_evals += len(ys)
+                stats.rhs_evals += n
                 return values
-        return np.array([counted_rhs(row) for row in ys])
+        return np.array([counted_rhs(row) for row in _fd_stack(y)])
 
     def base_value(y):
         # rhs(y) for a point that may be the next step's base: the last row
         # of one call on y's FD stack and y, whose other rows wait in ahead
         nonlocal ahead
         ahead = None
-        if rhs_stack is None:
+        if rhs_fd is None:
             return counted_rhs(y)
         try:
-            values = rhs_stack(_fd_stack(y, value=True))
+            values = rhs_fd(y, True)
         except Exception:
             # whatever failed, the separate calls raise it again where they
             # reach the failing row, if the run gets there
@@ -245,7 +250,7 @@ def integrate_adaptive(
                 return r, y, stats, IntegrationOutcome.STEP_UNDERFLOW
             if jac is None:
                 if ahead is None:
-                    values = evaluate(_fd_stack(y))
+                    values = fd_values(y)
                 else:
                     # y's FD rows, made ahead with its value: counted now
                     # that a Jacobian takes them

@@ -464,7 +464,7 @@ def run_flow_integration(problem, init):
         cfg.r_max,
         rel_tol=cfg.integrator_rel_tol,
         abs_tol=cfg.integrator_abs_tol,
-        rhs_stack=partial(flow.rhs_stack, problem),
+        rhs_fd=partial(flow.rhs_fd, problem),
     )
 
 
@@ -536,27 +536,27 @@ def raising_at(grad, point, message):
     return wrapped
 
 
-MERGED_RHS_STACK = flow.rhs_stack
+MERGED_RHS_FD = flow.rhs_fd
 INTEGRATE = integrator.integrate_adaptive
 
 
-def separate_rhs_stack(problem, ys):
-    """flow.rhs_stack refusing a base point's merged stack (its n FD points
+def separate_rhs_fd(problem, y, value=False):
+    """flow.rhs_fd refusing a base point's merged stack (its n FD points
     and itself), so each base value is a plain call and each FD Jacobian a
     stack call of its own."""
-    if len(ys) > ys.shape[1]:
+    if value:
         raise RuntimeError("merged stack refused")
-    return MERGED_RHS_STACK(problem, ys)
+    return MERGED_RHS_FD(problem, y)
 
 
-def plain_integration(*args, rhs_stack=None, **kwargs):
+def plain_integration(*args, rhs_fd=None, **kwargs):
     """integrate_adaptive with every evaluation a plain rhs call."""
     return INTEGRATE(*args, **kwargs)
 
 
 EVALUATION_MODES = {
     "merged": None,
-    "separate": (flow, "rhs_stack", separate_rhs_stack),
+    "separate": (flow, "rhs_fd", separate_rhs_fd),
     "plain": (integrator, "integrate_adaptive", plain_integration),
 }
 
@@ -611,9 +611,9 @@ def test_state_columns_share_their_model_part_from_two_on(monkeypatch):
     seen = []
     integrate = integrator.integrate_adaptive
 
-    def capture(*args, rhs_stack=None, **kwargs):
-        seen.append(rhs_stack)
-        return integrate(*args, rhs_stack=rhs_stack, **kwargs)
+    def capture(*args, rhs_fd=None, **kwargs):
+        seen.append(rhs_fd)
+        return integrate(*args, rhs_fd=rhs_fd, **kwargs)
 
     monkeypatch.setattr(integrator, "integrate_adaptive", capture)
     cr_init = FlowState(theta=np.array([5.0, 3.0]), states=[np.array([0.9])])
@@ -621,7 +621,7 @@ def test_state_columns_share_their_model_part_from_two_on(monkeypatch):
     ngf = NgfErkProblem().with_generated_data(0)
     run_flow(ngf.flow_problem(FlowConfig(lam=20.0, max_rhs_evals=10)), ngf_start())
     assert seen[0] is None
-    assert seen[1].func is flow.rhs_stack
+    assert seen[1].func is flow.rhs_fd
 
 
 class TestSharedColumnFailureParity:
@@ -711,26 +711,14 @@ STACK_PROBLEMS = {
 }
 
 
-def draw_stack(data, n):
-    """A stack of points around one base point: each row is the base point,
-    the base point with one coordinate redrawn, or a point of its own, so
-    that rows share condition rows as the FD stack does. A redrawn
-    coordinate may take any float, inf and NaN included, so that a stack
-    can fail at any row; 0.0 and -0.0 are both drawn."""
-    value = st.floats(-4.0, 4.0)
-    base = data.draw(arrays(float, n, elements=value), label="base")
-    rows = []
-    for _ in range(data.draw(st.integers(1, 30), label="p")):
-        kind = data.draw(st.sampled_from(["base", "one", "own"]))
-        if kind == "own":
-            rows.append(data.draw(arrays(float, n, elements=value)))
-            continue
-        row = base.copy()
-        if kind == "one":
-            coordinate = data.draw(st.integers(0, n - 1))
-            row[coordinate] = data.draw(st.one_of(value, st.floats()))
-        rows.append(row)
-    return np.array(rows)
+def draw_base_point(data, n):
+    """A base point of moderate coordinates, 0.0 and -0.0 among them, with
+    up to three redrawn from any float, inf and NaN included, so that its
+    FD stack can fail at any row."""
+    y = data.draw(arrays(float, n, elements=st.floats(-4.0, 4.0)), label="y")
+    for _ in range(data.draw(st.integers(0, 3), label="redrawn")):
+        y[data.draw(st.integers(0, n - 1))] = data.draw(st.floats())
+    return y
 
 
 def per_point_values(problem, ys):
@@ -748,22 +736,27 @@ def per_point_values(problem, ys):
 @settings(max_examples=60, deadline=None)
 @given(data=st.data())
 def test_stacked_derivative_equals_per_point_rhs(name, data):
-    # batched equals a batch of one: row q of the stack has the bits of
-    # rhs at row q alone, and the stack raises a numerical failure iff some
-    # row fails alone (the integrator then finds the row with plain calls)
+    # batched equals a batch of one: row q of a drawn point's FD stack,
+    # plain or merged with the point itself, has the bits of rhs at row q
+    # alone, and the call raises a numerical failure iff some row fails
+    # alone (the integrator then finds the row with plain calls). The
+    # conversion reaction's one condition has no shared row in the plain
+    # stack: every one of its points owns it
     problem = STACK_PROBLEMS[name]()
     n = problem.model.n_theta + len(problem.conditions) * problem.model.n_x
-    ys = draw_stack(data, n)
+    y = draw_base_point(data, n)
+    value = data.draw(st.booleans(), label="value")
     with np.errstate(all="ignore"):
+        ys = integrator._fd_stack(y, value)
         values = per_point_values(problem, ys)
         if values is not None:
-            got = flow.rhs_stack(problem, ys)
+            got = flow.rhs_fd(problem, y, value)
             assert got.shape == ys.shape
             for q, want in enumerate(values):
                 assert got[q].tobytes() == want.tobytes(), q
         else:
             with pytest.raises(flow._NUMERICAL_FAILURES):
-                flow.rhs_stack(problem, ys)
+                flow.rhs_fd(problem, y, value)
 
 
 @pytest.mark.parametrize(
@@ -813,9 +806,10 @@ def recording_kernels(problem):
 
 
 class TestDistinctRowPlan:
-    """A stack evaluates each distinct condition row once: a row with the
-    bits of the reference point's row is shared by every point that has
-    it, every other row is its own, all in one call per kernel."""
+    """The FD stack of a point evaluates each distinct condition row once,
+    in one call per kernel, by the problem's fixed plan: the base point's
+    rows are shared by every point that has them, and each perturbed row is
+    its own."""
 
     def setup_method(self):
         prob = NgfErkProblem().with_generated_data(0)
@@ -823,56 +817,79 @@ class TestDistinctRowPlan:
         self.problem, self.calls = recording_kernels(problem)
 
     def rows_per_kernel(self, ys):
-        """(kernel, rows) of the rhs_stack call on ys, whose calls are left
-        in self.calls; each row of its value has the bits of rhs alone."""
+        """(kernel, rows) of the rhs_fd call on the FD stack ys, whose calls
+        are left in self.calls; each row of its value has the bits of rhs
+        alone."""
+        n = ys.shape[1]
+        value = len(ys) > n
+        # coordinate j of the base point is unperturbed in row j + 1
+        y = ys[(np.arange(n) + 1) % len(ys), np.arange(n)]
+        assert integrator._fd_stack(y, value).tobytes() == ys.tobytes()
         self.calls.clear()
-        got = flow.rhs_stack(self.problem, ys)
+        got = flow.rhs_fd(self.problem, y, value)
         stack_calls = list(self.calls)
-        for q, y in enumerate(ys):
-            assert got[q].tobytes() == rhs(self.problem, y).tobytes(), q
+        for q, row in enumerate(ys):
+            assert got[q].tobytes() == rhs(self.problem, row).tobytes(), q
         self.calls[:] = stack_calls
         return sorted((name, len(x_mat)) for name, _, x_mat, _ in stack_calls)
 
-    def test_identical_points_make_one_row_per_condition(self):
-        ys = np.tile(ngf_start().pack(), (7, 1))
-        assert self.rows_per_kernel(ys) == [
-            ("f_batch", 10),
-            ("jac_theta_batch", 10),
-            ("jac_x_batch", 10),
-        ]
-
-    def test_unrelated_points_make_every_row_their_own(self):
-        rng = np.random.default_rng(3)
-        p = 5
-        ys = np.concatenate(
-            [
-                rng.uniform(*NgfErkProblem.theta_box, (p, 6)),
-                rng.uniform(*NgfErkProblem.state_box, (p, 20)),
-            ],
-            axis=1,
-        )
-        assert self.rows_per_kernel(ys) == [
-            ("f_batch", p * 10),
-            ("jac_theta_batch", p * 10),
-            ("jac_x_batch", p * 10),
-        ]
-
-    def test_signed_zero_makes_a_row_of_its_own(self):
-        # every point has 0.0 at condition 3's first state but point 1,
-        # which has -0.0: equal as floats, different as bits. The reference
-        # takes coordinate j from point (j + 1) mod 5 = 3, so it has 0.0
+    def test_signed_zero_base_coordinate_keeps_its_sign_in_the_shared_row(self):
+        # condition 3's first state is -0.0 at the base point: its shared
+        # row, the parameter columns' rows of condition 3 and the row of
+        # its second state's column keep the sign bit; only its own state
+        # column's point steps it
         y = ngf_start().pack()
         j = 6 + 2 * 3
-        y[j] = 0.0
-        ys = np.tile(y, (5, 1))
-        ys[1, j] = -0.0
-        assert self.rows_per_kernel(ys) == [
-            ("f_batch", 11),
-            ("jac_theta_batch", 11),
-            ("jac_x_batch", 11),
-        ]
-        for _, _, x_mat, _ in self.calls:
-            assert np.signbit(x_mat[:, 0]).tolist() == [False] * 10 + [True]
+        y[j] = -0.0
+        for value in (False, True):
+            ys = integrator._fd_stack(y, value)
+            assert self.rows_per_kernel(ys) == [
+                ("f_batch", 90),
+                ("jac_theta_batch", 90),
+                ("jac_x_batch", 90),
+            ]
+            for _, _, x_mat, _ in self.calls:
+                signs = np.signbit(x_mat[:, 0]).tolist()
+                assert signs[:10] == [i == 3 for i in range(10)]
+                assert signs[10:70] == [i == 3 for i in range(10)] * 6
+                assert signs[70:] == [k == j + 1 for k in range(6, 26)]
+
+    def test_merged_value_row_owns_no_kernel_row(self):
+        # the base point appended to its FD stack takes the shared rows:
+        # the kernels see the plain stack's rows, bit for bit
+        y = ngf_start().pack()
+        n = y.size
+        self.rows_per_kernel(integrator._fd_stack(y))
+        plain = list(self.calls)
+        self.rows_per_kernel(integrator._fd_stack(y, value=True))
+        assert len(self.calls) == len(plain) == 3
+        for got, want in zip(self.calls, plain):
+            assert got[0] == want[0]
+            for a, b in zip(got[1:], want[1:]):
+                assert a.tobytes() == b.tobytes()
+        assert self.problem.fd_plans[n + 1].row[n].tolist() == list(range(10))
+
+    def test_problem_builds_its_plans_once(self, monkeypatch):
+        # both stack shapes are planned on the first stacked call; later
+        # calls at other points reuse the plans
+        built = []
+        build = flow._fd_plan
+
+        def counted(problem, p):
+            built.append(p)
+            return build(problem, p)
+
+        monkeypatch.setattr(flow, "_fd_plan", counted)
+        problem = ngf_flow_problem()
+        plans = problem.fd_plans
+        rng = np.random.default_rng(4)
+        for _ in range(3):
+            y = ngf_start().pack() + rng.uniform(-0.1, 0.1, 26)
+            for value in (False, True):
+                flow.rhs_fd(problem, y, value)
+        assert built == [26, 27]
+        assert problem.fd_plans is plans
+        assert dataclasses.replace(problem).fd_plans is not plans
 
     def test_fd_stack_is_one_ninety_row_call_per_kernel_in_plan_order(self):
         # the 10 reference rows, then the 10 rows of each parameter column,

@@ -152,12 +152,12 @@ class TestFdJacobian:
         stacks = []
         values = []
 
-        def rhs_stack(ys):
-            stacks.append(ys.copy())
-            values.append(np.array([rhs(row) for row in ys]))
+        def rhs_fd(y, value=False):
+            stacks.append(integrator._fd_stack(y, value))
+            values.append(np.array([rhs(row) for row in stacks[-1]]))
             return values[-1]
 
-        got = _fd_jacobian(rhs_stack(integrator._fd_stack(y)), y, f0)
+        got = _fd_jacobian(rhs_fd(y), y, f0)
         assert len(stacks) == 1
         assert np.array_equal(got, reference_fd_jacobian(rhs, y, f0))
         assert got.flags.c_contiguous
@@ -241,7 +241,7 @@ class TestSharedColumns:
         objective, gradient_calls = counting_gradients(base.objective)
         problem = dataclasses.replace(base, model=model, objective=objective)
         rhs = partial(flow.rhs, problem)
-        stack = partial(flow.rhs_stack, problem)
+        rhs_fd = partial(flow.rhs_fd, problem)
         rng = np.random.default_rng(11)
         for _ in range(12):
             y = np.concatenate(
@@ -250,7 +250,7 @@ class TestSharedColumns:
             f0 = rhs(y)
             calls.clear()
             gradient_calls.clear()
-            got = _fd_jacobian(stack(integrator._fd_stack(y)), y, f0)
+            got = _fd_jacobian(rhs_fd(y), y, f0)
             # one call per kernel over the 10 base rows, the 20 perturbed
             # state rows and the 6 x 10 parameter-column rows, and no other
             assert sorted(calls) == [
@@ -318,7 +318,7 @@ class TestSharedColumns:
         rhs = partial(flow.rhs, problem)
         y = np.array([0.0, 0.0, 0.3, 0.7])
         f0 = rhs(y)
-        got = _fd_jacobian(flow.rhs_stack(problem, integrator._fd_stack(y)), y, f0)
+        got = _fd_jacobian(flow.rhs_fd(problem, y), y, f0)
         assert np.all(np.isfinite(got))
         assert np.array_equal(got, reference_fd_jacobian(rhs, y, f0))
 
@@ -340,12 +340,12 @@ class TestSharedColumns:
                 seen.append(y.copy())
                 return coupled(y)
 
-            def rhs_stack(ys):
-                stacks.append(ys.copy())
-                return np.array([coupled(y) for y in ys])
+            def rhs_fd(y, value):
+                stacks.append(integrator._fd_stack(y, value))
+                return np.array([coupled(row) for row in stacks[-1]])
 
             _, y, stats, outcome = integrate_adaptive(
-                rhs, y0, 1e3, budget=2, rhs_stack=rhs_stack if stacked else None
+                rhs, y0, 1e3, budget=2, rhs_fd=rhs_fd if stacked else None
             )
             runs.append((y.tobytes(), stats.rhs_evals, stats.steps_accepted))
             assert outcome is IntegrationOutcome.BUDGET_EXHAUSTED
@@ -374,13 +374,13 @@ class TestSharedColumns:
         class Refused(Exception):
             point = 0
 
-        def rhs_stack(ys):
+        def rhs_fd(y, value):
             raise Refused
 
         runs = []
-        for stack in (rhs_stack, None):
+        for stack in (rhs_fd, None):
             r, y, stats, outcome = integrate_adaptive(
-                coupled, np.ones(5), 3.0, rhs_stack=stack
+                coupled, np.ones(5), 3.0, rhs_fd=stack
             )
             runs.append((r, y.tobytes(), stats, outcome))
         assert runs[0] == runs[1]
@@ -395,12 +395,12 @@ class TestSharedColumns:
         class Stop(Exception):
             pass
 
-        def rhs_stack(ys):
+        def rhs_fd(y, value):
             raise RuntimeError("stack refused")
 
         n = 5
         for k in range(1, 2 * (n + 2) + 2):
-            for stack in (rhs_stack, None):
+            for stack in (rhs_fd, None):
                 calls = []
 
                 def rhs(y):
@@ -410,7 +410,7 @@ class TestSharedColumns:
                     return coupled(y)
 
                 with pytest.raises(Stop) as info:
-                    integrate_adaptive(rhs, np.ones(n), 1e3, rhs_stack=stack)
+                    integrate_adaptive(rhs, np.ones(n), 1e3, rhs_fd=stack)
                 assert info.value.args == (k,)
                 assert info.value.stats.rhs_evals == k
                 assert info.value.stats.discarded_evals == 0
@@ -600,41 +600,44 @@ def van_der_pol(y):
     return out
 
 
+def van_der_pol_fd(y, value):
+    return np.array([van_der_pol(row) for row in integrator._fd_stack(y, value)])
+
+
 def draw_system(name, data):
-    """(rhs, rhs_stack, y0, r_max, tolerances) of a drawn start."""
+    """(rhs, rhs_fd, y0, r_max, tolerances) of a drawn start."""
     if name == "van_der_pol":
         y0 = data.draw(arrays(float, 6, elements=st.floats(-2.0, 2.0)), label="y0")
         r_max = data.draw(st.floats(1e-3, 3e3), label="r_max")
         rel_tol = data.draw(st.sampled_from([1e-2, 1e-3]), label="rel_tol")
-        stack = lambda ys: np.array([van_der_pol(y) for y in ys])  # noqa: E731
         tolerances = {"rel_tol": rel_tol, "abs_tol": 1e-2 * rel_tol}
-        return van_der_pol, stack, y0, r_max, tolerances
+        return van_der_pol, van_der_pol_fd, y0, r_max, tolerances
     prob = NgfErkProblem().with_generated_data(0)
     problem = prob.flow_problem(FlowConfig(lam=20.0))
     theta = data.draw(arrays(float, 6, elements=st.floats(*prob.theta_box)))
     states = data.draw(arrays(float, 20, elements=st.floats(*prob.state_box)))
     return (
         partial(flow.rhs, problem),
-        partial(flow.rhs_stack, problem),
+        partial(flow.rhs_fd, problem),
         np.concatenate([theta, states]),
         1e4,
         {"rel_tol": 1e-4, "abs_tol": 1e-6},
     )
 
 
-def counted_run(rhs, y0, r_max, budget, tolerances, rhs_stack=None):
+def counted_run(rhs, y0, r_max, budget, tolerances, rhs_fd=None):
     """integrate_adaptive's end ((r, y bits, outcome), or the raised error's
     type and message), its IntegratorStats, and the number of points its
-    rhs and rhs_stack evaluated."""
+    rhs and rhs_fd evaluated."""
     points = [0]
 
     def counted_rhs(y):
         points[0] += 1
         return rhs(y)
 
-    def counted_stack(ys):
-        points[0] += len(ys)
-        return rhs_stack(ys)
+    def counted_fd(y, value):
+        points[0] += y.size + value
+        return rhs_fd(y, value)
 
     try:
         r, y, stats, outcome = integrate_adaptive(
@@ -642,7 +645,7 @@ def counted_run(rhs, y0, r_max, budget, tolerances, rhs_stack=None):
             y0,
             r_max,
             budget=budget,
-            rhs_stack=None if rhs_stack is None else counted_stack,
+            rhs_fd=None if rhs_fd is None else counted_fd,
             **tolerances,
         )
         end = (r, y.tobytes(), outcome)
@@ -660,9 +663,9 @@ def test_merged_run_equals_plain_calls_within_the_budget_bound(name, data):
     # has the bits, counters and outcome of plain rhs calls; only the
     # discarded rows differ, and they are every point not counted. On
     # BudgetExhausted the run ends at most n + 2 evaluations past the budget
-    rhs, rhs_stack, y0, r_max, tolerances = draw_system(name, data)
+    rhs, rhs_fd, y0, r_max, tolerances = draw_system(name, data)
     budget = data.draw(st.integers(1, 400), label="budget")
-    end, stats, points = counted_run(rhs, y0, r_max, budget, tolerances, rhs_stack)
+    end, stats, points = counted_run(rhs, y0, r_max, budget, tolerances, rhs_fd)
     plain_end, plain_stats, plain_points = counted_run(
         rhs, y0, r_max, budget, tolerances
     )
