@@ -9,7 +9,6 @@ lam * f that makes the manifold attractive.
 import time
 from dataclasses import dataclass
 from functools import cached_property, partial
-from typing import NamedTuple
 
 import numpy as np
 
@@ -133,19 +132,13 @@ def _first_failing_point(d_theta, d_states):
     return FlowNumericalError("non-finite derivative in parameter block")
 
 
-class _FdPlan(NamedTuple):
-    """The kernel rows of one FD stack shape, as indices into the stack."""
-
-    theta_rows: np.ndarray  # stack row of each kernel row's theta
-    x_rows: np.ndarray  # (stack row) * m + condition of each kernel row's x
-    u_rows: np.ndarray  # each kernel row's input, gathered from u_matrix
-    row: np.ndarray  # (p, m): the kernel row of each condition of each point
-
-
 def _fd_plan(problem, p):
     """The kernel-row plan of a p-row FD stack of the problem
     (integrator._fd_stack: any point's n forward-difference points, then,
-    when p = n + 1, the point itself).
+    when p = n + 1, the point itself): per kernel row, the stack row of its
+    theta and the stack row * m + condition of its state, the kernel rows'
+    inputs gathered from u_matrix, and the (p, m) kernel row of each
+    condition of each point.
 
     Each parameter column's point owns all m condition rows, each state
     column's point the row of its condition, and every other row is the
@@ -169,11 +162,11 @@ def _fd_plan(problem, p):
     row = np.empty((p, m), dtype=np.intp)
     row[:, shared] = np.arange(n_shared)
     row[own_q, own_i] = np.arange(n_shared, n_shared + own_q.size)
-    return _FdPlan(
-        theta_rows=np.concatenate([np.full(n_shared, n_theta), own_q]),
-        x_rows=np.concatenate([shared_q * m + shared, own_q * m + own_i]),
-        u_rows=problem.u_matrix.take(np.concatenate([shared, own_i]), axis=0),
-        row=row,
+    return (
+        np.concatenate([np.full(n_shared, n_theta), own_q]),
+        np.concatenate([shared_q * m + shared, own_q * m + own_i]),
+        problem.u_matrix.take(np.concatenate([shared, own_i]), axis=0),
+        row,
     )
 
 
@@ -192,15 +185,15 @@ def _stack_model_part(problem, thetas, states):
     point.
     """
     p, m, n_x = states.shape
-    plan = problem.fd_plans[p]
+    theta_rows, x_rows, u_rows, row = problem.fd_plans[p]
     a, b, f_mat = _kernel_rows(
         problem.model,
-        thetas.take(plan.theta_rows, axis=0),
-        states.reshape(p * m, n_x).take(plan.x_rows, axis=0),
-        plan.u_rows,
+        thetas.take(theta_rows, axis=0),
+        states.reshape(p * m, n_x).take(x_rows, axis=0),
+        u_rows,
     )
     _check_jacobian_rows(a, b)
-    return pinv_sensitivity(a, b).take(plan.row, axis=0), f_mat.take(plan.row, axis=0)
+    return pinv_sensitivity(a, b).take(row, axis=0), f_mat.take(row, axis=0)
 
 
 def _check_jacobian_rows(a, b):

@@ -867,11 +867,13 @@ class TestDistinctRowPlan:
             assert got[0] == want[0]
             for a, b in zip(got[1:], want[1:]):
                 assert a.tobytes() == b.tobytes()
-        assert self.problem.fd_plans[n + 1].row[n].tolist() == list(range(10))
+        *_, row = self.problem.fd_plans[n + 1]
+        assert row[n].tolist() == list(range(10))
 
     def test_problem_builds_its_plans_once(self, monkeypatch):
         # both stack shapes are planned on the first stacked call; later
-        # calls at other points reuse the plans
+        # calls at other points reuse the plans, and a new problem plans
+        # its own
         built = []
         build = flow._fd_plan
 
@@ -881,15 +883,14 @@ class TestDistinctRowPlan:
 
         monkeypatch.setattr(flow, "_fd_plan", counted)
         problem = ngf_flow_problem()
-        plans = problem.fd_plans
         rng = np.random.default_rng(4)
         for _ in range(3):
             y = ngf_start().pack() + rng.uniform(-0.1, 0.1, 26)
             for value in (False, True):
                 flow.rhs_fd(problem, y, value)
-        assert built == [26, 27]
-        assert problem.fd_plans is plans
-        assert dataclasses.replace(problem).fd_plans is not plans
+            assert built == [26, 27]
+        flow.rhs_fd(dataclasses.replace(problem), y)
+        assert built == [26, 27, 26, 27]
 
     def test_fd_stack_is_one_ninety_row_call_per_kernel_in_plan_order(self):
         # the 10 reference rows, then the 10 rows of each parameter column,
