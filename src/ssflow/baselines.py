@@ -151,7 +151,8 @@ def augmented_lagrangian_constrained(problem, init, tol=1e-6, max_outer=20):
 
         def _eval(z):
             theta, x_mat = unpack(z)
-            cvec = constraints(z)
+            f_mat, jac = model.f_jac_batch(theta, x_mat, u_mat)
+            cvec = f_mat.ravel()
             if not np.all(np.isfinite(cvec)):
                 return float("inf"), np.full(z.size, np.nan)
             value = (
@@ -160,8 +161,7 @@ def augmented_lagrangian_constrained(problem, init, tol=1e-6, max_outer=20):
                 + 0.5 * rho * float(cvec @ cvec)
             )
             w = (mu + rho * cvec).reshape(m, n_x)
-            jt = np.asarray(model.jac_theta_batch(theta, x_mat, u_mat), dtype=float)
-            jx = np.asarray(model.jac_x_batch(theta, x_mat, u_mat), dtype=float)
+            jx, jt = jac[..., :n_x], jac[..., n_x:]
             g_theta = np.array(objective.grad_theta(theta, x_mat), dtype=float)
             g_x = np.array(objective.grad_x(theta, x_mat), dtype=float)
             # condition by condition, so g_theta keeps its summation order

@@ -28,6 +28,37 @@ def _stacked(single):
     return batch
 
 
+def _composed(parts):
+    """The fused kernel of the batched forms (f_batch, jac_x_batch,
+    jac_theta_batch): one call of each, the Jacobians joined by one
+    concatenate."""
+    f_batch, jac_x_batch, jac_theta_batch = parts
+
+    def f_jac_batch(theta, x_mat, u_mat):
+        jac_x = np.asarray(jac_x_batch(theta, x_mat, u_mat), dtype=float)
+        jac_theta = np.asarray(jac_theta_batch(theta, x_mat, u_mat), dtype=float)
+        return (
+            np.asarray(f_batch(theta, x_mat, u_mat), dtype=float),
+            np.concatenate([jac_x, jac_theta], axis=-1),
+        )
+
+    f_jac_batch.fuses = parts
+    f_jac_batch.composed = True
+    return f_jac_batch
+
+
+def _held(kernel, parts):
+    """A fused kernel given without the batched forms it agrees with, held
+    together with parts; its outputs are made float arrays."""
+
+    def f_jac_batch(theta, x_mat, u_mat):
+        f_mat, jac = kernel(theta, x_mat, u_mat)
+        return np.asarray(f_mat, dtype=float), np.asarray(jac, dtype=float)
+
+    f_jac_batch.fuses = parts
+    return f_jac_batch
+
+
 @dataclass(frozen=True)
 class ModelSpec:
     """A steady-state-constrained dynamical model.
@@ -37,20 +68,30 @@ class ModelSpec:
     used as benchmarks additionally carry an analytic steady-state map.
 
     The batched forms take theta, X (m, n_x) and U (m, n_u) over m
-    condition rows and return (m, n_x) / (m, n_x, n_x) / (m, n_x, n_theta);
-    every consumer calls these. theta is either one parameter vector
-    (n_theta,) for every row or one per row, (m, n_theta). A batched form
-    left out is filled by stacking the per-condition calls.
+    condition rows and return (m, n_x) / (m, n_x, n_x) / (m, n_x, n_theta).
+    theta is either one parameter vector (n_theta,) for every row or one per
+    row, (m, n_theta). A batched form left out is filled by stacking the
+    per-condition calls.
 
-    Contract: the batched forms are row-separable. Row i of the output
-    depends only on row i of X and U and on theta (row i of theta when it
-    has one per row), and has the bits that row gets when evaluated as a
-    batch of one at its own theta. The flow relies on this to evaluate the
-    finite-difference stack of a point in one call per kernel: the point's
-    own rows once, the rows of each parameter column at its perturbed
-    theta and the one perturbed row of each state column, in a fixed order
-    planned once per problem. ``validate_model`` checks the per-row theta
-    form.
+    ``f_jac_batch`` is the fused kernel every derivative consumer calls: it
+    returns f (m, n_x) and the whole Jacobian ``[d f/d x | d f/d theta]``
+    (m, n_x, n_x + n_theta) as float arrays, from one call. Left out, it is
+    composed from the three batched forms, one call each. A fused kernel
+    holds the batched forms it agrees with (its ``fuses`` tuple): when
+    dataclasses.replace swaps any of them, the kernel is composed again
+    from the new ones, so a replaced kernel is never ignored. A fused
+    kernel given on its own is held with the batched forms it was given
+    with.
+
+    Contract: every batched form, the fused one too, is row-separable. Row
+    i of the output depends only on row i of X and U and on theta (row i of
+    theta when it has one per row), and has the bits that row gets when
+    evaluated as a batch of one at its own theta. The flow relies on this
+    to evaluate the finite-difference stack of a point in one fused call:
+    the point's own rows once, the rows of each parameter column at its
+    perturbed theta and the one perturbed row of each state column, in a
+    fixed order planned once per problem. ``validate_model`` checks the
+    per-row theta form.
     """
 
     n_x: int
@@ -66,6 +107,7 @@ class ModelSpec:
     f_batch: Optional[Callable] = None
     jac_x_batch: Optional[Callable] = None
     jac_theta_batch: Optional[Callable] = None
+    f_jac_batch: Optional[Callable] = None
 
     def __post_init__(self):
         if self.n_x < 1 or self.n_theta < 1 or self.n_u < 0:
@@ -77,6 +119,13 @@ class ModelSpec:
             # when the per-condition form it stacks was replaced
             if batch is None or getattr(batch, "stacks", single) is not single:
                 object.__setattr__(self, name + "_batch", _stacked(single))
+        parts = (self.f_batch, self.jac_x_batch, self.jac_theta_batch)
+        fused = self.f_jac_batch
+        if fused is not None and not hasattr(fused, "fuses"):
+            fused = _held(fused, parts)
+        elif fused is None or fused.fuses != parts:
+            fused = _composed(parts)
+        object.__setattr__(self, "f_jac_batch", fused)
 
 
 @dataclass(frozen=True)
@@ -255,7 +304,10 @@ def validate_model(model, n_samples=100, seed=0):
     row (the ModelSpec contract): each kernel is called once on their
     stack, and a call that raises, or a row whose relative error against
     the per-condition kernel exceeds the default threshold of
-    ValidationReport.ok, is recorded as a failure naming the kernel.
+    ValidationReport.ok, is recorded as a failure naming the kernel. The
+    fused kernel ``f_jac_batch`` is checked the same way, its f block
+    against f and its Jacobian's two blocks against jac_x and jac_theta,
+    unless ModelSpec composed it from the three batched forms.
     n_samples must be at least 1: a report over no sample checks nothing.
     """
     if not n_samples >= 1:
@@ -302,32 +354,70 @@ def validate_model(model, n_samples=100, seed=0):
 
 
 def _theta_per_row_failures(model, points):
-    """validate_model's failure entries for the batched kernels called once
-    on the stack of points (theta, x, u), with one theta per row."""
+    """validate_model's failure entries for the batched kernels, the fused
+    one too, called once on the stack of points (theta, x, u), with one
+    theta per row."""
     thetas, x_mat, u_mat = (np.stack(column) for column in zip(*points))
     stack = (list(range(len(points))), thetas, x_mat, u_mat)
+    want = {
+        name: np.stack([np.asarray(single(*point), dtype=float) for point in points])
+        for name, single in (
+            ("f", model.f),
+            ("jac_x", model.jac_x),
+            ("jac_theta", model.jac_theta),
+        )
+    }
     failures = []
     for name in ("f", "jac_x", "jac_theta"):
         kernel = name + "_batch"
-        single = getattr(model, name)
-        want = np.stack([np.asarray(single(*point), dtype=float) for point in points])
         try:
             got = np.asarray(getattr(model, kernel)(thetas, x_mat, u_mat), dtype=float)
         except Exception as exc:
             failures.append(stack + (f"{kernel} with one theta per row raises {exc!r}",))
             continue
-        if got.shape != want.shape:
+        if got.shape != want[name].shape:
             message = (
                 f"{kernel} with one theta per row returns shape {got.shape}, "
-                f"not {want.shape}"
+                f"not {want[name].shape}"
             )
             failures.append(stack + (message,))
             continue
-        # |got - want| <= t (1 + |want|): the relative error of the report
-        close = np.isclose(got, want, rtol=_THRESHOLD, atol=_THRESHOLD, equal_nan=True)
+        failures.extend(_row_failures(kernel, {name: got}, want, points))
+    # a composed fused kernel is the three batched forms checked above
+    if getattr(model.f_jac_batch, "composed", False):
+        return failures
+    kernel = "f_jac_batch"
+    try:
+        f_mat, jac = model.f_jac_batch(thetas, x_mat, u_mat)
+    except Exception as exc:
+        failures.append(stack + (f"{kernel} with one theta per row raises {exc!r}",))
+        return failures
+    want_jac = np.concatenate([want["jac_x"], want["jac_theta"]], axis=-1)
+    if f_mat.shape != want["f"].shape or jac.shape != want_jac.shape:
+        message = (
+            f"{kernel} with one theta per row returns shapes {f_mat.shape} and "
+            f"{jac.shape}, not {want['f'].shape} and {want_jac.shape}"
+        )
+        failures.append(stack + (message,))
+        return failures
+    n_x = model.n_x
+    blocks = {"f": f_mat, "jac_x": jac[..., :n_x], "jac_theta": jac[..., n_x:]}
+    failures.extend(_row_failures(kernel, blocks, want, points))
+    return failures
+
+
+def _row_failures(kernel, blocks, want, points):
+    """The failure entries of the rows of kernel's output blocks, each named
+    by the per-condition kernel whose stacked rows want[name] it must
+    match."""
+    failures = []
+    for name, got in blocks.items():
+        ref = want[name]
+        # |got - ref| <= t (1 + |ref|): the relative error of the report
+        close = np.isclose(got, ref, rtol=_THRESHOLD, atol=_THRESHOLD, equal_nan=True)
         for i in np.flatnonzero(~close.reshape(len(points), -1).all(axis=1)):
             with np.errstate(invalid="ignore"):
-                err = float((np.abs(got[i] - want[i]) / (1.0 + np.abs(want[i]))).max())
+                err = float((np.abs(got[i] - ref[i]) / (1.0 + np.abs(ref[i]))).max())
             message = (
                 f"{kernel} with one theta per row: row {i} differs from {name} "
                 f"by a relative error of {err:.3e}"

@@ -61,20 +61,6 @@ class FlowProblem:
         return {p: _fd_plan(self, p) for p in (n, n + 1)}
 
 
-def _kernel_rows(model, theta, x_mat, u_mat):
-    """(jac_x, jac_theta, f) at the condition rows (x_mat, u_mat), one
-    batched call per kernel; theta is one vector or one per row.
-
-    Each output row depends on its own input row only (the ModelSpec
-    contract), so the rows of several points may share one call.
-    """
-    return (
-        np.asarray(model.jac_x_batch(theta, x_mat, u_mat), dtype=float),
-        np.asarray(model.jac_theta_batch(theta, x_mat, u_mat), dtype=float),
-        np.asarray(model.f_batch(theta, x_mat, u_mat), dtype=float),
-    )
-
-
 def _assemble(problem, theta, states):
     """The flow derivative blocks at one point or at the FD stack of one;
     every evaluation of the flow derivative is one call.
@@ -86,11 +72,12 @@ def _assemble(problem, theta, states):
     row q has the bits of point q alone. Any other stack is wrong: the
     model part follows the problem's fixed FD plan.
 
-    The model part is the one branch. A point makes one batched call per
-    kernel over its m condition rows, checks the Jacobian rows for
-    finiteness and solves for the pinv sensitivities; a stack gets all of
-    it from _stack_model_part, one call per kernel and one stacked solve.
-    Then, at a point or a stack alike: one call of each objective gradient,
+    The model part is the one branch. A point makes one call of the fused
+    kernel (ModelSpec.f_jac_batch) over its m condition rows, which gives f
+    and the whole Jacobian; _sensitivities checks the Jacobian rows for
+    finiteness and solves for the pinv sensitivities. A stack gets all of
+    it from _stack_model_part, one fused call and one stacked solve. Then,
+    at a point or a stack alike: one call of each objective gradient,
     the gradients pulled back through the sensitivities, the retraction term
     lam * f, and one finiteness pass that covers both derivative blocks. The
     block structure of the concatenated constraint system is never
@@ -102,9 +89,9 @@ def _assemble(problem, theta, states):
     meet the failure where it is (integrator module docstring).
     """
     if np.ndim(theta) == 1:
-        a, b, f_mat = _kernel_rows(problem.model, theta, states, problem.u_matrix)
-        _check_jacobian_rows(a, b)
-        s_hat = pinv_sensitivity(a, b)
+        model = problem.model
+        f_mat, jac = model.f_jac_batch(theta, states, problem.u_matrix)
+        s_hat = _sensitivities(jac, model.n_x)
     else:
         s_hat, f_mat = _stack_model_part(problem, theta, states)
     objective = problem.objective
@@ -178,31 +165,30 @@ def _stack_model_part(problem, thetas, states):
     problem's plan for p rows (_fd_plan): on the FD stack of a point y, m
     shared rows of y (none for the plain stack of one condition), the m
     rows of each parameter column and the one perturbed row of each state
-    column, all of them in one batched call per kernel (one theta per row)
-    and one stacked solve. A call only gathers the theta and x rows; the
+    column, all of them in one fused kernel call (one theta per row) and
+    one stacked solve. A call only gathers the theta and x rows; the
     inputs and the row map are the plan's. Raises on a failing kernel or
     solve, or a non-finite Jacobian row; the error names kernel rows, not a
     point.
     """
     p, m, n_x = states.shape
     theta_rows, x_rows, u_rows, row = problem.fd_plans[p]
-    a, b, f_mat = _kernel_rows(
-        problem.model,
+    f_mat, jac = problem.model.f_jac_batch(
         thetas.take(theta_rows, axis=0),
         states.reshape(p * m, n_x).take(x_rows, axis=0),
         u_rows,
     )
-    _check_jacobian_rows(a, b)
-    return pinv_sensitivity(a, b).take(row, axis=0), f_mat.take(row, axis=0)
+    return _sensitivities(jac, n_x).take(row, axis=0), f_mat.take(row, axis=0)
 
 
-def _check_jacobian_rows(a, b):
-    """Raise FlowNumericalError naming the rows of the Jacobian stacks
-    (jac_x, jac_theta) that hold a non-finite entry."""
-    if not (np.isfinite(a).all() and np.isfinite(b).all()):
-        ok = np.isfinite(a).all(axis=(1, 2)) & np.isfinite(b).all(axis=(1, 2))
-        bad = np.flatnonzero(~ok).tolist()
+def _sensitivities(jac, n_x):
+    """The pinv sensitivities of the kernel rows' Jacobians
+    jac = [jac_x | jac_theta]; raises FlowNumericalError naming the rows
+    that hold a non-finite entry."""
+    if not np.isfinite(jac).all():
+        bad = np.flatnonzero(~np.isfinite(jac).all(axis=(1, 2))).tolist()
         raise FlowNumericalError(f"non-finite Jacobian in condition block(s) {bad}")
+    return pinv_sensitivity(jac[..., :n_x], jac[..., n_x:])
 
 
 def rhs(problem, y):

@@ -19,9 +19,18 @@ from .sensitivity import sensitivity_exact  # noqa: F401  (perfbench traces it h
 _LN10 = math.log(10.0)
 
 
-def _model_spec(f_batch, jac_x_batch, jac_theta_batch, **fields):
-    """ModelSpec written once in batched form; each per-condition kernel
-    evaluates the batch of one."""
+def _model_spec(f_batch, f_jac_batch, **fields):
+    """ModelSpec written once in batched form: f_batch and the fused
+    kernel. jac_x_batch and jac_theta_batch are the blocks of the fused
+    kernel's Jacobian, and each per-condition kernel evaluates the batch of
+    one."""
+    n_x = fields["n_x"]
+
+    def jac_x_batch(theta, x_mat, u_mat):
+        return f_jac_batch(theta, x_mat, u_mat)[1][..., :n_x]
+
+    def jac_theta_batch(theta, x_mat, u_mat):
+        return f_jac_batch(theta, x_mat, u_mat)[1][..., n_x:]
 
     def one(batch):
         def single(theta, x, u):
@@ -30,6 +39,7 @@ def _model_spec(f_batch, jac_x_batch, jac_theta_batch, **fields):
 
         return single
 
+    f_jac_batch.fuses = (f_batch, jac_x_batch, jac_theta_batch)
     return ModelSpec(
         f=one(f_batch),
         jac_x=one(jac_x_batch),
@@ -37,6 +47,7 @@ def _model_spec(f_batch, jac_x_batch, jac_theta_batch, **fields):
         f_batch=f_batch,
         jac_x_batch=jac_x_batch,
         jac_theta_batch=jac_theta_batch,
+        f_jac_batch=f_jac_batch,
         **fields,
     )
 
@@ -57,27 +68,24 @@ def conversion_reaction_model(xi=1.0):
         theta = np.asarray(theta)
         return theta.T[..., None] if theta.ndim == 2 else theta
 
-    def f_batch(theta, x_mat, u_mat):
-        k = rates(theta)
+    def vector_field(k, x_mat):
         return k[1] * xi - (k[0] + k[1]) * x_mat
 
-    def jac_x_batch(theta, x_mat, u_mat):
-        k = rates(theta)
-        out = np.empty((x_mat.shape[0], 1, 1))
-        out[:, 0] = -(k[0] + k[1])
-        return out
+    def f_batch(theta, x_mat, u_mat):
+        return vector_field(rates(theta), x_mat)
 
-    def jac_theta_batch(theta, x_mat, u_mat):
-        m = x_mat.shape[0]
-        out = np.empty((m, 1, 2))
-        out[:, 0, 0] = -x_mat[:, 0]
-        out[:, 0, 1] = xi - x_mat[:, 0]
-        return out
+    def f_jac_batch(theta, x_mat, u_mat):
+        k = rates(theta)
+        x = x_mat[:, 0]
+        jac = np.empty((x_mat.shape[0], 1, 3))
+        jac[:, :, 0] = -(k[0] + k[1])
+        jac[:, 0, 1] = -x
+        jac[:, 0, 2] = xi - x
+        return vector_field(k, x_mat), jac
 
     return _model_spec(
         f_batch,
-        jac_x_batch,
-        jac_theta_batch,
+        f_jac_batch,
         n_x=1,
         n_theta=2,
         n_u=0,
@@ -173,10 +181,9 @@ def ngf_erk_model():
         x2 = p[5] * (x1 + p[2]) / (x1 + p[2] + p[3])
         return np.array([x1, x2])
 
-    # p is transposed: p[k] is a scalar for one theta, and holds the value
-    # of every row for one theta per row
-    def f_batch(theta, x_mat, u_mat):
-        p = np.power(10.0, theta).T
+    # p = 10**theta is transposed: p[k] is a scalar for one theta, and holds
+    # the value of every row for one theta per row
+    def vector_field(p, x_mat, u_mat):
         u = u_mat[:, 0]
         x1 = x_mat[:, 0]
         x2 = x_mat[:, 1]
@@ -185,35 +192,32 @@ def ngf_erk_model():
         out[:, 1] = (x1 + p[2]) * (p[5] - x2) - p[3] * x2
         return out
 
-    def jac_x_batch(theta, x_mat, u_mat):
-        p = np.power(10.0, theta).T
-        m = x_mat.shape[0]
-        out = np.zeros((m, 2, 2))
-        out[:, 0, 0] = -(p[0] * u_mat[:, 0] + p[1])
-        out[:, 1, 0] = p[5] - x_mat[:, 1]
-        out[:, 1, 1] = -(x_mat[:, 0] + p[2] + p[3])
-        return out
+    def f_batch(theta, x_mat, u_mat):
+        return vector_field(np.power(10.0, theta).T, x_mat, u_mat)
 
-    def jac_theta_batch(theta, x_mat, u_mat):
+    def f_jac_batch(theta, x_mat, u_mat):
         p = np.power(10.0, theta).T
-        m = x_mat.shape[0]
         u = u_mat[:, 0]
         x1 = x_mat[:, 0]
         x2 = x_mat[:, 1]
-        out = np.zeros((m, 2, 6))
+        jac = np.zeros((x_mat.shape[0], 2, 8))
+        # d f / d x
+        jac[:, 0, 0] = -(p[0] * u + p[1])
+        jac[:, 1, 0] = p[5] - x2
+        jac[:, 1, 1] = -(x1 + p[2] + p[3])
+        # d f / d theta, with d p_k / d theta_k = ln(10) p_k
         activation = _LN10 * p[0] * u
-        out[:, 0, 0] = activation * (p[4] - x1)
-        out[:, 0, 1] = -_LN10 * p[1] * x1
-        out[:, 0, 4] = activation * p[4]
-        out[:, 1, 2] = _LN10 * p[2] * (p[5] - x2)
-        out[:, 1, 3] = -_LN10 * p[3] * x2
-        out[:, 1, 5] = _LN10 * p[5] * (x1 + p[2])
-        return out
+        jac[:, 0, 2] = activation * (p[4] - x1)
+        jac[:, 0, 3] = -_LN10 * p[1] * x1
+        jac[:, 0, 6] = activation * p[4]
+        jac[:, 1, 4] = _LN10 * p[2] * (p[5] - x2)
+        jac[:, 1, 5] = -_LN10 * p[3] * x2
+        jac[:, 1, 7] = _LN10 * p[5] * (x1 + p[2])
+        return vector_field(p, x_mat, u_mat), jac
 
     return _model_spec(
         f_batch,
-        jac_x_batch,
-        jac_theta_batch,
+        f_jac_batch,
         n_x=2,
         n_theta=6,
         n_u=1,
@@ -323,7 +327,7 @@ def generate_data(problem: NgfErkProblem, seed):
 def reduced_objective_ngf(theta, problem: NgfErkProblem):
     """Unconstrained objective through the analytic steady state; returns
     (value, gradient). The gradient is assembled from the exact steady-state
-    sensitivities, one batched Jacobian call and one solve per dose."""
+    sensitivities, one fused kernel call and one solve per dose."""
     if problem.data is None:
         raise ValueError("data not set; call with_generated_data or supply data")
     model = ngf_erk_model()
@@ -338,11 +342,10 @@ def reduced_objective_ngf(theta, problem: NgfErkProblem):
         x_mat = np.array([model.analytic_steady_state(theta, u) for u in u_mat])
         if not np.all(np.isfinite(x_mat)):
             return float("inf"), np.zeros(6)
-        a = np.asarray(model.jac_x_batch(theta, x_mat, u_mat), dtype=float)
-        b = np.asarray(model.jac_theta_batch(theta, x_mat, u_mat), dtype=float)
+        _, jac = model.f_jac_batch(theta, x_mat, u_mat)
         for i, d in enumerate(data):
             try:
-                s = numerics.solve(a[i], -b[i])
+                s = numerics.solve(jac[i, :, :2], -jac[i, :, 2:])
             except (numerics.SingularMatrixError, numerics.NumericalFailure):
                 return float("inf"), np.zeros(6)
             res = x_mat[i, 1] - d

@@ -78,10 +78,8 @@ def manifold_gradient(model, objective, theta, states, conditions):
     """
     x_mat = np.asarray(states, dtype=float)
     u_mat = np.stack([c.u for c in conditions])
-    s_hat = pinv_sensitivity(
-        np.asarray(model.jac_x_batch(theta, x_mat, u_mat), dtype=float),
-        np.asarray(model.jac_theta_batch(theta, x_mat, u_mat), dtype=float),
-    )
+    _, jac = model.f_jac_batch(theta, x_mat, u_mat)
+    s_hat = pinv_sensitivity(jac[..., : model.n_x], jac[..., model.n_x :])
     return total_gradient(
         objective.grad_theta(theta, states), s_hat, objective.grad_x(theta, states)
     )

@@ -125,6 +125,41 @@ class TestValidateModel:
             assert message.startswith("jac_x_batch with one theta per row: row ")
             assert "differs from jac_x" in message
 
+    def test_fused_kernel_with_one_theta_per_row(self):
+        # a fused kernel given with the model is checked like the batched
+        # forms: one wrong in one entry of the parameter block fails on
+        # every row, naming f_jac_batch and the block, and one without the
+        # parameter block fails once, on its shape
+        def fused(theta, x_mat, u_mat):
+            k = np.asarray(theta).reshape(-1, 1, 1)
+            jac_x = np.broadcast_to(-k * np.eye(2), (len(x_mat), 2, 2))
+            jac_theta = -x_mat[:, :, None]
+            return -k[:, 0] * x_mat, np.concatenate([jac_x, jac_theta], axis=-1)
+
+        def wrong_entry(theta, x_mat, u_mat):
+            f_mat, jac = fused(theta, x_mat, u_mat)
+            jac[:, 1, 2] += 1.0
+            return f_mat, jac
+
+        def no_parameter_block(theta, x_mat, u_mat):
+            f_mat, jac = fused(theta, x_mat, u_mat)
+            return f_mat, jac[..., :2]
+
+        assert validate_model(rate_decay_model(f_jac_batch=fused), seed=3).ok()
+        report = validate_model(rate_decay_model(f_jac_batch=wrong_entry), seed=3)
+        assert (report.max_rel_err_jac_x, report.max_rel_err_jac_theta) < (1e-6, 1e-6)
+        assert not report.ok()
+        assert [failure[0] for failure in report.failures] == [0, 1, 2, 3, 4]
+        for failure in report.failures:
+            assert failure[-1].startswith("f_jac_batch with one theta per row: row ")
+            assert "differs from jac_theta by a relative error of " in failure[-1]
+        model = rate_decay_model(f_jac_batch=no_parameter_block)
+        report = validate_model(model, seed=3)
+        assert [failure[-1] for failure in report.failures] == [
+            "f_jac_batch with one theta per row returns shapes (5, 2) and "
+            "(5, 2, 2), not (5, 2) and (5, 2, 3)"
+        ]
+
 
 class TestModelSpecBatchedForms:
     def test_missing_batched_forms_stack_the_per_condition_calls(self):
@@ -144,6 +179,79 @@ class TestModelSpecBatchedForms:
 
         model = dataclasses.replace(linear_decay_model(), f_batch=f_batch)
         assert model.f_batch is f_batch
+
+    def test_fused_kernel_is_composed_from_the_batched_forms(self):
+        # left out, the fused kernel is f_batch with jac_x_batch and
+        # jac_theta_batch joined into one Jacobian
+        model = rate_decay_model()
+        theta = np.array([[0.5], [2.0]])
+        x_mat = np.array([[1.0, -2.0], [3.0, 0.25]])
+        u_mat = np.zeros((2, 0))
+        f_mat, jac = model.f_jac_batch(theta, x_mat, u_mat)
+        assert np.array_equal(f_mat, model.f_batch(theta, x_mat, u_mat))
+        assert np.array_equal(jac[..., :2], model.jac_x_batch(theta, x_mat, u_mat))
+        assert np.array_equal(jac[..., 2:], model.jac_theta_batch(theta, x_mat, u_mat))
+
+    @pytest.mark.parametrize("make", [conversion_reaction_model, ngf_erk_model])
+    @pytest.mark.parametrize("name", ["f_batch", "jac_x_batch", "jac_theta_batch", "f"])
+    def test_replaced_kernel_reaches_the_fused_kernel(self, make, name):
+        # swapping a batched form (or the per-condition form it stacks) by
+        # dataclasses.replace composes the fused kernel again from the new
+        # forms; a copy that swaps nothing keeps the built-in fused kernel
+        model = make()
+        assert dataclasses.replace(model).f_jac_batch is model.f_jac_batch
+        rng = np.random.default_rng(2)
+        theta = rng.uniform(-1.0, 1.0, model.n_theta)
+        x_mat = rng.uniform(0.0, 1.0, (3, model.n_x))
+        u_mat = rng.uniform(0.0, 2.0, (3, model.n_u))
+        if name == "f":
+            replaced = dataclasses.replace(
+                model, f=lambda theta, x, u: 2.0 * model.f(theta, x, u), f_batch=None
+            )
+        else:
+            kernel = getattr(model, name)
+            replaced = dataclasses.replace(
+                model, **{name: lambda *args: 2.0 * kernel(*args)}
+            )
+        f_mat, jac = replaced.f_jac_batch(theta, x_mat, u_mat)
+        want_f, want_jac = model.f_jac_batch(theta, x_mat, u_mat)
+        n_x = model.n_x
+        doubled = {
+            "f": name in ("f", "f_batch"),
+            "jac_x": name == "jac_x_batch",
+            "jac_theta": name == "jac_theta_batch",
+        }
+        blocks = {
+            "f": (f_mat, want_f),
+            "jac_x": (jac[..., :n_x], want_jac[..., :n_x]),
+            "jac_theta": (jac[..., n_x:], want_jac[..., n_x:]),
+        }
+        for block, (got, want) in blocks.items():
+            assert np.array_equal(got, 2.0 * want if doubled[block] else want), block
+
+    def test_given_fused_kernel_is_called_until_a_batched_form_is_replaced(self):
+        # a fused kernel given on its own is held with the model's batched
+        # forms: a copy keeps calling it, and a copy that swaps one of them
+        # composes the fused kernel from the new forms
+        calls = []
+
+        def fused(theta, x_mat, u_mat):
+            calls.append(len(x_mat))
+            return -x_mat, np.zeros((len(x_mat), 2, 3))
+
+        model = rate_decay_model(f_jac_batch=fused)
+        x_mat = np.ones((4, 2))
+        f_mat, jac = model.f_jac_batch(np.array([1.0]), x_mat, np.zeros((4, 0)))
+        assert calls == [4] and jac.shape == (4, 2, 3)
+        copy = dataclasses.replace(model, name="copy")
+        copy.f_jac_batch(np.array([1.0]), x_mat, np.zeros((4, 0)))
+        assert calls == [4, 4]
+        replaced = dataclasses.replace(
+            model, f_batch=lambda theta, x_mat, u_mat: 3.0 * x_mat
+        )
+        f_mat, _ = replaced.f_jac_batch(np.array([1.0]), x_mat, np.zeros((4, 0)))
+        assert calls == [4, 4]
+        assert np.array_equal(f_mat, 3.0 * x_mat)
 
     def test_replaced_per_condition_form_restacks(self):
         model = dataclasses.replace(linear_decay_model(), f=lambda theta, x, u: 2.0 * x)

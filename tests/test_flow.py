@@ -370,6 +370,39 @@ class TestNonFiniteBlocks:
         assert str(info.value) == message
 
 
+@pytest.mark.parametrize("kernel", ["f_jac_batch", "jac_x_batch", "jac_theta_batch"])
+def test_non_finite_jacobian_rows_are_named_at_a_point_and_on_a_stack(kernel):
+    # every Jacobian row of dose 4 holds a NaN, injected through the fused
+    # kernel or through a batched form it is composed from: a point names
+    # its condition row, and the FD stack the kernel rows of the 90-row plan
+    # that belong to dose 4 (shared row 4, row 4 of each parameter column's
+    # ten, and the rows of its two state columns)
+    prob = NgfErkProblem().with_generated_data(0)
+    base = prob.flow_problem(FlowConfig(lam=20.0))
+    original = getattr(base.model, kernel)
+
+    def faulty(theta, x_mat, u_mat):
+        out = original(theta, x_mat, u_mat)
+        jac = out[1] if kernel == "f_jac_batch" else out.copy()
+        jac[u_mat[:, 0] == prob.inputs[4], -1, -1] = np.nan
+        return (out[0], jac) if kernel == "f_jac_batch" else jac
+
+    problem = dataclasses.replace(
+        base, model=dataclasses.replace(base.model, **{kernel: faulty})
+    )
+    y = ngf_start().pack()
+    with pytest.raises(FlowNumericalError) as info:
+        rhs(problem, y)
+    assert str(info.value) == "non-finite Jacobian in condition block(s) [4]"
+    for value in (False, True):
+        with pytest.raises(FlowNumericalError) as info:
+            flow.rhs_fd(problem, y, value)
+        assert str(info.value) == (
+            "non-finite Jacobian in condition block(s) "
+            "[4, 14, 24, 34, 44, 54, 64, 78, 79]"
+        )
+
+
 def nan_from_point(grad, k):
     """grad at one point or a stack, with a NaN gradient at the k-th point
     it sees and every later one, and the list of the points of each call."""
@@ -671,6 +704,49 @@ class TestSharedColumnFailureParity:
         assert merged.rhs_evals == 1 + column + 1
         assert_same_failure(runs)
 
+    @pytest.mark.parametrize(
+        "column, fault, error, message",
+        [
+            (1, "nan", FlowNumericalError, "non-finite Jacobian in condition block(s) [4]"),
+            (7, "nan", FlowNumericalError, "non-finite Jacobian in condition block(s) [4]"),
+            (None, "raise", FloatingPointError, "f_jac_batch beyond the limit"),
+        ],
+    )
+    def test_fused_kernel_fault_beyond_one_state_step(
+        self, monkeypatch, column, fault, error, message
+    ):
+        # as above, with the fault injected through the fused kernel
+        # itself: condition 4's Jacobian turns NaN in its state block
+        # (column 1) or its parameter block (column 7), or the kernel raises
+        prob = NgfErkProblem().with_generated_data(0)
+        base = prob.flow_problem(FlowConfig(lam=20.0))
+        init = ngf_start()
+        i, k = 4, 1
+        x0 = init.states[i][k]
+        limit = x0 + 0.5 * integrator._SQRT_EPS * (1.0 + abs(x0))
+        f_jac_batch = base.model.f_jac_batch
+
+        def faulty(theta, x_mat, u_mat):
+            f_mat, jac = f_jac_batch(theta, x_mat, u_mat)
+            beyond = (u_mat[:, 0] == prob.inputs[i]) & (x_mat[:, k] > limit)
+            if beyond.any() and fault == "raise":
+                raise FloatingPointError(message)
+            jac[beyond, 0, column] = np.nan
+            return f_mat, jac
+
+        model = dataclasses.replace(base.model, f_jac_batch=faulty)
+        problem = dataclasses.replace(base, model=model)
+        state_column = 6 + 2 * i + k
+        runs = each_evaluation_mode(problem, init, monkeypatch)
+        merged, merged_error = runs["merged"]
+        assert type(merged_error) is error
+        assert str(merged_error) == message
+        stats = merged_error.stats
+        assert (stats.rhs_evals, stats.jacobian_evals) == (1 + state_column + 1, 0)
+        assert merged.reason is StopReason.NUMERICAL_FAILURE
+        assert merged.rhs_evals == 1 + state_column + 1
+        assert_same_failure(runs)
+
     def test_grad_x_raising_at_each_call_of_the_first_two_jacobians(self, monkeypatch):
         # grad_x raises at the k-th point of the plain-call run, for every
         # point of the first two Jacobians' steps. A merged call that meets
@@ -787,8 +863,9 @@ def test_stacked_objective_gradients_equal_per_point(make, data):
 
 
 def recording_kernels(problem):
-    """problem with every batched kernel call's inputs appended to the
-    returned list, as (name, theta, x_mat, u_mat)."""
+    """problem with every kernel call's inputs appended to the returned
+    list, as (name, theta, x_mat, u_mat): the built-in model's own fused
+    kernel and the three batched forms, which the flow must not call."""
     calls = []
 
     def recorded(name):
@@ -800,14 +877,14 @@ def recording_kernels(problem):
 
         return call
 
-    names = ("f_batch", "jac_x_batch", "jac_theta_batch")
+    names = ("f_batch", "jac_x_batch", "jac_theta_batch", "f_jac_batch")
     model = dataclasses.replace(problem.model, **{k: recorded(k) for k in names})
     return dataclasses.replace(problem, model=model), calls
 
 
 class TestDistinctRowPlan:
     """The FD stack of a point evaluates each distinct condition row once,
-    in one call per kernel, by the problem's fixed plan: the base point's
+    in one fused kernel call, by the problem's fixed plan: the base point's
     rows are shared by every point that has them, and each perturbed row is
     its own."""
 
@@ -843,11 +920,7 @@ class TestDistinctRowPlan:
         y[j] = -0.0
         for value in (False, True):
             ys = integrator._fd_stack(y, value)
-            assert self.rows_per_kernel(ys) == [
-                ("f_batch", 90),
-                ("jac_theta_batch", 90),
-                ("jac_x_batch", 90),
-            ]
+            assert self.rows_per_kernel(ys) == [("f_jac_batch", 90)]
             for _, _, x_mat, _ in self.calls:
                 signs = np.signbit(x_mat[:, 0]).tolist()
                 assert signs[:10] == [i == 3 for i in range(10)]
@@ -862,7 +935,7 @@ class TestDistinctRowPlan:
         self.rows_per_kernel(integrator._fd_stack(y))
         plain = list(self.calls)
         self.rows_per_kernel(integrator._fd_stack(y, value=True))
-        assert len(self.calls) == len(plain) == 3
+        assert len(self.calls) == len(plain) == 1
         for got, want in zip(self.calls, plain):
             assert got[0] == want[0]
             for a, b in zip(got[1:], want[1:]):
@@ -919,11 +992,7 @@ class TestDistinctRowPlan:
             want_x.append(fd[j, 6:].reshape(10, 2)[i])
             want_u.append(u[i])
         for ys in (fd, merged):
-            assert self.rows_per_kernel(ys) == [
-                ("f_batch", 90),
-                ("jac_theta_batch", 90),
-                ("jac_x_batch", 90),
-            ]
+            assert self.rows_per_kernel(ys) == [("f_jac_batch", 90)]
             for _, theta_rows, x_mat, u_mat in self.calls:
                 assert theta_rows.tobytes() == np.array(want_theta).tobytes()
                 assert x_mat.tobytes() == np.array(want_x).tobytes()

@@ -195,7 +195,9 @@ class TestFdJacobian:
 
 
 def counting_kernels(model):
-    """model with every batched kernel call appended to the returned list."""
+    """model with every kernel call appended to the returned list, as
+    (name, rows): the model's own fused kernel and the three batched
+    forms."""
     calls = []
 
     def counted(name):
@@ -207,7 +209,7 @@ def counting_kernels(model):
 
         return call
 
-    names = ("f_batch", "jac_x_batch", "jac_theta_batch")
+    names = ("f_batch", "jac_x_batch", "jac_theta_batch", "f_jac_batch")
     return dataclasses.replace(model, **{k: counted(k) for k in names}), calls
 
 
@@ -251,13 +253,9 @@ class TestSharedColumns:
             calls.clear()
             gradient_calls.clear()
             got = _fd_jacobian(rhs_fd(y), y, f0)
-            # one call per kernel over the 10 base rows, the 20 perturbed
+            # one fused kernel call over the 10 base rows, the 20 perturbed
             # state rows and the 6 x 10 parameter-column rows, and no other
-            assert sorted(calls) == [
-                ("f_batch", 90),
-                ("jac_theta_batch", 90),
-                ("jac_x_batch", 90),
-            ]
+            assert calls == [("f_jac_batch", 90)]
             # one call of each gradient over the 26 points, and no
             # single-point gradient call
             assert sorted(gradient_calls) == [
@@ -280,21 +278,23 @@ class TestSharedColumns:
         result = flow.run_flow(problem, init)
         assert result.jacobian_evals > 5
         # every base point is one merged call of its 26 FD points and
-        # itself: one 90-row call per kernel and one 27-point call of each
+        # itself: one 90-row fused kernel call and one 27-point call of each
         # objective gradient. Every Jacobian takes its rows from one, and
         # each merged call no Jacobian takes leaves 26 discarded rows (the
         # run's last point at least); every other evaluation is a single
-        # point
+        # point, one 10-row fused call. The run's manifold residual is the
+        # one f_batch call, and no separate Jacobian kernel is called
         n = 26
         assert result.discarded_evals > 0
         assert result.discarded_evals % n == 0
         merged = result.jacobian_evals + result.discarded_evals // n
-        for name in ("f_batch", "jac_x_batch", "jac_theta_batch"):
-            assert calls.count((name, 90)) == merged
-        assert {rows for _, rows in calls} == {10, 90}
+        single = result.rhs_evals - n * result.jacobian_evals - merged
+        assert calls.count(("f_jac_batch", 90)) == merged
+        assert calls.count(("f_jac_batch", 10)) == single
+        assert calls[-1] == ("f_batch", 10)
+        assert len(calls) == merged + single + 1
         for name in ("grad_theta", "grad_x"):
             assert gradient_calls.count((name, n + 1)) == merged
-        single = result.rhs_evals - n * result.jacobian_evals - merged
         assert gradient_calls.count(("grad_x", 1)) == single
         assert len(gradient_calls) == 2 * (single + merged)
 

@@ -184,8 +184,9 @@ def stacked_ngf_erk_model():
 @given(data=st.data())
 def test_batched_kernels_are_row_separable(make_model, data):
     # the ModelSpec contract the flow's shared FD columns rely on: row i of
-    # a stack has the bits of row i evaluated as a batch of one at its own
-    # theta, whether theta is one vector or one per row; theta up to 400
+    # a stack, from each batched form and each output of the fused kernel,
+    # has the bits of row i evaluated as a batch of one at its own theta,
+    # whether theta is one vector or one per row; theta up to 400
     # overflows NGF's 10**theta and reaches inf and NaN entries
     model = make_model()
     m = data.draw(st.integers(1, 12), label="m")
@@ -198,7 +199,14 @@ def test_batched_kernels_are_row_separable(make_model, data):
         arrays(float, (m, model.n_u), elements=st.floats(0.0, 100.0)), label="u"
     )
     thetas = theta if per_row else [theta] * m
-    for kernel in (model.f_batch, model.jac_x_batch, model.jac_theta_batch):
+    kernels = (
+        model.f_batch,
+        model.jac_x_batch,
+        model.jac_theta_batch,
+        lambda *args: model.f_jac_batch(*args)[0],
+        lambda *args: model.f_jac_batch(*args)[1],
+    )
+    for kernel in kernels:
         with np.errstate(all="ignore"):
             stacked = np.asarray(kernel(theta, x_mat, u_mat))
             ones = [
@@ -208,6 +216,102 @@ def test_batched_kernels_are_row_separable(make_model, data):
         for i, one in enumerate(ones):
             assert one.shape == (1,) + stacked.shape[1:]
             assert one[0].tobytes() == stacked[i].tobytes()
+
+
+def reference_kernels(name):
+    """The built-in model's f_batch, jac_x_batch and jac_theta_batch written
+    as three separate kernels, each with its own rates: the reference the
+    fused kernel must match bit for bit."""
+    if name == "conversion_reaction":
+
+        def rates(theta):
+            theta = np.asarray(theta)
+            return theta.T[..., None] if theta.ndim == 2 else theta
+
+        def f_batch(theta, x_mat, u_mat):
+            k = rates(theta)
+            return k[1] * 1.0 - (k[0] + k[1]) * x_mat
+
+        def jac_x_batch(theta, x_mat, u_mat):
+            k = rates(theta)
+            out = np.empty((x_mat.shape[0], 1, 1))
+            out[:, 0] = -(k[0] + k[1])
+            return out
+
+        def jac_theta_batch(theta, x_mat, u_mat):
+            out = np.empty((x_mat.shape[0], 1, 2))
+            out[:, 0, 0] = -x_mat[:, 0]
+            out[:, 0, 1] = 1.0 - x_mat[:, 0]
+            return out
+
+        return f_batch, jac_x_batch, jac_theta_batch
+
+    ln10 = np.log(10.0)
+
+    def f_batch(theta, x_mat, u_mat):
+        p = np.power(10.0, theta).T
+        u, x1, x2 = u_mat[:, 0], x_mat[:, 0], x_mat[:, 1]
+        out = np.empty_like(x_mat)
+        out[:, 0] = p[0] * u * (p[4] - x1) - p[1] * x1
+        out[:, 1] = (x1 + p[2]) * (p[5] - x2) - p[3] * x2
+        return out
+
+    def jac_x_batch(theta, x_mat, u_mat):
+        p = np.power(10.0, theta).T
+        out = np.zeros((x_mat.shape[0], 2, 2))
+        out[:, 0, 0] = -(p[0] * u_mat[:, 0] + p[1])
+        out[:, 1, 0] = p[5] - x_mat[:, 1]
+        out[:, 1, 1] = -(x_mat[:, 0] + p[2] + p[3])
+        return out
+
+    def jac_theta_batch(theta, x_mat, u_mat):
+        p = np.power(10.0, theta).T
+        u, x1, x2 = u_mat[:, 0], x_mat[:, 0], x_mat[:, 1]
+        out = np.zeros((x_mat.shape[0], 2, 6))
+        activation = ln10 * p[0] * u
+        out[:, 0, 0] = activation * (p[4] - x1)
+        out[:, 0, 1] = -ln10 * p[1] * x1
+        out[:, 0, 4] = activation * p[4]
+        out[:, 1, 2] = ln10 * p[2] * (p[5] - x2)
+        out[:, 1, 3] = -ln10 * p[3] * x2
+        out[:, 1, 5] = ln10 * p[5] * (x1 + p[2])
+        return out
+
+    return f_batch, jac_x_batch, jac_theta_batch
+
+
+@pytest.mark.parametrize(
+    "name, make_model",
+    [("conversion_reaction", conversion_reaction_model), ("ngf_erk", ngf_erk_model)],
+)
+@settings(max_examples=60, deadline=None)
+@given(data=st.data())
+def test_fused_kernel_equals_three_separate_kernels(name, make_model, data):
+    # on a stack with one theta per row, f_jac_batch gives f and the two
+    # Jacobian blocks with the bits of three separate kernels, and so do
+    # the model's batched forms. Entries may be -0.0, and NGF's 10**theta
+    # overflows above theta = 308 (inf and NaN entries)
+    model = make_model()
+    m = data.draw(st.integers(1, 12), label="m")
+    value = st.floats(-400.0, 400.0) | st.sampled_from([-0.0, 0.0, 309.0, 400.0])
+    theta = data.draw(arrays(float, (m, model.n_theta), elements=value), label="theta")
+    x_mat = data.draw(arrays(float, (m, model.n_x), elements=value), label="x")
+    u_mat = data.draw(
+        arrays(float, (m, model.n_u), elements=st.floats(0.0, 100.0)), label="u"
+    )
+    with np.errstate(all="ignore"):
+        want = [k(theta, x_mat, u_mat) for k in reference_kernels(name)]
+        f_mat, jac = model.f_jac_batch(theta, x_mat, u_mat)
+        batched = [
+            k(theta, x_mat, u_mat)
+            for k in (model.f_batch, model.jac_x_batch, model.jac_theta_batch)
+        ]
+    assert jac.shape == (m, model.n_x, model.n_x + model.n_theta)
+    fused = [f_mat, jac[..., : model.n_x], jac[..., model.n_x :]]
+    for got, other, ref in zip(fused, batched, want):
+        assert got.shape == other.shape == ref.shape
+        assert got.tobytes() == ref.tobytes()
+        assert other.tobytes() == ref.tobytes()
 
 
 class TestNgfErkProblem:
