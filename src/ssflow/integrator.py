@@ -229,7 +229,7 @@ def integrate_adaptive(
     try:
         r = 0.0
         f0 = base_value(y)
-        if not np.all(np.isfinite(f0)):
+        if not np.isfinite(f0).all():
             raise FloatingPointError("non-finite right-hand side at the initial point")
         if observer is not None:
             observer(r, y, f0)
@@ -276,10 +276,10 @@ def integrate_adaptive(
                 continue
             sc = abs_tol + rel_tol * np.maximum(np.abs(y), np.abs(y_new))
             with np.errstate(invalid="ignore", over="ignore"):
-                err_norm = float(np.max(np.abs(err) / sc))
-            if not np.isfinite(err_norm) or err_norm > 1.0:
+                err_norm = float((np.abs(err) / sc).max())
+            if not math.isfinite(err_norm) or err_norm > 1.0:
                 stats.steps_rejected += 1
-                if np.isfinite(err_norm) and err_norm > 0.0:
+                if math.isfinite(err_norm) and err_norm > 0.0:
                     h *= max(min(SAFETY * err_norm ** (-1.0 / 3.0), 1.0), FAC_MIN)
                 else:
                     h *= FAC_MIN
@@ -288,7 +288,7 @@ def integrate_adaptive(
             if extrapolate:
                 y = y_new + err
                 f0 = base_value(y)
-                if not np.all(np.isfinite(f0)):
+                if not np.isfinite(f0).all():
                     raise FloatingPointError("non-finite right-hand side after a step")
             else:
                 y = y_new

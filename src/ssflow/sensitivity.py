@@ -11,7 +11,22 @@ Two singularity rules hold today, one per use:
   pivot). In a stack the rule holds per matrix: each matrix gets the bits
   it would get alone, so a stack may hold the rows of several flow points.
 
-Unifying the two is ROADMAP item 8; it changes results near singular points.
+``pinv_sensitivity`` solves 1x1 state Jacobians (one state per condition, as
+in the conversion reaction) in closed form, without LAPACK's per-call cost,
+and with the bits of numpy's OpenBLAS LAPACK: its triangular solve divides
+by the pivot for one right-hand side and multiplies by the pivot's
+reciprocal for several, so ``-solve(a, b)`` is ``-(b / a)`` or
+``b * (1 / a)`` negated, and moving the negation onto the pivot or the
+reciprocal is exact. An exact zero is the one case LAPACK treats apart, and
+it keeps LAPACK's path, so the singularity rule is unchanged. Unlike LAPACK,
+the closed form may emit a numpy RuntimeWarning when a ratio overflows; the
+flow's finiteness check then fails the point as before. It sets no
+np.errstate, which would cost about a third of what it saves per call.
+Larger state Jacobians stay on LAPACK: at n_x = 2 a closed form is slower
+on small stacks (ROADMAP item 3).
+
+Unifying the two rules is ROADMAP item 3; it changes results near singular
+points.
 """
 
 import numpy as np
@@ -38,7 +53,17 @@ def pinv_sensitivity(jac_x, jac_theta):
     off manifold); an exactly singular one takes the truncated pseudoinverse
     instead of blowing up. In a stack this is decided per matrix, and every
     matrix equals the result for it alone, bit for bit.
+
+    When every state Jacobian is 1x1 and none is exactly zero, the result is
+    jac_theta / -jac_x for one parameter and jac_theta * (-1 / jac_x) for
+    several, with the bits of ``-np.linalg.solve`` (module docstring; a NaN
+    result may differ in its sign bit). Any zero sends the whole call down
+    the LAPACK path and its per-matrix fallback.
     """
+    if jac_x.shape[-2:] == (1, 1) and jac_x.all():
+        if jac_theta.shape[-1] == 1:
+            return jac_theta / -jac_x
+        return jac_theta * (-1.0 / jac_x)
     try:
         return -np.linalg.solve(jac_x, jac_theta)
     except np.linalg.LinAlgError:

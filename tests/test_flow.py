@@ -9,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from ssflow import flow, integrator
+from ssflow import bench, flow, integrator, numerics
 from ssflow.core import FlowConfig, FlowState, ModelSpec, ObjectiveSpec, StopReason
 from ssflow.flow import (
     FlowNumericalError,
@@ -330,6 +330,50 @@ class TestOnePath:
         assert np.array_equal(d_theta, np.asarray(prob.theta_bar))
         assert np.all(np.isfinite(d_states))
         assert np.array_equal(d_states, np.zeros((1, 1)))
+
+
+def lapack_only_pinv_sensitivity(jac_x, jac_theta):
+    """sensitivity.pinv_sensitivity without its closed form for 1x1 state
+    Jacobians: every system goes to LAPACK, with the same per-matrix
+    fallback."""
+    try:
+        return -np.linalg.solve(jac_x, jac_theta)
+    except np.linalg.LinAlgError:
+        if jac_x.ndim == 2:
+            return -(numerics.pinv(jac_x) @ jac_theta)
+        return np.stack(
+            [lapack_only_pinv_sensitivity(a, b) for a, b in zip(jac_x, jac_theta)]
+        )
+
+
+def run_bits(result):
+    """Every field of a RunResult but wall_time, floats as their bytes."""
+    fields = [
+        getattr(result, f.name)
+        for f in dataclasses.fields(result)
+        if f.name not in ("final", "wall_time")
+    ]
+    return (
+        result.final.pack().tobytes(),
+        np.float64(result.final.r).tobytes(),
+        [np.float64(v).tobytes() if isinstance(v, float) else v for v in fields],
+    )
+
+
+@pytest.mark.parametrize("lam", [2.0, 20.0])
+def test_conversion_reaction_runs_bit_identical_to_lapack_sensitivities(
+    lam, monkeypatch
+):
+    # the closed-form 1x1 sensitivities leave every bit of a run as LAPACK
+    # makes it: final state, objective, residual and every counter
+    problem = cr_flow_problem(lam)
+    starts = bench.sample_starts(
+        bench.default_config("conversion_reaction", n_starts=4, seed=3)
+    )
+    closed_form = [run_bits(run_flow(problem, init)) for init in starts]
+    monkeypatch.setattr(flow, "pinv_sensitivity", lapack_only_pinv_sensitivity)
+    lapack = [run_bits(run_flow(problem, init)) for init in starts]
+    assert closed_form == lapack
 
 
 class TestNonFiniteBlocks:

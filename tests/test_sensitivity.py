@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ssflow import numerics
 from ssflow.core import Condition, ModelSpec, ObjectiveSpec
@@ -151,6 +153,91 @@ class TestPinvSensitivity:
             else:
                 expected = -np.linalg.solve(a[k], b[k])
             assert np.array_equal(got[k], expected), k
+
+
+def same_bits(a, b):
+    """Equal shapes and bit patterns; unlike np.array_equal, 0.0 and -0.0
+    differ."""
+    return a.shape == b.shape and np.array_equal(a.view(np.uint64), b.view(np.uint64))
+
+
+def log_uniform(shape):
+    """Arrays of shape with magnitudes log-uniform over 1e-300..1e300 and
+    either sign: the products of two entries overflow and underflow."""
+    n = int(np.prod(shape))
+    exponents = st.lists(st.floats(-300.0, 300.0), min_size=n, max_size=n)
+    signs = st.lists(st.sampled_from((-1.0, 1.0)), min_size=n, max_size=n)
+    return st.tuples(exponents, signs).map(
+        lambda es: (np.array(es[1]) * 10.0 ** np.array(es[0])).reshape(shape)
+    )
+
+
+@st.composite
+def one_by_one_systems(draw):
+    """A 1x1 state Jacobian with its parameter block, as one (1, 1) matrix
+    or as a stack of 1 to 64."""
+    rows = draw(st.none() | st.integers(1, 64))
+    n_theta = draw(st.integers(1, 3))
+    lead = () if rows is None else (rows,)
+    return draw(log_uniform(lead + (1, 1))), draw(log_uniform(lead + (1, n_theta)))
+
+
+class TestOneByOneClosedForm:
+    @given(one_by_one_systems())
+    @settings(max_examples=300, deadline=None)
+    def test_has_the_bits_of_lapack(self, system):
+        a, b = system
+        with np.errstate(all="ignore"):
+            got = pinv_sensitivity(a, b)
+            expected = -np.linalg.solve(a, b)
+        assert same_bits(got, expected)
+
+    @pytest.mark.parametrize("a", [1.0, -1.0, 3e-300, -7e299])
+    def test_signed_zeros_keep_the_bits_of_lapack(self, a):
+        a = np.array([[a]])
+        b = np.array([[0.0, -0.0, 2.5, -2.5]])
+        assert same_bits(pinv_sensitivity(a, b), -np.linalg.solve(a, b))
+        assert same_bits(
+            pinv_sensitivity(np.stack([a, -a]), np.stack([b, b])),
+            -np.linalg.solve(np.stack([a, -a]), np.stack([b, b])),
+        )
+
+    @pytest.mark.parametrize("n_theta", [1, 2])
+    def test_makes_no_lapack_call(self, n_theta, monkeypatch):
+        def refuse(*args):
+            raise AssertionError("np.linalg.solve called")
+
+        # -10 and -1e33: one right-hand side divides, several multiply by
+        # the reciprocal, and the two round this quotient differently
+        a = np.array([[[-10.0]], [[0.5]]])
+        b = np.array([[[-1e33, 3.0]], [[-4.0, 0.0]]])[..., :n_theta]
+        expected = -np.linalg.solve(a, b)
+        monkeypatch.setattr(np.linalg, "solve", refuse)
+        assert same_bits(pinv_sensitivity(a, b), expected)
+        assert same_bits(pinv_sensitivity(a[0], b[0]), expected[0])
+
+    def test_singular_matrix_in_a_conversion_reaction_stack_falls_back_alone(self):
+        # theta = (0, 0) makes d f/d x = -(theta_1 + theta_2) exactly zero:
+        # those rows alone take the truncated pseudoinverse, every other row
+        # is its own matrix solved alone
+        model = conversion_reaction_model()
+        rng = np.random.default_rng(31)
+        theta = rng.uniform(0.1, 8.0, (12, 2))
+        singular = [0, 5, 11]
+        theta[singular] = 0.0
+        x_mat = rng.uniform(0.0, 1.0, (12, 1))
+        _, jac = model.f_jac_batch(theta, x_mat, np.zeros((12, 0)))
+        a, b = jac[..., :1], jac[..., 1:]
+        assert np.flatnonzero(a == 0.0).tolist() == singular
+        got = pinv_sensitivity(a, b)
+        assert got.shape == b.shape
+        for k in range(12):
+            if k in singular:
+                expected = -(numerics.pinv(a[k]) @ b[k])
+            else:
+                expected = -np.linalg.solve(a[k], b[k])
+                assert same_bits(pinv_sensitivity(a[k], b[k]), expected), k
+            assert same_bits(got[k], expected), k
 
 
 class TestManifoldGradient:
