@@ -3,6 +3,7 @@ convergence classification, statistics, and CSV/JSON emission."""
 
 import csv
 import json
+import numbers
 import os
 import statistics
 import tempfile
@@ -60,6 +61,11 @@ SCHEMA_VERSION = 1
 WORKERS_ENV = "SSFLOW_WORKERS"
 
 
+def _is_a(value, kind):
+    """isinstance(value, kind) for a numbers ABC, a bool excluded."""
+    return isinstance(value, kind) and not isinstance(value, bool)
+
+
 @dataclass
 class BenchConfig:
     problem: str = "conversion_reaction"
@@ -88,11 +94,24 @@ class BenchConfig:
             self.theta_box = bundle_class.theta_box
         if self.state_box is None:
             self.state_box = bundle_class.state_box
+        # ngf_erk draws its data from seed and every problem its starts from
+        # seed + 1; numpy's generators take no negative seed
+        for name, low in (("n_starts", 1), ("seed", 0)):
+            value = getattr(self, name)
+            if not _is_a(value, numbers.Integral):
+                raise TypeError(f"{name} must be an integer, got {value!r}")
+            if not value >= low:
+                raise ValueError(f"{name} must be >= {low}")
+        for name in ("theta_box", "state_box"):
+            box = getattr(self, name)
+            if np.shape(box) != (2,) or not all(_is_a(v, numbers.Real) for v in box):
+                raise TypeError(f"{name} must be two numbers, got {box!r}")
+            if not box[0] <= box[1]:
+                raise ValueError(f"{name} must be ordered")
+            setattr(self, name, (float(box[0]), float(box[1])))
         self.methods = tuple(self.methods)
         self.lambdas = tuple(float(v) for v in self.lambdas)
         self.theta_true = tuple(float(v) for v in self.theta_true)
-        self.theta_box = tuple(float(v) for v in self.theta_box)
-        self.state_box = tuple(float(v) for v in self.state_box)
         unknown = set(self.methods) - set(METHODS)
         if unknown:
             raise ValueError(f"unknown methods {sorted(unknown)}")
@@ -101,12 +120,6 @@ class BenchConfig:
             raise ValueError("methods and lambdas must not be empty")
         for lam in self.lambdas:
             _flow_config(self, lam)
-        if not self.n_starts >= 1:
-            raise ValueError("n_starts must be >= 1")
-        if not (self.theta_box[0] <= self.theta_box[1]):
-            raise ValueError("theta_box must be ordered")
-        if not (self.state_box[0] <= self.state_box[1]):
-            raise ValueError("state_box must be ordered")
         if not self.classification_tol >= 0:
             raise ValueError("classification_tol must be >= 0")
         if not self.noise_var >= 0:

@@ -53,12 +53,10 @@ class FlowProblem:
         return np.concatenate([[0], states])
 
     @cached_property
-    def fd_plans(self):
-        """The kernel-row plans of the FD stack of a point (_fd_plan), by
-        its row count: n, and n + 1 with the point itself last. Built once;
-        every stacked evaluation of the problem reuses them."""
-        n = self.model.n_theta + len(self.conditions) * self.model.n_x
-        return {p: _fd_plan(self, p) for p in (n, n + 1)}
+    def fd_plan(self):
+        """The kernel-row plan of the FD stack of a point (_fd_plan). Built
+        once; every stacked evaluation of the problem reuses it."""
+        return _fd_plan(self)
 
 
 def _assemble(problem, theta, states):
@@ -67,10 +65,11 @@ def _assemble(problem, theta, states):
 
     One point: theta (n_theta,) and states (m, n_x); returns d_theta
     (n_theta,) and d_states (m, n_x). The FD stack of a point
-    (integrator._fd_stack, p = n or n + 1 rows): theta (p, n_theta) and
-    states (p, m, n_x); returns (p, n_theta) and (p, m, n_x) arrays whose
-    row q has the bits of point q alone. Any other stack is wrong: the
-    model part follows the problem's fixed FD plan.
+    (integrator._fd_stack: its n forward-difference points, then the point
+    as row n): theta (n + 1, n_theta) and states (n + 1, m, n_x); returns
+    (n + 1, n_theta) and (n + 1, m, n_x) arrays whose row q has the bits of
+    point q alone. Any other stack is wrong: the model part follows the
+    problem's fixed FD plan.
 
     The model part is the one branch. A point makes one call of the fused
     kernel (ModelSpec.f_jac_batch) over its m condition rows, which gives f
@@ -85,8 +84,9 @@ def _assemble(problem, theta, states):
 
     A failure raises FlowNumericalError, or whatever a kernel, the solve or
     an objective gradient raises. At a stack it fails the whole call: the
-    integrator then makes the stack's points again as plain calls, which
-    meet the failure where it is (integrator module docstring).
+    integrator then makes the point's value, and its n forward-difference
+    rows if a step needs them, again as plain calls, which meet the failure
+    where it is (integrator module docstring).
     """
     if np.ndim(theta) == 1:
         model = problem.model
@@ -119,60 +119,52 @@ def _first_failing_point(d_theta, d_states):
     return FlowNumericalError("non-finite derivative in parameter block")
 
 
-def _fd_plan(problem, p):
-    """The kernel-row plan of a p-row FD stack of the problem
-    (integrator._fd_stack: any point's n forward-difference points, then,
-    when p = n + 1, the point itself): per kernel row, the stack row of its
-    theta and the stack row * m + condition of its state, the kernel rows'
-    inputs gathered from u_matrix, and the (p, m) kernel row of each
-    condition of each point.
+def _fd_plan(problem):
+    """The kernel-row plan of the FD stack of a point y
+    (integrator._fd_stack: y's n forward-difference points, then y as row
+    n): per kernel row, the stack row of its theta and the stack row * m +
+    condition of its state, the kernel rows' inputs gathered from u_matrix,
+    and the (n + 1, m) kernel row of each condition of each point.
 
     Each parameter column's point owns all m condition rows, each state
-    column's point the row of its condition, and every other row is the
-    base point's, shared. The kernels see the shared rows first, in
-    condition order, then the own rows in stack order. There are no shared
-    rows when every point owns the one condition (m = 1, p = n). A shared
-    row takes its theta from the first state column's point and condition
-    i's state from row (n_theta + (i + 1) * n_x) mod p, a point with no
-    step in condition i.
+    column's point the row of its condition, and every other row is y's
+    own, shared: its theta is row n's and condition i's state is row n's
+    (stack row n * m + i). The kernels see the shared rows first, in
+    condition order, then the own rows in stack order.
     """
     n_theta, n_x = problem.model.n_theta, problem.model.n_x
     m = len(problem.conditions)
-    n_shared = m if n_theta + n_x < p else 0
+    n = n_theta + m * n_x
     conditions = np.arange(m)
     own_q = np.concatenate(
         [np.repeat(np.arange(n_theta), m), n_theta + np.arange(m * n_x)]
     )
     own_i = np.concatenate([np.tile(conditions, n_theta), np.repeat(conditions, n_x)])
-    shared = conditions[:n_shared]
-    shared_q = (n_theta + (shared + 1) * n_x) % p
-    row = np.empty((p, m), dtype=np.intp)
-    row[:, shared] = np.arange(n_shared)
-    row[own_q, own_i] = np.arange(n_shared, n_shared + own_q.size)
+    row = np.tile(conditions, (n + 1, 1))
+    row[own_q, own_i] = np.arange(m, m + own_q.size)
     return (
-        np.concatenate([np.full(n_shared, n_theta), own_q]),
-        np.concatenate([shared_q * m + shared, own_q * m + own_i]),
-        problem.u_matrix.take(np.concatenate([shared, own_i]), axis=0),
+        np.concatenate([np.full(m, n), own_q]),
+        np.concatenate([n * m + conditions, own_q * m + own_i]),
+        problem.u_matrix.take(np.concatenate([conditions, own_i]), axis=0),
         row,
     )
 
 
 def _stack_model_part(problem, thetas, states):
     """The model part of every point of an FD stack: the pinv sensitivities
-    (p, m, n_x, n_theta) and vector field values (p, m, n_x).
+    (n + 1, m, n_x, n_theta) and vector field values (n + 1, m, n_x).
 
     Row (q, i) is condition i at point q. The kernel rows come from the
-    problem's plan for p rows (_fd_plan): on the FD stack of a point y, m
-    shared rows of y (none for the plain stack of one condition), the m
-    rows of each parameter column and the one perturbed row of each state
-    column, all of them in one fused kernel call (one theta per row) and
-    one stacked solve. A call only gathers the theta and x rows; the
-    inputs and the row map are the plan's. Raises on a failing kernel or
-    solve, or a non-finite Jacobian row; the error names kernel rows, not a
-    point.
+    problem's plan (_fd_plan): on the FD stack of a point y, the m rows of
+    y, shared, the m rows of each parameter column and the one perturbed
+    row of each state column, all of them in one fused kernel call (one
+    theta per row) and one stacked solve. A call only gathers the theta and
+    x rows; the inputs and the row map are the plan's. Raises on a failing
+    kernel or solve, or a non-finite Jacobian row; the error names kernel
+    rows, not a point.
     """
     p, m, n_x = states.shape
-    theta_rows, x_rows, u_rows, row = problem.fd_plans[p]
+    theta_rows, x_rows, u_rows, row = problem.fd_plan
     f_mat, jac = problem.model.f_jac_batch(
         thetas.take(theta_rows, axis=0),
         states.reshape(p * m, n_x).take(x_rows, axis=0),
@@ -200,14 +192,15 @@ def rhs(problem, y):
     return np.concatenate([d_theta, d_states.ravel()])
 
 
-def rhs_fd(problem, y, value=False):
-    """Flow derivative at every row of ys = integrator._fd_stack(y, value),
-    the FD stack of the packed point y (its n forward-difference points,
-    then y itself with value=True), in one _assemble call, as a (p, n)
-    array whose row q has the bits of rhs(problem, ys[q]). Any failing row
-    fails the whole call; the integrator makes the rows again as plain rhs
-    calls to find it."""
-    ys = integrator._fd_stack(y, value)
+def rhs_fd(problem, y):
+    """Flow derivative at every row of ys = integrator._fd_stack(y), the FD
+    stack of the packed point y (its n forward-difference points, then y
+    itself as row n), in one _assemble call, as an (n + 1, n) array whose
+    row q has the bits of rhs(problem, ys[q]). Any failing row fails the
+    whole call; the integrator then makes y's value, and its n
+    forward-difference rows if a step needs them, as plain rhs calls to
+    find it."""
+    ys = integrator._fd_stack(y)
     p = len(ys)
     n_theta = problem.model.n_theta
     states = ys[:, n_theta:].reshape(p, len(problem.conditions), problem.model.n_x)

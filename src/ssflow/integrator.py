@@ -9,20 +9,21 @@ integrate a non-autonomous system). The rhs Jacobian is approximated by
 forward differences. Each step factorises its stage matrix once with LAPACK
 getrf and runs its three stage solves with getrs, called directly.
 
-Given rhs_fd, which evaluates the FD stack of one point (_fd_stack: its n
-forward-difference points, optionally the point itself last) in one call,
-every point that may become the next step's base (the initial point, the new
-point of a step that keeps its L-stable solution, the extrapolated point of
-one that does not) is evaluated in one call together with its n
-forward-difference points, and the stack's last row is the value. The other
-n rows become that point's Jacobian if the next step starts there, so each
-such point costs one derivative call instead of two. The stacks are always
-FD stacks, so the rows they share follow one fixed pattern per problem.
+Given rhs_fd, which evaluates the FD stack of one point in one call, every
+point that may become the next step's base (the initial point, the new point
+of a step that keeps its L-stable solution, the extrapolated point of one
+that does not) is evaluated in one call. The FD stack has one shape
+(_fd_stack): the point's n forward-difference points, then the point itself
+as row n. Its last row is the value; the other n rows become the point's
+Jacobian if the next step starts there, so each such point costs one
+derivative call instead of two. Every stack has this shape, so the rows it
+shares follow one fixed pattern per problem.
 
 One rule covers failures: a stack call that raises is made again as plain
-rhs calls, one per row in stack order. So a failing row fails the run where
-plain calls meet it, with their count and their error; a stack's own
-exception decides neither.
+rhs calls, the value at once and the n forward-difference rows, in stack
+order, only if a step needs the point's Jacobian. So a failing row fails the
+run where plain calls meet it, with their count and their error; a stack's
+own exception decides neither.
 """
 
 import enum
@@ -95,12 +96,12 @@ def step(rhs, y, h, jac, f0, rhs_new=None):
     return y_new, err, f_new
 
 
-def _fd_stack(y, value=False):
-    """The stack of y's n forward-difference points, row j being y with its
-    entry j stepped by _SQRT_EPS * (1 + |y[j]|); with value=True, y itself
-    follows as row n."""
+def _fd_stack(y):
+    """The FD stack of y: its n forward-difference points, row j being y
+    with its entry j stepped by _SQRT_EPS * (1 + |y[j]|), then y itself as
+    row n."""
     n = y.size
-    ys = np.empty((n + value, n))
+    ys = np.empty((n + 1, n))
     ys[:] = y
     ys.flat[:: n + 1] = y + _SQRT_EPS * (1.0 + np.abs(y))
     return ys
@@ -108,7 +109,7 @@ def _fd_stack(y, value=False):
 
 def _fd_jacobian(values, y, f0):
     """Forward-difference Jacobian at y, with f0 = rhs(y), from values, the
-    rhs values at the rows of _fd_stack(y) as rows: column j is
+    rhs values at the first n rows of _fd_stack(y) as rows: column j is
     (values[j] - f0) / steps[j]. The differences go straight into the
     C-ordered Jacobian; values is only read, never written.
     """
@@ -151,11 +152,10 @@ def integrate_adaptive(
     (Jacobian, two stages, extrapolation), so a run can end n + 2 past it.
 
     rhs_fd, if given, evaluates the FD stack of a point in one call:
-    rhs_fd(y, value) returns rhs at every row of _fd_stack(y, value) as
-    rows, row q with the bits of rhs at row q. It sees no other stack, so
-    it may plan its evaluation once for both shapes (n and n + 1 rows).
-    Each point that may be the next step's base is evaluated in one
-    rhs_fd(y, True) call together with its n FD points (see the module
+    rhs_fd(y) returns rhs at every row of _fd_stack(y) (y's n FD points,
+    then y as row n) as rows, row q with the bits of rhs at row q. It sees
+    no other stack, so it may plan its evaluation once. rhs_fd is called
+    only for a point that may be the next step's base (see the module
     docstring): the initial point, a step's new point when
     h * ||jac||_inf > 1 (the step keeps its L-stable solution; the test
     needs only h and the Jacobian, so it is made before the step), and the
@@ -168,11 +168,9 @@ def integrate_adaptive(
     from their call until a step takes them), so rhs_evals + discarded_evals
     is the number of points evaluated, stack calls that raised apart.
 
-    Failures follow the one rule of the module docstring. A merged call
-    that raises is made again as one plain rhs call for the value, and the
-    next Jacobian's rows, if a step needs them, as one rhs_fd(y, False)
-    call of their own, made again as n plain calls if it raises too. A
-    stack call adds its rows to rhs_evals when it returns; a plain call
+    Failures follow the one rule of the module docstring. A stack call that
+    raises is made again as one plain rhs call for the value and, if a step
+    needs the point's Jacobian, n plain calls for its rows. A plain call
     counts before it is made, so the call that raises is counted.
 
     Returns (final r, final y, IntegratorStats, IntegrationOutcome). An
@@ -195,31 +193,18 @@ def integrate_adaptive(
         stats.rhs_evals += 1
         return rhs(y)
 
-    def fd_values(y):
-        # rhs at every row of _fd_stack(y), as rows: one rhs_fd call, or
-        # plain calls in stack order when there is none or it raises
-        if rhs_fd is not None:
-            try:
-                values = rhs_fd(y, False)
-            except Exception:
-                pass
-            else:
-                stats.rhs_evals += n
-                return values
-        return np.array([counted_rhs(row) for row in _fd_stack(y)])
-
     def base_value(y):
         # rhs(y) for a point that may be the next step's base: the last row
-        # of one call on y's FD stack and y, whose other rows wait in ahead
+        # of one call on y's FD stack, whose other rows wait in ahead
         nonlocal ahead
         ahead = None
         if rhs_fd is None:
             return counted_rhs(y)
         try:
-            values = rhs_fd(y, True)
+            values = rhs_fd(y)
         except Exception:
-            # whatever failed, the separate calls raise it again where they
-            # reach the failing row, if the run gets there
+            # whatever failed, plain calls raise it again where they reach
+            # the failing row, if the run gets there
             return counted_rhs(y)
         stats.rhs_evals += 1
         stats.discarded_evals += n
@@ -250,7 +235,9 @@ def integrate_adaptive(
                 return r, y, stats, IntegrationOutcome.STEP_UNDERFLOW
             if jac is None:
                 if ahead is None:
-                    values = fd_values(y)
+                    # y's stack call raised, or there is no rhs_fd: its n
+                    # FD rows as plain calls, in stack order
+                    values = np.array([counted_rhs(row) for row in _fd_stack(y)[:n]])
                 else:
                     # y's FD rows, made ahead with its value: counted now
                     # that a Jacobian takes them

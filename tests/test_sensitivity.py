@@ -216,6 +216,35 @@ class TestOneByOneClosedForm:
         assert same_bits(pinv_sensitivity(a, b), expected)
         assert same_bits(pinv_sensitivity(a[0], b[0]), expected[0])
 
+    @pytest.mark.parametrize("pivot", [-0.0, np.nan], ids=["negative-zero", "nan"])
+    def test_negative_zero_reaches_lapack_and_nan_does_not(self, pivot, monkeypatch):
+        # -0.0 is an exact zero: LAPACK reports it singular and the
+        # pseudoinverse takes over, alone and in a stack next to a nonzero
+        # pivot. NaN is no zero: it takes the closed form, with no LAPACK
+        # call, and gives NaN
+        solve = np.linalg.solve
+        calls = []
+
+        def counted(a, b):
+            calls.append(len(a))
+            return solve(a, b)
+
+        monkeypatch.setattr(np.linalg, "solve", counted)
+        a = np.array([[[2.0]], [[pivot]]])
+        b = np.array([[[1.0, -3.0]], [[4.0, 0.5]]])
+        alone = pinv_sensitivity(a[1], b[1])
+        stacked = pinv_sensitivity(a, b)
+        assert same_bits(stacked[0], -solve(a[0], b[0]))
+        if np.isnan(pivot):
+            assert calls == []
+            assert np.isnan(alone).all() and np.isnan(stacked[1]).all()
+        else:
+            # alone; then the stack, which raises, and its zero matrix again
+            assert calls == [1, 2, 1]
+            expected = -(numerics.pinv(a[1]) @ b[1])
+            assert same_bits(alone, expected)
+            assert same_bits(stacked[1], expected)
+
     def test_singular_matrix_in_a_conversion_reaction_stack_falls_back_alone(self):
         # theta = (0, 0) makes d f/d x = -(theta_1 + theta_2) exactly zero:
         # those rows alone take the truncated pseudoinverse, every other row
