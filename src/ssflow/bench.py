@@ -15,9 +15,9 @@ import numpy as np
 
 from . import __version__
 from .baselines import augmented_lagrangian_constrained, quasi_newton_unconstrained
-from .core import FlowConfig, FlowState
+from .core import FlowConfig, FlowState, _is_a
 from .flow import run_flow
-from .models import ConversionReactionProblem, NgfErkProblem
+from .models import ConversionReactionProblem, NgfErkProblem, ngf_erk_model
 
 # problem name -> bundle class; the one place a name picks a problem
 PROBLEMS = {
@@ -59,11 +59,6 @@ CSV_COLUMNS = tuple(name for name, _, _ in COLUMNS)
 
 SCHEMA_VERSION = 1
 WORKERS_ENV = "SSFLOW_WORKERS"
-
-
-def _is_a(value, kind):
-    """isinstance(value, kind) for a numbers ABC, a bool excluded."""
-    return isinstance(value, kind) and not isinstance(value, bool)
 
 
 @dataclass
@@ -109,6 +104,8 @@ class BenchConfig:
             if not box[0] <= box[1]:
                 raise ValueError(f"{name} must be ordered")
             setattr(self, name, (float(box[0]), float(box[1])))
+        if not isinstance(self.output_dir, str):
+            raise TypeError(f"output_dir must be a string, got {self.output_dir!r}")
         self.methods = tuple(self.methods)
         self.lambdas = tuple(float(v) for v in self.lambdas)
         self.theta_true = tuple(float(v) for v in self.theta_true)
@@ -118,6 +115,14 @@ class BenchConfig:
         # the constrained method runs at lambdas[0]
         if not (self.methods and self.lambdas):
             raise ValueError("methods and lambdas must not be empty")
+        # a repeat would run, and count, every start of it twice
+        for name in ("methods", "lambdas"):
+            values = getattr(self, name)
+            if len(set(values)) != len(values):
+                raise ValueError(f"{name} must not repeat, got {list(values)}")
+        if len(self.theta_true) != ngf_erk_model().n_theta:
+            message = f"theta_true needs one entry per NGF parameter, got {self.theta_true}"
+            raise ValueError(message)
         for lam in self.lambdas:
             _flow_config(self, lam)
         if not self.classification_tol >= 0:

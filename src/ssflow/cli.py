@@ -14,7 +14,6 @@ from . import bench as bench_mod
 from .bench import BenchConfig, default_config, emit, run_bench, sample_starts
 from .core import validate_model
 from .flow import run_flow
-from .models import NgfErkProblem, generate_data
 
 
 def _load_config_file(parser, path):
@@ -116,15 +115,15 @@ def main(argv=None):
 
     if args.command == "generate-data":
         try:
-            problem = NgfErkProblem(noise_var=args.noise_var)
+            config = default_config("ngf_erk", seed=args.seed, noise_var=args.noise_var)
         except ValueError as exc:
             p_gen.error(str(exc))
-        data = generate_data(problem, args.seed)
+        problem = bench_mod._build_problem(config)
         payload = {
             "seed": args.seed,
             "noise_var": args.noise_var,
             "inputs": list(problem.inputs),
-            "data": [float(v) for v in data],
+            "data": [float(v) for v in problem.data],
         }
         text = json.dumps(payload, indent=2)
         if args.out:

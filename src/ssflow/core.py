@@ -3,12 +3,18 @@
 import enum
 import itertools
 import math
+import numbers
 from dataclasses import dataclass, field
 from typing import Callable, Optional
 
 import numpy as np
 
 from . import numerics
+
+
+def _is_a(value, kind):
+    """isinstance(value, kind) for a numbers ABC, a bool excluded."""
+    return isinstance(value, kind) and not isinstance(value, bool)
 
 
 def _stacked(single):
@@ -43,7 +49,6 @@ def _composed(parts):
         )
 
     f_jac_batch.fuses = parts
-    f_jac_batch.composed = True
     return f_jac_batch
 
 
@@ -91,7 +96,10 @@ class ModelSpec:
     the point's own rows once, the rows of each parameter column at its
     perturbed theta and the one perturbed row of each state column, in a
     fixed order planned once per problem. ``validate_model`` checks the
-    per-row theta form.
+    per-row theta form of f_batch and f_jac_batch, the two kernels the flow
+    calls. The per-condition kernels are inputs, stacked into the batched
+    forms left out, and the built-in models make them views of a batch of
+    one; no consumer in the package calls them.
     """
 
     n_x: int
@@ -225,8 +233,10 @@ class FlowConfig:
             raise ValueError("tol and r_max must be strictly positive")
         if not (self.integrator_rel_tol > 0 and self.integrator_abs_tol > 0):
             raise ValueError("integrator tolerances must be strictly positive")
-        if not self.max_rhs_evals >= 1:
-            raise ValueError("max_rhs_evals must be >= 1")
+        if not (_is_a(self.max_rhs_evals, numbers.Integral) and self.max_rhs_evals >= 1):
+            raise ValueError(
+                f"max_rhs_evals must be an integer >= 1, got {self.max_rhs_evals!r}"
+            )
 
 
 class StopReason(enum.Enum):
@@ -269,7 +279,7 @@ class RunResult:
 
 
 # the default threshold of ValidationReport.ok, and the relative error up to
-# which validate_model accepts a row of a batched kernel with one theta per row
+# which validate_model accepts a row of a kernel with one theta per row
 _THRESHOLD = 1e-6
 # the sampled points validate_model stacks for the per-row theta check
 _PER_ROW_SAMPLES = 5
@@ -293,21 +303,26 @@ class ValidationReport:
 
 
 def validate_model(model, n_samples=100, seed=0):
-    """Compare the model's analytic Jacobians with central finite differences.
+    """Compare the fused kernel's Jacobian with central finite differences
+    of f_batch.
 
-    Points are sampled uniformly (theta in [-1, 1], x in [0, 1], u in [0, 2]);
-    the reported errors are the maxima over samples and matrix entries of
-    |analytic - fd| / (1 + |fd|). Non-finite model output at a sample is
-    recorded as a failure together with the offending point.
+    Points are sampled uniformly (theta in [-1, 1], x in [0, 1], u in [0, 2]),
+    and f_batch and f_jac_batch are called at each as a batch of one. The
+    reported errors are the maxima over samples and matrix entries of
+    |analytic - fd| / (1 + |fd|), analytic a block of the fused Jacobian and
+    fd the differences of f_batch on a batch of one. Non-finite f at a
+    sample is recorded as a failure together with the offending point.
 
-    The first few samples also check the batched kernels with one theta per
-    row (the ModelSpec contract): each kernel is called once on their
-    stack, and a call that raises, or a row whose relative error against
-    the per-condition kernel exceeds the default threshold of
-    ValidationReport.ok, is recorded as a failure naming the kernel. The
-    fused kernel ``f_jac_batch`` is checked the same way, its f block
-    against f and its Jacobian's two blocks against jac_x and jac_theta,
-    unless ModelSpec composed it from the three batched forms.
+    The first few samples also check both kernels with one theta per row
+    (the ModelSpec contract): each is called once on their stack, and each
+    row of its blocks is compared with the batch of one, the f blocks of
+    both kernels with f_batch's. A call that raises or returns a wrong
+    shape, on a batch of one or on the stack, and a row whose relative
+    error exceeds the default threshold of ValidationReport.ok, are recorded
+    as failures naming the kernel. No per-condition kernel is called
+    directly: they are ModelSpec's inputs, stacked into the batched forms a
+    model leaves out, and views of a batch of one, and the flow does not
+    call them either.
     n_samples must be at least 1: a report over no sample checks nothing.
     """
     if not n_samples >= 1:
@@ -316,35 +331,40 @@ def validate_model(model, n_samples=100, seed=0):
     max_err_x = 0.0
     max_err_theta = 0.0
     failures = []
-    points = []
+    per_row = []
     for k in range(n_samples):
         theta = rng.uniform(-1.0, 1.0, model.n_theta)
         x = rng.uniform(0.0, 1.0, model.n_x)
         u = rng.uniform(0.0, 2.0, model.n_u)
+        point = (k, theta, x, u)
+        x_one, u_one = x[None], u[None]
+        one, messages = _blocks(model, theta, x_one, u_one, "on a batch of one")
+        if messages:
+            failures.extend(point + (message,) for message in messages)
+            continue
+        # the reference blocks: f_batch's f and the fused kernel's Jacobian
+        want = {**one["f_jac_batch"], **one["f_batch"]}
         if k < _PER_ROW_SAMPLES:
-            points.append((theta, x, u))
-        fval = np.asarray(model.f(theta, x, u), dtype=float)
-        if not np.all(np.isfinite(fval)):
-            failures.append((k, theta, x, u, "non-finite f"))
+            per_row.append((point, want))
+        if not np.all(np.isfinite(want["f"])):
+            failures.append(point + ("non-finite f",))
             continue
         try:
             fd_x = numerics.finite_diff_jacobian(
-                lambda xx: model.f(theta, xx, u), x
+                lambda xx: model.f_batch(theta, xx[None], u_one)[0], x
             )
             fd_theta = numerics.finite_diff_jacobian(
-                lambda tt: model.f(tt, x, u), theta
+                lambda tt: model.f_batch(tt, x_one, u_one)[0], theta
             )
         except numerics.NumericalFailure as exc:
-            failures.append((k, theta, x, u, str(exc)))
+            failures.append(point + (str(exc),))
             continue
-        jx = np.asarray(model.jac_x(theta, x, u), dtype=float)
-        jt = np.asarray(model.jac_theta(theta, x, u), dtype=float)
-        err_x = np.abs(jx - fd_x) / (1.0 + np.abs(fd_x))
-        err_theta = np.abs(jt - fd_theta) / (1.0 + np.abs(fd_theta))
+        err_x = np.abs(want["jac_x"][0] - fd_x) / (1.0 + np.abs(fd_x))
+        err_theta = np.abs(want["jac_theta"][0] - fd_theta) / (1.0 + np.abs(fd_theta))
         max_err_x = max(max_err_x, float(err_x.max()))
         max_err_theta = max(max_err_theta, float(err_theta.max()))
-    if points:
-        failures.extend(_theta_per_row_failures(model, points))
+    if per_row:
+        failures.extend(_theta_per_row_failures(model, per_row))
     return ValidationReport(
         max_rel_err_jac_x=max_err_x,
         max_rel_err_jac_theta=max_err_theta,
@@ -353,74 +373,53 @@ def validate_model(model, n_samples=100, seed=0):
     )
 
 
-def _theta_per_row_failures(model, points):
-    """validate_model's failure entries for the batched kernels, the fused
-    one too, called once on the stack of points (theta, x, u), with one
-    theta per row."""
-    thetas, x_mat, u_mat = (np.stack(column) for column in zip(*points))
-    stack = (list(range(len(points))), thetas, x_mat, u_mat)
-    want = {
-        name: np.stack([np.asarray(single(*point), dtype=float) for point in points])
-        for name, single in (
-            ("f", model.f),
-            ("jac_x", model.jac_x),
-            ("jac_theta", model.jac_theta),
-        )
-    }
-    failures = []
-    for name in ("f", "jac_x", "jac_theta"):
-        kernel = name + "_batch"
-        try:
-            got = np.asarray(getattr(model, kernel)(thetas, x_mat, u_mat), dtype=float)
-        except Exception as exc:
-            failures.append(stack + (f"{kernel} with one theta per row raises {exc!r}",))
-            continue
-        if got.shape != want[name].shape:
-            message = (
-                f"{kernel} with one theta per row returns shape {got.shape}, "
-                f"not {want[name].shape}"
-            )
-            failures.append(stack + (message,))
-            continue
-        failures.extend(_row_failures(kernel, {name: got}, want, points))
-    # a composed fused kernel is the three batched forms checked above
-    if getattr(model.f_jac_batch, "composed", False):
-        return failures
-    kernel = "f_jac_batch"
-    try:
-        f_mat, jac = model.f_jac_batch(thetas, x_mat, u_mat)
-    except Exception as exc:
-        failures.append(stack + (f"{kernel} with one theta per row raises {exc!r}",))
-        return failures
-    want_jac = np.concatenate([want["jac_x"], want["jac_theta"]], axis=-1)
-    if f_mat.shape != want["f"].shape or jac.shape != want_jac.shape:
-        message = (
-            f"{kernel} with one theta per row returns shapes {f_mat.shape} and "
-            f"{jac.shape}, not {want['f'].shape} and {want_jac.shape}"
-        )
-        failures.append(stack + (message,))
-        return failures
+def _blocks(model, theta, x_mat, u_mat, context):
+    """The output blocks of f_batch and f_jac_batch at (theta, x_mat, u_mat)
+    as float arrays, by kernel and block name (f, and the fused Jacobian's
+    jac_x and jac_theta); and the failure messages of the kernels whose
+    call, made in context, raises or returns the wrong shapes."""
     n_x = model.n_x
-    blocks = {"f": f_mat, "jac_x": jac[..., :n_x], "jac_theta": jac[..., n_x:]}
-    failures.extend(_row_failures(kernel, blocks, want, points))
-    return failures
+    f_shape, jac_shape = (len(x_mat), n_x), (len(x_mat), n_x, n_x + model.n_theta)
+    blocks, messages = {}, []
+    for kernel, want in (("f_batch", [f_shape]), ("f_jac_batch", [f_shape, jac_shape])):
+        try:
+            out = getattr(model, kernel)(theta, x_mat, u_mat)
+            arrays = [np.asarray(a, float) for a in (out if len(want) == 2 else [out])]
+        except Exception as exc:
+            messages.append(f"{kernel} {context} raises {exc!r}")
+            continue
+        shapes = [a.shape for a in arrays]
+        if shapes != want:
+            messages.append(f"{kernel} {context} returns shapes {shapes}, not {want}")
+            continue
+        blocks[kernel] = {"f": arrays[0]}
+        if len(arrays) == 2:
+            jac = arrays[1]
+            blocks[kernel].update(jac_x=jac[..., :n_x], jac_theta=jac[..., n_x:])
+    return blocks, messages
 
 
-def _row_failures(kernel, blocks, want, points):
-    """The failure entries of the rows of kernel's output blocks, each named
-    by the per-condition kernel whose stacked rows want[name] it must
-    match."""
-    failures = []
-    for name, got in blocks.items():
-        ref = want[name]
-        # |got - ref| <= t (1 + |ref|): the relative error of the report
-        close = np.isclose(got, ref, rtol=_THRESHOLD, atol=_THRESHOLD, equal_nan=True)
-        for i in np.flatnonzero(~close.reshape(len(points), -1).all(axis=1)):
-            with np.errstate(invalid="ignore"):
-                err = float((np.abs(got[i] - ref[i]) / (1.0 + np.abs(ref[i]))).max())
-            message = (
-                f"{kernel} with one theta per row: row {i} differs from {name} "
-                f"by a relative error of {err:.3e}"
-            )
-            failures.append((int(i),) + points[i] + (message,))
+def _theta_per_row_failures(model, per_row):
+    """validate_model's failure entries for f_batch and f_jac_batch called
+    once on the stack of sampled points, with one theta per row, against
+    the blocks each point wants: those of its batch of one."""
+    points, wants = zip(*per_row)
+    thetas, x_mat, u_mat = (np.stack(column) for column in list(zip(*points))[1:])
+    stack = ([point[0] for point in points], thetas, x_mat, u_mat)
+    want = {name: np.concatenate([w[name] for w in wants]) for name in wants[0]}
+    got, messages = _blocks(model, thetas, x_mat, u_mat, "with one theta per row")
+    failures = [stack + (message,) for message in messages]
+    for kernel, blocks in got.items():
+        for name, block in blocks.items():
+            ref = want[name]
+            # |block - ref| <= t (1 + |ref|): the relative error of the report
+            close = np.isclose(block, ref, rtol=_THRESHOLD, atol=_THRESHOLD, equal_nan=True)
+            for i in np.flatnonzero(~close.reshape(len(points), -1).all(axis=1)):
+                with np.errstate(invalid="ignore"):
+                    err = float((np.abs(block[i] - ref[i]) / (1.0 + np.abs(ref[i]))).max())
+                message = (
+                    f"{kernel} with one theta per row: row {i} differs from the "
+                    f"batch of one in {name} by a relative error of {err:.3e}"
+                )
+                failures.append(points[i] + (message,))
     return failures

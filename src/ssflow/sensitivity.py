@@ -34,14 +34,22 @@ import numpy as np
 from . import numerics
 
 
+def _jacobian_blocks(model, theta, x, u):
+    """d f/d x and d f/d theta at one condition: the blocks of the fused
+    kernel's Jacobian, called on a batch of one."""
+    x_mat = np.asarray(x, dtype=float)[None]
+    _, jac = model.f_jac_batch(theta, x_mat, np.asarray(u, dtype=float)[None])
+    return jac[0, :, : model.n_x], jac[0, :, model.n_x :]
+
+
 def sensitivity_exact(model, theta, x, u):
-    """Steady-state sensitivity S solving (d f/d x) S = -(d f/d theta).
+    """Steady-state sensitivity S solving (d f/d x) S = -(d f/d theta), the
+    Jacobians from one call of the fused kernel on a batch of one.
 
     Intended for on-manifold points where the state Jacobian is invertible;
     raises SingularMatrixError otherwise (use sensitivity_hat then).
     """
-    a = np.asarray(model.jac_x(theta, x, u), dtype=float)
-    b = np.asarray(model.jac_theta(theta, x, u), dtype=float)
+    a, b = _jacobian_blocks(model, theta, x, u)
     return numerics.solve(a, -b)
 
 
@@ -87,14 +95,13 @@ def total_gradient(grad_theta, s_hat, grads_x):
 
 def sensitivity_hat(model, theta, x, u):
     """Pseudoinverse sensitivity at one condition, valid off-manifold by
-    construction.
+    construction, the Jacobians from one call of the fused kernel on a
+    batch of one.
 
     Coincides with sensitivity_exact wherever the state Jacobian is
     invertible.
     """
-    a = np.asarray(model.jac_x(theta, x, u), dtype=float)
-    b = np.asarray(model.jac_theta(theta, x, u), dtype=float)
-    return pinv_sensitivity(a, b)
+    return pinv_sensitivity(*_jacobian_blocks(model, theta, x, u))
 
 
 def manifold_gradient(model, objective, theta, states, conditions):

@@ -93,6 +93,12 @@ class TestBenchConfig:
             {"integrator_rel_tol": NAN},
             {"integrator_abs_tol": NAN},
             {"lambdas": (NAN,)},
+            # a repeat would run every start of it twice
+            {"methods": ("unconstrained", "unconstrained")},
+            {"lambdas": (20, 20.0)},
+            {"problem": "ngf_erk", "theta_true": (1.0,)},
+            {"max_rhs_evals": 2.5},
+            {"max_rhs_evals": True},
         ],
     )
     def test_rejects_invalid(self, kwargs):

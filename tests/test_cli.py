@@ -35,6 +35,16 @@ class TestGenerateData:
         assert captured.out == ""
         assert "noise variance must be non-negative" in captured.err
 
+    def test_negative_seed_is_a_usage_error(self, tmp_path, capsys):
+        out = tmp_path / "data.json"
+        with pytest.raises(SystemExit) as info:
+            main(["generate-data", "--seed", "-5", "--out", str(out)])
+        assert info.value.code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "seed must be >= 0" in captured.err
+        assert not out.exists()
+
 
 class TestValidate:
     @pytest.mark.parametrize("problem", ["conversion_reaction", "ngf_erk"])
@@ -177,6 +187,19 @@ class TestBench:
             ('{"n_starts": 2.5}', [], "n_starts must be an integer, got 2.5"),
             ('{"n_starts": true}', [], "n_starts must be an integer, got True"),
             ("{}", ["--seed", "-5"], "seed must be >= 0"),
+            (
+                "{}",
+                ["--method", "unconstrained", "--method", "unconstrained"],
+                "methods must not repeat",
+            ),
+            ("{}", ["--lambda", "20", "--lambda", "20.0"], "lambdas must not repeat"),
+            (
+                '{"problem": "ngf_erk", "theta_true": [1]}',
+                [],
+                "theta_true needs one entry per NGF parameter",
+            ),
+            ('{"max_rhs_evals": 2.5}', [], "max_rhs_evals must be an integer >= 1"),
+            ('{"max_rhs_evals": true}', [], "max_rhs_evals must be an integer >= 1"),
         ],
         ids=[
             "unknown-key",
@@ -188,6 +211,11 @@ class TestBench:
             "float-starts",
             "bool-starts",
             "negative-seed-flag",
+            "repeated-method",
+            "repeated-lambda",
+            "short-theta-true",
+            "float-rhs-budget",
+            "bool-rhs-budget",
         ],
     )
     def test_bad_config_file_is_a_usage_error(
@@ -203,6 +231,17 @@ class TestBench:
         assert info.value.code == 2
         assert message in capsys.readouterr().err
         assert not out.exists()
+
+    def test_non_string_output_dir_is_a_usage_error(self, tmp_path, capsys, monkeypatch):
+        # no --out, which would override the file's output_dir
+        monkeypatch.chdir(tmp_path)
+        cfg_file = tmp_path / "cfg.json"
+        cfg_file.write_text('{"output_dir": 5, "n_starts": 1}')
+        with pytest.raises(SystemExit) as info:
+            main(["bench", "--config", str(cfg_file)])
+        assert info.value.code == 2
+        assert "output_dir must be a string, got 5" in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == [cfg_file]
 
     def test_small_bench_writes_outputs(self, tmp_path, capsys):
         out = tmp_path / "bench"

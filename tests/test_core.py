@@ -8,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
+from ssflow import numerics
 from ssflow.core import (
     Condition,
     FlowConfig,
@@ -48,7 +49,100 @@ def rate_decay_model(**batched):
     )
 
 
+def transposed_model():
+    """The conversion reaction with its parameter Jacobian's columns swapped,
+    written per condition."""
+    base = conversion_reaction_model()
+    return ModelSpec(
+        n_x=1,
+        n_theta=2,
+        n_u=0,
+        f=base.f,
+        jac_x=base.jac_x,
+        # wrong on purpose: the parameter Jacobian with swapped columns
+        jac_theta=lambda theta, x, u: base.jac_theta(theta, x, u)[:, ::-1],
+        name="wrong",
+    )
+
+
+def non_finite_model():
+    return ModelSpec(
+        n_x=1,
+        n_theta=1,
+        n_u=0,
+        f=lambda theta, x, u: np.array([np.nan]),
+        jac_x=lambda theta, x, u: np.zeros((1, 1)),
+        jac_theta=lambda theta, x, u: np.zeros((1, 1)),
+        name="bad",
+    )
+
+
+def per_condition_validation(model, n_samples, seed):
+    """Reference: validate_model's finite-difference check as written
+    against the per-condition kernels f, jac_x and jac_theta. Returns the
+    two maxima and the failure entries."""
+    rng = np.random.default_rng(seed)
+    max_err_x = 0.0
+    max_err_theta = 0.0
+    failures = []
+    for k in range(n_samples):
+        theta = rng.uniform(-1.0, 1.0, model.n_theta)
+        x = rng.uniform(0.0, 1.0, model.n_x)
+        u = rng.uniform(0.0, 2.0, model.n_u)
+        fval = np.asarray(model.f(theta, x, u), dtype=float)
+        if not np.all(np.isfinite(fval)):
+            failures.append((k, theta, x, u, "non-finite f"))
+            continue
+        try:
+            fd_x = numerics.finite_diff_jacobian(lambda xx: model.f(theta, xx, u), x)
+            fd_theta = numerics.finite_diff_jacobian(lambda tt: model.f(tt, x, u), theta)
+        except numerics.NumericalFailure as exc:
+            failures.append((k, theta, x, u, str(exc)))
+            continue
+        jx = np.asarray(model.jac_x(theta, x, u), dtype=float)
+        jt = np.asarray(model.jac_theta(theta, x, u), dtype=float)
+        err_x = np.abs(jx - fd_x) / (1.0 + np.abs(fd_x))
+        err_theta = np.abs(jt - fd_theta) / (1.0 + np.abs(fd_theta))
+        max_err_x = max(max_err_x, float(err_x.max()))
+        max_err_theta = max(max_err_theta, float(err_theta.max()))
+    return max_err_x, max_err_theta, failures
+
+
+def same_failures(got, want):
+    """Failure entries (k, theta, x, u, message) equal field by field, the
+    point's arrays bit for bit."""
+    return len(got) == len(want) and all(
+        (a[0], a[-1]) == (b[0], b[-1])
+        and all(np.array_equal(p, q) for p, q in zip(a[1:4], b[1:4]))
+        for a, b in zip(got, want)
+    )
+
+
 class TestValidateModel:
+    @pytest.mark.parametrize("seed", [0, 1])
+    @pytest.mark.parametrize(
+        "make",
+        [
+            conversion_reaction_model,
+            ngf_erk_model,
+            linear_decay_model,
+            rate_decay_model,
+            transposed_model,
+            non_finite_model,
+        ],
+    )
+    def test_matches_the_per_condition_check(self, make, seed):
+        # the finite-difference check through f_batch and f_jac_batch on a
+        # batch of one reproduces the per-condition check's maxima and its
+        # non-finite and finite-difference failures exactly
+        model = make()
+        report = validate_model(model, n_samples=40, seed=seed)
+        max_x, max_theta, failures = per_condition_validation(model, 40, seed)
+        assert report.max_rel_err_jac_x == max_x
+        assert report.max_rel_err_jac_theta == max_theta
+        own = [f for f in report.failures if "with one theta per row" not in f[-1]]
+        assert same_failures(own, failures)
+
     def test_conversion_reaction_jacobians(self):
         report = validate_model(conversion_reaction_model(), n_samples=100, seed=0)
         assert report.ok(1e-6)
@@ -60,18 +154,7 @@ class TestValidateModel:
         assert report.ok(1e-6)
 
     def test_transposed_jacobian_flagged(self):
-        base = conversion_reaction_model()
-        wrong = ModelSpec(
-            n_x=1,
-            n_theta=2,
-            n_u=0,
-            f=base.f,
-            jac_x=base.jac_x,
-            # wrong on purpose: the parameter Jacobian with swapped columns
-            jac_theta=lambda theta, x, u: base.jac_theta(theta, x, u)[:, ::-1],
-            name="wrong",
-        )
-        report = validate_model(wrong, n_samples=50, seed=1)
+        report = validate_model(transposed_model(), n_samples=50, seed=1)
         assert report.max_rel_err_jac_theta > 1e-2
 
     @pytest.mark.parametrize("n_samples", [0, -3])
@@ -86,50 +169,52 @@ class TestValidateModel:
         assert report.max_rel_err_jac_theta < 1e-12
 
     def test_non_finite_model_recorded_as_failure(self):
-        bad = ModelSpec(
-            n_x=1,
-            n_theta=1,
-            n_u=0,
-            f=lambda theta, x, u: np.array([np.nan]),
-            jac_x=lambda theta, x, u: np.zeros((1, 1)),
-            jac_theta=lambda theta, x, u: np.zeros((1, 1)),
-            name="bad",
-        )
-        report = validate_model(bad, n_samples=3, seed=0)
+        report = validate_model(non_finite_model(), n_samples=3, seed=0)
         assert len(report.failures) == 3
         assert not report.ok()
 
     def test_batched_kernels_with_one_theta_per_row(self):
         # the per-condition kernels stacked by ModelSpec pass; a batched
         # jac_x that reads theta[0] as a scalar gives every row the first
-        # row's rate, and a batched f that needs one theta raises
+        # row's rate, which the fused kernel composed from it shows in its
+        # jac_x block on every row but the first
         assert validate_model(rate_decay_model(), n_samples=20, seed=3).ok()
 
         def jac_x_batch(theta, x_mat, u_mat):
             return np.stack([-theta[0] * np.eye(2)] * len(x_mat))
 
-        def f_batch(theta, x_mat, u_mat):
-            return -np.asarray(theta).item() * x_mat
-
         report = validate_model(
-            rate_decay_model(jac_x_batch=jac_x_batch, f_batch=f_batch),
-            n_samples=20,
-            seed=3,
+            rate_decay_model(jac_x_batch=jac_x_batch), n_samples=20, seed=3
         )
         assert report.max_rel_err_jac_x < 1e-6
         assert not report.ok()
-        messages = [failure[-1] for failure in report.failures]
-        assert messages[0].startswith("f_batch with one theta per row raises ValueError")
-        assert [failure[0] for failure in report.failures[1:]] == [1, 2, 3, 4]
-        for message in messages[1:]:
-            assert message.startswith("jac_x_batch with one theta per row: row ")
-            assert "differs from jac_x" in message
+        assert [failure[0] for failure in report.failures] == [1, 2, 3, 4]
+        for failure in report.failures:
+            assert failure[-1].startswith("f_jac_batch with one theta per row: row ")
+            assert "differs from the batch of one in jac_x" in failure[-1]
+
+    def test_batched_f_that_needs_one_theta_raises_with_one_theta_per_row(self):
+        # a batched f that needs one theta passes on a batch of one and
+        # raises on the stack, as does the fused kernel composed from it
+        def f_batch(theta, x_mat, u_mat):
+            return -np.asarray(theta).item() * x_mat
+
+        report = validate_model(rate_decay_model(f_batch=f_batch), n_samples=20, seed=3)
+        assert (report.max_rel_err_jac_x, report.max_rel_err_jac_theta) < (1e-6, 1e-6)
+        assert not report.ok()
+        assert len(report.failures) == 2
+        for kernel, failure in zip(("f_batch", "f_jac_batch"), report.failures):
+            assert failure[0] == [0, 1, 2, 3, 4]
+            assert failure[-1].startswith(
+                f"{kernel} with one theta per row raises ValueError"
+            )
 
     def test_fused_kernel_with_one_theta_per_row(self):
-        # a fused kernel given with the model is checked like the batched
-        # forms: one wrong in one entry of the parameter block fails on
-        # every row, naming f_jac_batch and the block, and one without the
-        # parameter block fails once, on its shape
+        # a fused kernel given with the model is checked like f_batch: one
+        # wrong in one entry of the parameter block fails the finite
+        # differences, one whose f block is not f_batch's fails on every
+        # row, and one without the parameter block fails its shape at every
+        # sample
         def fused(theta, x_mat, u_mat):
             k = np.asarray(theta).reshape(-1, 1, 1)
             jac_x = np.broadcast_to(-k * np.eye(2), (len(x_mat), 2, 2))
@@ -145,20 +230,29 @@ class TestValidateModel:
             f_mat, jac = fused(theta, x_mat, u_mat)
             return f_mat, jac[..., :2]
 
+        def doubled_f(theta, x_mat, u_mat):
+            f_mat, jac = fused(theta, x_mat, u_mat)
+            return 2.0 * f_mat, jac
+
         assert validate_model(rate_decay_model(f_jac_batch=fused), seed=3).ok()
         report = validate_model(rate_decay_model(f_jac_batch=wrong_entry), seed=3)
-        assert (report.max_rel_err_jac_x, report.max_rel_err_jac_theta) < (1e-6, 1e-6)
+        assert report.max_rel_err_jac_x < 1e-6
+        assert report.max_rel_err_jac_theta > 0.1
         assert not report.ok()
+        # the fused f block is held to f_batch's
+        report = validate_model(rate_decay_model(f_jac_batch=doubled_f), seed=3)
         assert [failure[0] for failure in report.failures] == [0, 1, 2, 3, 4]
         for failure in report.failures:
             assert failure[-1].startswith("f_jac_batch with one theta per row: row ")
-            assert "differs from jac_theta by a relative error of " in failure[-1]
+            assert "differs from the batch of one in f by" in failure[-1]
         model = rate_decay_model(f_jac_batch=no_parameter_block)
-        report = validate_model(model, seed=3)
-        assert [failure[-1] for failure in report.failures] == [
-            "f_jac_batch with one theta per row returns shapes (5, 2) and "
-            "(5, 2, 2), not (5, 2) and (5, 2, 3)"
-        ]
+        report = validate_model(model, n_samples=10, seed=3)
+        assert [failure[0] for failure in report.failures] == list(range(10))
+        assert {failure[-1] for failure in report.failures} == {
+            "f_jac_batch on a batch of one returns shapes [(1, 2), (1, 2, 2)], "
+            "not [(1, 2), (1, 2, 3)]"
+        }
+        assert not report.ok()
 
 
 class TestModelSpecBatchedForms:
@@ -353,6 +447,8 @@ class TestFlowConfig:
             {"lam": 2.0, "integrator_rel_tol": NAN},
             {"lam": 2.0, "integrator_abs_tol": NAN},
             {"lam": 2.0, "max_rhs_evals": NAN},
+            {"lam": 2.0, "max_rhs_evals": 2.5},
+            {"lam": 2.0, "max_rhs_evals": True},
         ],
     )
     def test_rejects_invalid(self, kwargs):

@@ -269,6 +269,45 @@ class TestOneByOneClosedForm:
             assert same_bits(got[k], expected), k
 
 
+def per_condition_ngf_model():
+    """The NGF model given per condition: its fused kernel is composed."""
+    ngf = ngf_erk_model()
+    return ModelSpec(
+        n_x=2, n_theta=6, n_u=1, f=ngf.f, jac_x=ngf.jac_x, jac_theta=ngf.jac_theta
+    )
+
+
+class TestHelpersCallTheFusedKernel:
+    @pytest.mark.parametrize(
+        "make_model, box, state_box",
+        [
+            (conversion_reaction_model, (0.1, 8.0), (0.0, 1.0)),
+            (ngf_erk_model, (-3.0, 1.0), (0.0, 3.0)),
+            (per_condition_ngf_model, (-3.0, 1.0), (0.0, 3.0)),
+        ],
+    )
+    def test_bits_of_the_solve_of_the_fused_blocks(self, make_model, box, state_box):
+        # sensitivity_exact and sensitivity_hat solve the blocks of one
+        # f_jac_batch call on a batch of one, and get the bits of the
+        # per-condition jac_x and jac_theta too
+        model = make_model()
+        n_x = model.n_x
+        rng = np.random.default_rng(11)
+        for _ in range(300):
+            theta = rng.uniform(box[0], box[1], model.n_theta)
+            x = rng.uniform(state_box[0], state_box[1], n_x)
+            u = rng.uniform(0.0, 100.0, model.n_u)
+            _, jac = model.f_jac_batch(theta, x[None], u[None])
+            a, b = jac[0, :, :n_x], jac[0, :, n_x:]
+            single = (model.jac_x(theta, x, u), model.jac_theta(theta, x, u))
+            exact = sensitivity_exact(model, theta, x, u)
+            assert same_bits(exact, numerics.solve(a, -b))
+            assert same_bits(exact, numerics.solve(single[0], -single[1]))
+            s_hat = sensitivity_hat(model, theta, x, u)
+            assert same_bits(s_hat, pinv_sensitivity(a, b))
+            assert same_bits(s_hat, pinv_sensitivity(*single))
+
+
 class TestManifoldGradient:
     def test_conversion_reaction_at_prior_mean(self):
         # at theta = theta_bar the prior term vanishes and the gradient is
