@@ -101,6 +101,8 @@ class BenchConfig:
             box = getattr(self, name)
             if np.shape(box) != (2,) or not all(_is_a(v, numbers.Real) for v in box):
                 raise TypeError(f"{name} must be two numbers, got {box!r}")
+            if not all(np.isfinite(box)):
+                raise ValueError(f"{name} bounds must be finite, got {list(box)}")
             if not box[0] <= box[1]:
                 raise ValueError(f"{name} must be ordered")
             setattr(self, name, (float(box[0]), float(box[1])))
@@ -125,10 +127,10 @@ class BenchConfig:
             raise ValueError(message)
         for lam in self.lambdas:
             _flow_config(self, lam)
-        if not self.classification_tol >= 0:
-            raise ValueError("classification_tol must be >= 0")
-        if not self.noise_var >= 0:
-            raise ValueError("noise variance must be non-negative")
+        if not 0 <= self.classification_tol < np.inf:
+            raise ValueError("classification_tol must be finite and >= 0")
+        if not 0 <= self.noise_var < np.inf:
+            raise ValueError("noise variance must be non-negative and finite")
 
     def to_dict(self):
         d = asdict(self)

@@ -88,7 +88,7 @@ def _assemble(problem, theta, states):
     rows if a step needs them, again as plain calls, which meet the failure
     where it is (integrator module docstring).
     """
-    if np.ndim(theta) == 1:
+    if theta.ndim == 1:
         model = problem.model
         f_mat, jac = model.f_jac_batch(theta, states, problem.u_matrix)
         s_hat = _sensitivities(jac, model.n_x)
@@ -98,13 +98,26 @@ def _assemble(problem, theta, states):
     d_theta = -total_gradient(
         objective.grad_theta(theta, states), s_hat, objective.grad_x(theta, states)
     )
-    lam = problem.config.lam
-    d_states = (s_hat @ d_theta[..., None, :, None])[..., 0] + lam * f_mat
+    d_states = _pull_back(s_hat, d_theta) + problem.config.lam * f_mat
     # a non-finite entry of d_theta makes every entry of its point's d_states
     # non-finite (0 * inf and inf - inf are NaN), so one pass checks both
-    if not np.isfinite(d_states).all():
+    if not numerics.all_finite(d_states):
         raise _first_failing_point(d_theta, d_states)
     return d_theta, d_states
+
+
+def _pull_back(s_hat, d_theta):
+    """The sensitivities applied to the parameter derivative, S_i d_theta
+    per condition: (m, n_x) at a point, (p, m, n_x) at a stack.
+
+    Each is its own matrix-vector product, one BLAS call per condition (and
+    point), so row q of a stack has point q's bits. A point's d_theta stays
+    1-D, which makes the same calls without broadcast axes. One product
+    over all m * n_x rows would be cheaper, but its bits differ for some
+    shapes (n_x = 1 or n_theta >= 8, with m >= 2, on OpenBLAS)."""
+    if d_theta.ndim == 1:
+        return s_hat @ d_theta
+    return (s_hat @ d_theta[:, None, :, None])[..., 0]
 
 
 def _first_failing_point(d_theta, d_states):
@@ -177,7 +190,7 @@ def _sensitivities(jac, n_x):
     """The pinv sensitivities of the kernel rows' Jacobians
     jac = [jac_x | jac_theta]; raises FlowNumericalError naming the rows
     that hold a non-finite entry."""
-    if not np.isfinite(jac).all():
+    if not numerics.all_finite(jac):
         bad = np.flatnonzero(~np.isfinite(jac).all(axis=(1, 2))).tolist()
         raise FlowNumericalError(f"non-finite Jacobian in condition block(s) {bad}")
     return pinv_sensitivity(jac[..., :n_x], jac[..., n_x:])

@@ -29,9 +29,12 @@ own exception decides neither.
 import enum
 import math
 from dataclasses import dataclass, field
+from functools import lru_cache
 
 import numpy as np
 from scipy.linalg.lapack import dgetrf, dgetrs
+
+from .numerics import all_finite
 
 _D = 1.0 / (2.0 + math.sqrt(2.0))
 _E32 = 6.0 + math.sqrt(2.0)
@@ -64,6 +67,15 @@ class IntegratorStats:
     max_step: float = 0.0
 
 
+@lru_cache(maxsize=8)
+def _identity(n):
+    """np.eye(n), built once per size and read-only: each step's stage
+    matrix is a new array subtracted from it."""
+    eye = np.eye(n)
+    eye.flags.writeable = False
+    return eye
+
+
 def step(rhs, y, h, jac, f0, rhs_new=None):
     """One step of the scheme from y, with f0 = rhs(y); returns (y_new,
     error_estimate, f_new) with f_new = rhs(y_new), reusable by the caller.
@@ -73,17 +85,17 @@ def step(rhs, y, h, jac, f0, rhs_new=None):
     when y_new will be the next step's base."""
     if h <= 0:
         raise ValueError("step size must be positive")
-    w = np.eye(y.size) - (h * _D) * jac
+    w = _identity(y.size) - (h * _D) * jac
     # a singular stage matrix (info > 0) is caught by the finiteness check
     # on k1 below
     lu, piv, info = dgetrf(w, overwrite_a=True)
     if info < 0:
         raise StageSolveFailure(f"illegal value in argument {-info} of getrf")
-    if not np.isfinite(lu).all():
+    if not all_finite(lu):
         raise StageSolveFailure("non-finite stage factorisation")
     # f0 belongs to the caller and is read again below: not overwritten
     k1 = dgetrs(lu, piv, f0)[0]
-    if not np.isfinite(k1).all():
+    if not all_finite(k1):
         raise StageSolveFailure("singular or ill-conditioned stage system")
     f1 = rhs(y + 0.5 * h * k1)
     k2 = dgetrs(lu, piv, f1 - k1, overwrite_b=True)[0] + k1
@@ -214,7 +226,7 @@ def integrate_adaptive(
     try:
         r = 0.0
         f0 = base_value(y)
-        if not np.isfinite(f0).all():
+        if not all_finite(f0):
             raise FloatingPointError("non-finite right-hand side at the initial point")
         if observer is not None:
             observer(r, y, f0)
@@ -275,7 +287,7 @@ def integrate_adaptive(
             if extrapolate:
                 y = y_new + err
                 f0 = base_value(y)
-                if not np.isfinite(f0).all():
+                if not all_finite(f0):
                     raise FloatingPointError("non-finite right-hand side after a step")
             else:
                 y = y_new

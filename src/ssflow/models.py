@@ -68,20 +68,23 @@ def conversion_reaction_model(xi=1.0):
         theta = np.asarray(theta)
         return theta.T[..., None] if theta.ndim == 2 else theta
 
-    def vector_field(k, x_mat):
-        return k[1] * xi - (k[0] + k[1]) * x_mat
+    def vector_field(k, total, x_mat):
+        # total = k[0] + k[1], which the Jacobian shares
+        return k[1] * xi - total * x_mat
 
     def f_batch(theta, x_mat, u_mat):
-        return vector_field(rates(theta), x_mat)
+        k = rates(theta)
+        return vector_field(k, k[0] + k[1], x_mat)
 
     def f_jac_batch(theta, x_mat, u_mat):
         k = rates(theta)
+        total = k[0] + k[1]
         x = x_mat[:, 0]
         jac = np.empty((x_mat.shape[0], 1, 3))
-        jac[:, :, 0] = -(k[0] + k[1])
+        jac[:, :, 0] = -total
         jac[:, 0, 1] = -x
         jac[:, 0, 2] = xi - x
-        return vector_field(k, x_mat), jac
+        return vector_field(k, total, x_mat), jac
 
     return _model_spec(
         f_batch,
@@ -183,37 +186,43 @@ def ngf_erk_model():
 
     # p = 10**theta is transposed: p[k] is a scalar for one theta, and holds
     # the value of every row for one theta per row
-    def vector_field(p, x_mat, u_mat):
-        u = u_mat[:, 0]
+    def shared_terms(p, x_mat, u_mat):
+        # the sub-expressions f and its Jacobian share: p0 u, p4 - x1,
+        # p5 - x2 and x1 + p2
         x1 = x_mat[:, 0]
-        x2 = x_mat[:, 1]
+        return p[0] * u_mat[:, 0], p[4] - x1, p[5] - x_mat[:, 1], x1 + p[2]
+
+    def vector_field(p, x_mat, terms):
+        pu, free1, free2, drive = terms
         out = np.empty_like(x_mat)
-        out[:, 0] = p[0] * u * (p[4] - x1) - p[1] * x1
-        out[:, 1] = (x1 + p[2]) * (p[5] - x2) - p[3] * x2
+        out[:, 0] = pu * free1 - p[1] * x_mat[:, 0]
+        out[:, 1] = drive * free2 - p[3] * x_mat[:, 1]
         return out
 
     def f_batch(theta, x_mat, u_mat):
-        return vector_field(np.power(10.0, theta).T, x_mat, u_mat)
+        p = np.power(10.0, theta).T
+        return vector_field(p, x_mat, shared_terms(p, x_mat, u_mat))
 
     def f_jac_batch(theta, x_mat, u_mat):
         p = np.power(10.0, theta).T
-        u = u_mat[:, 0]
+        terms = shared_terms(p, x_mat, u_mat)
+        pu, free1, free2, drive = terms
         x1 = x_mat[:, 0]
         x2 = x_mat[:, 1]
         jac = np.zeros((x_mat.shape[0], 2, 8))
         # d f / d x
-        jac[:, 0, 0] = -(p[0] * u + p[1])
-        jac[:, 1, 0] = p[5] - x2
-        jac[:, 1, 1] = -(x1 + p[2] + p[3])
+        jac[:, 0, 0] = -(pu + p[1])
+        jac[:, 1, 0] = free2
+        jac[:, 1, 1] = -(drive + p[3])
         # d f / d theta, with d p_k / d theta_k = ln(10) p_k
-        activation = _LN10 * p[0] * u
-        jac[:, 0, 2] = activation * (p[4] - x1)
+        activation = _LN10 * p[0] * u_mat[:, 0]
+        jac[:, 0, 2] = activation * free1
         jac[:, 0, 3] = -_LN10 * p[1] * x1
         jac[:, 0, 6] = activation * p[4]
-        jac[:, 1, 4] = _LN10 * p[2] * (p[5] - x2)
+        jac[:, 1, 4] = _LN10 * p[2] * free2
         jac[:, 1, 5] = -_LN10 * p[3] * x2
-        jac[:, 1, 7] = _LN10 * p[5] * (x1 + p[2])
-        return vector_field(p, x_mat, u_mat), jac
+        jac[:, 1, 7] = _LN10 * p[5] * drive
+        return vector_field(p, x_mat, terms), jac
 
     return _model_spec(
         f_batch,
@@ -249,8 +258,8 @@ class NgfErkProblem:
     def __post_init__(self):
         if len(self.inputs) != 10:
             raise ValueError("the dose-response protocol uses 10 inputs")
-        if not self.noise_var >= 0:
-            raise ValueError("noise variance must be non-negative")
+        if not 0 <= self.noise_var < math.inf:
+            raise ValueError("noise variance must be non-negative and finite")
         if self.data is not None and len(self.data) != len(self.inputs):
             raise ValueError("one datum per input is required")
 

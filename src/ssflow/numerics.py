@@ -1,7 +1,9 @@
-"""Dense linear-algebra kernels.
+"""Dense linear-algebra kernels and the one finiteness test.
 
 Thin, explicit wrappers around LAPACK (via numpy/scipy) with the
-truncation and singularity policies used throughout the package.
+truncation and singularity policies used throughout the package, and
+``all_finite``, the finiteness test of the flow's and the integrator's hot
+paths.
 """
 
 import warnings
@@ -18,6 +20,18 @@ class NumericalFailure(RuntimeError):
 
 class SingularMatrixError(RuntimeError):
     """Partial-pivot factorisation hit a pivot below the singularity threshold."""
+
+
+def all_finite(a):
+    """True iff every entry of a is finite.
+
+    The decision of ``np.isfinite(a).all()`` for every float array, NaN,
+    +-inf, 0-d and empty arrays included, from a count instead of
+    ``ndarray.all()``, whose Python-level reduction wrapper costs more than
+    the test itself on a few entries.
+    """
+    finite = np.isfinite(a)
+    return np.count_nonzero(finite) == finite.size
 
 
 def pinv(m):

@@ -31,6 +31,7 @@ README = os.path.join(os.path.dirname(__file__), os.pardir, "README.md")
 WALL_FIELDS = ("wall_time",)
 
 NAN = float("nan")
+INF = float("inf")
 
 FLOAT_FIELDS = ("final_objective", "reduced_objective", "manifold_residual", "wall_time")
 
@@ -99,6 +100,14 @@ class TestBenchConfig:
             {"problem": "ngf_erk", "theta_true": (1.0,)},
             {"max_rhs_evals": 2.5},
             {"max_rhs_evals": True},
+            # infinity fails the checks that bound a number on both sides
+            {"problem": "ngf_erk", "noise_var": INF},
+            {"noise_var": INF},
+            {"classification_tol": INF},
+            {"theta_box": (0.0, INF)},
+            {"theta_box": (-INF, 1.0)},
+            {"state_box": (0.0, INF)},
+            {"state_box": (NAN, 1.0)},
         ],
     )
     def test_rejects_invalid(self, kwargs):

@@ -26,7 +26,7 @@ class TestGenerateData:
         assert len(payload["data"]) == 10
 
 
-    @pytest.mark.parametrize("noise_var", ["-1", "nan"])
+    @pytest.mark.parametrize("noise_var", ["-1", "nan", "inf"])
     def test_invalid_noise_variance_is_a_usage_error(self, capsys, noise_var):
         with pytest.raises(SystemExit) as info:
             main(["generate-data", "--noise-var", noise_var])
@@ -200,6 +200,15 @@ class TestBench:
             ),
             ('{"max_rhs_evals": 2.5}', [], "max_rhs_evals must be an integer >= 1"),
             ('{"max_rhs_evals": true}', [], "max_rhs_evals must be an integer >= 1"),
+            # 1e400 reads as infinity
+            (
+                '{"problem": "ngf_erk", "noise_var": 1e400}',
+                [],
+                "noise variance must be non-negative and finite",
+            ),
+            ('{"classification_tol": 1e400}', [], "classification_tol must be finite"),
+            ('{"theta_box": [0, 1e400]}', [], "theta_box bounds must be finite"),
+            ('{"state_box": [0, 1e400]}', [], "state_box bounds must be finite"),
         ],
         ids=[
             "unknown-key",
@@ -216,6 +225,10 @@ class TestBench:
             "short-theta-true",
             "float-rhs-budget",
             "bool-rhs-budget",
+            "infinite-noise",
+            "infinite-classification-tol",
+            "infinite-theta-box",
+            "infinite-state-box",
         ],
     )
     def test_bad_config_file_is_a_usage_error(

@@ -376,6 +376,80 @@ def test_conversion_reaction_runs_bit_identical_to_lapack_sensitivities(
     assert closed_form == lapack
 
 
+def broadcast_pull_back(s_hat, d_theta):
+    """The pull-back as one broadcast matmul over points and conditions, at
+    a point as at a stack: the reference flow._pull_back must match."""
+    return (s_hat @ d_theta[..., None, :, None])[..., 0]
+
+
+def wide_floats(rng, shape):
+    """Floats of either sign with magnitudes from 1e-5 to 1e5, about one
+    in ten a zero of either sign."""
+    values = rng.choice([-1.0, 1.0], shape) * 10.0 ** rng.uniform(-5.0, 5.0, shape)
+    return np.where(rng.random(shape) < 0.1, 0.0 * values, values)
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    shape=st.sampled_from([(1, 1, 2), (10, 2, 6)])
+    | st.tuples(st.integers(1, 12), st.integers(1, 4), st.integers(1, 10)),
+    p=st.integers(1, 28),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_pull_back_has_the_broadcast_bits_at_points_and_stack_rows(shape, p, seed):
+    # shapes (m, n_x, n_theta): the conversion reaction's and NGF's, then
+    # any; p points stacked as an FD stack stacks them
+    rng = np.random.default_rng(seed)
+    s_hat = wide_floats(rng, (p,) + shape)
+    d_theta = wide_floats(rng, (p, shape[-1]))
+    stack = flow._pull_back(s_hat, d_theta)
+    assert stack.shape == (p,) + shape[:2]
+    assert stack.tobytes() == broadcast_pull_back(s_hat, d_theta).tobytes()
+    for q in range(p):
+        point = flow._pull_back(s_hat[q], d_theta[q])
+        assert point.shape == shape[:2]
+        assert point.tobytes() == broadcast_pull_back(s_hat[q], d_theta[q]).tobytes()
+        assert point.tobytes() == stack[q].tobytes()
+
+
+def isfinite_all(a):
+    return np.isfinite(a).all()
+
+
+@pytest.mark.parametrize(
+    "make_problem, n_starts",
+    [
+        (lambda: cr_flow_problem(2.0), 4),
+        (lambda: cr_flow_problem(20.0), 4),
+        # criterion 6's lambda and integrator tolerances
+        (
+            lambda: ngf_flow_problem_with(integrator_rel_tol=1e-4, integrator_abs_tol=1e-6),
+            2,
+        ),
+    ],
+    ids=["cr-lam2", "cr-lam20", "ngf-criterion6"],
+)
+def test_runs_bit_identical_to_the_per_call_numpy_forms(
+    make_problem, n_starts, monkeypatch
+):
+    # the count-based finiteness test, the 1-D pull-back at a point and the
+    # cached stage identity leave every bit of a run as the forms they
+    # replace make it: final state, objective, residual and every counter
+    problem = make_problem()
+    name = problem.model.name
+    starts = bench.sample_starts(bench.default_config(name, n_starts=n_starts, seed=3))
+    lean = [run_bits(run_flow(problem, init)) for init in starts]
+    identity = integrator._identity(len(starts[0].pack()))
+    assert not identity.flags.writeable
+    assert np.array_equal(identity, np.eye(len(identity)))
+    monkeypatch.setattr(flow, "_pull_back", broadcast_pull_back)
+    monkeypatch.setattr(numerics, "all_finite", isfinite_all)
+    monkeypatch.setattr(integrator, "all_finite", isfinite_all)
+    monkeypatch.setattr(integrator, "_identity", np.eye)
+    per_call = [run_bits(run_flow(problem, init)) for init in starts]
+    assert lean == per_call
+
+
 class TestNonFiniteBlocks:
     """At one point, a non-finite derivative block raises an error naming
     it: the parameter block when it holds one, else each state block that
@@ -543,8 +617,13 @@ def run_flow_integration(problem, init):
     )
 
 
+def ngf_flow_problem_with(**cfg_overrides):
+    config = FlowConfig(lam=20.0, **cfg_overrides)
+    return NgfErkProblem().with_generated_data(0).flow_problem(config)
+
+
 def ngf_flow_problem():
-    return NgfErkProblem().with_generated_data(0).flow_problem(FlowConfig(lam=20.0))
+    return ngf_flow_problem_with()
 
 
 def with_gradient(problem, **gradients):

@@ -314,6 +314,89 @@ def test_fused_kernel_equals_three_separate_kernels(name, make_model, data):
         assert other.tobytes() == ref.tobytes()
 
 
+def reference_fused_kernel(name):
+    """The built-in model's fused kernel with every expression computed
+    where it is used: f and the Jacobian share no sub-expression (the CR
+    rate sum; NGF's p0 u, p4 - x1, p5 - x2 and x1 + p2). The model's kernel
+    must match it bit for bit."""
+    if name == "conversion_reaction":
+
+        def rates(theta):
+            theta = np.asarray(theta)
+            return theta.T[..., None] if theta.ndim == 2 else theta
+
+        def f_jac_batch(theta, x_mat, u_mat):
+            k = rates(theta)
+            x = x_mat[:, 0]
+            jac = np.empty((x_mat.shape[0], 1, 3))
+            jac[:, :, 0] = -(k[0] + k[1])
+            jac[:, 0, 1] = -x
+            jac[:, 0, 2] = 1.0 - x
+            return k[1] * 1.0 - (k[0] + k[1]) * x_mat, jac
+
+        return f_jac_batch
+
+    ln10 = np.log(10.0)
+
+    def vector_field(p, x_mat, u_mat):
+        u, x1, x2 = u_mat[:, 0], x_mat[:, 0], x_mat[:, 1]
+        out = np.empty_like(x_mat)
+        out[:, 0] = p[0] * u * (p[4] - x1) - p[1] * x1
+        out[:, 1] = (x1 + p[2]) * (p[5] - x2) - p[3] * x2
+        return out
+
+    def f_jac_batch(theta, x_mat, u_mat):
+        p = np.power(10.0, theta).T
+        u, x1, x2 = u_mat[:, 0], x_mat[:, 0], x_mat[:, 1]
+        jac = np.zeros((x_mat.shape[0], 2, 8))
+        jac[:, 0, 0] = -(p[0] * u + p[1])
+        jac[:, 1, 0] = p[5] - x2
+        jac[:, 1, 1] = -(x1 + p[2] + p[3])
+        activation = ln10 * p[0] * u
+        jac[:, 0, 2] = activation * (p[4] - x1)
+        jac[:, 0, 3] = -ln10 * p[1] * x1
+        jac[:, 0, 6] = activation * p[4]
+        jac[:, 1, 4] = ln10 * p[2] * (p[5] - x2)
+        jac[:, 1, 5] = -ln10 * p[3] * x2
+        jac[:, 1, 7] = ln10 * p[5] * (x1 + p[2])
+        return vector_field(p, x_mat, u_mat), jac
+
+    return f_jac_batch
+
+
+@pytest.mark.parametrize(
+    "name, make_model",
+    [("conversion_reaction", conversion_reaction_model), ("ngf_erk", ngf_erk_model)],
+)
+@settings(max_examples=80, deadline=None)
+@given(data=st.data())
+def test_fused_kernel_keeps_the_bits_of_its_unshared_form(name, make_model, data):
+    # computing the shared sub-expressions once moves no bit of f, of the
+    # Jacobian or of f_batch, at one theta and at one theta per row; entries
+    # may be -0.0, subnormal, huge or (NGF's 10**theta above 308) inf and NaN
+    model = make_model()
+    m = data.draw(st.integers(1, 12), label="m")
+    per_row = data.draw(st.booleans(), label="theta per row")
+    value = st.floats(-400.0, 400.0) | st.sampled_from(
+        [-0.0, 0.0, 5e-324, -1e-310, 309.0, 1e300]
+    )
+    theta_shape = (m, model.n_theta) if per_row else (model.n_theta,)
+    theta = data.draw(arrays(float, theta_shape, elements=value), label="theta")
+    x_mat = data.draw(arrays(float, (m, model.n_x), elements=value), label="x")
+    u_mat = data.draw(
+        arrays(float, (m, model.n_u), elements=st.floats(0.0, 100.0)), label="u"
+    )
+    with np.errstate(all="ignore"):
+        want_f, want_jac = reference_fused_kernel(name)(theta, x_mat, u_mat)
+        f_mat, jac = model.f_jac_batch(theta, x_mat, u_mat)
+        f_only = model.f_batch(theta, x_mat, u_mat)
+    assert f_mat.shape == f_only.shape == want_f.shape
+    assert jac.shape == want_jac.shape
+    assert f_mat.tobytes() == want_f.tobytes()
+    assert f_only.tobytes() == want_f.tobytes()
+    assert jac.tobytes() == want_jac.tobytes()
+
+
 class TestNgfErkProblem:
     def test_requires_ten_inputs(self):
         with pytest.raises(ValueError):
@@ -323,6 +406,11 @@ class TestNgfErkProblem:
     def test_rejects_negative_or_nan_noise(self, noise_var):
         with pytest.raises(ValueError, match="noise variance"):
             NgfErkProblem(noise_var=noise_var)
+
+    def test_rejects_infinite_noise(self):
+        # infinite noise would make infinite data
+        with pytest.raises(ValueError, match="noise variance"):
+            NgfErkProblem(noise_var=float("inf"))
 
     def test_conditions_require_data(self):
         with pytest.raises(ValueError, match="data not set"):

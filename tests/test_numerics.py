@@ -1,9 +1,16 @@
-"""Dense kernel tests: pseudoinverse, linear solve, finite differences."""
+"""Dense kernel tests: finiteness test, pseudoinverse, linear solve, finite
+differences."""
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import array_shapes, arrays
 
 from ssflow import numerics
+
+# every kind of float the finiteness test must tell apart
+SPECIAL_FLOATS = [np.nan, -np.nan, np.inf, -np.inf, 0.0, -0.0, 5e-324, -2.2e-308, 1.8e308]
 
 
 def penrose_violation(m, mp):
@@ -13,6 +20,31 @@ def penrose_violation(m, mp):
         np.abs((m @ mp).T - m @ mp).max(),
         np.abs((mp @ m).T - mp @ m).max(),
     )
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    a=arrays(
+        float,
+        array_shapes(min_dims=0, max_dims=4, min_side=0, max_side=5),
+        elements=st.floats(allow_nan=True, allow_infinity=True)
+        | st.sampled_from(SPECIAL_FLOATS),
+    )
+)
+def test_all_finite_decides_as_isfinite_all(a):
+    # 0-d and empty arrays included; NaN, +-inf, +-0.0 and subnormals drawn
+    assert numerics.all_finite(a) == bool(np.isfinite(a).all())
+
+
+@pytest.mark.parametrize("value", SPECIAL_FLOATS)
+@pytest.mark.parametrize("shape", [(), (0,), (1,), (3,), (2, 0, 3), (3, 3)])
+def test_all_finite_on_each_special_value(value, shape):
+    # the value fills the array, or sits alone among ones in its middle
+    filled = np.full(shape, value)
+    middle = np.ones(shape)
+    middle.flat[middle.size // 2 : middle.size // 2 + 1] = value
+    for a in (filled, middle):
+        assert numerics.all_finite(a) == bool(np.isfinite(a).all())
 
 
 class TestPinv:
