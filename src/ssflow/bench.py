@@ -15,7 +15,7 @@ import numpy as np
 
 from . import __version__
 from .baselines import augmented_lagrangian_constrained, quasi_newton_unconstrained
-from .core import FlowConfig, FlowState, _is_a
+from .core import FlowConfig, FlowState, _as_float, _is_a
 from .flow import run_flow
 from .models import ConversionReactionProblem, NgfErkProblem, ngf_erk_model
 
@@ -101,7 +101,7 @@ class BenchConfig:
             box = getattr(self, name)
             if np.shape(box) != (2,) or not all(_is_a(v, numbers.Real) for v in box):
                 raise TypeError(f"{name} must be two numbers, got {box!r}")
-            if not all(np.isfinite(box)):
+            if not all(np.isfinite([_as_float(name, v) for v in box])):
                 raise ValueError(f"{name} bounds must be finite, got {list(box)}")
             if not box[0] <= box[1]:
                 raise ValueError(f"{name} must be ordered")
@@ -109,8 +109,8 @@ class BenchConfig:
         if not isinstance(self.output_dir, str):
             raise TypeError(f"output_dir must be a string, got {self.output_dir!r}")
         self.methods = tuple(self.methods)
-        self.lambdas = tuple(float(v) for v in self.lambdas)
-        self.theta_true = tuple(float(v) for v in self.theta_true)
+        self.lambdas = tuple(float(_as_float("lambdas", v)) for v in self.lambdas)
+        self.theta_true = tuple(float(_as_float("theta_true", v)) for v in self.theta_true)
         unknown = set(self.methods) - set(METHODS)
         if unknown:
             raise ValueError(f"unknown methods {sorted(unknown)}")
@@ -127,9 +127,9 @@ class BenchConfig:
             raise ValueError(message)
         for lam in self.lambdas:
             _flow_config(self, lam)
-        if not 0 <= self.classification_tol < np.inf:
+        if not 0 <= _as_float("classification_tol", self.classification_tol) < np.inf:
             raise ValueError("classification_tol must be finite and >= 0")
-        if not 0 <= self.noise_var < np.inf:
+        if not 0 <= _as_float("noise_var", self.noise_var) < np.inf:
             raise ValueError("noise variance must be non-negative and finite")
 
     def to_dict(self):

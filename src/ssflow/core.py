@@ -17,6 +17,14 @@ def _is_a(value, kind):
     return isinstance(value, kind) and not isinstance(value, bool)
 
 
+def _as_float(name, value):
+    """A real number as a float, else as it is; too large for one, a ValueError."""
+    try:
+        return float(value) if _is_a(value, numbers.Real) else value
+    except OverflowError:
+        raise ValueError(f"{name} is too large for a float") from None
+
+
 def _stacked(single):
     """Batched form of a per-condition kernel: one call per condition row,
     stacked along a leading axis; a 2-D theta gives each row its own."""
@@ -226,6 +234,8 @@ class FlowConfig:
     integrator_abs_tol: float = 1e-8
 
     def __post_init__(self):
+        for name in ("lam", "tol", "r_max", "integrator_rel_tol", "integrator_abs_tol"):
+            object.__setattr__(self, name, _as_float(name, getattr(self, name)))
         # written so that NaN fails every check
         if not self.lam >= 0:
             raise ValueError("retraction factor must be >= 0")

@@ -226,7 +226,7 @@ def stop_check(problem, y, dy):
     and each condition's state block) has Euclidean norm below the
     configured tol."""
     squares = np.add.reduceat(dy * dy, problem.block_starts)
-    return np.sqrt(squares).max() < problem.config.tol
+    return np.maximum.reduce(np.sqrt(squares)) < problem.config.tol
 
 
 def manifold_residual(problem, state):

@@ -108,26 +108,30 @@ def step(rhs, y, h, jac, f0, rhs_new=None):
     return y_new, err, f_new
 
 
-def _fd_stack(y):
+def _fd_stack(y, steps=None):
     """The FD stack of y: its n forward-difference points, row j being y
-    with its entry j stepped by _SQRT_EPS * (1 + |y[j]|), then y itself as
-    row n."""
+    with its entry j stepped by steps[j], by default _SQRT_EPS * (1 + |y[j]|),
+    then y itself as row n."""
     n = y.size
     ys = np.empty((n + 1, n))
     ys[:] = y
-    ys.flat[:: n + 1] = y + _SQRT_EPS * (1.0 + np.abs(y))
+    ys.flat[:: n + 1] = y + (_SQRT_EPS * (1.0 + np.abs(y)) if steps is None else steps)
     return ys
 
 
-def _fd_jacobian(values, y, f0):
-    """Forward-difference Jacobian at y, with f0 = rhs(y), from values, the
-    rhs values at the first n rows of _fd_stack(y) as rows: column j is
-    (values[j] - f0) / steps[j]. The differences go straight into the
-    C-ordered Jacobian; values is only read, never written.
-    """
+def _fd_jacobian(values, f0, steps):
+    """Forward-difference Jacobian at y from f0 = rhs(y), the steps of
+    _fd_stack(y, steps) and values, rhs at its first n rows: column j is
+    (values[j] - f0) / steps[j], in a new C-ordered array; values is only read."""
     jac = np.subtract(values.T, f0[:, None], order="C")
-    jac /= _SQRT_EPS * (1.0 + np.abs(y))
+    jac /= steps
     return jac
+
+
+@np.errstate(invalid="ignore", over="ignore")  # costs less per call than a with block
+def _err_norm(err, sc):
+    """max |err| / sc, quiet when it is NaN or inf: the step is rejected."""
+    return float(np.maximum.reduce(np.abs(err) / sc))
 
 
 def _initial_step(y, f0, r_max, rel_tol, abs_tol):
@@ -246,19 +250,22 @@ def integrate_adaptive(
             if h < 1e-14 * max(1.0, abs(r)):
                 return r, y, stats, IntegrationOutcome.STEP_UNDERFLOW
             if jac is None:
+                steps = _SQRT_EPS * (1.0 + np.abs(y))
                 if ahead is None:
                     # y's stack call raised, or there is no rhs_fd: its n
                     # FD rows as plain calls, in stack order
-                    values = np.array([counted_rhs(row) for row in _fd_stack(y)[:n]])
+                    values = np.empty((n, n))
+                    for j, row in enumerate(_fd_stack(y, steps)[:n]):
+                        values[j] = counted_rhs(row)
                 else:
                     # y's FD rows, made ahead with its value: counted now
                     # that a Jacobian takes them
                     values, ahead = ahead, None
                     stats.discarded_evals -= n
                     stats.rhs_evals += n
-                jac = _fd_jacobian(values, y, f0)
+                jac = _fd_jacobian(values, f0, steps)
                 stats.jacobian_evals += 1
-                jac_norm = float(np.abs(jac).sum(axis=1).max())
+                jac_norm = float(np.maximum.reduce(np.add.reduce(np.abs(jac), axis=1)))
             # in the nonstiff regime an accepted step advances the
             # third-order companion (local extrapolation) so the global
             # error tracks the tolerance linearly; when the step resolves
@@ -274,8 +281,7 @@ def integrate_adaptive(
                 h *= FAC_MIN
                 continue
             sc = abs_tol + rel_tol * np.maximum(np.abs(y), np.abs(y_new))
-            with np.errstate(invalid="ignore", over="ignore"):
-                err_norm = float((np.abs(err) / sc).max())
+            err_norm = _err_norm(err, sc)
             if not math.isfinite(err_norm) or err_norm > 1.0:
                 stats.steps_rejected += 1
                 if math.isfinite(err_norm) and err_norm > 0.0:

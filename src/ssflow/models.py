@@ -79,11 +79,10 @@ def conversion_reaction_model(xi=1.0):
     def f_jac_batch(theta, x_mat, u_mat):
         k = rates(theta)
         total = k[0] + k[1]
-        x = x_mat[:, 0]
         jac = np.empty((x_mat.shape[0], 1, 3))
-        jac[:, :, 0] = -total
-        jac[:, 0, 1] = -x
-        jac[:, 0, 2] = xi - x
+        jac[..., 0] = -total
+        np.negative(x_mat, out=jac[..., 1])
+        np.subtract(xi, x_mat, out=jac[..., 2])
         return vector_field(k, total, x_mat), jac
 
     return _model_spec(
@@ -121,9 +120,9 @@ class ConversionReactionProblem:
         return [Condition(u=np.zeros(0), data=np.array([self.x_bar]), id="steady")]
 
     def objective(self):
-        x_bar = self.x_bar
+        # 0-d arrays: no Python float to convert on each gradient call
+        x_bar, w = np.array(self.x_bar, dtype=float), np.array(self.weight, dtype=float)
         theta_bar = np.asarray(self.theta_bar, dtype=float)
-        w = self.weight
 
         def evaluate(theta, states):
             x = states[0][0]

@@ -32,6 +32,8 @@ WALL_FIELDS = ("wall_time",)
 
 NAN = float("nan")
 INF = float("inf")
+# an integer no float holds, as a JSON file may give one
+HUGE = 10**400
 
 FLOAT_FIELDS = ("final_objective", "reduced_objective", "manifold_residual", "wall_time")
 
@@ -108,6 +110,14 @@ class TestBenchConfig:
             {"theta_box": (-INF, 1.0)},
             {"state_box": (0.0, INF)},
             {"state_box": (NAN, 1.0)},
+            # an integer too large for a float
+            {"problem": "ngf_erk", "noise_var": HUGE},
+            {"tol": HUGE},
+            {"classification_tol": HUGE},
+            {"theta_box": (0.1, HUGE)},
+            {"state_box": (-HUGE, 1.0)},
+            {"lambdas": (2.0, HUGE)},
+            {"problem": "ngf_erk", "theta_true": (HUGE,) + (0.0,) * 5},
         ],
     )
     def test_rejects_invalid(self, kwargs):

@@ -209,6 +209,15 @@ class TestBench:
             ('{"classification_tol": 1e400}', [], "classification_tol must be finite"),
             ('{"theta_box": [0, 1e400]}', [], "theta_box bounds must be finite"),
             ('{"state_box": [0, 1e400]}', [], "state_box bounds must be finite"),
+            # an integer too large for a float
+            (
+                '{"problem": "ngf_erk", "noise_var": 1%s}' % ("0" * 400),
+                [],
+                "noise_var is too large for a float",
+            ),
+            ('{"tol": 1%s}' % ("0" * 400), [], "tol is too large for a float"),
+            ('{"theta_box": [0, 1%s]}' % ("0" * 400), [], "theta_box is too large"),
+            ('{"lambdas": [-1%s]}' % ("0" * 400), [], "lambdas is too large"),
         ],
         ids=[
             "unknown-key",
@@ -229,6 +238,10 @@ class TestBench:
             "infinite-classification-tol",
             "infinite-theta-box",
             "infinite-state-box",
+            "huge-int-noise",
+            "huge-int-tol",
+            "huge-int-theta-box",
+            "huge-int-lambda",
         ],
     )
     def test_bad_config_file_is_a_usage_error(

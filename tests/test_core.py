@@ -449,11 +449,23 @@ class TestFlowConfig:
             {"lam": 2.0, "max_rhs_evals": NAN},
             {"lam": 2.0, "max_rhs_evals": 2.5},
             {"lam": 2.0, "max_rhs_evals": True},
+            # an integer too large for a float names its field
+            {"lam": 10**400},
+            {"lam": 2.0, "tol": 10**400},
+            {"lam": 2.0, "r_max": 10**400},
+            {"lam": 2.0, "integrator_rel_tol": 10**400},
+            {"lam": 2.0, "integrator_abs_tol": 10**400},
         ],
     )
     def test_rejects_invalid(self, kwargs):
         with pytest.raises(ValueError):
             FlowConfig(**kwargs)
+
+    def test_numbers_become_floats(self):
+        cfg = FlowConfig(lam=20, tol=1, r_max=10**4, integrator_abs_tol=1)
+        assert [type(v) for v in (cfg.lam, cfg.tol, cfg.r_max)] == [float] * 3
+        with pytest.raises(ValueError, match="^integrator_abs_tol is too large"):
+            FlowConfig(lam=2.0, integrator_abs_tol=10**400)
 
     def test_lambda_zero_allowed(self):
         assert FlowConfig(lam=0.0).lam == 0.0

@@ -416,6 +416,101 @@ def isfinite_all(a):
     return np.isfinite(a).all()
 
 
+def slice_assigned_cr_kernel(xi=1.0):
+    """The conversion reaction's fused kernel with its Jacobian columns
+    assigned by slice from numpy temporaries, as it was written before its
+    x-dependent columns were written into views."""
+
+    def f_jac_batch(theta, x_mat, u_mat):
+        theta = np.asarray(theta)
+        k = theta.T[..., None] if theta.ndim == 2 else theta
+        total = k[0] + k[1]
+        x = x_mat[:, 0]
+        jac = np.empty((x_mat.shape[0], 1, 3))
+        jac[:, :, 0] = -total
+        jac[:, 0, 1] = -x
+        jac[:, 0, 2] = xi - x
+        return k[1] * xi - total * x_mat, jac
+
+    return f_jac_batch
+
+
+def python_float_cr_objective(objective):
+    """The conversion reaction's objective with its weight and observed
+    state as Python floats, as it was written before they became 0-d
+    arrays."""
+    prob = ConversionReactionProblem()
+    w, x_bar = prob.weight, prob.x_bar
+
+    def evaluate(theta, states):
+        x = states[0][0]
+        return 0.5 * w * (x - x_bar) ** 2 + 0.5 * float(
+            np.sum((theta - np.asarray(prob.theta_bar)) ** 2)
+        )
+
+    def grad_x(theta, states):
+        return w * (np.asarray(states, dtype=float) - x_bar)
+
+    return dataclasses.replace(objective, eval=evaluate, grad_x=grad_x)
+
+
+class MethodReduction:
+    """A numpy ufunc whose reduce goes through the ndarray method wrapper
+    (a.sum, a.max) it stands for."""
+
+    def __init__(self, ufunc, method):
+        self.ufunc, self.method = ufunc, method
+
+    def __call__(self, *args, **kwargs):
+        return self.ufunc(*args, **kwargs)
+
+    def reduce(self, a, axis=None):
+        return getattr(a, self.method)(axis=axis)
+
+
+class PerCallNumpy:
+    """numpy as integrator.py sees it, with the per-call forms its step
+    replaced: reductions through the ndarray methods, and the plain FD rows
+    gathered in a list that per_call_fd_jacobian turns into one array."""
+
+    add = MethodReduction(np.add, "sum")
+    maximum = MethodReduction(np.maximum, "max")
+
+    def __getattr__(self, name):
+        return getattr(np, name)
+
+    def empty(self, shape):
+        return [None] * shape[0]
+
+
+def twice_built_fd_stack(y, steps=None):
+    """integrator._fd_stack building its own step vector, whatever it is
+    given, as before the integrator built one per Jacobian."""
+    n = y.size
+    ys = np.empty((n + 1, n))
+    ys[:] = y
+    ys.flat[:: n + 1] = y + integrator._SQRT_EPS * (1.0 + np.abs(y))
+    return ys
+
+
+def per_call_fd_jacobian(values, f0, steps):
+    # the plain rows arrive as a list (PerCallNumpy.empty), the stacked
+    # rows as an array; np.array on them is the list gather
+    jac = np.subtract(np.array(list(values)).T, f0[:, None], order="C")
+    jac /= steps
+    return jac
+
+
+def per_call_err_norm(err, sc):
+    with np.errstate(invalid="ignore", over="ignore"):
+        return float((np.abs(err) / sc).max())
+
+
+def method_stop_check(problem, y, dy):
+    squares = np.add.reduceat(dy * dy, problem.block_starts)
+    return np.sqrt(squares).max() < problem.config.tol
+
+
 @pytest.mark.parametrize(
     "make_problem, n_starts",
     [
@@ -432,9 +527,12 @@ def isfinite_all(a):
 def test_runs_bit_identical_to_the_per_call_numpy_forms(
     make_problem, n_starts, monkeypatch
 ):
-    # the count-based finiteness test, the 1-D pull-back at a point and the
-    # cached stage identity leave every bit of a run as the forms they
-    # replace make it: final state, objective, residual and every counter
+    # the count-based finiteness test, the 1-D pull-back at a point, the
+    # cached stage identity, the ufunc reductions, the step vector built
+    # once per Jacobian, the plain FD rows filled into one array, the
+    # conversion reaction's column views and its objective's 0-d constants
+    # leave every bit of a run as the forms they replace make it: final
+    # state, objective, residual and every counter
     problem = make_problem()
     name = problem.model.name
     starts = bench.sample_starts(bench.default_config(name, n_starts=n_starts, seed=3))
@@ -442,10 +540,20 @@ def test_runs_bit_identical_to_the_per_call_numpy_forms(
     identity = integrator._identity(len(starts[0].pack()))
     assert not identity.flags.writeable
     assert np.array_equal(identity, np.eye(len(identity)))
+    if name == "conversion_reaction":
+        kernel = slice_assigned_cr_kernel()
+        model = dataclasses.replace(problem.model, f_jac_batch=kernel)
+        objective = python_float_cr_objective(problem.objective)
+        problem = dataclasses.replace(problem, model=model, objective=objective)
     monkeypatch.setattr(flow, "_pull_back", broadcast_pull_back)
     monkeypatch.setattr(numerics, "all_finite", isfinite_all)
     monkeypatch.setattr(integrator, "all_finite", isfinite_all)
     monkeypatch.setattr(integrator, "_identity", np.eye)
+    monkeypatch.setattr(integrator, "np", PerCallNumpy())
+    monkeypatch.setattr(integrator, "_fd_stack", twice_built_fd_stack)
+    monkeypatch.setattr(integrator, "_fd_jacobian", per_call_fd_jacobian)
+    monkeypatch.setattr(integrator, "_err_norm", per_call_err_norm)
+    monkeypatch.setattr(flow, "stop_check", method_stop_check)
     per_call = [run_bits(run_flow(problem, init)) for init in starts]
     assert lean == per_call
 

@@ -2,6 +2,7 @@
 
 import dataclasses
 import math
+import warnings
 from functools import partial
 
 import numpy as np
@@ -46,6 +47,11 @@ def reference_step(rhs, y, h, jac, f0):
         check_finite=False,
     )
     return y_new, (h / 6.0) * (k1 - 2.0 * k2 + k3), f_new
+
+
+def fd_steps(y):
+    """The forward-difference steps of y, as integrate_adaptive makes them."""
+    return integrator._SQRT_EPS * (1.0 + np.abs(y))
 
 
 def reference_fd_jacobian(rhs, y, f0):
@@ -136,7 +142,7 @@ class TestFdJacobian:
         y = rng.uniform(-3.0, 3.0, 26)
         f0 = rhs(y).copy()
         values = np.array([rhs(row) for row in integrator._fd_stack(y)[:-1]])
-        got = _fd_jacobian(values, y, f0)
+        got = _fd_jacobian(values, f0, fd_steps(y))
         assert np.array_equal(got, reference_fd_jacobian(rhs, y, f0))
 
     @pytest.mark.parametrize(
@@ -157,7 +163,7 @@ class TestFdJacobian:
             values.append(np.array([rhs(row) for row in stacks[-1]]))
             return values[-1]
 
-        got = _fd_jacobian(rhs_fd(y)[:-1], y, f0)
+        got = _fd_jacobian(rhs_fd(y)[:-1], f0, fd_steps(y))
         assert len(stacks) == 1
         assert np.array_equal(got, reference_fd_jacobian(rhs, y, f0))
         assert got.flags.c_contiguous
@@ -167,7 +173,7 @@ class TestFdJacobian:
         y = np.array([1.5, -0.25, 1e8, 0.0])
         before = y.copy()
         values = np.array([coupled(row) for row in integrator._fd_stack(y)[:-1]])
-        _fd_jacobian(values, y, coupled(y))
+        _fd_jacobian(values, coupled(y), fd_steps(y))
         assert np.array_equal(y, before)
 
     def test_counts_n_rhs_evals_and_one_jacobian(self):
@@ -192,6 +198,48 @@ class TestFdJacobian:
                 integrate_adaptive(rhs, np.ones(n), 1e3)
             stats = info.value.stats
             assert (stats.rhs_evals, stats.jacobian_evals) == (k, jacobians)
+
+
+def bounded_coupled(y):
+    # bounded, with every entry coupled to its neighbour and of the order
+    # of y near 0: from any y the initial step is far above underflow
+    return 0.5 * np.tanh(y) - 0.25 * np.tanh(np.roll(y, 1))
+
+
+class StopAtJacobian(Exception):
+    """Raised with the run's first Jacobian as it is made."""
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    y=st.integers(1, 8).flatmap(
+        lambda n: arrays(
+            float,
+            n,
+            elements=st.sampled_from([-0.0, 0.0, 1e300, -1e300])
+            | st.floats(-1e300, 1e300),
+        )
+    )
+)
+def test_plain_row_jacobian_has_the_reference_bits_and_counts_n(y):
+    # without rhs_fd the n FD rows are n plain rhs calls, filled into one
+    # array: stopped as its Jacobian is made, a run has made 1 + n counted
+    # calls (the value at y, then the rows), and the Jacobian has the
+    # copy-per-column reference's bits, signed zeros and |y| up to 1e300
+    # included
+    fd_jacobian = integrator._fd_jacobian
+
+    def stop_at_jacobian(*args):
+        raise StopAtJacobian(fd_jacobian(*args))
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(integrator, "_fd_jacobian", stop_at_jacobian)
+        with pytest.raises(StopAtJacobian) as info:
+            integrate_adaptive(bounded_coupled, y, 1e3)
+    (jac,) = info.value.args
+    want = reference_fd_jacobian(bounded_coupled, y, bounded_coupled(y))
+    assert jac.tobytes() == want.tobytes()
+    assert (info.value.stats.rhs_evals, info.value.stats.jacobian_evals) == (1 + y.size, 0)
 
 
 def counting_kernels(model):
@@ -253,7 +301,7 @@ class TestSharedColumns:
             calls.clear()
             gradient_calls.clear()
             values = rhs_fd(y)
-            got = _fd_jacobian(values[:-1], y, f0)
+            got = _fd_jacobian(values[:-1], f0, fd_steps(y))
             # one fused kernel call over the 10 base rows, the 20 perturbed
             # state rows and the 6 x 10 parameter-column rows, and no other
             assert calls == [("f_jac_batch", 90)]
@@ -320,7 +368,9 @@ class TestSharedColumns:
         rhs = partial(flow.rhs, problem)
         y = np.array([0.0, 0.0, 0.3, 0.7])
         f0 = rhs(y)
-        got = _fd_jacobian(flow.rhs_fd(problem, y)[:-1], y, f0)
+        got = _fd_jacobian(
+            flow.rhs_fd(problem, y)[:-1], f0, fd_steps(y)
+        )
         assert np.all(np.isfinite(got))
         assert np.array_equal(got, reference_fd_jacobian(rhs, y, f0))
 
@@ -498,6 +548,38 @@ class TestIntegrateAdaptive:
         assert outcome is IntegrationOutcome.STOP_CONDITION
         assert r == 0.0
         assert stats.steps_accepted == 0
+
+    @pytest.mark.parametrize(
+        "bad_err, y_new_inf",
+        [(math.nan, False), (math.inf, False), (math.inf, True), (1e308, False)],
+        ids=["nan", "inf", "inf-over-inf-scale", "overflowing"],
+    )
+    def test_non_finite_error_norm_rejects_with_fac_min_quietly(
+        self, bad_err, y_new_inf, monkeypatch
+    ):
+        # an error estimate whose norm is NaN or inf (NaN itself, inf, inf
+        # over an infinite scale, a finite one that overflows the scale)
+        # rejects the step and shrinks h by FAC_MIN, with no RuntimeWarning
+        real_step = integrator.step
+        hs = []
+
+        def first_step_bad(rhs, y, h, jac, f0, rhs_new=None):
+            hs.append(h)
+            y_new, err, f_new = real_step(rhs, y, h, jac, f0, rhs_new)
+            if len(hs) == 1:
+                err = np.full_like(err, bad_err)
+                if y_new_inf:
+                    y_new = np.full_like(y_new, np.inf)
+            return y_new, err, f_new
+
+        monkeypatch.setattr(integrator, "step", first_step_bad)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            _, _, stats, outcome = integrate_adaptive(coupled, np.ones(3), 1e3, budget=20)
+        assert outcome is IntegrationOutcome.BUDGET_EXHAUSTED
+        assert hs[1] == hs[0] * integrator.FAC_MIN
+        assert stats.steps_rejected == 1
+        assert stats.steps_accepted >= 1
 
     def test_budget_exhausted(self):
         # the budget is checked before each step, and a step makes up to
