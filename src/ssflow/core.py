@@ -224,7 +224,14 @@ class FlowConfig:
     up to n + 2 rhs evaluations past it (n: the packed state size). The
     FD points the integrator evaluates ahead, in one call with a step's
     base point, count only once a Jacobian takes them; the ones no Jacobian
-    takes are not rhs evaluations here (RunResult.discarded_evals)."""
+    takes are not rhs evaluations here (RunResult.discarded_evals).
+
+    integrator_rel_tol and integrator_abs_tol bound the local error of the
+    parameter block when lam > 0, and of every entry when lam = 0. The
+    retraction damps the state blocks' errors at rate lam, so, as DAE codes
+    leave algebraic variables out of the error test (DASPK's info(16), IDA's
+    IDASetSuppressAlg), the flow tests the state blocks only for a
+    non-finite error (flow._error_tolerances)."""
 
     lam: float
     tol: float = 1e-6

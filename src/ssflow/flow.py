@@ -235,6 +235,20 @@ def manifold_residual(problem, state):
     return float(np.abs(np.asarray(f_mat, dtype=float)).max())
 
 
+def _error_tolerances(problem):
+    """(rel_tol, abs_tol) of the integrator's local error test on the packed
+    state. When lam > 0 every state entry's abs_tol is inf, so the test
+    covers the parameter block only (FlowConfig says why); at lam = 0
+    nothing damps the state errors, and every entry is tested."""
+    cfg = problem.config
+    if cfg.lam == 0:
+        return cfg.integrator_rel_tol, cfg.integrator_abs_tol
+    n_theta = problem.model.n_theta
+    abs_tol = np.full(n_theta + len(problem.conditions) * problem.model.n_x, np.inf)
+    abs_tol[:n_theta] = cfg.integrator_abs_tol
+    return cfg.integrator_rel_tol, abs_tol
+
+
 def run_flow(problem, init, store_trajectory=False):
     """Integrate the optimiser flow from init until the stopping criterion,
     the pseudo-time horizon, or the evaluation budget.
@@ -268,14 +282,15 @@ def run_flow(problem, init, store_trajectory=False):
     # one state column keeps plain calls, so perfbench's traced cr_methods
     # run still makes one _assemble call per rhs evaluation
     stacked = partial(rhs_fd, problem) if m * n_x >= 2 else None
+    rel_tol, abs_tol = _error_tolerances(problem)
     t0 = time.perf_counter()
     try:
         r_end, y_end, stats, outcome = integrator.integrate_adaptive(
             partial(rhs, problem),
             init.pack(),
             cfg.r_max,
-            rel_tol=cfg.integrator_rel_tol,
-            abs_tol=cfg.integrator_abs_tol,
+            rel_tol=rel_tol,
+            abs_tol=abs_tol,
             stop=partial(stop_check, problem),
             budget=cfg.max_rhs_evals,
             observer=observer,

@@ -43,6 +43,9 @@ _SQRT_EPS = math.sqrt(np.finfo(float).eps)
 SAFETY = 0.9
 FAC_MIN = 0.2
 FAC_MAX = 5.0
+# the smallest step, relative to max(1, |r|), before a run ends with
+# StepUnderflow
+H_MIN = 1e-14
 
 
 class StageSolveFailure(RuntimeError):
@@ -134,14 +137,24 @@ def _err_norm(err, sc):
     return float(np.maximum.reduce(np.abs(err) / sc))
 
 
+@np.errstate(over="ignore")  # an overflowing norm gives h0 = 0, floored below
 def _initial_step(y, f0, r_max, rel_tol, abs_tol):
+    """The first step: 0.01 * d0 / d1 from the RMS norms of y and f0 over
+    the tested entries (those with a finite abs_tol), floored at the
+    smallest step the loop takes at r = 0, so every run tries a step."""
     sc = abs_tol + rel_tol * np.abs(y)
-    d0 = float(np.linalg.norm(y / sc)) / math.sqrt(y.size)
-    d1 = float(np.linalg.norm(f0 / sc)) / math.sqrt(y.size)
+    tested = np.count_nonzero(np.broadcast_to(abs_tol, y.shape) < math.inf)
+    root = math.sqrt(max(tested, 1))
+    d0 = float(np.linalg.norm(y / sc)) / root
+    d1 = float(np.linalg.norm(f0 / sc)) / root
     if d0 > 1e-5 and d1 > 1e-5:
         h0 = 0.01 * d0 / d1
     else:
         h0 = 1e-6 * max(1.0, r_max)
+    # one entry can swamp the estimate: h0 far below the floor, or 0 or NaN
+    # when a norm overflows
+    if not h0 >= H_MIN:
+        h0 = H_MIN
     return min(h0, r_max)
 
 
@@ -166,6 +179,13 @@ def integrate_adaptive(
     evaluations, Jacobian differencing included, but is not a cap: it is
     checked before each step, and a step of n variables makes up to n + 3
     (Jacobian, two stages, extrapolation), so a run can end n + 2 past it.
+
+    A step is accepted when max |err| / sc <= 1 with the scale
+    sc = abs_tol + rel_tol * max(|y|, |y_new|). abs_tol is a scalar or one
+    value per entry; an entry with abs_tol = inf is left out of the error
+    test (and of the initial step's estimate), as DAE codes leave out
+    algebraic variables, but a NaN or inf error there still gives a NaN
+    norm and rejects the step.
 
     rhs_fd, if given, evaluates the FD stack of a point in one call:
     rhs_fd(y) returns rhs at every row of _fd_stack(y) (y's n FD points,
@@ -247,7 +267,7 @@ def integrate_adaptive(
             if stats.rhs_evals >= budget:
                 return r, y, stats, IntegrationOutcome.BUDGET_EXHAUSTED
             h = min(h, r_max - r)
-            if h < 1e-14 * max(1.0, abs(r)):
+            if h < H_MIN * max(1.0, abs(r)):
                 return r, y, stats, IntegrationOutcome.STEP_UNDERFLOW
             if jac is None:
                 steps = _SQRT_EPS * (1.0 + np.abs(y))

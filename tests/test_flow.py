@@ -258,6 +258,83 @@ class TestRunFlow:
         assert traj[-1].r == result.final.r
 
 
+def run_and_replay(problem, init, monkeypatch):
+    """run_flow's result from init, and a function that makes its
+    integrate_adaptive call again with another abs_tol and returns the
+    integration's end."""
+    calls = []
+
+    def capture(*args, **kwargs):
+        calls.append((args, kwargs))
+        return INTEGRATE(*args, **kwargs)
+
+    with monkeypatch.context() as mp:
+        mp.setattr(integrator, "integrate_adaptive", capture)
+        result = run_flow(problem, init)
+    ((args, kwargs),) = calls
+
+    def replay(abs_tol):
+        return INTEGRATE(*args, **dict(kwargs, abs_tol=abs_tol, observer=None))
+
+    return result, replay
+
+
+def run_end(result):
+    """A RunResult's end: its final point's bits, r and counters."""
+    return (
+        result.final.pack().tobytes(),
+        result.final.r,
+        result.converged,
+        result.rhs_evals,
+        result.discarded_evals,
+        result.steps_accepted,
+        result.steps_rejected,
+        result.jacobian_evals,
+        result.min_step,
+        result.max_step,
+    )
+
+
+def integration_end(r, y, stats, outcome):
+    """integrate_adaptive's end in the terms of run_end."""
+    return (
+        y.tobytes(),
+        r,
+        outcome is integrator.IntegrationOutcome.STOP_CONDITION,
+        stats.rhs_evals,
+        stats.discarded_evals,
+        stats.steps_accepted,
+        stats.steps_rejected,
+        stats.jacobian_evals,
+        stats.min_step,
+        stats.max_step,
+    )
+
+
+@pytest.mark.parametrize("lam", [0.0, 20.0])
+@pytest.mark.parametrize("name", ["conversion_reaction", "ngf"])
+def test_error_test_covers_the_parameter_block_only_when_lambda_is_positive(
+    name, lam, monkeypatch
+):
+    # a run is, bit for bit, integrate_adaptive with the config's scalar
+    # abs_tol at lam = 0 (criterion 4's tangent flow) and with abs_tol = inf
+    # on every state entry at lam > 0; the other error test gives another run
+    if name == "ngf":
+        problem, init = ngf_flow_problem_with(lam, max_rhs_evals=3000), ngf_start()
+    else:
+        problem = cr_flow_problem(lam)
+        theta = np.array([3.0, 2.0])
+        x = problem.model.analytic_steady_state(theta, NO_U)
+        init = FlowState(theta=theta, states=[x])
+    n_theta, n = problem.model.n_theta, init.pack().size
+    scalar = problem.config.integrator_abs_tol
+    per_entry = np.concatenate([np.full(n_theta, scalar), np.full(n - n_theta, np.inf)])
+    tested, other = (scalar, per_entry) if lam == 0 else (per_entry, scalar)
+    result, replay = run_and_replay(problem, init, monkeypatch)
+    assert run_end(result) == integration_end(*replay(tested))
+    assert run_end(result) != integration_end(*replay(other))
+
+
 def hand_written_conversion_reaction(xi=1.0):
     """The conversion reaction with per-condition kernels only, as a user
     would write it; the batched forms are left to ModelSpec."""
@@ -666,7 +743,7 @@ class TestNumericalFailureCounts:
 
     def test_reports_the_work_done_before_a_failure_inside_a_stack(self):
         # NGF: grad_theta is NaN at the 190th point of the plain-call run,
-        # row 15 of the seventh Jacobian's FD stack (points 176-201). The
+        # row 13 of the seventh Jacobian's FD stack (points 178-203). The
         # stack call at that Jacobian's base point meets it first and
         # raises, so the value is made again as a plain call and the
         # Jacobian's rows as plain calls up to the failing one: the run
@@ -677,11 +754,11 @@ class TestNumericalFailureCounts:
         problem = with_gradient(base, grad_theta=grad_theta)
         result, traj = run_flow(problem, ngf_start(), store_trajectory=True)
         assert result.reason is StopReason.NUMERICAL_FAILURE
-        assert calls[-17:] == [27, 1] + [1] * 15
-        # every point evaluated before the failing row: the 175 counted,
+        assert calls[-15:] == [27, 1] + [1] * 13
+        # every point evaluated before the failing row: the 177 counted,
         # the discarded rows and the stack call that failed
-        assert sum(calls[:-15]) == 175 + result.discarded_evals + 27
-        assert result.rhs_evals == 175 + 15 == 190
+        assert sum(calls[:-13]) == 177 + result.discarded_evals + 27
+        assert result.rhs_evals == 177 + 13 == 190
         assert result.steps_accepted == len(traj) - 1 > 0
         assert result.jacobian_evals >= result.steps_accepted
         assert 0.0 < result.min_step <= result.max_step
@@ -689,7 +766,7 @@ class TestNumericalFailureCounts:
 
     def test_stacked_gradient_failure_counts_up_to_its_point(self, monkeypatch):
         # grad_theta is NaN from the 190th point of the plain-call run on
-        # (row 15 of the seventh Jacobian's stack): with FD stacks and with
+        # (row 13 of the seventh Jacobian's stack): with FD stacks and with
         # plain calls the run ends at that point, with the same error,
         # counts and final point
         base = ngf_flow_problem()
@@ -714,19 +791,19 @@ def ngf_start():
 
 def run_flow_integration(problem, init):
     """The integration run_flow makes, with its exception left to propagate."""
-    cfg = problem.config
+    rel_tol, abs_tol = flow._error_tolerances(problem)
     return integrator.integrate_adaptive(
         partial(flow.rhs, problem),
         init.pack(),
-        cfg.r_max,
-        rel_tol=cfg.integrator_rel_tol,
-        abs_tol=cfg.integrator_abs_tol,
+        problem.config.r_max,
+        rel_tol=rel_tol,
+        abs_tol=abs_tol,
         rhs_fd=partial(flow.rhs_fd, problem),
     )
 
 
-def ngf_flow_problem_with(**cfg_overrides):
-    config = FlowConfig(lam=20.0, **cfg_overrides)
+def ngf_flow_problem_with(lam=20.0, **cfg_overrides):
+    config = FlowConfig(lam=lam, **cfg_overrides)
     return NgfErkProblem().with_generated_data(0).flow_problem(config)
 
 
@@ -749,13 +826,13 @@ def plain_points(problem, init, count):
         points.append(y.copy())
         return rhs(problem, y)
 
-    cfg = problem.config
+    rel_tol, abs_tol = flow._error_tolerances(problem)
     integrator.integrate_adaptive(
         record,
         init.pack(),
-        cfg.r_max,
-        rel_tol=cfg.integrator_rel_tol,
-        abs_tol=cfg.integrator_abs_tol,
+        problem.config.r_max,
+        rel_tol=rel_tol,
+        abs_tol=abs_tol,
         budget=count,
     )
     assert len({y.tobytes() for y in points[:count]}) == count

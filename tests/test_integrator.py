@@ -676,6 +676,110 @@ class TestIntegrateAdaptive:
         assert info.value.stats.steps_accepted == 0
 
 
+def held_and_rotating(y):
+    # entry 0 is constant, so its error is exactly 0 at every step; entries
+    # 1-2 rotate fast, and their error grows with the step without bound
+    return np.array([0.0, -100.0 * y[2], 100.0 * y[1]])
+
+
+HELD_ONLY = np.array([1e-8, np.inf, np.inf])
+
+
+class TestPerEntryTolerance:
+    def test_entries_with_infinite_abs_tol_never_reject_a_step(self):
+        y0 = np.array([1.0, 1.0, 0.0])
+        *_, tested, _ = integrate_adaptive(held_and_rotating, y0, 10.0)
+        assert tested.steps_rejected > 0
+        hs = []
+        r, y, stats, outcome = integrate_adaptive(
+            held_and_rotating,
+            y0,
+            10.0,
+            abs_tol=HELD_ONLY,
+            observer=lambda r, y, dy: hs.append(r),
+        )
+        assert outcome is IntegrationOutcome.HORIZON
+        assert stats.steps_rejected == 0
+        assert np.all(np.isfinite(y))
+        # every step's error norm is 0, so each grows h by FAC_MAX until
+        # the horizon cuts the last one
+        steps = np.diff(hs)
+        assert np.allclose(steps[1:-1] / steps[:-2], integrator.FAC_MAX, rtol=1e-12)
+
+    @pytest.mark.parametrize("bad_err", [math.nan, math.inf, -math.inf])
+    def test_non_finite_error_in_an_untested_entry_still_rejects(
+        self, bad_err, monkeypatch
+    ):
+        # |err| / inf is 0 for a finite error but NaN for a non-finite one:
+        # the step is rejected and h shrinks by FAC_MIN, with no warning
+        real_step = integrator.step
+        hs = []
+
+        def first_step_bad(rhs, y, h, jac, f0, rhs_new=None):
+            hs.append(h)
+            y_new, err, f_new = real_step(rhs, y, h, jac, f0, rhs_new)
+            if len(hs) == 1:
+                err[2] = bad_err
+            return y_new, err, f_new
+
+        monkeypatch.setattr(integrator, "step", first_step_bad)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            _, _, stats, _ = integrate_adaptive(
+                held_and_rotating, np.array([1.0, 1.0, 0.0]), 10.0, abs_tol=HELD_ONLY
+            )
+        assert hs[1] == hs[0] * integrator.FAC_MIN
+        assert stats.steps_rejected == 1
+        assert stats.steps_accepted >= 1
+
+    def test_initial_step_is_estimated_from_the_tested_entries(self):
+        # the untested entries add nothing to either norm, and each norm is
+        # an RMS over the tested entries: the same h0 as the tested block
+        # on its own. The tested y's RMS over scale, 1.2e-5, passes the
+        # 1e-5 threshold of the estimate; over all four entries it would not
+        y = np.array([1.2e-13, -1.2e-13, 3e5, -7.0])
+        f0 = np.array([-0.25, 1.0, 4e9, 1e-3])
+        abs_tol = np.array([1e-8, 1e-8, np.inf, np.inf])
+        h0 = integrator._initial_step(y, f0, 1e3, 1e-6, abs_tol)
+        assert h0 == integrator._initial_step(y[:2], f0[:2], 1e3, 1e-6, 1e-8)
+        assert h0 == pytest.approx(0.01 * 1.2e-5 / math.sqrt((0.25e8**2 + 1e16) / 2))
+
+
+def tanh_coupled(y):
+    return np.tanh(y) - 0.5 * np.roll(y, 1)
+
+
+@pytest.mark.parametrize(
+    "y0, estimate",
+    [(np.array([0.0, 1e100]), 2e-104), (np.array([0.0, 1e300]), 0.0)],
+    ids=["swamped", "overflowing"],
+)
+def test_a_start_whose_step_estimate_underflows_still_takes_steps(y0, estimate):
+    # one entry swamps the initial step's estimate: 0.01 * d0 / d1 is about
+    # 2e-104 (the zero entry's scale is abs_tol while its derivative is
+    # 5e99), or 0 when the norm of f0 / sc overflows. The first step is
+    # floored at the smallest step the loop takes at r = 0, so the run
+    # tries steps instead of ending with StepUnderflow at r = 0
+    sc = 1e-8 + 1e-6 * np.abs(y0)
+    with np.errstate(over="ignore"):
+        d0, d1 = np.linalg.norm(y0 / sc), np.linalg.norm(tanh_coupled(y0) / sc)
+    assert 0.01 * d0 / d1 == pytest.approx(estimate, abs=1e-105)
+    hs = []
+    real_step = integrator.step
+
+    def recorded(rhs, y, h, *args):
+        hs.append(h)
+        return real_step(rhs, y, h, *args)
+
+    with pytest.MonkeyPatch.context() as patch, warnings.catch_warnings():
+        warnings.simplefilter("error")
+        patch.setattr(integrator, "step", recorded)
+        r, _, stats, outcome = integrate_adaptive(tanh_coupled, y0, 1e3, budget=500)
+    assert hs[0] == integrator.H_MIN
+    assert outcome is IntegrationOutcome.BUDGET_EXHAUSTED
+    assert stats.steps_accepted > 0 and r > 0.0
+
+
 VDP_MU = np.array([1.0, 30.0, 1000.0])
 
 
