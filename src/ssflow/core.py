@@ -224,7 +224,8 @@ class FlowConfig:
     up to n + 2 rhs evaluations past it (n: the packed state size). The
     FD points the integrator evaluates ahead, in one call with a step's
     base point, count only once a Jacobian takes them; the ones no Jacobian
-    takes are not rhs evaluations here (RunResult.discarded_evals).
+    takes, the run's last point's, are not rhs evaluations here
+    (RunResult.discarded_evals).
 
     integrator_rel_tol and integrator_abs_tol bound the local error of the
     parameter block when lam > 0, and of every entry when lam = 0. The
@@ -270,8 +271,9 @@ class RunResult:
     The integrator counters: ``rhs_evals`` includes the Jacobian
     differencing, ``jacobian_evals`` counts the finite-difference Jacobians,
     ``discarded_evals`` counts the FD points evaluated ahead with a base
-    point that no Jacobian took (a rejected step's new point, the run's last
-    point), so ``rhs_evals + discarded_evals`` points were evaluated, and
+    point that no Jacobian took (only the run's last point's: a base point
+    is evaluated once its step is accepted), so ``rhs_evals +
+    discarded_evals`` points were evaluated, and
     ``min_step``/``max_step`` span the accepted steps (inf and 0.0 when no
     step was accepted).
     """

@@ -1,21 +1,28 @@
 """Adaptive linearly implicit integration of autonomous ODEs dy/dr = rhs(y).
 
-The scheme is the modified Rosenbrock triple (order 2 with a third-order
-error companion, L-stable; Shampine & Reichelt 1997), which handles the
-stiffness a large retraction factor induces without Newton iterations per
-step. The optimiser flow does not depend on r, so the triple's
-time-derivative term is zero and left out (append a clock state y' = 1 to
-integrate a non-autonomous system). The rhs Jacobian is approximated by
+The scheme is the L-stable fourth-order Rosenbrock pair of Hairer & Wanner
+(Solving Ordinary Differential Equations II, Sec. IV.7, the ROS4 family in
+Kaps-Rentrop form; the L-stable coefficient set, METH = 5 of their ros4.f):
+four stages, two of them new rhs evaluations, and an embedded third-order
+solution whose difference from the fourth-order one is the local error
+estimate. A step advances the fourth-order solution. The embedded solution
+is not L-stable (its stability function tends to about 0.55 as z -> -inf),
+so at a point off a stiff component's slow manifold the estimate can
+understate that component's error. The scheme handles the stiffness a
+large retraction factor induces without Newton iterations per step. The
+optimiser flow does not depend on r, so the scheme's time-derivative terms
+are zero and left out (append a clock state y' = 1 to integrate a
+non-autonomous system). The rhs Jacobian is approximated by
 forward differences. Each step factorises its stage matrix once with LAPACK
-getrf and runs its three stage solves with getrs, called directly.
+getrf and runs its four stage solves with getrs, called directly.
 
-Given rhs_fd, which evaluates the FD stack of one point in one call, every
-point that may become the next step's base (the initial point, the new point
-of a step that keeps its L-stable solution, the extrapolated point of one
-that does not) is evaluated in one call. The FD stack has one shape
+Every accepted step's new point is the next step's base. Given rhs_fd,
+which evaluates the FD stack of one point in one call, every base point
+(the initial point and each accepted step's new point) is evaluated in one
+call, made once the step is accepted. The FD stack has one shape
 (_fd_stack): the point's n forward-difference points, then the point itself
 as row n. Its last row is the value; the other n rows become the point's
-Jacobian if the next step starts there, so each such point costs one
+Jacobian when the next step starts there, so each base point costs one
 derivative call instead of two. Every stack has this shape, so the rows it
 shares follow one fixed pattern per problem.
 
@@ -36,8 +43,26 @@ from scipy.linalg.lapack import dgetrf, dgetrs
 
 from .numerics import all_finite
 
-_D = 1.0 / (2.0 + math.sqrt(2.0))
-_E32 = 6.0 + math.sqrt(2.0)
+# the L-stable ROS4 coefficients (Hairer & Wanner, ros4.f, METH = 5): the
+# stage matrix is I / (h * _GAMMA) - J; stage i + 2 is evaluated at
+# y + _A[i] @ k[:2], and its solve's right-hand side adds (_C[i] @ k[:3]) / h
+# to the stage value (the fourth stage reuses the third's value); row 0 of
+# _BE (b) gives y_new - y, row 1 (e) the error estimate
+_GAMMA = 0.57282
+_A = np.array([[2.0, 0.0], [1.867943637803922, 0.2344449711399156]])
+_C = np.array(
+    [
+        [-7.137615036412310, 0.0, 0.0],
+        [2.580708087951457, 0.6515950076447975, 0.0],
+        [-2.137148994382534, -0.3214669691237626, -0.6949742501781779],
+    ]
+)
+_BE = np.array(
+    [
+        [2.255570073418735, 0.2870493262186792, 0.4353179431840180, 1.093502252409163],
+        [-0.2815431932141155, -0.0727619912493892, -0.1082196201495311, -1.093502252409163],
+    ]
+)
 _SQRT_EPS = math.sqrt(np.finfo(float).eps)
 
 SAFETY = 0.9
@@ -73,42 +98,48 @@ class IntegratorStats:
 @lru_cache(maxsize=8)
 def _identity(n):
     """np.eye(n), built once per size and read-only: each step's stage
-    matrix is a new array subtracted from it."""
+    matrix is made from it as a new array."""
     eye = np.eye(n)
     eye.flags.writeable = False
     return eye
 
 
-def step(rhs, y, h, jac, f0, rhs_new=None):
-    """One step of the scheme from y, with f0 = rhs(y); returns (y_new,
-    error_estimate, f_new) with f_new = rhs(y_new), reusable by the caller.
+def step(rhs, y, h, jac, f0):
+    """One step of the scheme from y, with f0 = rhs(y) and jac the rhs
+    Jacobian at y; returns (y_new, error_estimate), y_new the fourth-order
+    solution and the estimate its difference from the embedded third-order
+    one.
 
-    rhs_new, if given, makes f_new in place of rhs: integrate_adaptive
-    passes the call that also evaluates y_new's forward-difference points
-    when y_new will be the next step's base."""
+    W = I / (h * gamma) - jac is factorised once, and the four stages are
+    solves with it: k1 = W^-1 f0, k2 = W^-1 (f(y + a21 k1) + c21 k1 / h),
+    k3 = W^-1 (f3 + (c31 k1 + c32 k2) / h) with f3 = f(y + a31 k1 + a32 k2),
+    and k4 = W^-1 (f3 + (c41 k1 + c42 k2 + c43 k3) / h). So a step makes
+    two rhs calls; f0 is the caller's, and the new point's value is made by
+    the caller once the step is accepted."""
     if h <= 0:
         raise ValueError("step size must be positive")
-    w = _identity(y.size) - (h * _D) * jac
+    w = _identity(y.size) / (h * _GAMMA) - jac
     # a singular stage matrix (info > 0) is caught by the finiteness check
-    # on k1 below
+    # on k[0] below
     lu, piv, info = dgetrf(w, overwrite_a=True)
     if info < 0:
         raise StageSolveFailure(f"illegal value in argument {-info} of getrf")
     if not all_finite(lu):
         raise StageSolveFailure("non-finite stage factorisation")
-    # f0 belongs to the caller and is read again below: not overwritten
-    k1 = dgetrs(lu, piv, f0)[0]
-    if not all_finite(k1):
+    # the stages k[0..3]; the rows not yet solved are zero, so each stage
+    # combination is one product over the rows before it
+    k = np.zeros((4, y.size))
+    # f0 belongs to the caller: not overwritten
+    k[0] = dgetrs(lu, piv, f0)[0]
+    if not all_finite(k[0]):
         raise StageSolveFailure("singular or ill-conditioned stage system")
-    f1 = rhs(y + 0.5 * h * k1)
-    k2 = dgetrs(lu, piv, f1 - k1, overwrite_b=True)[0] + k1
-    y_new = y + h * k2
-    f_new = (rhs if rhs_new is None else rhs_new)(y_new)
-    k3 = dgetrs(
-        lu, piv, f_new - _E32 * (k2 - f1) - 2.0 * (k1 - f0), overwrite_b=True
-    )[0]
-    err = (h / 6.0) * (k1 - 2.0 * k2 + k3)
-    return y_new, err, f_new
+    f = rhs(y + _A[0] @ k[:2])
+    k[1] = dgetrs(lu, piv, f + (_C[0] @ k[:3]) / h, overwrite_b=True)[0]
+    f = rhs(y + _A[1] @ k[:2])
+    k[2] = dgetrs(lu, piv, f + (_C[1] @ k[:3]) / h, overwrite_b=True)[0]
+    k[3] = dgetrs(lu, piv, f + (_C[2] @ k[:3]) / h, overwrite_b=True)[0]
+    delta, err = _BE @ k
+    return y + delta, err
 
 
 def _fd_stack(y, steps=None):
@@ -178,7 +209,7 @@ def integrate_adaptive(
     the initial point and after every accepted step. budget bounds the rhs
     evaluations, Jacobian differencing included, but is not a cap: it is
     checked before each step, and a step of n variables makes up to n + 3
-    (Jacobian, two stages, extrapolation), so a run can end n + 2 past it.
+    (Jacobian, two stages, new point), so a run can end n + 2 past it.
 
     A step is accepted when max |err| / sc <= 1 with the scale
     sc = abs_tol + rel_tol * max(|y|, |y_new|). abs_tol is a scalar or one
@@ -187,22 +218,24 @@ def integrate_adaptive(
     algebraic variables, but a NaN or inf error there still gives a NaN
     norm and rejects the step.
 
+    After the error test the step size is scaled by
+    SAFETY * err_norm ** (-1/4), the exponent of a third-order estimate,
+    within [FAC_MIN, FAC_MAX] (at most 1 after a rejection).
+
     rhs_fd, if given, evaluates the FD stack of a point in one call:
     rhs_fd(y) returns rhs at every row of _fd_stack(y) (y's n FD points,
     then y as row n) as rows, row q with the bits of rhs at row q. It sees
     no other stack, so it may plan its evaluation once. rhs_fd is called
-    only for a point that may be the next step's base (see the module
-    docstring): the initial point, a step's new point when
-    h * ||jac||_inf > 1 (the step keeps its L-stable solution; the test
-    needs only h and the Jacobian, so it is made before the step), and the
-    extrapolated point otherwise. The counting is that of one plain call
-    for the value and one stack call per Jacobian: the value counts 1 when
-    it is made, and the n rows add n to rhs_evals when a step takes its
-    Jacobian from them, after the budget check, where the Jacobian's own
-    call would count. Rows that no step takes (a rejected step's new point,
-    the run's last point) count in discarded_evals instead (rows count there
-    from their call until a step takes them), so rhs_evals + discarded_evals
-    is the number of points evaluated, stack calls that raised apart.
+    only for a base point (see the module docstring): the initial point and
+    each accepted step's new point, after the error test accepts the step.
+    The counting is that of one plain call for the value and one stack call
+    per Jacobian: the value counts 1 when it is made, and the n rows add n
+    to rhs_evals when a step takes its Jacobian from them, after the budget
+    check, where the Jacobian's own call would count. The rows of the run's
+    last point, which no step takes, count in discarded_evals instead (rows
+    count there from their call until a step takes them), so rhs_evals +
+    discarded_evals is the number of points evaluated, stack calls that
+    raised apart.
 
     Failures follow the one rule of the module docstring. A stack call that
     raises is made again as one plain rhs call for the value and, if a step
@@ -230,8 +263,8 @@ def integrate_adaptive(
         return rhs(y)
 
     def base_value(y):
-        # rhs(y) for a point that may be the next step's base: the last row
-        # of one call on y's FD stack, whose other rows wait in ahead
+        # rhs(y) for a base point: the last row of one call on y's FD
+        # stack, whose other rows wait in ahead
         nonlocal ahead
         ahead = None
         if rhs_fd is None:
@@ -285,17 +318,8 @@ def integrate_adaptive(
                     stats.rhs_evals += n
                 jac = _fd_jacobian(values, f0, steps)
                 stats.jacobian_evals += 1
-                jac_norm = float(np.maximum.reduce(np.add.reduce(np.abs(jac), axis=1)))
-            # in the nonstiff regime an accepted step advances the
-            # third-order companion (local extrapolation) so the global
-            # error tracks the tolerance linearly; when the step resolves
-            # stiff modes it keeps the L-stable second-order solution, whose
-            # value is then the next base
-            extrapolate = h * jac_norm <= 1.0
             try:
-                y_new, err, f_new = step(
-                    counted_rhs, y, h, jac, f0, None if extrapolate else base_value
-                )
+                y_new, err = step(counted_rhs, y, h, jac, f0)
             except StageSolveFailure:
                 stats.steps_rejected += 1
                 h *= FAC_MIN
@@ -305,19 +329,15 @@ def integrate_adaptive(
             if not math.isfinite(err_norm) or err_norm > 1.0:
                 stats.steps_rejected += 1
                 if math.isfinite(err_norm) and err_norm > 0.0:
-                    h *= max(min(SAFETY * err_norm ** (-1.0 / 3.0), 1.0), FAC_MIN)
+                    h *= max(min(SAFETY * err_norm ** -0.25, 1.0), FAC_MIN)
                 else:
                     h *= FAC_MIN
                 continue
             r += h
-            if extrapolate:
-                y = y_new + err
-                f0 = base_value(y)
-                if not all_finite(f0):
-                    raise FloatingPointError("non-finite right-hand side after a step")
-            else:
-                y = y_new
-                f0 = f_new
+            y = y_new
+            f0 = base_value(y)
+            if not all_finite(f0):
+                raise FloatingPointError("non-finite right-hand side after a step")
             jac = None
             stats.steps_accepted += 1
             stats.min_step = min(stats.min_step, h)
@@ -327,7 +347,7 @@ def integrate_adaptive(
             if stop is not None and stop(y, f0):
                 return r, y, stats, IntegrationOutcome.STOP_CONDITION
             if err_norm > 0.0:
-                fac = min(max(SAFETY * err_norm ** (-1.0 / 3.0), FAC_MIN), FAC_MAX)
+                fac = min(max(SAFETY * err_norm ** -0.25, FAC_MIN), FAC_MAX)
             else:
                 fac = FAC_MAX
             h *= fac

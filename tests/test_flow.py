@@ -743,22 +743,23 @@ class TestNumericalFailureCounts:
 
     def test_reports_the_work_done_before_a_failure_inside_a_stack(self):
         # NGF: grad_theta is NaN at the 190th point of the plain-call run,
-        # row 13 of the seventh Jacobian's FD stack (points 178-203). The
-        # stack call at that Jacobian's base point meets it first and
-        # raises, so the value is made again as a plain call and the
-        # Jacobian's rows as plain calls up to the failing one: the run
-        # counts up to it, as plain rhs calls would
+        # row 15 of the seventh Jacobian's FD stack (points 176-201: the
+        # initial point, then 29 points per step, its 26 FD rows, two stages
+        # and its new point). The stack call at that Jacobian's base point
+        # meets it first and raises, so the value is made again as a plain
+        # call and the Jacobian's rows as plain calls up to the failing one:
+        # the run counts up to it, as plain rhs calls would
         base = ngf_flow_problem()
         points = plain_points(base, ngf_start(), 190)
         grad_theta, calls = nan_at(base.objective.grad_theta, points[-1:])
         problem = with_gradient(base, grad_theta=grad_theta)
         result, traj = run_flow(problem, ngf_start(), store_trajectory=True)
         assert result.reason is StopReason.NUMERICAL_FAILURE
-        assert calls[-15:] == [27, 1] + [1] * 13
-        # every point evaluated before the failing row: the 177 counted,
+        assert calls[-17:] == [27, 1] + [1] * 15
+        # every point evaluated before the failing row: the 175 counted,
         # the discarded rows and the stack call that failed
-        assert sum(calls[:-13]) == 177 + result.discarded_evals + 27
-        assert result.rhs_evals == 177 + 13 == 190
+        assert sum(calls[:-15]) == 175 + result.discarded_evals + 27
+        assert result.rhs_evals == 175 + 15 == 190
         assert result.steps_accepted == len(traj) - 1 > 0
         assert result.jacobian_evals >= result.steps_accepted
         assert 0.0 < result.min_step <= result.max_step
@@ -766,7 +767,7 @@ class TestNumericalFailureCounts:
 
     def test_stacked_gradient_failure_counts_up_to_its_point(self, monkeypatch):
         # grad_theta is NaN from the 190th point of the plain-call run on
-        # (row 13 of the seventh Jacobian's stack): with FD stacks and with
+        # (row 15 of the seventh Jacobian's stack): with FD stacks and with
         # plain calls the run ends at that point, with the same error,
         # counts and final point
         base = ngf_flow_problem()

@@ -34,19 +34,17 @@ def coupled(y):
 
 def reference_step(rhs, y, h, jac, f0):
     """The step's stage arithmetic with scipy's lu_factor/lu_solve wrappers."""
-    d = integrator._D
-    lu_piv = lu_factor(np.eye(y.size) - (h * d) * jac, check_finite=False)
-    k1 = lu_solve(lu_piv, f0, check_finite=False)
-    f1 = rhs(y + 0.5 * h * k1)
-    k2 = lu_solve(lu_piv, f1 - k1, check_finite=False) + k1
-    y_new = y + h * k2
-    f_new = rhs(y_new)
-    k3 = lu_solve(
-        lu_piv,
-        f_new - integrator._E32 * (k2 - f1) - 2.0 * (k1 - f0),
-        check_finite=False,
-    )
-    return y_new, (h / 6.0) * (k1 - 2.0 * k2 + k3), f_new
+    a, c, be = integrator._A, integrator._C, integrator._BE
+    lu_piv = lu_factor(np.eye(y.size) / (h * integrator._GAMMA) - jac, check_finite=False)
+    k = np.zeros((4, y.size))
+    k[0] = lu_solve(lu_piv, f0, check_finite=False)
+    f2 = rhs(y + a[0] @ k[:2])
+    k[1] = lu_solve(lu_piv, f2 + (c[0] @ k[:3]) / h, check_finite=False)
+    f3 = rhs(y + a[1] @ k[:2])
+    k[2] = lu_solve(lu_piv, f3 + (c[1] @ k[:3]) / h, check_finite=False)
+    k[3] = lu_solve(lu_piv, f3 + (c[2] @ k[:3]) / h, check_finite=False)
+    delta, err = be @ k
+    return y + delta, err
 
 
 def fd_steps(y):
@@ -65,43 +63,92 @@ def reference_fd_jacobian(rhs, y, f0):
     return jac
 
 
+def riccati(y):
+    # nonlinear and coupled, with the exact solution y(r) = y(0) / (1 + y0(0) r)
+    return np.array([-y[0] ** 2, -y[0] * y[1]])
+
+
+def riccati_jacobian(y):
+    return np.array([[-2.0 * y[0], 0.0], [-y[1], -y[0]]])
+
+
+def stability_function(jac):
+    """R(h J) of the scheme at h = 1, applied to the first unit vector: one
+    step of the linear system y' = jac y with the exact Jacobian."""
+    y = np.zeros(len(jac))
+    y[0] = 1.0
+    y_new, _ = step(lambda z: jac @ z, y, 1.0, jac, jac @ y)
+    return y_new
+
+
 class TestStep:
     def test_zero_rhs_is_exact(self):
+        # every stage is a solve of a zero right-hand side
         y = np.array([1.0, -2.0])
-        y_new, err, f_new = step(
-            lambda z: np.zeros(2), y, 0.5, np.zeros((2, 2)), np.zeros(2)
-        )
+        calls = []
+
+        def zero(z):
+            calls.append(z.copy())
+            return np.zeros(2)
+
+        y_new, err = step(zero, y, 0.5, np.zeros((2, 2)), np.zeros(2))
         assert np.array_equal(y_new, y)
         assert np.all(err == 0.0)
-        assert np.all(f_new == 0.0)
+        # the second and third stages' rhs calls, both at y
+        assert len(calls) == 2
+        assert all(np.array_equal(z, y) for z in calls)
 
     def test_tiny_step_error_below_abs_tol(self):
         y = np.array([1.0])
-        _, err, _ = step(decay, y, 1e-12, np.array([[-1.0]]), decay(y))
+        _, err = step(decay, y, 1e-12, np.array([[-1.0]]), decay(y))
         assert np.abs(err).max() < 1e-8
 
-    def test_error_estimate_order_three(self):
-        # the embedded companion is third order: halving h should shrink the
-        # estimate by about 2^3 on a smooth nonlinear problem
-        def rhs(y):
-            return np.array([-y[0] ** 2])
+    def test_global_order_four(self):
+        # fixed steps over [0, 1] with the exact Jacobian: the global error
+        # of the fourth-order solution falls as h^4
+        def global_error(steps):
+            y = np.array([1.0, 2.0])
+            h = 1.0 / steps
+            for _ in range(steps):
+                y, _ = step(riccati, y, h, riccati_jacobian(y), riccati(y))
+            return np.abs(y - np.array([0.5, 1.0])).max()
 
-        y = np.array([1.0])
-        jac = np.array([[-2.0]])
-        _, e1, _ = step(rhs, y, 0.1, jac, rhs(y))
-        _, e2, _ = step(rhs, y, 0.05, jac, rhs(y))
-        ratio = np.abs(e1).max() / np.abs(e2).max()
-        assert 6.0 < ratio < 10.0
+        errors = [global_error(steps) for steps in (8, 16, 32, 64)]
+        orders = np.log2(np.array(errors[:-1]) / np.array(errors[1:]))
+        assert np.all(np.diff(errors) < 0.0)
+        assert orders[-1] >= 3.8
+
+    def test_error_estimate_falls_as_h_to_the_fourth(self):
+        # the embedded solution is third order, so the estimate of one step
+        # from the same point is O(h^4)
+        y = np.array([1.0, 2.0])
+        estimates = [
+            np.abs(step(riccati, y, h, riccati_jacobian(y), riccati(y))[1]).max()
+            for h in (0.02, 0.01, 0.005)
+        ]
+        orders = np.log2(np.array(estimates[:-1]) / np.array(estimates[1:]))
+        assert np.all(np.abs(orders - 4.0) < 0.2)
+
+    def test_l_stable(self):
+        # R(z) -> 0 as z -> -inf (up to the rounding of the published
+        # gamma), and |R(z)| <= 1 on the negative real axis and on the
+        # imaginary axis, the latter through a 2 x 2 rotation block whose
+        # eigenvalues are +-i w
+        assert abs(stability_function(np.array([[-1e8]]))[0]) < 1e-4
+        for z in -np.logspace(-3.0, 8.0, 45):
+            assert abs(stability_function(np.array([[z]]))[0]) <= 1.0
+        for w in np.logspace(-3.0, 8.0, 45):
+            rotation = np.array([[0.0, -w], [w, 0.0]])
+            assert np.linalg.norm(stability_function(rotation)) <= 1.0
 
     def test_rejects_non_positive_step(self):
         with pytest.raises(ValueError):
             step(decay, np.ones(1), 0.0, np.zeros((1, 1)), -np.ones(1))
 
     def test_singular_stage_system_raises(self):
-        # W = I - h*d*J becomes exactly singular for J = I/(h*d)
+        # W = I / (h * gamma) - J is exactly singular for J = I / (h * gamma)
         h = 0.5
-        d = 1.0 / (2.0 + math.sqrt(2.0))
-        jac = np.eye(1) / (h * d)
+        jac = np.eye(1) / (h * integrator._GAMMA)
         with pytest.raises(integrator.StageSolveFailure):
             step(decay, np.ones(1), h, jac, -np.ones(1))
 
@@ -116,11 +163,20 @@ class TestStep:
             h = 10.0 ** rng.uniform(-3.0, 1.0)
             f0 = coupled(y)
             f0_before = f0.copy()
-            got = step(coupled, y, h, jac, f0)
+            calls = []
+
+            def counted(z):
+                calls.append(z.copy())
+                return coupled(z)
+
+            got = step(counted, y, h, jac, f0)
             want = reference_step(coupled, y, h, jac, f0)
+            assert len(got) == len(want) == 2
             for a, b in zip(got, want):
                 assert a.shape == b.shape == (n,)
                 assert np.array_equal(a, b)
+            # two rhs calls, the fourth stage reusing the third's value
+            assert len(calls) == 2
             # the first stage solve must not overwrite the caller's f0
             assert np.array_equal(f0, f0_before)
 
@@ -419,6 +475,24 @@ class TestSharedColumns:
                 assert np.array_equal(np.array(seen[1 : 1 + n]), fd_points)
         assert runs[0] == runs[1]
 
+    def test_only_the_last_point_leaves_discarded_rows(self):
+        # a base point's stack is made once its step is accepted, so a
+        # rejected step evaluates none: a run that rejects steps and ends by
+        # stop leaves only the n FD rows of its last point discarded
+        checks = []
+
+        def stop(y, dy):
+            checks.append(None)
+            return len(checks) > 1000
+
+        y0 = np.array([2.0, 0.0, 2.0, 0.0, 2.0, 0.0])
+        _, _, stats, outcome = integrate_adaptive(
+            van_der_pol, y0, 1e3, stop=stop, rhs_fd=van_der_pol_fd
+        )
+        assert outcome is IntegrationOutcome.STOP_CONDITION
+        assert stats.steps_rejected > 0
+        assert stats.discarded_evals == y0.size
+
     def test_raising_stack_runs_as_plain_calls(self):
         # every stack call raises, its exception naming a row: each one is
         # made again as plain calls, so the run equals the plain run in
@@ -563,14 +637,14 @@ class TestIntegrateAdaptive:
         real_step = integrator.step
         hs = []
 
-        def first_step_bad(rhs, y, h, jac, f0, rhs_new=None):
+        def first_step_bad(rhs, y, h, jac, f0):
             hs.append(h)
-            y_new, err, f_new = real_step(rhs, y, h, jac, f0, rhs_new)
+            y_new, err = real_step(rhs, y, h, jac, f0)
             if len(hs) == 1:
                 err = np.full_like(err, bad_err)
                 if y_new_inf:
                     y_new = np.full_like(y_new, np.inf)
-            return y_new, err, f_new
+            return y_new, err
 
         monkeypatch.setattr(integrator, "step", first_step_bad)
         with warnings.catch_warnings():
@@ -643,7 +717,7 @@ class TestIntegrateAdaptive:
 
     def test_counts_every_call_made_when_rhs_raises(self):
         # the k-th rhs call raises, wherever it falls: the initial point, the
-        # Jacobian differencing, a stage, or the extrapolated state
+        # Jacobian differencing, a stage, or a step's new point
         class Stop(Exception):
             pass
 
@@ -715,12 +789,12 @@ class TestPerEntryTolerance:
         real_step = integrator.step
         hs = []
 
-        def first_step_bad(rhs, y, h, jac, f0, rhs_new=None):
+        def first_step_bad(rhs, y, h, jac, f0):
             hs.append(h)
-            y_new, err, f_new = real_step(rhs, y, h, jac, f0, rhs_new)
+            y_new, err = real_step(rhs, y, h, jac, f0)
             if len(hs) == 1:
                 err[2] = bad_err
-            return y_new, err, f_new
+            return y_new, err
 
         monkeypatch.setattr(integrator, "step", first_step_bad)
         with warnings.catch_warnings():
@@ -785,8 +859,7 @@ VDP_MU = np.array([1.0, 30.0, 1000.0])
 
 def van_der_pol(y):
     # three uncoupled van der Pol oscillators (x, v) of stiffness 1 to 1000:
-    # runs take steps that extrapolate, steps that keep the L-stable
-    # solution, and rejected ones
+    # runs take nonstiff and stiff steps, and rejected ones
     x, v = y[0::2], y[1::2]
     out = np.empty_like(y)
     out[0::2] = v
