@@ -221,7 +221,7 @@ class FlowState:
 class FlowConfig:
     """Retraction factor, stopping tolerance and integration limits.
     max_rhs_evals is checked before each integrator step, so a run can end
-    up to n + 2 rhs evaluations past it (n: the packed state size). The
+    up to n + 5 rhs evaluations past it (n: the packed state size). The
     FD points the integrator evaluates ahead, in one call with a step's
     base point, count only once a Jacobian takes them; the ones no Jacobian
     takes, the run's last point's, are not rhs evaluations here

@@ -742,42 +742,42 @@ class TestNumericalFailureCounts:
         assert np.array_equal(result.final.pack(), traj[-1].pack())
 
     def test_reports_the_work_done_before_a_failure_inside_a_stack(self):
-        # NGF: grad_theta is NaN at the 190th point of the plain-call run,
-        # row 15 of the seventh Jacobian's FD stack (points 176-201: the
-        # initial point, then 29 points per step, its 26 FD rows, two stages
-        # and its new point). The stack call at that Jacobian's base point
+        # NGF: grad_theta is NaN at the 208th point of the plain-call run,
+        # row 15 of the seventh Jacobian's FD stack (points 194-219: the
+        # initial point, then 32 points per step, its 26 FD rows, five
+        # stages and its new point). The stack call at that Jacobian's base point
         # meets it first and raises, so the value is made again as a plain
         # call and the Jacobian's rows as plain calls up to the failing one:
         # the run counts up to it, as plain rhs calls would
         base = ngf_flow_problem()
-        points = plain_points(base, ngf_start(), 190)
+        points = plain_points(base, ngf_start(), 208)
         grad_theta, calls = nan_at(base.objective.grad_theta, points[-1:])
         problem = with_gradient(base, grad_theta=grad_theta)
         result, traj = run_flow(problem, ngf_start(), store_trajectory=True)
         assert result.reason is StopReason.NUMERICAL_FAILURE
         assert calls[-17:] == [27, 1] + [1] * 15
-        # every point evaluated before the failing row: the 175 counted,
+        # every point evaluated before the failing row: the 193 counted,
         # the discarded rows and the stack call that failed
-        assert sum(calls[:-15]) == 175 + result.discarded_evals + 27
-        assert result.rhs_evals == 175 + 15 == 190
+        assert sum(calls[:-15]) == 193 + result.discarded_evals + 27
+        assert result.rhs_evals == 193 + 15 == 208
         assert result.steps_accepted == len(traj) - 1 > 0
         assert result.jacobian_evals >= result.steps_accepted
         assert 0.0 < result.min_step <= result.max_step
         assert np.array_equal(result.final.pack(), traj[-1].pack())
 
     def test_stacked_gradient_failure_counts_up_to_its_point(self, monkeypatch):
-        # grad_theta is NaN from the 190th point of the plain-call run on
+        # grad_theta is NaN from the 208th point of the plain-call run on
         # (row 15 of the seventh Jacobian's stack): with FD stacks and with
         # plain calls the run ends at that point, with the same error,
         # counts and final point
         base = ngf_flow_problem()
         points = plain_points(base, ngf_start(), 260)
-        grad_theta, _ = nan_at(base.objective.grad_theta, points[189:])
+        grad_theta, _ = nan_at(base.objective.grad_theta, points[207:])
         problem = with_gradient(base, grad_theta=grad_theta)
         runs = each_evaluation_mode(problem, ngf_start(), monkeypatch)
         merged, error = runs["merged"]
         assert merged.reason is StopReason.NUMERICAL_FAILURE
-        assert merged.rhs_evals == error.stats.rhs_evals == 190
+        assert merged.rhs_evals == error.stats.rhs_evals == 208
         assert merged.steps_accepted > 0
         assert str(error) == "non-finite derivative in parameter block"
         assert_same_failure(runs)
@@ -1052,7 +1052,7 @@ class TestSharedColumnFailureParity:
         init = ngf_start()
         n = 26
         jacobians = set()
-        for k, point in enumerate(plain_points(base, init, 2 * (n + 3) + 1), 1):
+        for k, point in enumerate(plain_points(base, init, 2 * (n + 6) + 1), 1):
             grad_x = raising_at(base.objective.grad_x, point, f"grad_x point {k}")
             problem = with_gradient(base, grad_x=grad_x)
             runs = each_evaluation_mode(problem, init, monkeypatch)

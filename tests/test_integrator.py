@@ -34,17 +34,14 @@ def coupled(y):
 
 def reference_step(rhs, y, h, jac, f0):
     """The step's stage arithmetic with scipy's lu_factor/lu_solve wrappers."""
-    a, c, be = integrator._A, integrator._C, integrator._BE
+    a, c = integrator._A, integrator._C
     lu_piv = lu_factor(np.eye(y.size) / (h * integrator._GAMMA) - jac, check_finite=False)
-    k = np.zeros((4, y.size))
+    k = np.zeros((6, y.size))
     k[0] = lu_solve(lu_piv, f0, check_finite=False)
-    f2 = rhs(y + a[0] @ k[:2])
-    k[1] = lu_solve(lu_piv, f2 + (c[0] @ k[:3]) / h, check_finite=False)
-    f3 = rhs(y + a[1] @ k[:2])
-    k[2] = lu_solve(lu_piv, f3 + (c[1] @ k[:3]) / h, check_finite=False)
-    k[3] = lu_solve(lu_piv, f3 + (c[2] @ k[:3]) / h, check_finite=False)
-    delta, err = be @ k
-    return y + delta, err
+    for i in range(5):
+        z = y + a[i] @ k[:5]
+        k[i + 1] = lu_solve(lu_piv, rhs(z) + (c[i] @ k[:5]) / h, check_finite=False)
+    return z + k[5], k[5]
 
 
 def fd_steps(y):
@@ -94,8 +91,8 @@ class TestStep:
         y_new, err = step(zero, y, 0.5, np.zeros((2, 2)), np.zeros(2))
         assert np.array_equal(y_new, y)
         assert np.all(err == 0.0)
-        # the second and third stages' rhs calls, both at y
-        assert len(calls) == 2
+        # the five rhs calls of stages 2-6, all at y
+        assert len(calls) == 5
         assert all(np.array_equal(z, y) for z in calls)
 
     def test_tiny_step_error_below_abs_tol(self):
@@ -130,10 +127,10 @@ class TestStep:
         assert np.all(np.abs(orders - 4.0) < 0.2)
 
     def test_l_stable(self):
-        # R(z) -> 0 as z -> -inf (up to the rounding of the published
-        # gamma), and |R(z)| <= 1 on the negative real axis and on the
-        # imaginary axis, the latter through a 2 x 2 rotation block whose
-        # eigenvalues are +-i w
+        # R(z) -> 0 as z -> -inf (the solution is stiffly accurate, so only
+        # rounding keeps it from 0), and |R(z)| <= 1 on the negative real
+        # axis and on the imaginary axis, the latter through a 2 x 2
+        # rotation block whose eigenvalues are +-i w
         assert abs(stability_function(np.array([[-1e8]]))[0]) < 1e-4
         for z in -np.logspace(-3.0, 8.0, 45):
             assert abs(stability_function(np.array([[z]]))[0]) <= 1.0
@@ -175,8 +172,8 @@ class TestStep:
             for a, b in zip(got, want):
                 assert a.shape == b.shape == (n,)
                 assert np.array_equal(a, b)
-            # two rhs calls, the fourth stage reusing the third's value
-            assert len(calls) == 2
+            # five rhs calls, one per stage after the first
+            assert len(calls) == 5
             # the first stage solve must not overwrite the caller's f0
             assert np.array_equal(f0, f0_before)
 
@@ -531,7 +528,7 @@ class TestSharedColumns:
             raise RuntimeError("stack refused")
 
         n = 5
-        for k in range(1, 2 * (n + 2) + 2):
+        for k in range(1, 2 * (n + 6) + 1):
             for stack in (rhs_fd, None):
                 calls = []
 
@@ -582,6 +579,35 @@ class TestIntegrateAdaptive:
             a**2 / (a**2 + 1)
         ) * math.exp(-a * r)
         assert abs(z[0] - exact) < 1e-3
+
+    @pytest.mark.parametrize("rel_tol", np.logspace(-6.0, -2.0, 9))
+    def test_stiff_problem_error_along_the_run(self, rel_tol):
+        # the Prothero-Robinson problem of test_stiff_problem_step_count:
+        # the largest error at any accepted step, not only at the end point.
+        # From rel_tol 1e-4 up the estimate holds and the error stays below
+        # rel_tol; below it the scheme's order reduction at moderate
+        # stiffness lets it reach about 6 rel_tol (at 1e-6)
+        a = 1000.0
+
+        def rhs(z):
+            return np.array([-a * (z[0] - math.cos(z[1])), 1.0])
+
+        def exact(r):
+            return (a**2 * math.cos(r) + a * math.sin(r)) / (a**2 + 1) - (
+                a**2 / (a**2 + 1)
+            ) * math.exp(-a * r)
+
+        errors = []
+        *_, outcome = integrate_adaptive(
+            rhs,
+            np.array([0.0, 0.0]),
+            10.0,
+            rel_tol=rel_tol,
+            abs_tol=rel_tol / 1000,
+            observer=lambda r, z, dz: errors.append(abs(z[0] - exact(r))),
+        )
+        assert outcome is IntegrationOutcome.HORIZON
+        assert max(errors) <= (1.0 if rel_tol >= 1e-4 else 10.0) * rel_tol
 
     def test_constant_solution(self):
         y0 = np.array([3.0, -1.0])
@@ -657,7 +683,7 @@ class TestIntegrateAdaptive:
 
     def test_budget_exhausted(self):
         # the budget is checked before each step, and a step makes up to
-        # n + 3 rhs calls: a run ends at most n + 2 calls past it
+        # n + 6 rhs calls: a run ends at most n + 5 calls past it
         for n in (1, 3, 26):
             y0 = np.linspace(1.0, 2.0, n)
             overshoots = set()
@@ -666,9 +692,9 @@ class TestIntegrateAdaptive:
                     coupled, y0, 1e6, budget=budget
                 )
                 assert outcome is IntegrationOutcome.BUDGET_EXHAUSTED
-                assert budget <= stats.rhs_evals <= budget + n + 2
+                assert budget <= stats.rhs_evals <= budget + n + 5
                 overshoots.add(stats.rhs_evals - budget)
-            assert max(overshoots) == n + 2
+            assert max(overshoots) == n + 5
 
     def test_determinism(self):
         def rhs(y):
@@ -762,8 +788,9 @@ HELD_ONLY = np.array([1e-8, np.inf, np.inf])
 class TestPerEntryTolerance:
     def test_entries_with_infinite_abs_tol_never_reject_a_step(self):
         y0 = np.array([1.0, 1.0, 0.0])
+        # tested, the rotating entries hold the step down: thousands of steps
         *_, tested, _ = integrate_adaptive(held_and_rotating, y0, 10.0)
-        assert tested.steps_rejected > 0
+        assert tested.steps_accepted > 1000
         hs = []
         r, y, stats, outcome = integrate_adaptive(
             held_and_rotating,
@@ -929,7 +956,7 @@ def test_merged_run_equals_plain_calls_within_the_budget_bound(name, data):
     # with each base point's value and FD points in one stack call, a run
     # has the bits, counters and outcome of plain rhs calls; only the
     # discarded rows differ, and they are every point not counted. On
-    # BudgetExhausted the run ends at most n + 2 evaluations past the budget
+    # BudgetExhausted the run ends at most n + 5 evaluations past the budget
     rhs, rhs_fd, y0, r_max, tolerances = draw_system(name, data)
     budget = data.draw(st.integers(1, 400), label="budget")
     end, stats, points = counted_run(rhs, y0, r_max, budget, tolerances, rhs_fd)
@@ -942,4 +969,4 @@ def test_merged_run_equals_plain_calls_within_the_budget_bound(name, data):
     assert plain_stats.rhs_evals == plain_points
     assert stats.rhs_evals + stats.discarded_evals == points
     if end[-1] is IntegrationOutcome.BUDGET_EXHAUSTED:
-        assert budget <= stats.rhs_evals <= budget + y0.size + 2
+        assert budget <= stats.rhs_evals <= budget + y0.size + 5
