@@ -10,14 +10,15 @@ L-stable and an estimate at a point off a stiff component's slow manifold
 carries no part of that offset. At moderate stiffness the estimate can
 still understate a step's error: on the Prothero-Robinson problem
 y' = -1000 (y - cos t) the largest error along a run stays below rel_tol
-for rel_tol >= 1e-4 but reaches about 6 rel_tol at rel_tol = 1e-6. The
-scheme handles the stiffness a large
-retraction factor induces without Newton iterations per step. The
-optimiser flow does not depend on r, so the scheme's time-derivative terms
-are zero and left out (append a clock state y' = 1 to integrate a
-non-autonomous system). The rhs Jacobian is approximated by
-forward differences. Each step factorises its stage matrix once with LAPACK
-getrf and runs its six stage solves with getrs, called directly.
+for rel_tol >= 1e-4 but reaches about 6 rel_tol at rel_tol = 1e-6.
+
+The scheme handles the stiffness a large retraction factor induces without
+Newton iterations per step. The optimiser flow does not depend on r, so the
+scheme's time-derivative terms are zero and left out (append a clock state
+y' = 1 to integrate a non-autonomous system). The rhs Jacobian is
+approximated by forward differences. Each step factorises its stage matrix
+once with LAPACK getrf and runs its six stage solves with getrs, called
+directly.
 
 Every accepted step's new point is the next step's base. Given rhs_fd,
 which evaluates the FD stack of one point in one call, every base point
