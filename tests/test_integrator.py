@@ -585,8 +585,9 @@ class TestIntegrateAdaptive:
         # the Prothero-Robinson problem of test_stiff_problem_step_count:
         # the largest error at any accepted step, not only at the end point.
         # From rel_tol 1e-4 up the estimate holds and the error stays below
-        # rel_tol; below it the scheme's order reduction at moderate
-        # stiffness lets it reach about 6 rel_tol (at 1e-6)
+        # rel_tol. Below it the estimate can cross zero at moderate
+        # stiffness, and the error is erratic: up to 5.9 rel_tol at these
+        # tolerances, 9.8 at 1.8e-6 with the stage sums rounded otherwise
         a = 1000.0
 
         def rhs(z):
@@ -607,7 +608,7 @@ class TestIntegrateAdaptive:
             observer=lambda r, z, dz: errors.append(abs(z[0] - exact(r))),
         )
         assert outcome is IntegrationOutcome.HORIZON
-        assert max(errors) <= (1.0 if rel_tol >= 1e-4 else 10.0) * rel_tol
+        assert max(errors) <= (1.0 if rel_tol >= 1e-4 else 20.0) * rel_tol
 
     def test_constant_solution(self):
         y0 = np.array([3.0, -1.0])
