@@ -2,15 +2,17 @@
 
 quasi_newton_unconstrained is a BFGS iteration with Armijo backtracking for
 the analytically reduced problems; augmented_lagrangian_constrained solves
-the equality-constrained formulation with a multiplier/penalty outer loop
-around the same BFGS inner solver.
+the equality-constrained formulation of a problem bundle (its model(),
+objective() and conditions()) with a multiplier/penalty outer loop around
+the same BFGS inner solver. Both report why they stopped as a StopReason.
 """
 
 import time
 from dataclasses import dataclass
-from typing import Optional
 
 import numpy as np
+
+from .core import StopReason
 
 ARMIJO_C = 1e-4
 MAX_HALVINGS = 50
@@ -22,11 +24,10 @@ VIOLATION_SHRINK = 4.0
 @dataclass
 class BaselineResult:
     theta: np.ndarray
-    states: Optional[np.ndarray]
     objective: float
     constraint_violation: float
     iterations: int
-    converged: bool
+    reason: StopReason
     wall_time: float
     n_evals: int = 0
     outer_iterations: int = 0
@@ -35,8 +36,10 @@ class BaselineResult:
 def quasi_newton_unconstrained(fun_grad, theta0, tol=1e-6, max_iter=1000):
     """BFGS with backtracking line search (Armijo c = 1e-4, halving).
 
-    fun_grad maps theta to (value, gradient). Converged when the gradient
-    inf-norm drops below tol.
+    fun_grad maps theta to (value, gradient). Stops with ToleranceMet when
+    the gradient inf-norm drops below tol, NumericalFailure on a non-finite
+    gradient, LineSearchFailure when no step descends (after a steepest
+    descent retry) and IterationLimit after max_iter iterations.
     """
     t0 = time.perf_counter()
     x = np.asarray(theta0, dtype=float).copy()
@@ -60,13 +63,14 @@ def quasi_newton_unconstrained(fun_grad, theta0, tol=1e-6, max_iter=1000):
     f, g = fg(x)
     h_inv = np.eye(n)
     first_update = True
-    converged = False
+    reason = StopReason.ITERATION_LIMIT
     k = 0
     while k < max_iter:
         if not np.all(np.isfinite(g)):
+            reason = StopReason.NUMERICAL_FAILURE
             break
         if np.abs(g).max() < tol:
-            converged = True
+            reason = StopReason.TOLERANCE_MET
             break
         p = -h_inv @ g
         slope = float(p @ g)
@@ -87,6 +91,7 @@ def quasi_newton_unconstrained(fun_grad, theta0, tol=1e-6, max_iter=1000):
             slope = float(p @ g)
             alpha, f_new, g_new = backtrack(p, slope)
         if alpha is None:
+            reason = StopReason.LINE_SEARCH_FAILURE
             break
         s = alpha * p
         y = g_new - g
@@ -108,31 +113,30 @@ def quasi_newton_unconstrained(fun_grad, theta0, tol=1e-6, max_iter=1000):
         k += 1
     return BaselineResult(
         theta=x,
-        states=None,
         objective=f,
         constraint_violation=0.0,
         iterations=k,
-        converged=converged,
+        reason=reason,
         wall_time=time.perf_counter() - t0,
         n_evals=n_evals,
     )
 
 
-def augmented_lagrangian_constrained(problem, init, tol=1e-6, max_outer=20):
-    """Equality-constrained solver over the full (theta, states) vector.
+def augmented_lagrangian_constrained(bundle, init, tol=1e-6, max_outer=20):
+    """Equality-constrained solver over a bundle's full (theta, states) vector.
 
     Outer loop: multiplier update mu += rho * f; penalty rho starts at 10
     and grows tenfold whenever the constraint violation fails to shrink by
-    a factor of 4. Inner loop: BFGS on the augmented Lagrangian. Converged
-    when the violation and the inner gradient are both below tol.
+    a factor of 4. Inner loop: BFGS on the augmented Lagrangian. ToleranceMet
+    when the violation and the inner gradient are both below tol, else OuterLimit.
     """
     t0 = time.perf_counter()
-    model = problem.model
-    objective = problem.objective
+    model = bundle.model()
+    objective = bundle.objective()
+    u_mat = np.stack([c.u for c in bundle.conditions()])
     n_theta = model.n_theta
     n_x = model.n_x
-    m = len(problem.conditions)
-    u_mat = problem.u_matrix
+    m = len(u_mat)
 
     def unpack(z):
         return z[:n_theta], z[n_theta:].reshape(m, n_x)
@@ -179,7 +183,7 @@ def augmented_lagrangian_constrained(problem, init, tol=1e-6, max_outer=20):
     total_iters = 0
     total_evals = 0
     n_outer = 0
-    converged = False
+    reason = StopReason.OUTER_LIMIT
     for _ in range(max_outer):
         n_outer += 1
         inner = quasi_newton_unconstrained(
@@ -190,8 +194,8 @@ def augmented_lagrangian_constrained(problem, init, tol=1e-6, max_outer=20):
         total_evals += inner.n_evals
         cvec = constraints(z)
         violation = float(np.abs(cvec).max()) if np.all(np.isfinite(cvec)) else np.inf
-        if violation < tol and inner.converged:
-            converged = True
+        if violation < tol and inner.reason is StopReason.TOLERANCE_MET:
+            reason = StopReason.TOLERANCE_MET
             break
         mu = mu + rho * cvec
         if not (violation < prev_violation / VIOLATION_SHRINK):
@@ -203,11 +207,10 @@ def augmented_lagrangian_constrained(problem, init, tol=1e-6, max_outer=20):
     violation = float(np.abs(cvec).max()) if np.all(np.isfinite(cvec)) else np.inf
     return BaselineResult(
         theta=theta,
-        states=states,
         objective=float(objective.eval(theta, states)),
         constraint_violation=violation,
         iterations=total_iters,
-        converged=converged,
+        reason=reason,
         wall_time=time.perf_counter() - t0,
         n_evals=total_evals,
         outer_iterations=n_outer,

@@ -7,6 +7,7 @@ import numbers
 import os
 import statistics
 import tempfile
+from collections import Counter
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import asdict, dataclass
 from typing import Optional
@@ -24,7 +25,32 @@ PROBLEMS = {
     "conversion_reaction": ConversionReactionProblem,
     "ngf_erk": NgfErkProblem,
 }
-METHODS = ("flow", "unconstrained", "constrained")
+
+
+def _flow(config, bundle, lam, start):
+    r = run_flow(bundle.flow_problem(_flow_config(config, lam)), start)
+    return r.final.theta, r.objective, r.manifold_residual, r.reason, r.rhs_evals, r.wall_time
+
+
+def _unconstrained(config, bundle, lam, start):
+    r = quasi_newton_unconstrained(bundle.reduced_objective, start.theta, tol=config.tol)
+    return r.theta, r.objective, 0.0, r.reason, r.n_evals, r.wall_time
+
+
+def _constrained(config, bundle, lam, start):
+    r = augmented_lagrangian_constrained(bundle, start, tol=config.tol)
+    return r.theta, r.objective, r.constraint_violation, r.reason, r.n_evals, r.wall_time
+
+
+# method name -> (runs once per lambda, run(config, bundle, lam, start)), the
+# one place a name picks a method. A run looks its solver up here when called
+# and returns the final theta, objective, residual, StopReason, evals, wall time.
+METHOD_RUNS = {
+    "flow": (True, _flow),
+    "unconstrained": (False, _unconstrained),
+    "constrained": (False, _constrained),
+}
+METHODS = tuple(METHOD_RUNS)
 
 
 def _write_float(value):
@@ -114,7 +140,6 @@ class BenchConfig:
         unknown = set(self.methods) - set(METHODS)
         if unknown:
             raise ValueError(f"unknown methods {sorted(unknown)}")
-        # the constrained method runs at lambdas[0]
         if not (self.methods and self.lambdas):
             raise ValueError("methods and lambdas must not be empty")
         # a repeat would run, and count, every start of it twice
@@ -209,55 +234,33 @@ def _finite_or_inf(value):
 def _execute_task(task):
     """Run one (method, start) pair; top-level so a worker pool can pickle it.
 
-    A task is (config, bundle, method, lam, start_index, start), with lam
-    None for the baselines. Any per-run failure is converted into a
+    A task is (config, bundle, method, lam, start_index, start), lam None
+    for a method run once for all lambdas. A failed run becomes a
     non-converged record; the bench never aborts because one run failed.
     """
     config, bundle, method, lam, start_index, start = task
-    record = {
-        "method": method if lam is None else f"flow_lambda_{lam:g}",
+    try:
+        _, run = METHOD_RUNS[method]
+        theta, objective, residual, reason, evals, wall_time = run(config, bundle, lam, start)
+        objective, residual = _finite_or_inf(objective), _finite_or_inf(residual)
+        reduced, reason = _reduced_value(config, bundle, theta), reason.value
+    except Exception as exc:
+        objective = reduced = residual = float("inf")
+        reason, evals, wall_time = f"Error:{type(exc).__name__}", 0, 0.0
+    return {
+        "method": method if lam is None else f"{method}_lambda_{lam:g}",
         "lam": lam,
         "start_index": start_index,
         "seed": config.seed,
         "start": list(start.pack()),
+        "final_objective": objective,
+        "reduced_objective": reduced,
+        "manifold_residual": residual,
         "converged": False,
+        "reason": reason,
+        "wall_time": wall_time,
+        "rhs_evals": evals,
     }
-    try:
-        if method == "flow":
-            result = run_flow(bundle.flow_problem(_flow_config(config, lam)), start)
-            theta, residual = result.final.theta, result.manifold_residual
-            reason, evals = result.reason.value, result.rhs_evals
-        elif method == "unconstrained":
-            result = quasi_newton_unconstrained(
-                bundle.reduced_objective, start.theta, tol=config.tol
-            )
-            theta, residual = result.theta, 0.0
-            reason = "ToleranceMet" if result.converged else "IterationLimit"
-            evals = result.n_evals
-        else:
-            problem = bundle.flow_problem(_flow_config(config, config.lambdas[0]))
-            result = augmented_lagrangian_constrained(problem, start, tol=config.tol)
-            theta, residual = result.theta, result.constraint_violation
-            reason = "ToleranceMet" if result.converged else "OuterLimit"
-            evals = result.n_evals
-        record.update(
-            final_objective=_finite_or_inf(result.objective),
-            reduced_objective=_reduced_value(config, bundle, theta),
-            manifold_residual=_finite_or_inf(residual),
-            reason=reason,
-            wall_time=result.wall_time,
-            rhs_evals=evals,
-        )
-    except Exception as exc:
-        record.update(
-            final_objective=float("inf"),
-            reduced_objective=float("inf"),
-            manifold_residual=float("inf"),
-            reason=f"Error:{type(exc).__name__}",
-            wall_time=0.0,
-            rhs_evals=0,
-        )
-    return record
 
 
 def classify(records, classification_tol):
@@ -280,8 +283,9 @@ def classify(records, classification_tol):
 
 
 def summarize(records, classification_tol=1e-3):
-    """Per-method statistics; also (re)derives the classification so the
-    summary can be recomputed from a parsed runs.csv alone."""
+    """Per-method statistics, stop reason counts included; also (re)derives
+    the classification so the summary can be recomputed from a parsed
+    runs.csv alone."""
     best = classify(records, classification_tol)
     methods = {}
     for r in records:
@@ -302,6 +306,7 @@ def summarize(records, classification_tol=1e-3):
             "total_wall_time": total_time,
             "time_per_converged_start": (total_time / n_conv) if n_conv else None,
             "best_objective": min(finite) if finite else None,
+            "reasons": dict(sorted(Counter(r["reason"] for r in runs).items())),
         }
     return {"best_objective": best, "methods": out}
 
@@ -335,19 +340,17 @@ def run_bench(config):
     starts = sample_starts(config, bundle)
     tasks = []
     for method in config.methods:
-        lams = config.lambdas if method == "flow" else (None,)
+        per_lambda, _ = METHOD_RUNS[method]
+        lams = config.lambdas if per_lambda else (None,)
         for lam in lams:
             for idx, start in enumerate(starts):
                 tasks.append((config, bundle, method, lam, idx, start))
 
-    records = []
     if workers > 1 and len(tasks) > 1:
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            for record in pool.map(_execute_task, tasks, chunksize=4):
-                records.append(record)
+            records = list(pool.map(_execute_task, tasks, chunksize=4))
     else:
-        for task in tasks:
-            records.append(_execute_task(task))
+        records = [_execute_task(task) for task in tasks]
     summary = summarize(records, classification_tol=config.classification_tol)
     summary = {
         "schema_version": SCHEMA_VERSION,

@@ -195,10 +195,11 @@ def main(argv=None):
         for label, stats in summary["methods"].items():
             tpc = stats["time_per_converged_start"]
             tpc_s = f"{tpc:.3f}s" if tpc is not None else "n/a"
+            reasons = ", ".join(f"{n} {reason}" for reason, n in stats["reasons"].items())
             print(
                 f"{label}: {stats['n_converged']}/{stats['n_runs']} converged "
                 f"({stats['fraction_converged']:.0%}), "
-                f"time/converged start {tpc_s}"
+                f"time/converged start {tpc_s}; stopped: {reasons}"
             )
         print(f"wrote {runs_path} and {summary_path}")
         return 0

@@ -262,6 +262,9 @@ class StopReason(enum.Enum):
     HORIZON_REACHED = "HorizonReached"
     EVAL_BUDGET_EXHAUSTED = "EvalBudgetExhausted"
     NUMERICAL_FAILURE = "NumericalFailure"
+    ITERATION_LIMIT = "IterationLimit"
+    LINE_SEARCH_FAILURE = "LineSearchFailure"
+    OUTER_LIMIT = "OuterLimit"
 
 
 @dataclass

@@ -3,6 +3,7 @@
 import json
 import math
 import os
+import re
 import struct
 import tempfile
 
@@ -23,6 +24,7 @@ from ssflow.bench import (
     sample_starts,
     summarize,
 )
+from ssflow.core import StopReason
 from ssflow.flow import FlowNumericalError
 from ssflow.models import ConversionReactionProblem, NgfErkProblem
 
@@ -227,14 +229,19 @@ class TestRunBench:
         for other in starts[1:]:
             assert other == starts[0]
 
-    def test_summary_consistent_with_records(self):
+    def test_summary_consistent_with_records(self, tmp_path):
         cfg = default_config(
             "conversion_reaction", n_starts=4, seed=3, lambdas=(20.0,)
         )
         summary, records = run_bench(cfg)
-        recomputed = summarize(records, cfg.classification_tol)
-        assert recomputed["methods"] == summary["methods"]
-        assert recomputed["best_objective"] == summary["best_objective"]
+        runs_path, _ = emit(summary, records, str(tmp_path))
+        for rows in (records, read_runs_csv(runs_path)):
+            recomputed = summarize(rows, cfg.classification_tol)
+            assert recomputed["methods"] == summary["methods"]
+            assert recomputed["best_objective"] == summary["best_objective"]
+        for label, stats in summary["methods"].items():
+            reasons = [r["reason"] for r in records if r["method"] == label]
+            assert stats["reasons"] == {k: reasons.count(k) for k in sorted(set(reasons))}
 
     def test_pool_and_sequential_runs_agree(self, monkeypatch):
         cfg = default_config("conversion_reaction", n_starts=3, seed=7)
@@ -285,6 +292,96 @@ class TestRunBench:
         expected = [r for r in reference if r["lam"] is None]
         assert len(baselines) == 4
         assert strip_wall_time(baselines) == strip_wall_time(expected)
+
+
+class _PatchedSolver(Exception):
+    pass
+
+
+class TestMethodTable:
+    """The contract perfbench relies on: each method's solver is looked up in
+    the bench module when a run starts, and every record's reason is one
+    vocabulary."""
+
+    # run_flow: TestRunBench.test_failed_run_gives_a_failure_record
+    @pytest.mark.parametrize(
+        "name, label",
+        [
+            ("quasi_newton_unconstrained", "unconstrained"),
+            ("augmented_lagrangian_constrained", "constrained"),
+        ],
+    )
+    def test_patching_a_baseline_changes_only_its_method(self, monkeypatch, name, label):
+        monkeypatch.setenv("SSFLOW_WORKERS", "1")
+        cfg = default_config("conversion_reaction", n_starts=2, seed=8)
+        _, reference = run_bench(cfg)
+
+        def patched(*args, **kwargs):
+            raise _PatchedSolver
+
+        monkeypatch.setattr(bench, name, patched)
+        _, records = run_bench(cfg)
+        assert len(records) == len(reference) == 8
+        for before, after in zip(strip_wall_time(reference), strip_wall_time(records)):
+            if after["method"] == label:
+                assert after["reason"] == "Error:_PatchedSolver"
+            else:
+                assert after == before
+
+    def test_every_reason_is_a_stop_reason_or_an_error(self, monkeypatch):
+        # every method forced to its limit: the flow by its evaluation
+        # budget, BFGS by one iteration and the AL by one outer iteration
+        monkeypatch.setenv("SSFLOW_WORKERS", "1")
+        qn, auglag = bench.quasi_newton_unconstrained, bench.augmented_lagrangian_constrained
+        monkeypatch.setattr(
+            bench, "quasi_newton_unconstrained", lambda *a, **k: qn(*a, **k, max_iter=1)
+        )
+        monkeypatch.setattr(
+            bench,
+            "augmented_lagrangian_constrained",
+            lambda *a, **k: auglag(*a, **k, max_outer=1),
+        )
+        cfg = default_config("conversion_reaction", n_starts=3, seed=2, max_rhs_evals=50)
+        _, records = run_bench(cfg)
+        reasons = {r["reason"] for r in records}
+        assert reasons == {"EvalBudgetExhausted", "IterationLimit", "OuterLimit"}
+        vocabulary = {reason.value for reason in StopReason}
+        for reason in reasons:
+            assert reason in vocabulary or re.fullmatch(r"Error:\w+", reason)
+
+    def test_bfgs_line_search_failure_is_recorded(self, monkeypatch):
+        # a wrong-sign gradient: no step along the search direction descends
+        monkeypatch.setenv("SSFLOW_WORKERS", "1")
+        qn = bench.quasi_newton_unconstrained
+
+        def wrong_sign(fun_grad, theta0, **kwargs):
+            def flipped(theta):
+                value, grad = fun_grad(theta)
+                return value, -np.asarray(grad)
+
+            return qn(flipped, theta0, **kwargs)
+
+        monkeypatch.setattr(bench, "quasi_newton_unconstrained", wrong_sign)
+        cfg = default_config(
+            "conversion_reaction", n_starts=3, seed=8, methods=("unconstrained",)
+        )
+        _, records = run_bench(cfg)
+        assert [r["reason"] for r in records] == ["LineSearchFailure"] * 3
+
+    def test_constrained_records_do_not_depend_on_lambdas(self, monkeypatch):
+        monkeypatch.setenv("SSFLOW_WORKERS", "1")
+        runs = []
+        for lambdas in ((2.0,), (20.0,)):
+            cfg = default_config(
+                "conversion_reaction",
+                n_starts=3,
+                seed=5,
+                lambdas=lambdas,
+                methods=("constrained",),
+            )
+            runs.append(run_bench(cfg)[1])
+        assert len(runs[0]) == 3
+        assert strip_wall_time(runs[0]) == strip_wall_time(runs[1])
 
 
 class TestEmit:

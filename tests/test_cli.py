@@ -294,7 +294,11 @@ class TestBench:
         # the run counters printed by `ssflow run` do not enter runs.csv
         assert header == list(CSV_COLUMNS)
         summary = json.loads((out / "summary.json").read_text())
-        assert "flow_lambda_20" in summary["methods"]
+        assert summary["methods"]["flow_lambda_20"]["reasons"] == {"ToleranceMet": 2}
+        # the stop reason counts are printed next to the converged count
+        line = capsys.readouterr().out.splitlines()[0]
+        assert line.startswith("flow_lambda_20: 2/2 converged")
+        assert line.endswith("; stopped: 2 ToleranceMet")
 
     def test_config_file_with_flag_precedence(self, tmp_path, capsys):
         cfg_file = tmp_path / "cfg.json"
