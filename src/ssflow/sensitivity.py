@@ -1,15 +1,16 @@
 """Steady-state parameter sensitivities and the objective gradient along the manifold.
 
-Two singularity rules hold today, one per use:
+``pinv_sensitivity`` is the one kernel behind every sensitivity the package
+optimises with: the flow's right-hand side, ``sensitivity_hat`` and
+``manifold_gradient``, hence also ``models.reduced_objective``, the reduced
+baseline's objective. It solves, and truncates with the pseudoinverse only
+at exact singularity (when LAPACK reports a zero pivot). In a stack the
+rule holds per matrix: each matrix gets the bits it would get alone, so a
+stack may hold the rows of several flow points.
 
-- ``numerics.solve`` raises ``SingularMatrixError`` when a pivot is at or
-  below 1e-14 * ||A||_inf; ``sensitivity_exact`` and the per-dose solves of
-  ``models.reduced_objective_ngf`` use it, and the latter then reports +inf.
-- ``pinv_sensitivity``, the one kernel behind the flow's right-hand side,
-  ``sensitivity_hat`` and ``manifold_gradient``, solves, and truncates with
-  the pseudoinverse only at exact singularity (when LAPACK reports a zero
-  pivot). In a stack the rule holds per matrix: each matrix gets the bits
-  it would get alone, so a stack may hold the rows of several flow points.
+A second rule survives only in ``sensitivity_exact``, which only tests
+call: ``numerics.solve`` raises ``SingularMatrixError`` when a pivot is at
+or below 1e-14 * ||A||_inf.
 
 ``pinv_sensitivity`` solves 1x1 state Jacobians (one state per condition, as
 in the conversion reaction) in closed form, without LAPACK's per-call cost,
@@ -25,8 +26,8 @@ np.errstate, which would cost about a third of what it saves per call.
 Larger state Jacobians stay on LAPACK: at n_x = 2 a closed form is slower
 on small stacks (ROADMAP item 3).
 
-Unifying the two rules is ROADMAP item 3; it changes results near singular
-points.
+Replacing both rules with one pivot threshold is ROADMAP item 3; it changes
+results near singular points.
 """
 
 import numpy as np

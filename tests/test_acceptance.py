@@ -20,8 +20,7 @@ from ssflow.models import (
     NgfErkProblem,
     conversion_reaction_model,
     ngf_erk_model,
-    reduced_objective_cr,
-    reduced_objective_ngf,
+    reduced_objective,
 )
 from ssflow.sensitivity import manifold_gradient, sensitivity_exact, sensitivity_hat
 
@@ -56,13 +55,13 @@ def cr_oracle():
     best, theta = np.inf, None
     for a in grid:
         for b in grid:
-            v = reduced_objective_cr(np.array([a, b]), prob)[0]
+            v = reduced_objective(np.array([a, b]), prob)[0]
             if v < best:
                 best, theta = v, np.array([a, b])
     for _ in range(50):
-        g = reduced_objective_cr(theta, prob)[1]
+        g = reduced_objective(theta, prob)[1]
         h = numerics.finite_diff_jacobian(
-            lambda t: reduced_objective_cr(t, prob)[1], theta
+            lambda t: reduced_objective(t, prob)[1], theta
         )
         theta = theta - np.linalg.solve(h, g)
         if np.abs(g).max() < 1e-14:
@@ -201,7 +200,7 @@ def test_criterion_5_sensitivity_equivalences():
             model, cr.objective(), theta, [x_s], cr.conditions()
         )
         fd = numerics.finite_diff_jacobian(
-            lambda t: np.array([reduced_objective_cr(t, cr)[0]]), theta
+            lambda t: np.array([reduced_objective(t, cr)[0]]), theta
         )[0]
         worst_grad = max(worst_grad, np.abs(grad - fd).max() / (1.0 + np.abs(fd).max()))
     ngf = NgfErkProblem().with_generated_data(BENCH_SEED)
@@ -213,7 +212,7 @@ def test_criterion_5_sensitivity_equivalences():
         states = [model.analytic_steady_state(theta, c.u) for c in conditions]
         grad = manifold_gradient(model, objective, theta, states, conditions)
         fd = numerics.finite_diff_jacobian(
-            lambda t: np.array([reduced_objective_ngf(t, ngf)[0]]), theta
+            lambda t: np.array([reduced_objective(t, ngf)[0]]), theta
         )[0]
         worst_grad = max(worst_grad, np.abs(grad - fd).max() / (1.0 + np.abs(fd).max()))
 

@@ -11,7 +11,7 @@ from ssflow.flow import run_flow
 from ssflow.models import (
     ConversionReactionProblem,
     NgfErkProblem,
-    reduced_objective_cr,
+    reduced_objective,
 )
 
 NO_U = np.zeros(0)
@@ -48,7 +48,7 @@ class TestQuasiNewtonUnconstrained:
     def test_reduced_conversion_reaction_matches_flow(self):
         prob = ConversionReactionProblem()
         result = quasi_newton_unconstrained(
-            lambda t: reduced_objective_cr(t, prob), np.array([1.0, 1.0])
+            lambda t: reduced_objective(t, prob), np.array([1.0, 1.0])
         )
         assert result.reason is StopReason.TOLERANCE_MET
         flow_problem = prob.flow_problem(FlowConfig(lam=20.0))
@@ -91,7 +91,7 @@ class TestAugmentedLagrangianConstrained:
     def test_conversion_reaction_near_optimum(self):
         prob = ConversionReactionProblem()
         oracle = quasi_newton_unconstrained(
-            lambda t: reduced_objective_cr(t, prob), np.array([3.9, 1.5])
+            lambda t: reduced_objective(t, prob), np.array([3.9, 1.5])
         )
         theta0 = np.array([3.5, 1.7])
         x0 = prob.model().analytic_steady_state(theta0, NO_U)
@@ -109,7 +109,7 @@ class TestAugmentedLagrangianConstrained:
         # optimum throughout
         prob = ConversionReactionProblem()
         oracle = quasi_newton_unconstrained(
-            lambda t: reduced_objective_cr(t, prob), np.array([3.9, 1.5])
+            lambda t: reduced_objective(t, prob), np.array([3.9, 1.5])
         )
         x_star = prob.model().analytic_steady_state(oracle.theta, NO_U)
         result = augmented_lagrangian_constrained(

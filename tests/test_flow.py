@@ -25,7 +25,7 @@ from ssflow.models import (
     NgfErkProblem,
     conversion_reaction_model,
     ngf_erk_model,
-    reduced_objective_cr,
+    reduced_objective,
 )
 
 NO_U = np.zeros(0)
@@ -43,9 +43,9 @@ def cr_optimum():
     prob = ConversionReactionProblem()
     theta = np.array([3.9, 1.5])
     for _ in range(50):
-        g = reduced_objective_cr(theta, prob)[1]
+        g = reduced_objective(theta, prob)[1]
         h = numerics.finite_diff_jacobian(
-            lambda t: reduced_objective_cr(t, prob)[1], theta
+            lambda t: reduced_objective(t, prob)[1], theta
         )
         theta = theta - np.linalg.solve(h, g)
         if np.abs(g).max() < 1e-14:

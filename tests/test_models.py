@@ -7,46 +7,42 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from ssflow import numerics
-from ssflow.core import ModelSpec, validate_model
+from ssflow.core import FlowConfig, ModelSpec, validate_model
 from ssflow.models import (
     ConversionReactionProblem,
     NgfErkProblem,
     conversion_reaction_model,
     generate_data,
     ngf_erk_model,
-    reduced_objective_cr,
-    reduced_objective_ngf,
+    reduced_objective,
 )
-from ssflow.sensitivity import sensitivity_exact
+from ssflow.sensitivity import sensitivity_hat, total_gradient
 
 NO_U = np.zeros(0)
 
 
-def reduced_objective_ngf_per_dose(theta, problem, causes):
-    """Reference: one steady state and one ``sensitivity_exact`` call per
-    dose; ``causes`` counts how each evaluation ended."""
-    model = ngf_erk_model()
+def reduced_objective_per_dose(theta, problem, causes):
+    """Reference: one steady state and one ``sensitivity_hat`` call per
+    condition, summed through ``total_gradient``, the value from
+    ``objective.eval``; ``causes`` counts how each evaluation ended."""
+    model, objective = problem.model(), problem.objective()
     theta = np.asarray(theta, dtype=float)
-    value = 0.0
-    grad = np.zeros(6)
     with np.errstate(all="ignore"):
-        for u_scalar, d in zip(problem.inputs, np.asarray(problem.data, dtype=float)):
-            u = np.array([u_scalar])
-            x_s = model.analytic_steady_state(theta, u)
-            if not np.all(np.isfinite(x_s)):
-                causes["state"] += 1
-                return float("inf"), np.zeros(6)
-            try:
-                s = sensitivity_exact(model, theta, x_s, u)
-            except (numerics.SingularMatrixError, numerics.NumericalFailure):
-                causes["singular"] += 1
-                return float("inf"), np.zeros(6)
-            res = x_s[1] - d
-            value += 0.5 * res**2
-            grad += res * s[1]
+        conditions = problem.conditions()
+        states = np.array([model.analytic_steady_state(theta, c.u) for c in conditions])
+        if not np.all(np.isfinite(states)):
+            causes["state"] += 1
+            return float("inf"), np.zeros(model.n_theta)
+        s_hat = np.stack(
+            [sensitivity_hat(model, theta, x, c.u) for x, c in zip(states, conditions)]
+        )
+        value = objective.eval(theta, states)
+        grad = total_gradient(
+            objective.grad_theta(theta, states), s_hat, objective.grad_x(theta, states)
+        )
     if not (np.isfinite(value) and np.all(np.isfinite(grad))):
         causes["overflow"] += 1
-        return float("inf"), np.zeros(6)
+        return float("inf"), np.zeros(model.n_theta)
     causes["finite"] += 1
     return value, grad
 
@@ -83,6 +79,30 @@ class TestConversionReactionModel:
     def test_invalid_xi_rejected(self):
         with pytest.raises(ValueError):
             ConversionReactionProblem(xi=0.0)
+
+    @pytest.mark.parametrize(
+        "field, value, match",
+        [
+            ("theta_bar", (1.0,), "theta_bar"),
+            ("theta_bar", (1.0, 2.0, 3.0), "theta_bar"),
+            ("theta_bar", (1.0, float("nan")), "theta_bar"),
+            ("theta_bar", (float("inf"), 1.0), "theta_bar"),
+            ("x_bar", float("nan"), "x_bar"),
+            ("x_bar", float("inf"), "x_bar"),
+            ("weight", float("nan"), "weight"),
+            ("weight", float("inf"), "weight"),
+            ("weight", -1.0, "weight"),
+        ],
+    )
+    def test_invalid_problem_fields_rejected(self, field, value, match):
+        # a one-entry prior mean used to be broadcast to both rates, and a
+        # NaN weight to give a NaN objective
+        with pytest.raises(ValueError, match=match):
+            ConversionReactionProblem(**{field: value})
+
+    def test_prior_mean_stored_as_tuple(self):
+        prob = ConversionReactionProblem(theta_bar=np.array([3.9, 1.5]))
+        assert prob.theta_bar == (3.9, 1.5) and type(prob.theta_bar) is tuple
 
 
 class TestNgfErkModel:
@@ -455,7 +475,7 @@ class TestGenerateData:
 class TestReducedObjectiveCr:
     def test_value_at_prior_mean(self):
         prob = ConversionReactionProblem()
-        value, _ = reduced_objective_cr(np.array([3.9, 1.5]), prob)
+        value, _ = reduced_objective(np.array([3.9, 1.5]), prob)
         x_s = 1.5 / 5.4
         assert abs(value - 0.5 * 10.0 * (x_s - 0.2) ** 2) < 1e-14
 
@@ -463,7 +483,7 @@ class TestReducedObjectiveCr:
         theta_bar = np.array([3.9, 1.5])
         x_bar = 1.5 / 5.4
         prob = ConversionReactionProblem(x_bar=x_bar)
-        value, grad = reduced_objective_cr(theta_bar, prob)
+        value, grad = reduced_objective(theta_bar, prob)
         assert abs(value) < 1e-14
         assert np.abs(grad).max() < 1e-14
 
@@ -472,16 +492,16 @@ class TestReducedObjectiveCr:
         rng = np.random.default_rng(6)
         for _ in range(100):
             theta = rng.uniform(0.1, 8.0, 2)
-            assert reduced_objective_cr(theta, prob)[0] >= 0.0
+            assert reduced_objective(theta, prob)[0] >= 0.0
 
     def test_gradient_matches_finite_differences(self):
         prob = ConversionReactionProblem()
         rng = np.random.default_rng(7)
         for _ in range(20):
             theta = rng.uniform(0.1, 8.0, 2)
-            _, grad = reduced_objective_cr(theta, prob)
+            _, grad = reduced_objective(theta, prob)
             fd = numerics.finite_diff_jacobian(
-                lambda t: np.array([reduced_objective_cr(t, prob)[0]]), theta
+                lambda t: np.array([reduced_objective(t, prob)[0]]), theta
             )[0]
             assert np.abs(grad - fd).max() < 1e-6 * (1.0 + np.abs(fd).max())
 
@@ -489,7 +509,7 @@ class TestReducedObjectiveCr:
 class TestReducedObjectiveNgf:
     def test_zero_at_truth_with_zero_noise(self):
         prob = NgfErkProblem(noise_var=0.0).with_generated_data(0)
-        value, grad = reduced_objective_ngf(np.zeros(6), prob)
+        value, grad = reduced_objective(np.zeros(6), prob)
         assert value < 1e-20
         assert np.abs(grad).max() < 1e-10
 
@@ -498,9 +518,9 @@ class TestReducedObjectiveNgf:
         rng = np.random.default_rng(8)
         for _ in range(20):
             theta = rng.uniform(-3.0, 1.0, 6)
-            _, grad = reduced_objective_ngf(theta, prob)
+            _, grad = reduced_objective(theta, prob)
             fd = numerics.finite_diff_jacobian(
-                lambda t: np.array([reduced_objective_ngf(t, prob)[0]]), theta
+                lambda t: np.array([reduced_objective(t, prob)[0]]), theta
             )[0]
             assert np.abs(grad - fd).max() < 1e-6 * (1.0 + np.abs(fd).max())
 
@@ -509,11 +529,11 @@ class TestReducedObjectiveNgf:
         rng = np.random.default_rng(9)
         for _ in range(100):
             theta = rng.uniform(-3.0, 1.0, 6)
-            assert reduced_objective_ngf(theta, prob)[0] >= 0.0
+            assert reduced_objective(theta, prob)[0] >= 0.0
 
     def test_overflowing_theta_reports_inf(self):
         prob = NgfErkProblem().with_generated_data(0)
-        value, grad = reduced_objective_ngf(np.full(6, 400.0), prob)
+        value, grad = reduced_objective(np.full(6, 400.0), prob)
         assert value == float("inf")
         assert np.all(grad == 0.0)
 
@@ -522,18 +542,44 @@ class TestReducedObjectiveNgf:
         # reach every way an evaluation ends
         prob = NgfErkProblem().with_generated_data(0)
         rng = np.random.default_rng(10)
-        causes = dict.fromkeys(("finite", "state", "singular", "overflow"), 0)
+        causes = dict.fromkeys(("finite", "state", "overflow"), 0)
         for half_width in (None, 20.0, 400.0):
             for _ in range(1000):
                 if half_width is None:
                     theta = rng.uniform(-3.0, 1.0, 6)
                 else:
                     theta = rng.uniform(-half_width, half_width, 6)
-                value, grad = reduced_objective_ngf(theta, prob)
-                ref_value, ref_grad = reduced_objective_ngf_per_dose(theta, prob, causes)
+                value, grad = reduced_objective(theta, prob)
+                ref_value, ref_grad = reduced_objective_per_dose(theta, prob, causes)
                 assert value == ref_value
                 assert np.array_equal(grad, ref_grad)
         assert min(causes.values()) > 0, causes
+
+
+@pytest.mark.parametrize(
+    "prob, draws",
+    [
+        (ConversionReactionProblem(), 2000),
+        (NgfErkProblem().with_generated_data(0), 300),
+    ],
+    ids=["conversion_reaction", "ngf_erk"],
+)
+def test_reduced_gradient_is_the_flow_parameter_derivative(prob, draws):
+    """At the analytic steady states the reduced gradient is the negated
+    parameter block of the flow's derivative, bit for bit: the baseline and
+    the flow differentiate the manifold alike."""
+    from ssflow.flow import _assemble
+
+    problem = prob.flow_problem(FlowConfig(lam=20.0))
+    rng = np.random.default_rng(11)
+    for _ in range(draws):
+        theta = rng.uniform(*prob.theta_box, problem.model.n_theta)
+        states = np.array(
+            [problem.model.analytic_steady_state(theta, c.u) for c in problem.conditions]
+        )
+        value, grad = reduced_objective(theta, prob)
+        assert np.isfinite(value)
+        assert np.array_equal(grad, -_assemble(problem, theta, states)[0])
 
 
 class TestObjectiveGradX:

@@ -12,7 +12,7 @@ from ssflow.models import (
     NgfErkProblem,
     conversion_reaction_model,
     ngf_erk_model,
-    reduced_objective_cr,
+    reduced_objective,
 )
 from ssflow.sensitivity import (
     manifold_gradient,
@@ -365,13 +365,11 @@ class TestManifoldGradient:
             x_s = model.analytic_steady_state(theta, NO_U)
             grad = manifold_gradient(model, objective, theta, [x_s], conditions)
             fd = numerics.finite_diff_jacobian(
-                lambda t: np.array([reduced_objective_cr(t, prob)[0]]), theta
+                lambda t: np.array([reduced_objective(t, prob)[0]]), theta
             )[0]
             assert np.abs(grad - fd).max() < 1e-6 * (1.0 + np.abs(fd).max())
 
     def test_matches_reduced_objective_finite_differences_ngf(self):
-        from ssflow.models import reduced_objective_ngf
-
         prob = NgfErkProblem().with_generated_data(0)
         model = prob.model()
         objective = prob.objective()
@@ -384,6 +382,6 @@ class TestManifoldGradient:
             ]
             grad = manifold_gradient(model, objective, theta, states, conditions)
             fd = numerics.finite_diff_jacobian(
-                lambda t: np.array([reduced_objective_ngf(t, prob)[0]]), theta
+                lambda t: np.array([reduced_objective(t, prob)[0]]), theta
             )[0]
             assert np.abs(grad - fd).max() < 1e-6 * (1.0 + np.abs(fd).max())
