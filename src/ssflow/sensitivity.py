@@ -4,9 +4,9 @@
 optimises with: the flow's right-hand side, ``sensitivity_hat`` and
 ``manifold_gradient``, hence also ``models.reduced_objective``, the reduced
 baseline's objective. It solves, and truncates with the pseudoinverse only
-at exact singularity (when LAPACK reports a zero pivot). In a stack the
-rule holds per matrix: each matrix gets the bits it would get alone, so a
-stack may hold the rows of several flow points.
+at exact singularity. In a stack the rule holds per matrix: each matrix
+gets the bits it would get alone, so a stack may hold the rows of several
+flow points.
 
 A second rule survives only in ``sensitivity_exact``, which only tests
 call: ``numerics.solve`` raises ``SingularMatrixError`` when a pivot is at
@@ -19,12 +19,22 @@ by the pivot for one right-hand side and multiplies by the pivot's
 reciprocal for several, so ``-solve(a, b)`` is ``-(b / a)`` or
 ``b * (1 / a)`` negated, and moving the negation onto the pivot or the
 reciprocal is exact. An exact zero is the one case LAPACK treats apart, and
-it keeps LAPACK's path, so the singularity rule is unchanged. Unlike LAPACK,
-the closed form may emit a numpy RuntimeWarning when a ratio overflows; the
-flow's finiteness check then fails the point as before. It sets no
-np.errstate, which would cost about a third of what it saves per call.
-Larger state Jacobians stay on LAPACK: at n_x = 2 a closed form is slower
-on small stacks (ROADMAP item 3).
+it keeps LAPACK's path, so the singularity rule is unchanged.
+
+2x2 state Jacobians (NGF) are solved by the adjugate, in elementwise ufuncs
+only (no matmul, einsum or LAPACK), so their bits depend on no BLAS kernel;
+Cramer's rule is forward stable on 2x2 systems (Higham, Accuracy and
+Stability of Numerical Algorithms, 1.10.1). The singularity rule is decided
+per matrix on the computed det = a d - b c: a matrix whose det is exactly
+zero (either sign) takes ``numerics.pinv`` alone, and every other matrix
+the closed form; a NaN det is no zero and gives NaN. No singular matrix
+reaches a division, so none warns. State Jacobians of three or more states
+stay on LAPACK, with its zero-pivot rule.
+
+Unlike LAPACK, the closed forms may emit a numpy RuntimeWarning when a
+product or ratio overflows; the flow's finiteness check then fails the
+point as before. They set no np.errstate, which would cost about a third of
+what they save per call.
 
 Replacing both rules with one pivot threshold is ROADMAP item 3; it changes
 results near singular points.
@@ -67,7 +77,9 @@ def pinv_sensitivity(jac_x, jac_theta):
     jac_theta / -jac_x for one parameter and jac_theta * (-1 / jac_x) for
     several, with the bits of ``-np.linalg.solve`` (module docstring; a NaN
     result may differ in its sign bit). Any zero sends the whole call down
-    the LAPACK path and its per-matrix fallback.
+    the LAPACK path and its per-matrix fallback. 2x2 state Jacobians take
+    the closed form of ``_adjugate_2x2``, with its per-matrix det rule, and
+    larger ones LAPACK.
     """
     # count_nonzero takes -0.0 for a zero and NaN for none, like
     # jac_x.all(), at a third of its cost on one element
@@ -75,13 +87,57 @@ def pinv_sensitivity(jac_x, jac_theta):
         if jac_theta.shape[-1] == 1:
             return jac_theta / -jac_x
         return jac_theta * (-1.0 / jac_x)
+    if jac_x.shape[-1] == 2:
+        return _adjugate_2x2(jac_x, jac_theta)
     try:
         return -np.linalg.solve(jac_x, jac_theta)
     except np.linalg.LinAlgError:
         if jac_x.ndim == 2:
-            return -(numerics.pinv(jac_x) @ jac_theta)
+            return _pinv_solve(jac_x, jac_theta)
         # the stacked solve raises for the whole stack: redo it per matrix
         return np.stack([pinv_sensitivity(a, b) for a, b in zip(jac_x, jac_theta)])
+
+
+def _pinv_solve(jac_x, jac_theta):
+    """The truncated pseudoinverse sensitivity of one exactly singular
+    state Jacobian."""
+    return -(numerics.pinv(jac_x) @ jac_theta)
+
+
+def _adjugate_2x2(jac_x, jac_theta):
+    """-A^-1 B for 2x2 state Jacobians A = [[a, b], [c, d]] by the adjugate,
+    elementwise and matrix by matrix: with det = a d - b c,
+
+        S[0] = (b B[1] - d B[0]) / det
+        S[1] = (a B[1] - c B[0]) / (b c - a d)
+
+    each product, difference and quotient rounded once (b c - a d is -det
+    exactly). A matrix whose det is exactly zero takes the truncated
+    pseudoinverse alone; a NaN det is no zero and gives NaN."""
+    # (a d, b c) and (det, -det), row by row
+    prod = jac_x[..., 0, :, None] * jac_x[..., 1, ::-1, None]
+    det = prod - prod[..., ::-1, :]
+    if np.count_nonzero(det) < det.size:
+        return _singular_rows_apart(jac_x, jac_theta, det[..., 0, 0] == 0)
+    s = jac_x[..., 0, ::-1, None] * jac_theta[..., 1:, :]
+    s -= jac_x[..., 1, ::-1, None] * jac_theta[..., :1, :]
+    s /= det
+    return s
+
+
+def _singular_rows_apart(jac_x, jac_theta, singular):
+    """_adjugate_2x2 of a pair or stack holding exactly singular state
+    Jacobians (the mask singular): the others take the closed form, each
+    singular one the pseudoinverse on its own. No singular row reaches a
+    division, so none warns."""
+    if jac_x.ndim == 2:
+        return _pinv_solve(jac_x, jac_theta)
+    out = np.empty(jac_theta.shape)
+    regular = ~singular
+    out[regular] = _adjugate_2x2(jac_x[regular], jac_theta[regular])
+    for k in zip(*np.nonzero(singular)):
+        out[k] = _pinv_solve(jac_x[k], jac_theta[k])
+    return out
 
 
 def total_gradient(grad_theta, s_hat, grads_x):

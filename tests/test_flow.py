@@ -410,8 +410,8 @@ class TestOnePath:
 
 
 def lapack_only_pinv_sensitivity(jac_x, jac_theta):
-    """sensitivity.pinv_sensitivity without its closed form for 1x1 state
-    Jacobians: every system goes to LAPACK, with the same per-matrix
+    """sensitivity.pinv_sensitivity without its closed forms for 1x1 and 2x2
+    state Jacobians: every system goes to LAPACK, with the same per-matrix
     fallback."""
     try:
         return -np.linalg.solve(jac_x, jac_theta)
@@ -451,6 +451,33 @@ def test_conversion_reaction_runs_bit_identical_to_lapack_sensitivities(
     monkeypatch.setattr(flow, "pinv_sensitivity", lapack_only_pinv_sensitivity)
     lapack = [run_bits(run_flow(problem, init)) for init in starts]
     assert closed_form == lapack
+
+
+def test_ngf_runs_agree_with_lapack_sensitivities():
+    # the closed-form 2x2 sensitivities have other bits than LAPACK's, but
+    # at criterion 6's lambda and tolerances every run ends the same way:
+    # same stop reason, final theta within 1e-6, reduced objective within
+    # 1e-9
+    config = bench.default_config(
+        "ngf_erk",
+        n_starts=8,
+        seed=3,
+        integrator_rel_tol=1e-4,
+        integrator_abs_tol=1e-6,
+    )
+    prob = bench._build_problem(config)
+    problem = prob.flow_problem(bench._flow_config(config, 20.0))
+    starts = bench.sample_starts(config, prob)
+    closed_form = [run_flow(problem, init) for init in starts]
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(flow, "pinv_sensitivity", lapack_only_pinv_sensitivity)
+        lapack = [run_flow(problem, init) for init in starts]
+    for k, (a, b) in enumerate(zip(closed_form, lapack)):
+        assert a.reason is b.reason, k
+        assert np.abs(a.final.theta - b.final.theta).max() <= 1e-6, k
+        j_a = reduced_objective(a.final.theta, prob)[0]
+        j_b = reduced_objective(b.final.theta, prob)[0]
+        assert abs(j_a - j_b) <= 1e-9, k
 
 
 def broadcast_pull_back(s_hat, d_theta):

@@ -1,5 +1,7 @@
 """Benchmark problem tests: steady states, data generation, reduced objectives."""
 
+import pickle
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -440,6 +442,76 @@ class TestNgfErkProblem:
         assert NgfErkProblem().inputs == (
             0.0, 0.01, 0.05, 0.1, 0.5, 1.0, 5.0, 10.0, 50.0, 100.0,
         )
+
+    @pytest.mark.parametrize(
+        "field, value",
+        [
+            ("theta_true", (0.0,) * 7),
+            ("theta_true", (0.0,)),
+            ("theta_true", (0.0,) * 5 + (float("nan"),)),
+            ("theta_true", (float("inf"),) + (0.0,) * 5),
+            ("inputs", (0.0,) * 9),
+            ("inputs", (1.0,) * 9 + (float("nan"),)),
+            ("inputs", (1.0,) * 9 + (float("inf"),)),
+            ("inputs", (1.0,) * 9 + (-0.5,)),
+            ("data", (0.1,) * 9),
+            ("data", (0.1,) * 9 + (float("nan"),)),
+            ("data", (float("-inf"),) + (0.1,) * 9),
+        ],
+    )
+    def test_invalid_problem_fields_rejected(self, field, value):
+        # seven theta_true entries used to be accepted and one to raise
+        # IndexError in generate_data; NaN or negative doses and NaN data
+        # failed only when the conditions were built
+        with pytest.raises(ValueError, match=field):
+            NgfErkProblem(**{field: value})
+
+    def test_fields_stored_as_tuples(self):
+        prob = NgfErkProblem(
+            inputs=np.arange(10.0), data=np.full(10, 0.5), theta_true=np.ones(6)
+        )
+        for field, want in [
+            ("inputs", tuple(range(10))),
+            ("data", (0.5,) * 10),
+            ("theta_true", (1.0,) * 6),
+        ]:
+            value = getattr(prob, field)
+            assert type(value) is tuple and value == want, field
+            assert all(type(v) is float for v in value), field
+
+
+def bundles():
+    return [ConversionReactionProblem(), NgfErkProblem().with_generated_data(0)]
+
+
+class TestBundleConditions:
+    @pytest.mark.parametrize("bundle", bundles(), ids=["cr", "ngf"])
+    def test_built_once_per_bundle(self, bundle):
+        # each call returns a new list of the same Condition objects
+        first, second = bundle.conditions(), bundle.conditions()
+        assert first is not second and first == second
+        assert all(a is b for a, b in zip(first, second))
+        first.clear()
+        assert len(bundle.conditions()) == len(second)
+
+    @pytest.mark.parametrize("bundle", bundles(), ids=["cr", "ngf"])
+    def test_pickles_after_a_call(self, bundle):
+        theta = np.full(bundle.model().n_theta, 0.5)
+        value, grad = bundle.reduced_objective(theta)
+        copy = pickle.loads(pickle.dumps(bundle))
+        assert copy == bundle
+        again = copy.reduced_objective(theta)
+        assert np.float64(again[0]).tobytes() == np.float64(value).tobytes()
+        assert again[1].tobytes() == grad.tobytes()
+        for a, b in zip(copy.conditions(), bundle.conditions()):
+            assert a.id == b.id
+            assert a.u.tobytes() == b.u.tobytes() and a.data.tobytes() == b.data.tobytes()
+
+    def test_a_replaced_bundle_builds_its_own(self):
+        prob = NgfErkProblem().with_generated_data(0)
+        prob.conditions()
+        other = prob.with_generated_data(1)
+        assert [c.data[0] for c in other.conditions()] == list(other.data)
 
 
 class TestGenerateData:

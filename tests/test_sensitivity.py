@@ -1,5 +1,7 @@
 """Steady-state sensitivity tests: exact solve, pseudoinverse form, chain rule."""
 
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -136,7 +138,7 @@ class TestPinvSensitivity:
     def test_singular_matrix_in_a_stack_falls_back_alone(self):
         # one exactly singular (zero) state Jacobian in a stack of NGF rows:
         # it alone takes the truncated pseudoinverse, every other matrix is
-        # solved as it would be on its own
+        # solved as it would be on its own, by the closed form's formula
         model = ngf_erk_model()
         rng = np.random.default_rng(23)
         theta = rng.uniform(-3.0, 1.0, 6)
@@ -151,8 +153,11 @@ class TestPinvSensitivity:
             if k == 5:
                 expected = -(numerics.pinv(a[k]) @ b[k])
             else:
-                expected = -np.linalg.solve(a[k], b[k])
-            assert np.array_equal(got[k], expected), k
+                expected = python_float_adjugate(a[k], b[k])
+                lapack = -np.linalg.solve(a[k], b[k])
+                assert np.abs(expected - lapack).max() <= 1e-12 * np.abs(lapack).max()
+            assert same_bits(got[k], expected), k
+            assert same_bits(pinv_sensitivity(a[k], b[k]), expected), k
 
 
 def same_bits(a, b):
@@ -169,6 +174,19 @@ def log_uniform(shape):
     signs = st.lists(st.sampled_from((-1.0, 1.0)), min_size=n, max_size=n)
     return st.tuples(exponents, signs).map(
         lambda es: (np.array(es[1]) * 10.0 ** np.array(es[0])).reshape(shape)
+    )
+
+
+def python_float_adjugate(a, b):
+    """-A^-1 B for one 2x2 A with nonzero det, by the closed form's formula
+    (sensitivity._adjugate_2x2) in Python floats."""
+    (p, q), (r, t) = a.tolist()
+    det, neg_det = p * t - q * r, q * r - p * t
+    return np.array(
+        [
+            [(q * b1 - t * b0) / det for b0, b1 in zip(*b.tolist())],
+            [(p * b1 - r * b0) / neg_det for b0, b1 in zip(*b.tolist())],
+        ]
     )
 
 
@@ -267,6 +285,179 @@ class TestOneByOneClosedForm:
                 expected = -np.linalg.solve(a[k], b[k])
                 assert same_bits(pinv_sensitivity(a[k], b[k]), expected), k
             assert same_bits(got[k], expected), k
+
+
+def ngf_state_jacobians(rows, seed):
+    """The NGF state and parameter Jacobians of rows random points from the
+    sampling boxes, one theta per row: 2x2 matrices with nonzero det."""
+    rng = np.random.default_rng(seed)
+    theta = rng.uniform(-3.0, 1.0, (rows, 6))
+    x_mat = rng.uniform(0.0, 3.0, (rows, 2))
+    u_mat = rng.uniform(0.0, 100.0, (rows, 1))
+    _, jac = ngf_erk_model().f_jac_batch(theta, x_mat, u_mat)
+    return jac[..., :2], jac[..., 2:]
+
+
+def refuse(*args):
+    raise AssertionError("LAPACK called")
+
+
+def floats_list(draw, size, low, high):
+    return np.array(draw(st.lists(st.floats(low, high), min_size=size, max_size=size)))
+
+
+def signs_list(draw, size):
+    signs = st.lists(st.sampled_from((-1.0, 1.0)), min_size=size, max_size=size)
+    return np.array(draw(signs))
+
+
+def rotations(angles):
+    cos, sin = np.cos(angles), np.sin(angles)
+    return np.stack([np.stack([cos, -sin], -1), np.stack([sin, cos], -1)], -2)
+
+
+@st.composite
+def well_conditioned_2x2_systems(draw):
+    """A = s R(phi) diag(1, 1/kappa) R(psi) with kappa <= 100 and s of any
+    magnitude, as one matrix or as a stack of 1 to 32, and B of up to
+    three columns with entries from 1e-3 s to 1e3 s in magnitude."""
+    rows = draw(st.none() | st.integers(1, 32))
+    n_theta = draw(st.integers(1, 3))
+    lead = () if rows is None else (rows,)
+    size = rows or 1
+    diag = np.zeros((size, 2, 2))
+    diag[:, 0, 0] = 1.0
+    diag[:, 1, 1] = 10.0 ** -floats_list(draw, size, 0.0, 2.0)
+    turns = [rotations(floats_list(draw, size, 0.0, 2.0 * np.pi)) for _ in "ab"]
+    scale = 10.0 ** draw(st.floats(-100.0, 100.0))
+    a = scale * (turns[0] @ diag @ turns[1])
+    n_b = 2 * n_theta * size
+    b = scale * signs_list(draw, n_b) * 10.0 ** floats_list(draw, n_b, -3.0, 3.0)
+    return a.reshape(lead + (2, 2)), b.reshape(lead + (2, n_theta))
+
+
+@st.composite
+def stacks_with_singular_matrices(draw):
+    """A stack of 1 to 24 2x2 state Jacobians with entries of magnitude
+    1e-75 to 1e75 (no product overflows), some of them replaced by exactly
+    singular ones: zero, signed zeros, a zero row, or a row that is a
+    power-of-two multiple of the other."""
+    rows = draw(st.integers(1, 24))
+    n_theta = draw(st.integers(1, 6))
+    n_a, n_b = 4 * rows, 2 * n_theta * rows
+    a = signs_list(draw, n_a) * 10.0 ** floats_list(draw, n_a, -75.0, 75.0)
+    b = signs_list(draw, n_b) * 10.0 ** floats_list(draw, n_b, -75.0, 75.0)
+    a, b = a.reshape(rows, 2, 2), b.reshape(rows, 2, n_theta)
+    singular = draw(st.lists(st.integers(0, rows - 1), max_size=rows, unique=True))
+    for k in singular:
+        kinds = ["zero", "signed zeros", "zero row", "multiple row"]
+        kind = draw(st.sampled_from(kinds))
+        if kind == "zero":
+            a[k] = 0.0
+        elif kind == "signed zeros":
+            a[k] = [[-0.0, 0.0], [0.0, -0.0]]
+        elif kind == "zero row":
+            a[k, draw(st.integers(0, 1))] = 0.0
+        else:
+            a[k, 1] = a[k, 0] * draw(st.sampled_from([-4.0, -1.0, 0.5, 2.0]))
+    return a, b, sorted(singular)
+
+
+class TestTwoByTwoClosedForm:
+    def test_makes_no_lapack_call(self, monkeypatch):
+        a, b = ngf_state_jacobians(12, seed=41)
+        expected = [python_float_adjugate(a[k], b[k]) for k in range(12)]
+        monkeypatch.setattr(np.linalg, "solve", refuse)
+        monkeypatch.setattr(np.linalg, "svd", refuse)
+        stacked = pinv_sensitivity(a, b)
+        for k in range(12):
+            assert same_bits(stacked[k], expected[k]), k
+            assert same_bits(pinv_sensitivity(a[k], b[k]), expected[k]), k
+
+    @given(well_conditioned_2x2_systems())
+    @settings(max_examples=300, deadline=None)
+    def test_near_lapack_on_well_conditioned_systems(self, system):
+        # per column of S, within 1e-12 of LAPACK's relative to its max-norm
+        a, b = system
+        got = pinv_sensitivity(a, b)
+        expected = -np.linalg.solve(a, b)
+        assert got.shape == expected.shape
+        error = np.abs(got - expected).max(axis=-2)
+        assert (error <= 1e-12 * np.abs(expected).max(axis=-2)).all()
+
+    @given(stacks_with_singular_matrices())
+    @settings(max_examples=300, deadline=None)
+    def test_each_row_has_the_bits_of_its_matrix_alone(self, system):
+        a, b, singular = system
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = pinv_sensitivity(a, b)
+        assert got.shape == b.shape
+        for k in range(len(a)):
+            alone = pinv_sensitivity(a[k], b[k])
+            assert same_bits(got[k], alone), k
+            if k in singular:
+                assert same_bits(alone, -(numerics.pinv(a[k]) @ b[k])), k
+
+    @given(
+        st.integers(1, 3).flatmap(
+            lambda n: st.tuples(log_uniform((2, 2)), log_uniform((2, n)))
+        )
+    )
+    @settings(max_examples=500, deadline=None)
+    def test_has_the_bits_of_the_python_float_formula(self, system):
+        # entries from 1e-300 to 1e300: products overflow and underflow;
+        # NaN results match in place, not necessarily in their sign bit
+        a, b = system
+        (p, q), (r, t) = a.tolist()
+        if p * t - q * r == 0.0:
+            return
+        with np.errstate(all="ignore"):
+            got = pinv_sensitivity(a, b)
+        expected = python_float_adjugate(a, b)
+        nan = np.isnan(expected)
+        assert np.array_equal(np.isnan(got), nan)
+        assert same_bits(np.where(nan, 0.0, got), np.where(nan, 0.0, expected))
+
+    @pytest.mark.parametrize(
+        "a",
+        [
+            [[0.0, 0.0], [0.0, 0.0]],
+            [[-0.0, 0.0], [0.0, -0.0]],
+            [[1.0, 2.0], [2.0, 4.0]],
+            [[3.0, -1e-300], [0.0, 0.0]],
+            [[0.0, 5.0], [0.0, -7.0]],
+        ],
+        ids=["zero", "signed-zeros", "rank-one", "zero-row", "zero-column"],
+    )
+    def test_zero_det_takes_pinv_alone_without_warning(self, a, monkeypatch):
+        a = np.array(a)
+        b = np.array(
+            [[1.0, -3.0, 0.0, 2.0, -0.0, 7.5], [4.0, 0.5, -2.0, 0.0, 1e-3, -6.0]]
+        )
+        expected = -(numerics.pinv(a) @ b)
+        regular, regular_b = ngf_state_jacobians(3, seed=43)
+        stack = np.stack([regular[0], a, regular[1], a, regular[2]])
+        stack_b = np.stack([regular_b[0], b, regular_b[1], b, regular_b[2]])
+        monkeypatch.setattr(np.linalg, "solve", refuse)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            alone = pinv_sensitivity(a, b)
+            stacked = pinv_sensitivity(stack, stack_b)
+        assert same_bits(alone, expected)
+        for k in range(5):
+            want = expected if k % 2 else python_float_adjugate(stack[k], stack_b[k])
+            assert same_bits(stacked[k], want), k
+
+    def test_nan_det_gives_nan_without_lapack(self, monkeypatch):
+        a, b = ngf_state_jacobians(3, seed=47)
+        a[1, 0, 0] = np.nan
+        monkeypatch.setattr(np.linalg, "solve", refuse)
+        monkeypatch.setattr(np.linalg, "svd", refuse)
+        got = pinv_sensitivity(a, b)
+        assert np.isnan(got[1]).all() and np.isnan(pinv_sensitivity(a[1], b[1])).all()
+        for k in (0, 2):
+            assert same_bits(got[k], python_float_adjugate(a[k], b[k])), k
 
 
 def per_condition_ngf_model():
