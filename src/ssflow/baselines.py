@@ -122,6 +122,11 @@ def quasi_newton_unconstrained(fun_grad, theta0, tol=1e-6, max_iter=1000):
     )
 
 
+def _violation(cvec):
+    """The constraint violation max |c_i|, inf when c is not finite."""
+    return float(np.abs(cvec).max()) if np.all(np.isfinite(cvec)) else np.inf
+
+
 def augmented_lagrangian_constrained(bundle, init, tol=1e-6, max_outer=20):
     """Equality-constrained solver over a bundle's full (theta, states) vector.
 
@@ -147,13 +152,6 @@ def augmented_lagrangian_constrained(bundle, init, tol=1e-6, max_outer=20):
 
     def make_auglag(mu, rho):
         def fun_grad(z):
-            # extreme iterates can overflow the model rates; the resulting
-            # non-finite value is rejected by the line search, so silence
-            # the intermediate warnings
-            with np.errstate(all="ignore"):
-                return _eval(z)
-
-        def _eval(z):
             theta, x_mat = unpack(z)
             f_mat, jac = model.f_jac_batch(theta, x_mat, u_mat)
             cvec = f_mat.ravel()
@@ -184,30 +182,34 @@ def augmented_lagrangian_constrained(bundle, init, tol=1e-6, max_outer=20):
     total_evals = 0
     n_outer = 0
     reason = StopReason.OUTER_LIMIT
-    for _ in range(max_outer):
-        n_outer += 1
-        inner = quasi_newton_unconstrained(
-            make_auglag(mu, rho), z, tol=tol, max_iter=300
-        )
-        z = inner.theta
-        total_iters += inner.iterations
-        total_evals += inner.n_evals
-        cvec = constraints(z)
-        violation = float(np.abs(cvec).max()) if np.all(np.isfinite(cvec)) else np.inf
-        if violation < tol and inner.reason is StopReason.TOLERANCE_MET:
-            reason = StopReason.TOLERANCE_MET
-            break
-        mu = mu + rho * cvec
-        if not (violation < prev_violation / VIOLATION_SHRINK):
-            rho *= RHO_GROWTH
-        prev_violation = violation
+    # extreme iterates can overflow the model rates; the resulting
+    # non-finite values are rejected by the line search and the violation
+    # test, so the run reports no intermediate warning
+    with np.errstate(all="ignore"):
+        for _ in range(max_outer):
+            n_outer += 1
+            inner = quasi_newton_unconstrained(
+                make_auglag(mu, rho), z, tol=tol, max_iter=300
+            )
+            z = inner.theta
+            total_iters += inner.iterations
+            total_evals += inner.n_evals
+            cvec = constraints(z)
+            violation = _violation(cvec)
+            if violation < tol and inner.reason is StopReason.TOLERANCE_MET:
+                reason = StopReason.TOLERANCE_MET
+                break
+            mu = mu + rho * cvec
+            if not (violation < prev_violation / VIOLATION_SHRINK):
+                rho *= RHO_GROWTH
+            prev_violation = violation
 
-    theta, states = unpack(z)
-    cvec = constraints(z)
-    violation = float(np.abs(cvec).max()) if np.all(np.isfinite(cvec)) else np.inf
+        theta, states = unpack(z)
+        value = float(objective.eval(theta, states))
+        violation = _violation(constraints(z))
     return BaselineResult(
         theta=theta,
-        objective=float(objective.eval(theta, states)),
+        objective=value,
         constraint_violation=violation,
         iterations=total_iters,
         reason=reason,

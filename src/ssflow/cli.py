@@ -6,7 +6,9 @@ supply the same fields as the flags; flags take precedence.
 
 import argparse
 import json
+import os
 import sys
+import tempfile
 
 import numpy as np
 
@@ -26,6 +28,18 @@ def _load_config_file(parser, path):
     if not isinstance(file_cfg, dict):
         parser.error(f"config file {path} must hold a JSON object")
     return file_cfg
+
+
+def _output_dir(parser, path):
+    """Create path and write a scratch file in it; a directory that cannot
+    be created or written to is a usage error, raised before any work."""
+    try:
+        os.makedirs(path, exist_ok=True)
+        with tempfile.TemporaryFile(dir=path):
+            pass
+    except OSError as exc:
+        parser.error(f"cannot write bench output to {path}: {exc}")
+    return path
 
 
 def _merged_config(parser, args, extra_overrides=None):
@@ -127,8 +141,11 @@ def main(argv=None):
         }
         text = json.dumps(payload, indent=2)
         if args.out:
-            with open(args.out, "w") as fh:
-                fh.write(text + "\n")
+            try:
+                with open(args.out, "w") as fh:
+                    fh.write(text + "\n")
+            except OSError as exc:
+                p_gen.error(f"cannot write {args.out}: {exc}")
         else:
             print(text)
         return 0
@@ -189,9 +206,12 @@ def main(argv=None):
             bench_mod.worker_count()
         except ValueError as exc:
             p_bench.error(str(exc))
+        out_dir = _output_dir(p_bench, config.output_dir or "bench_out")
         summary, records = run_bench(config)
-        out_dir = config.output_dir or "bench_out"
-        runs_path, summary_path = emit(summary, records, out_dir)
+        try:
+            runs_path, summary_path = emit(summary, records, out_dir)
+        except OSError as exc:
+            p_bench.error(str(exc))
         for label, stats in summary["methods"].items():
             tpc = stats["time_per_converged_start"]
             tpc_s = f"{tpc:.3f}s" if tpc is not None else "n/a"

@@ -243,8 +243,11 @@ class FlowConfig:
 
     def __post_init__(self):
         for name in ("lam", "tol", "r_max", "integrator_rel_tol", "integrator_abs_tol"):
-            object.__setattr__(self, name, _as_float(name, getattr(self, name)))
-        # written so that NaN fails every check
+            value = _as_float(name, getattr(self, name))
+            # a bool or non-number, NaN and +-inf alike
+            if not (isinstance(value, float) and math.isfinite(value)):
+                raise ValueError(f"{name} must be a finite number, got {value!r}")
+            object.__setattr__(self, name, value)
         if not self.lam >= 0:
             raise ValueError("retraction factor must be >= 0")
         if not (self.tol > 0 and self.r_max > 0):

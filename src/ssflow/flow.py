@@ -285,17 +285,20 @@ def run_flow(problem, init, store_trajectory=False):
     rel_tol, abs_tol = _error_tolerances(problem)
     t0 = time.perf_counter()
     try:
-        r_end, y_end, stats, outcome = integrator.integrate_adaptive(
-            partial(rhs, problem),
-            init.pack(),
-            cfg.r_max,
-            rel_tol=rel_tol,
-            abs_tol=abs_tol,
-            stop=partial(stop_check, problem),
-            budget=cfg.max_rhs_evals,
-            observer=observer,
-            rhs_fd=stacked,
-        )
+        # a point past the float range fails the finiteness checks, which
+        # carry the cause; the overflow on the way there is not reported
+        with np.errstate(over="ignore", invalid="ignore"):
+            r_end, y_end, stats, outcome = integrator.integrate_adaptive(
+                partial(rhs, problem),
+                init.pack(),
+                cfg.r_max,
+                rel_tol=rel_tol,
+                abs_tol=abs_tol,
+                stop=partial(stop_check, problem),
+                budget=cfg.max_rhs_evals,
+                observer=observer,
+                rhs_fd=stacked,
+            )
         reason = {
             integrator.IntegrationOutcome.STOP_CONDITION: StopReason.TOLERANCE_MET,
             integrator.IntegrationOutcome.HORIZON: StopReason.HORIZON_REACHED,

@@ -2,10 +2,12 @@
 
 import json
 import os
+import tempfile
 
 import numpy as np
 import pytest
 
+from ssflow import bench as bench_mod
 from ssflow.bench import CSV_COLUMNS
 from ssflow.cli import main
 from ssflow.models import NgfErkProblem, generate_data
@@ -44,6 +46,16 @@ class TestGenerateData:
         assert captured.out == ""
         assert "seed must be >= 0" in captured.err
         assert not out.exists()
+
+
+    def test_unwritable_out_is_a_usage_error(self, tmp_path, capsys):
+        out = tmp_path / "missing_dir" / "data.json"
+        with pytest.raises(SystemExit) as info:
+            main(["generate-data", "--out", str(out)])
+        assert info.value.code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert f"cannot write {out}" in captured.err
 
 
 class TestValidate:
@@ -215,6 +227,7 @@ class TestBench:
                 [],
                 "noise_var is too large for a float",
             ),
+            ('{"tol": 1e400}', [], "tol must be a finite number, got inf"),
             ('{"tol": 1%s}' % ("0" * 400), [], "tol is too large for a float"),
             ('{"theta_box": [0, 1%s]}' % ("0" * 400), [], "theta_box is too large"),
             ('{"lambdas": [-1%s]}' % ("0" * 400), [], "lambdas is too large"),
@@ -239,6 +252,7 @@ class TestBench:
             "infinite-theta-box",
             "infinite-state-box",
             "huge-int-noise",
+            "infinite-tol",
             "huge-int-tol",
             "huge-int-theta-box",
             "huge-int-lambda",
@@ -268,6 +282,46 @@ class TestBench:
         assert info.value.code == 2
         assert "output_dir must be a string, got 5" in capsys.readouterr().err
         assert list(tmp_path.iterdir()) == [cfg_file]
+
+    @pytest.mark.parametrize("unwritable", ["under-a-file", "read-only"])
+    def test_unwritable_out_is_a_usage_error_before_any_task(
+        self, tmp_path, capsys, monkeypatch, unwritable
+    ):
+        tasks = []
+        monkeypatch.setattr(bench_mod, "_execute_task", tasks.append)
+        if unwritable == "under-a-file":
+            a_file = tmp_path / "a_file"
+            a_file.write_text("")
+            out = a_file / "bench"
+        else:
+            # a directory that exists and refuses new files, as a mode
+            # without write permission does for any user but root
+
+            def refuse(*args, **kwargs):
+                raise PermissionError(13, "Permission denied")
+
+            monkeypatch.setattr(tempfile, "TemporaryFile", refuse)
+            out = tmp_path
+        with pytest.raises(SystemExit) as info:
+            main(["bench", "--starts", "1", "--out", str(out)])
+        assert info.value.code == 2
+        assert f"cannot write bench output to {out}" in capsys.readouterr().err
+        assert tasks == []
+
+    def test_failed_write_after_the_runs_is_a_usage_error(
+        self, tmp_path, capsys, monkeypatch
+    ):
+        def refuse(path, text):
+            raise OSError("no space left")
+
+        monkeypatch.setattr(bench_mod, "_atomic_write", refuse)
+        out = tmp_path / "bench"
+        argv = ["bench", "--starts", "1", "--method", "unconstrained", "--out", str(out)]
+        with pytest.raises(SystemExit) as info:
+            main(argv)
+        assert info.value.code == 2
+        err = capsys.readouterr().err
+        assert f"failed writing bench output to {out}: no space left" in err
 
     def test_small_bench_writes_outputs(self, tmp_path, capsys):
         out = tmp_path / "bench"

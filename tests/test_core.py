@@ -21,6 +21,7 @@ from ssflow.core import (
 from ssflow.models import conversion_reaction_model, ngf_erk_model
 
 NAN = float("nan")
+INF = float("inf")
 
 
 def linear_decay_model():
@@ -455,6 +456,15 @@ class TestFlowConfig:
             {"lam": 2.0, "r_max": 10**400},
             {"lam": 2.0, "integrator_rel_tol": 10**400},
             {"lam": 2.0, "integrator_abs_tol": 10**400},
+            # so is infinity
+            {"lam": INF},
+            {"lam": 2.0, "tol": INF},
+            {"lam": 2.0, "r_max": INF},
+            {"lam": 2.0, "integrator_rel_tol": INF},
+            {"lam": 2.0, "integrator_abs_tol": INF},
+            # and so is anything but a number
+            {"lam": True},
+            {"lam": 2.0, "r_max": "1e4"},
         ],
     )
     def test_rejects_invalid(self, kwargs):

@@ -1,6 +1,7 @@
 """Optimiser-flow tests: right-hand side, stopping, retraction, descent."""
 
 import dataclasses
+import warnings
 from functools import partial
 
 import numpy as np
@@ -478,6 +479,24 @@ def test_ngf_runs_agree_with_lapack_sensitivities():
         j_a = reduced_objective(a.final.theta, prob)[0]
         j_b = reduced_objective(b.final.theta, prob)[0]
         assert abs(j_a - j_b) <= 1e-9, k
+
+
+def test_a_failing_run_reports_no_floating_point_warning():
+    # criterion 6's start 80 (NGF data seed 0, lambda 20, tolerances 1e-4 /
+    # 1e-6) reaches a stage point with theta past 308: 10**theta overflows
+    # in the kernel and the run fails on the non-finite value, which carries
+    # the cause, with no RuntimeWarning on the way
+    config = bench.default_config(
+        "ngf_erk", integrator_rel_tol=1e-4, integrator_abs_tol=1e-6
+    )
+    prob = bench._build_problem(config)
+    problem = prob.flow_problem(bench._flow_config(config, 20.0))
+    start = bench.sample_starts(config, prob)[80]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        result = run_flow(problem, start)
+    assert result.reason is StopReason.NUMERICAL_FAILURE
+    assert result.rhs_evals == 36
 
 
 def broadcast_pull_back(s_hat, d_theta):

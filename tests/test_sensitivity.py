@@ -1,6 +1,7 @@
 """Steady-state sensitivity tests: exact solve, pseudoinverse form, chain rule."""
 
 import warnings
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -178,8 +179,8 @@ def log_uniform(shape):
 
 
 def python_float_adjugate(a, b):
-    """-A^-1 B for one 2x2 A with nonzero det, by the closed form's formula
-    (sensitivity._adjugate_2x2) in Python floats."""
+    """-A^-1 B for one 2x2 A with nonzero det, by the formula of
+    pinv_sensitivity's 2x2 closed form, in Python floats."""
     (p, q), (r, t) = a.tolist()
     det, neg_det = p * t - q * r, q * r - p * t
     return np.array(
@@ -234,12 +235,12 @@ class TestOneByOneClosedForm:
         assert same_bits(pinv_sensitivity(a, b), expected)
         assert same_bits(pinv_sensitivity(a[0], b[0]), expected[0])
 
-    @pytest.mark.parametrize("pivot", [-0.0, np.nan], ids=["negative-zero", "nan"])
-    def test_negative_zero_reaches_lapack_and_nan_does_not(self, pivot, monkeypatch):
-        # -0.0 is an exact zero: LAPACK reports it singular and the
-        # pseudoinverse takes over, alone and in a stack next to a nonzero
-        # pivot. NaN is no zero: it takes the closed form, with no LAPACK
-        # call, and gives NaN
+    @pytest.mark.parametrize("pivot", [-0.0, np.nan], ids=["-0.0", "nan"])
+    def test_negative_zero_takes_pinv_and_nan_gives_nan(self, pivot, monkeypatch):
+        # -0.0 is an exact zero: the pseudoinverse takes over, alone and in
+        # a stack next to a nonzero pivot. NaN is no zero: it takes the
+        # closed form and gives NaN. Neither reaches np.linalg.solve, and
+        # neither warns
         solve = np.linalg.solve
         calls = []
 
@@ -250,15 +251,15 @@ class TestOneByOneClosedForm:
         monkeypatch.setattr(np.linalg, "solve", counted)
         a = np.array([[[2.0]], [[pivot]]])
         b = np.array([[[1.0, -3.0]], [[4.0, 0.5]]])
-        alone = pinv_sensitivity(a[1], b[1])
-        stacked = pinv_sensitivity(a, b)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            alone = pinv_sensitivity(a[1], b[1])
+            stacked = pinv_sensitivity(a, b)
+        assert calls == []
         assert same_bits(stacked[0], -solve(a[0], b[0]))
         if np.isnan(pivot):
-            assert calls == []
             assert np.isnan(alone).all() and np.isnan(stacked[1]).all()
         else:
-            # alone; then the stack, which raises, and its zero matrix again
-            assert calls == [1, 2, 1]
             expected = -(numerics.pinv(a[1]) @ b[1])
             assert same_bits(alone, expected)
             assert same_bits(stacked[1], expected)
@@ -337,30 +338,41 @@ def well_conditioned_2x2_systems(draw):
 
 
 @st.composite
-def stacks_with_singular_matrices(draw):
-    """A stack of 1 to 24 2x2 state Jacobians with entries of magnitude
-    1e-75 to 1e75 (no product overflows), some of them replaced by exactly
-    singular ones: zero, signed zeros, a zero row, or a row that is a
-    power-of-two multiple of the other."""
-    rows = draw(st.integers(1, 24))
+def stacks_with_singular_matrices(draw, sizes=(2,), max_axes=1):
+    """A stack of n_x x n_x state Jacobians, n_x from sizes, on one to
+    max_axes leading axes (up to 24 matrices on one, up to 5 per axis on
+    more), with entries of magnitude 1e-75 to 1e75 (no product overflows),
+    some of them replaced by exactly singular ones: zero, signed zeros, a
+    zero row or column, or a row that is a power-of-two multiple of
+    another. Returns (a, b, kinds), kinds mapping the index of each
+    replaced matrix in the flattened stack to its kind."""
+    n_x = draw(st.sampled_from(sizes))
+    axes = draw(st.integers(1, max_axes))
+    side = st.integers(1, 24) if axes == 1 else st.integers(1, 5)
+    lead = tuple(draw(st.lists(side, min_size=axes, max_size=axes)))
+    rows = int(np.prod(lead))
     n_theta = draw(st.integers(1, 6))
-    n_a, n_b = 4 * rows, 2 * n_theta * rows
+    n_a, n_b = n_x * n_x * rows, n_x * n_theta * rows
     a = signs_list(draw, n_a) * 10.0 ** floats_list(draw, n_a, -75.0, 75.0)
     b = signs_list(draw, n_b) * 10.0 ** floats_list(draw, n_b, -75.0, 75.0)
-    a, b = a.reshape(rows, 2, 2), b.reshape(rows, 2, n_theta)
+    a, b = a.reshape(rows, n_x, n_x), b.reshape(rows, n_x, n_theta)
     singular = draw(st.lists(st.integers(0, rows - 1), max_size=rows, unique=True))
+    kinds = {}
+    all_kinds = ["zero", "signed zeros", "zero row", "zero column", "multiple row"]
     for k in singular:
-        kinds = ["zero", "signed zeros", "zero row", "multiple row"]
-        kind = draw(st.sampled_from(kinds))
+        kind = kinds[k] = draw(st.sampled_from(all_kinds[: 2 if n_x == 1 else 5]))
+        i, j = draw(st.permutations(range(n_x)))[:2] if n_x > 1 else (0, 0)
         if kind == "zero":
             a[k] = 0.0
         elif kind == "signed zeros":
-            a[k] = [[-0.0, 0.0], [0.0, -0.0]]
+            a[k] = np.copysign(0.0, signs_list(draw, n_x * n_x)).reshape(n_x, n_x)
         elif kind == "zero row":
-            a[k, draw(st.integers(0, 1))] = 0.0
+            a[k, i] = 0.0
+        elif kind == "zero column":
+            a[k, :, i] = 0.0
         else:
-            a[k, 1] = a[k, 0] * draw(st.sampled_from([-4.0, -1.0, 0.5, 2.0]))
-    return a, b, sorted(singular)
+            a[k, j] = a[k, i] * draw(st.sampled_from([-4.0, -1.0, 0.5, 2.0]))
+    return a.reshape(lead + (n_x, n_x)), b.reshape(lead + (n_x, n_theta)), kinds
 
 
 class TestTwoByTwoClosedForm:
@@ -458,6 +470,64 @@ class TestTwoByTwoClosedForm:
         assert np.isnan(got[1]).all() and np.isnan(pinv_sensitivity(a[1], b[1])).all()
         for k in (0, 2):
             assert same_bits(got[k], python_float_adjugate(a[k], b[k])), k
+
+
+def singular_alone(a, b):
+    """The rule's verdict on one state Jacobian, reached apart from the
+    kernel: a det of exactly zero for n_x <= 2 (in Python floats),
+    LAPACK's zero pivot for n_x >= 3."""
+    if len(a) == 1:
+        return a[0, 0] == 0.0
+    if len(a) == 2:
+        (p, q), (r, t) = a.tolist()
+        return p * t - q * r == 0.0
+    try:
+        np.linalg.solve(a, b)
+    except np.linalg.LinAlgError:
+        return True
+    return False
+
+
+class TestOneSingularityRule:
+    @given(stacks_with_singular_matrices(sizes=(1, 2, 3), max_axes=2))
+    @settings(max_examples=300, deadline=None)
+    def test_every_matrix_has_the_bits_of_its_own_call(self, system):
+        # one rule for every n_x: an exactly singular state Jacobian takes
+        # the truncated pseudoinverse, every other one its size's solver,
+        # and a stack changes no bit of either; no call warns, and for
+        # n_x <= 2 none reaches np.linalg.solve
+        a, b, kinds = system
+        n_x, n_theta = b.shape[-2:]
+        flat_a, flat_b = a.reshape(-1, n_x, n_x), b.reshape(-1, n_x, n_theta)
+        solve = np.linalg.solve
+        expected = []
+        for k, (x, y) in enumerate(zip(flat_a, flat_b)):
+            # LU may leave a power-of-two multiple row a tiny remainder
+            if k in kinds and (n_x <= 2 or kinds[k] != "multiple row"):
+                assert singular_alone(x, y), k
+            if singular_alone(x, y):
+                expected.append(-(numerics.pinv(x) @ y))
+            elif n_x == 2:
+                expected.append(python_float_adjugate(x, y))
+            else:
+                expected.append(-solve(x, y))
+        calls = []
+
+        def counted(*args):
+            calls.append(len(args[0]))
+            return solve(*args)
+
+        with mock.patch.object(np.linalg, "solve", counted):
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                got = pinv_sensitivity(a, b)
+                alone = [pinv_sensitivity(x, y) for x, y in zip(flat_a, flat_b)]
+        assert got.shape == b.shape
+        if n_x <= 2:
+            assert calls == []
+        for k, want in enumerate(expected):
+            assert same_bits(got.reshape(flat_b.shape)[k], want), k
+            assert same_bits(alone[k], want), k
 
 
 def per_condition_ngf_model():
