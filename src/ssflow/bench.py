@@ -3,7 +3,6 @@ convergence classification, statistics, and CSV/JSON emission."""
 
 import csv
 import json
-import numbers
 import os
 import statistics
 import tempfile
@@ -16,7 +15,7 @@ import numpy as np
 
 from . import __version__
 from .baselines import augmented_lagrangian_constrained, quasi_newton_unconstrained
-from .core import FlowConfig, FlowState, _as_float, _is_a
+from .core import FlowConfig, FlowState, _integer, _real, _reals
 from .flow import run_flow
 from .models import ConversionReactionProblem, NgfErkProblem, ngf_erk_model
 
@@ -89,6 +88,12 @@ WORKERS_ENV = "SSFLOW_WORKERS"
 
 @dataclass
 class BenchConfig:
+    """One bench run's settings. Every number follows core's one rule: the
+    float fields become finite floats, the boxes, lambdas and theta_true
+    tuples of them, n_starts, seed and max_rhs_evals ints; a bool, a string,
+    NaN, +-inf or an integer too large for a float is a ValueError naming
+    the field."""
+
     problem: str = "conversion_reaction"
     methods: tuple = METHODS
     lambdas: tuple = (2.0, 20.0)
@@ -110,33 +115,24 @@ class BenchConfig:
     def __post_init__(self):
         if self.problem not in PROBLEMS:
             raise ValueError(f"unknown problem {self.problem!r}")
-        bundle_class = PROBLEMS[self.problem]
-        if self.theta_box is None:
-            self.theta_box = bundle_class.theta_box
-        if self.state_box is None:
-            self.state_box = bundle_class.state_box
         # ngf_erk draws its data from seed and every problem its starts from
         # seed + 1; numpy's generators take no negative seed
-        for name, low in (("n_starts", 1), ("seed", 0)):
-            value = getattr(self, name)
-            if not _is_a(value, numbers.Integral):
-                raise TypeError(f"{name} must be an integer, got {value!r}")
-            if not value >= low:
-                raise ValueError(f"{name} must be >= {low}")
+        for name, low in (("n_starts", 1), ("seed", 0), ("max_rhs_evals", 1)):
+            setattr(self, name, _integer(name, getattr(self, name), low))
+        flow_reals = ("tol", "r_max", "integrator_rel_tol", "integrator_abs_tol")
+        for name in flow_reals + ("noise_var", "classification_tol"):
+            setattr(self, name, _real(name, getattr(self, name)))
         for name in ("theta_box", "state_box"):
             box = getattr(self, name)
-            if np.shape(box) != (2,) or not all(_is_a(v, numbers.Real) for v in box):
-                raise TypeError(f"{name} must be two numbers, got {box!r}")
-            if not all(np.isfinite([_as_float(name, v) for v in box])):
-                raise ValueError(f"{name} bounds must be finite, got {list(box)}")
+            box = _reals(name, getattr(PROBLEMS[self.problem], name) if box is None else box, 2)
             if not box[0] <= box[1]:
                 raise ValueError(f"{name} must be ordered")
-            setattr(self, name, (float(box[0]), float(box[1])))
+            setattr(self, name, box)
         if not isinstance(self.output_dir, str):
             raise TypeError(f"output_dir must be a string, got {self.output_dir!r}")
         self.methods = tuple(self.methods)
-        self.lambdas = tuple(float(_as_float("lambdas", v)) for v in self.lambdas)
-        self.theta_true = tuple(float(_as_float("theta_true", v)) for v in self.theta_true)
+        self.lambdas = _reals("lambdas", self.lambdas)
+        self.theta_true = _reals("theta_true", self.theta_true, ngf_erk_model().n_theta)
         unknown = set(self.methods) - set(METHODS)
         if unknown:
             raise ValueError(f"unknown methods {sorted(unknown)}")
@@ -147,24 +143,12 @@ class BenchConfig:
             values = getattr(self, name)
             if len(set(values)) != len(values):
                 raise ValueError(f"{name} must not repeat, got {list(values)}")
-        if len(self.theta_true) != ngf_erk_model().n_theta:
-            message = f"theta_true needs one entry per NGF parameter, got {self.theta_true}"
-            raise ValueError(message)
         for lam in self.lambdas:
             _flow_config(self, lam)
-        if not 0 <= _as_float("classification_tol", self.classification_tol) < np.inf:
+        if not self.classification_tol >= 0:
             raise ValueError("classification_tol must be finite and >= 0")
-        if not 0 <= _as_float("noise_var", self.noise_var) < np.inf:
+        if not self.noise_var >= 0:
             raise ValueError("noise variance must be non-negative and finite")
-
-    def to_dict(self):
-        d = asdict(self)
-        d["methods"] = list(self.methods)
-        d["lambdas"] = list(self.lambdas)
-        d["theta_box"] = list(self.theta_box)
-        d["state_box"] = list(self.state_box)
-        d["theta_true"] = list(self.theta_true)
-        return d
 
 
 def default_config(problem, **overrides):
@@ -355,7 +339,7 @@ def run_bench(config):
     summary = {
         "schema_version": SCHEMA_VERSION,
         "artifact_version": __version__,
-        "config": config.to_dict(),
+        "config": asdict(config),
         **summary,
     }
     return summary, records

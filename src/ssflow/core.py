@@ -12,17 +12,39 @@ import numpy as np
 from . import numerics
 
 
-def _is_a(value, kind):
-    """isinstance(value, kind) for a numbers ABC, a bool excluded."""
-    return isinstance(value, kind) and not isinstance(value, bool)
-
-
-def _as_float(name, value):
-    """A real number as a float, else as it is; too large for one, a ValueError."""
+def _real(name, value):
+    """value as a finite float; a bool or other non-number, NaN, +-inf and
+    an integer too large for a float raise ValueError naming name."""
     try:
-        return float(value) if _is_a(value, numbers.Real) else value
+        real = isinstance(value, numbers.Real) and not isinstance(value, bool)
+        number = float(value) if real else math.nan
     except OverflowError:
         raise ValueError(f"{name} is too large for a float") from None
+    if not math.isfinite(number):
+        raise ValueError(f"{name} must be a finite number, got {value!r}")
+    return number
+
+
+def _reals(name, values, size=None):
+    """values as a tuple of _real floats, size of them when size is given;
+    anything else raises ValueError naming name."""
+    try:
+        reals = tuple(_real(name, v) for v in values)
+    except TypeError:  # not iterable
+        reals = None
+    if reals is None or size not in (None, len(reals)):
+        count = "" if size is None else f"{size} "
+        raise ValueError(f"{name} must hold {count}numbers, got {values!r}")
+    return reals
+
+
+def _integer(name, value, low):
+    """value as an int >= low; anything else raises ValueError naming name."""
+    if not isinstance(value, numbers.Integral) or isinstance(value, bool):
+        raise ValueError(f"{name} must be an integer, got {value!r}")
+    if not value >= low:
+        raise ValueError(f"{name} must be >= {low}, got {value!r}")
+    return int(value)
 
 
 def _stacked(single):
@@ -232,7 +254,12 @@ class FlowConfig:
     retraction damps the state blocks' errors at rate lam, so, as DAE codes
     leave algebraic variables out of the error test (DASPK's info(16), IDA's
     IDASetSuppressAlg), the flow tests the state blocks only for a
-    non-finite error (flow._error_tolerances)."""
+    non-finite error (flow._error_tolerances).
+
+    Every field is a number under one rule (_real, _integer): the float
+    fields become finite floats and max_rhs_evals an int >= 1; a bool, a
+    string, NaN, +-inf or an integer too large for a float is a ValueError
+    naming the field."""
 
     lam: float
     tol: float = 1e-6
@@ -243,21 +270,16 @@ class FlowConfig:
 
     def __post_init__(self):
         for name in ("lam", "tol", "r_max", "integrator_rel_tol", "integrator_abs_tol"):
-            value = _as_float(name, getattr(self, name))
-            # a bool or non-number, NaN and +-inf alike
-            if not (isinstance(value, float) and math.isfinite(value)):
-                raise ValueError(f"{name} must be a finite number, got {value!r}")
-            object.__setattr__(self, name, value)
+            object.__setattr__(self, name, _real(name, getattr(self, name)))
+        object.__setattr__(
+            self, "max_rhs_evals", _integer("max_rhs_evals", self.max_rhs_evals, 1)
+        )
         if not self.lam >= 0:
             raise ValueError("retraction factor must be >= 0")
         if not (self.tol > 0 and self.r_max > 0):
             raise ValueError("tol and r_max must be strictly positive")
         if not (self.integrator_rel_tol > 0 and self.integrator_abs_tol > 0):
             raise ValueError("integrator tolerances must be strictly positive")
-        if not (_is_a(self.max_rhs_evals, numbers.Integral) and self.max_rhs_evals >= 1):
-            raise ValueError(
-                f"max_rhs_evals must be an integer >= 1, got {self.max_rhs_evals!r}"
-            )
 
 
 class StopReason(enum.Enum):
@@ -350,8 +372,7 @@ def validate_model(model, n_samples=100, seed=0):
     call them either.
     n_samples must be at least 1: a report over no sample checks nothing.
     """
-    if not n_samples >= 1:
-        raise ValueError(f"n_samples must be >= 1, got {n_samples}")
+    n_samples = _integer("n_samples", n_samples, 1)
     rng = np.random.default_rng(seed)
     max_err_x = 0.0
     max_err_theta = 0.0

@@ -237,14 +237,13 @@ def manifold_residual(problem, state):
 
 def _error_tolerances(problem):
     """(rel_tol, abs_tol) of the integrator's local error test on the packed
-    state. When lam > 0 every state entry's abs_tol is inf, so the test
-    covers the parameter block only (FlowConfig says why); at lam = 0
+    state, abs_tol per entry. When lam > 0 every state entry's is inf, so the
+    test covers the parameter block only (FlowConfig says why); at lam = 0
     nothing damps the state errors, and every entry is tested."""
     cfg = problem.config
-    if cfg.lam == 0:
-        return cfg.integrator_rel_tol, cfg.integrator_abs_tol
     n_theta = problem.model.n_theta
-    abs_tol = np.full(n_theta + len(problem.conditions) * problem.model.n_x, np.inf)
+    state_tol = np.inf if cfg.lam > 0 else cfg.integrator_abs_tol
+    abs_tol = np.full(n_theta + len(problem.conditions) * problem.model.n_x, state_tol)
     abs_tol[:n_theta] = cfg.integrator_abs_tol
     return cfg.integrator_rel_tol, abs_tol
 
@@ -285,20 +284,17 @@ def run_flow(problem, init, store_trajectory=False):
     rel_tol, abs_tol = _error_tolerances(problem)
     t0 = time.perf_counter()
     try:
-        # a point past the float range fails the finiteness checks, which
-        # carry the cause; the overflow on the way there is not reported
-        with np.errstate(over="ignore", invalid="ignore"):
-            r_end, y_end, stats, outcome = integrator.integrate_adaptive(
-                partial(rhs, problem),
-                init.pack(),
-                cfg.r_max,
-                rel_tol=rel_tol,
-                abs_tol=abs_tol,
-                stop=partial(stop_check, problem),
-                budget=cfg.max_rhs_evals,
-                observer=observer,
-                rhs_fd=stacked,
-            )
+        r_end, y_end, stats, outcome = integrator.integrate_adaptive(
+            partial(rhs, problem),
+            init.pack(),
+            cfg.r_max,
+            rel_tol=rel_tol,
+            abs_tol=abs_tol,
+            stop=partial(stop_check, problem),
+            budget=cfg.max_rhs_evals,
+            observer=observer,
+            rhs_fd=stacked,
+        )
         reason = {
             integrator.IntegrationOutcome.STOP_CONDITION: StopReason.TOLERANCE_MET,
             integrator.IntegrationOutcome.HORIZON: StopReason.HORIZON_REACHED,

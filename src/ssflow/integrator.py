@@ -168,13 +168,11 @@ def _fd_jacobian(values, f0, steps):
     return jac
 
 
-@np.errstate(invalid="ignore", over="ignore")  # costs less per call than a with block
 def _err_norm(err, sc):
-    """max |err| / sc, quiet when it is NaN or inf: the step is rejected."""
+    """max |err| / sc; NaN or inf rejects the step."""
     return float(np.maximum.reduce(np.abs(err) / sc))
 
 
-@np.errstate(over="ignore")  # an overflowing norm gives h0 = 0, floored below
 def _initial_step(y, f0, r_max, rel_tol, abs_tol):
     """The first step: 0.01 * d0 / d1 from the RMS norms of y and f0 over
     the tested entries (those with a finite abs_tol), floored at the
@@ -195,6 +193,9 @@ def _initial_step(y, f0, r_max, rel_tol, abs_tol):
     return min(h0, r_max)
 
 
+# a point past the float range fails the finiteness checks, which carry the
+# cause; the overflow or invalid operation on the way there is not reported
+@np.errstate(over="ignore", invalid="ignore")
 def integrate_adaptive(
     rhs,
     y0,

@@ -14,7 +14,7 @@ from typing import ClassVar, Optional
 
 import numpy as np
 
-from .core import Condition, FlowConfig, ModelSpec, ObjectiveSpec
+from .core import Condition, FlowConfig, ModelSpec, ObjectiveSpec, _integer, _real, _reals
 from .flow import FlowProblem
 from .sensitivity import manifold_gradient
 from .sensitivity import sensitivity_exact  # noqa: F401  (perfbench traces it here)
@@ -107,15 +107,6 @@ def reduced_objective(theta, problem):
     return float("inf"), np.zeros(model.n_theta)
 
 
-def _set_finite_tuple(bundle, name, size):
-    """Store the field name of a frozen bundle as a tuple of floats; raises
-    ValueError naming it unless it holds size finite values."""
-    values = tuple(float(v) for v in getattr(bundle, name))
-    if len(values) != size or not all(map(math.isfinite, values)):
-        raise ValueError(f"{name} must hold {size} finite values, got {values}")
-    object.__setattr__(bundle, name, values)
-
-
 # --------------------------------------------------------------------------
 # Example 1: conversion reaction A <-> B
 # --------------------------------------------------------------------------
@@ -174,13 +165,13 @@ class ConversionReactionProblem(_Bundle):
     state_box: ClassVar[tuple] = (0.0, 1.0)
 
     def __post_init__(self):
+        for name in ("xi", "x_bar", "weight"):
+            object.__setattr__(self, name, _real(name, getattr(self, name)))
+        object.__setattr__(self, "theta_bar", _reals("theta_bar", self.theta_bar, 2))
         if not self.xi > 0:
             raise ValueError("total concentration xi must be positive")
-        if not math.isfinite(self.x_bar):
-            raise ValueError("observed steady state x_bar must be finite")
-        if not 0 <= self.weight < math.inf:
+        if not self.weight >= 0:
             raise ValueError("weight must be non-negative and finite")
-        _set_finite_tuple(self, "theta_bar", 2)
 
     def model(self):
         return conversion_reaction_model(self.xi)
@@ -303,13 +294,17 @@ class NgfErkProblem(_Bundle):
 
     def __post_init__(self):
         # the dose-response protocol: ten doses, one datum per dose
-        _set_finite_tuple(self, "inputs", 10)
+        object.__setattr__(self, "inputs", _reals("inputs", self.inputs, 10))
         if not all(u >= 0 for u in self.inputs):
             raise ValueError(f"inputs must be doses >= 0, got {self.inputs}")
         if self.data is not None:
-            _set_finite_tuple(self, "data", 10)
-        _set_finite_tuple(self, "theta_true", 6)
-        if not 0 <= self.noise_var < math.inf:
+            object.__setattr__(self, "data", _reals("data", self.data, 10))
+        object.__setattr__(self, "theta_true", _reals("theta_true", self.theta_true, 6))
+        # generate_data's seed, which numpy's generators take only >= 0
+        if self.data_seed is not None:
+            object.__setattr__(self, "data_seed", _integer("data_seed", self.data_seed, 0))
+        object.__setattr__(self, "noise_var", _real("noise_var", self.noise_var))
+        if not self.noise_var >= 0:
             raise ValueError("noise variance must be non-negative and finite")
 
     def model(self):

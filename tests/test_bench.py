@@ -6,6 +6,7 @@ import os
 import re
 import struct
 import tempfile
+from dataclasses import asdict
 
 import numpy as np
 import pytest
@@ -127,8 +128,10 @@ class TestBenchConfig:
             BenchConfig(**kwargs)
 
     def test_round_trips_through_dict(self):
+        # summary.json echoes asdict(config); its arrays read back as tuples
         cfg = default_config("ngf_erk", n_starts=7, seed=3)
-        assert BenchConfig(**cfg.to_dict()) == cfg
+        assert BenchConfig(**asdict(cfg)) == cfg
+        assert BenchConfig(**json.loads(json.dumps(asdict(cfg)))) == cfg
 
     @pytest.mark.parametrize(
         "problem, bundle_class",

@@ -28,14 +28,22 @@ class TestGenerateData:
         assert len(payload["data"]) == 10
 
 
-    @pytest.mark.parametrize("noise_var", ["-1", "nan", "inf"])
-    def test_invalid_noise_variance_is_a_usage_error(self, capsys, noise_var):
+    @pytest.mark.parametrize(
+        "noise_var, message",
+        [
+            ("-1", "noise variance must be non-negative"),
+            ("nan", "noise_var must be a finite number, got nan"),
+            ("inf", "noise_var must be a finite number, got inf"),
+        ],
+        ids=["-1", "nan", "inf"],
+    )
+    def test_invalid_noise_variance_is_a_usage_error(self, capsys, noise_var, message):
         with pytest.raises(SystemExit) as info:
             main(["generate-data", "--noise-var", noise_var])
         assert info.value.code == 2
         captured = capsys.readouterr()
         assert captured.out == ""
-        assert "noise variance must be non-negative" in captured.err
+        assert message in captured.err
 
     def test_negative_seed_is_a_usage_error(self, tmp_path, capsys):
         out = tmp_path / "data.json"
@@ -195,7 +203,7 @@ class TestBench:
             ("[1, 2]", [], "must hold a JSON object"),
             (None, [], "cannot read config file"),
             ('{"seed": 1.5}', [], "seed must be an integer, got 1.5"),
-            ('{"theta_box": [1]}', [], "theta_box must be two numbers, got [1]"),
+            ('{"theta_box": [1]}', [], "theta_box must hold 2 numbers, got [1]"),
             ('{"n_starts": 2.5}', [], "n_starts must be an integer, got 2.5"),
             ('{"n_starts": true}', [], "n_starts must be an integer, got True"),
             ("{}", ["--seed", "-5"], "seed must be >= 0"),
@@ -208,19 +216,23 @@ class TestBench:
             (
                 '{"problem": "ngf_erk", "theta_true": [1]}',
                 [],
-                "theta_true needs one entry per NGF parameter",
+                "theta_true must hold 6 numbers, got [1]",
             ),
-            ('{"max_rhs_evals": 2.5}', [], "max_rhs_evals must be an integer >= 1"),
-            ('{"max_rhs_evals": true}', [], "max_rhs_evals must be an integer >= 1"),
+            ('{"max_rhs_evals": 2.5}', [], "max_rhs_evals must be an integer, got 2.5"),
+            ('{"max_rhs_evals": true}', [], "max_rhs_evals must be an integer, got True"),
             # 1e400 reads as infinity
             (
                 '{"problem": "ngf_erk", "noise_var": 1e400}',
                 [],
-                "noise variance must be non-negative and finite",
+                "noise_var must be a finite number, got inf",
             ),
-            ('{"classification_tol": 1e400}', [], "classification_tol must be finite"),
-            ('{"theta_box": [0, 1e400]}', [], "theta_box bounds must be finite"),
-            ('{"state_box": [0, 1e400]}', [], "state_box bounds must be finite"),
+            (
+                '{"classification_tol": 1e400}',
+                [],
+                "classification_tol must be a finite number, got inf",
+            ),
+            ('{"theta_box": [0, 1e400]}', [], "theta_box must be a finite number, got inf"),
+            ('{"state_box": [0, 1e400]}', [], "state_box must be a finite number, got inf"),
             # an integer too large for a float
             (
                 '{"problem": "ngf_erk", "noise_var": 1%s}' % ("0" * 400),
@@ -231,6 +243,15 @@ class TestBench:
             ('{"tol": 1%s}' % ("0" * 400), [], "tol is too large for a float"),
             ('{"theta_box": [0, 1%s]}' % ("0" * 400), [], "theta_box is too large"),
             ('{"lambdas": [-1%s]}' % ("0" * 400), [], "lambdas is too large"),
+            # a bool or a string is not a number
+            (
+                '{"problem": "ngf_erk", "noise_var": true, "classification_tol": true, '
+                '"n_starts": 1, "methods": ["unconstrained"]}',
+                [],
+                "noise_var must be a finite number, got True",
+            ),
+            ('{"lambdas": ["20"]}', [], "lambdas must be a finite number, got '20'"),
+            ('{"noise_var": "0.1"}', [], "noise_var must be a finite number, got '0.1'"),
         ],
         ids=[
             "unknown-key",
@@ -256,6 +277,9 @@ class TestBench:
             "huge-int-tol",
             "huge-int-theta-box",
             "huge-int-lambda",
+            "bool-noise-and-classification-tol",
+            "string-lambda",
+            "string-noise",
         ],
     )
     def test_bad_config_file_is_a_usage_error(

@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from ssflow import numerics
+from ssflow.bench import BenchConfig
 from ssflow.core import (
     Condition,
     FlowConfig,
@@ -18,7 +19,12 @@ from ssflow.core import (
     StopReason,
     validate_model,
 )
-from ssflow.models import conversion_reaction_model, ngf_erk_model
+from ssflow.models import (
+    ConversionReactionProblem,
+    NgfErkProblem,
+    conversion_reaction_model,
+    ngf_erk_model,
+)
 
 NAN = float("nan")
 INF = float("inf")
@@ -496,3 +502,118 @@ class TestRunResult:
                 steps_rejected=0,
                 wall_time=0.0,
             )
+
+
+def flow_config(**fields):
+    return FlowConfig(**{"lam": 2.0, **fields})
+
+
+def bench_config(**fields):
+    return BenchConfig(**{"problem": "ngf_erk", **fields})
+
+
+def validation(**fields):
+    return validate_model(linear_decay_model(), **fields)
+
+
+# every number field of the config types and validate_model's n_samples, as
+# (build, field, entries): build(**{field: value}) makes the object, and
+# entries is how many numbers a tuple field is given, None for one number
+REAL_FIELDS = [
+    (flow_config, "lam", None),
+    (flow_config, "tol", None),
+    (flow_config, "r_max", None),
+    (flow_config, "integrator_rel_tol", None),
+    (flow_config, "integrator_abs_tol", None),
+    (bench_config, "lambdas", 1),
+    (bench_config, "theta_box", 2),
+    (bench_config, "state_box", 2),
+    (bench_config, "tol", None),
+    (bench_config, "r_max", None),
+    (bench_config, "integrator_rel_tol", None),
+    (bench_config, "integrator_abs_tol", None),
+    (bench_config, "noise_var", None),
+    (bench_config, "theta_true", 6),
+    (bench_config, "classification_tol", None),
+    (ConversionReactionProblem, "xi", None),
+    (ConversionReactionProblem, "x_bar", None),
+    (ConversionReactionProblem, "weight", None),
+    (ConversionReactionProblem, "theta_bar", 2),
+    (NgfErkProblem, "inputs", 10),
+    (NgfErkProblem, "data", 10),
+    (NgfErkProblem, "noise_var", None),
+    (NgfErkProblem, "theta_true", 6),
+]
+INTEGER_FIELDS = [
+    (flow_config, "max_rhs_evals", None),
+    (bench_config, "n_starts", None),
+    (bench_config, "seed", None),
+    (bench_config, "max_rhs_evals", None),
+    (NgfErkProblem, "data_seed", None),
+    (validation, "n_samples", None),
+]
+# an integer too large for a float is a real number's failure; an integer
+# field refuses a float even when it holds an integer
+NOT_A_REAL = {"True": True, "'1'": "1", "nan": NAN, "inf": INF, "-inf": -INF, "huge": 10**400}
+NOT_AN_INTEGER = {**NOT_A_REAL, "huge": 1.0}
+
+
+def field_value(value, entries):
+    """The field value: the number itself, or a tuple of entries of it."""
+    return value if entries is None else (value,) * entries
+
+
+def field_id(case):
+    build, field, _ = case
+    return f"{build.__name__}-{field}"
+
+
+class TestOneNumberRule:
+    """Every number a config or problem takes is a real number that is not
+    a bool (stored as a finite float) or an integer that is not a bool;
+    anything else raises ValueError naming the field."""
+
+    @pytest.mark.parametrize(
+        "case, value",
+        [
+            pytest.param(case, value, id=f"{field_id(case)}-{label}")
+            for cases, values in ((REAL_FIELDS, NOT_A_REAL), (INTEGER_FIELDS, NOT_AN_INTEGER))
+            for case in cases
+            for label, value in values.items()
+        ],
+    )
+    def test_anything_else_names_its_field(self, case, value):
+        build, field, entries = case
+        with pytest.raises(ValueError, match=f"^{field} (must|is too large)"):
+            build(**{field: field_value(value, entries)})
+
+    @pytest.mark.parametrize(
+        "case", [case for case in REAL_FIELDS if case[2] is not None], ids=field_id
+    )
+    def test_a_tuple_field_takes_only_its_count_of_numbers(self, case):
+        build, field, entries = case
+        count = "" if field == "lambdas" else f"{entries} "
+        with pytest.raises(ValueError, match=f"^{field} must hold {count}numbers, got 2.0$"):
+            build(**{field: 2.0})
+        if field != "lambdas":
+            too_many = (2.0,) * (entries + 1)
+            with pytest.raises(ValueError, match=f"^{field} must hold {entries} numbers"):
+                build(**{field: too_many})
+
+    @pytest.mark.parametrize("case", REAL_FIELDS, ids=field_id)
+    def test_a_real_number_is_stored_as_its_float(self, case):
+        build, field, entries = case
+        for value in (2, np.int64(2), np.float64(2.0), np.float32(2.0)):
+            stored = getattr(build(**{field: field_value(value, entries)}), field)
+            assert stored == field_value(2.0, entries)
+            assert type(stored) is (float if entries is None else tuple)
+            assert all(type(v) is float for v in ((stored,) if entries is None else stored))
+
+    # validate_model keeps no n_samples to read back
+    @pytest.mark.parametrize(
+        "case", [case for case in INTEGER_FIELDS if case[0] is not validation], ids=field_id
+    )
+    def test_an_integer_is_stored_as_its_int(self, case):
+        build, field, _ = case
+        stored = getattr(build(**{field: np.int64(3)}), field)
+        assert stored == 3 and type(stored) is int

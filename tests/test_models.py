@@ -424,14 +424,21 @@ class TestNgfErkProblem:
         with pytest.raises(ValueError):
             NgfErkProblem(inputs=(0.0, 1.0))
 
-    @pytest.mark.parametrize("noise_var", [-1.0, float("nan")])
-    def test_rejects_negative_or_nan_noise(self, noise_var):
-        with pytest.raises(ValueError, match="noise variance"):
+    @pytest.mark.parametrize(
+        "noise_var, match",
+        [
+            (-1.0, "noise variance"),
+            (float("nan"), "^noise_var must be a finite number, got nan$"),
+        ],
+        ids=["-1.0", "nan"],
+    )
+    def test_rejects_negative_or_nan_noise(self, noise_var, match):
+        with pytest.raises(ValueError, match=match):
             NgfErkProblem(noise_var=noise_var)
 
     def test_rejects_infinite_noise(self):
         # infinite noise would make infinite data
-        with pytest.raises(ValueError, match="noise variance"):
+        with pytest.raises(ValueError, match="^noise_var must be a finite number, got inf$"):
             NgfErkProblem(noise_var=float("inf"))
 
     def test_conditions_require_data(self):
