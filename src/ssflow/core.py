@@ -130,6 +130,10 @@ class ModelSpec:
     calls. The per-condition kernels are inputs, stacked into the batched
     forms left out, and the built-in models make them views of a batch of
     one; no consumer in the package calls them.
+
+    The dimensions follow the one number rule (_integer): n_x and n_theta
+    are ints >= 1 and n_u an int >= 0; anything else, a bool or a float
+    among it, raises ValueError naming the field.
     """
 
     n_x: int
@@ -148,8 +152,8 @@ class ModelSpec:
     f_jac_batch: Optional[Callable] = None
 
     def __post_init__(self):
-        if self.n_x < 1 or self.n_theta < 1 or self.n_u < 0:
-            raise ValueError("dimensions must be positive (n_u may be zero)")
+        for name, low in (("n_x", 1), ("n_theta", 1), ("n_u", 0)):
+            object.__setattr__(self, name, _integer(name, getattr(self, name), low))
         for name in ("f", "jac_x", "jac_theta"):
             single = getattr(self, name)
             batch = getattr(self, name + "_batch")
@@ -371,9 +375,11 @@ def validate_model(model, n_samples=100, seed=0):
     model leaves out, and views of a batch of one, and the flow does not
     call them either.
     n_samples must be at least 1: a report over no sample checks nothing.
+    seed, numpy's generator seed, is an int >= 0; both follow the one
+    number rule, so anything else raises ValueError naming the argument.
     """
     n_samples = _integer("n_samples", n_samples, 1)
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(_integer("seed", seed, 0))
     max_err_x = 0.0
     max_err_theta = 0.0
     failures = []

@@ -12,6 +12,17 @@ still understate a step's error: on the Prothero-Robinson problem
 y' = -1000 (y - cos t) the largest error along a run stays below rel_tol
 for rel_tol >= 1e-4 but reaches about 6 rel_tol at rel_tol = 1e-6.
 
+The step size follows Gustafsson's predictive controller (K. Gustafsson,
+ACM TOMS 20 (1994) 496-517; Hairer & Wanner II, Sec. IV.8, the default
+step strategy of their RADAU5): after an accepted step the classical factor
+SAFETY * err ** (-1/4) is capped by a factor extrapolated from the last two
+accepted steps' sizes and errors, so a run whose error constant grows step
+after step shrinks the step ahead of the error instead of one rejection
+behind it. On acceptance criterion 6's NGF flow (100 starts, lambda 20,
+tolerances 1e-4 / 1e-6) the classical factor alone took 8246 accepted and
+1758 rejected steps (272,792 rhs evaluations), the predictive controller
+8371 and 561 (270,807), with the same 84 starts converged.
+
 The scheme handles the stiffness a large retraction factor induces without
 Newton iterations per step. The optimiser flow does not depend on r, so the
 scheme's time-derivative terms are zero and left out (append a clock state
@@ -225,9 +236,16 @@ def integrate_adaptive(
     algebraic variables, but a NaN or inf error there still gives a NaN
     norm and rejects the step.
 
-    After the error test the step size is scaled by
-    SAFETY * err_norm ** (-1/4), the exponent of a third-order estimate,
-    within [FAC_MIN, FAC_MAX] (at most 1 after a rejection).
+    A rejected step's size is scaled by SAFETY * err_norm ** (-1/4), the
+    exponent of a third-order estimate, within [FAC_MIN, 1] (by FAC_MIN for
+    a non-finite error norm or a failed stage solve). An accepted step's is
+    scaled by Gustafsson's predictive controller (see the module
+    docstring): the classical factor SAFETY * err_norm ** (-1/4), and from
+    the second accepted step on the smaller of it and the predictive factor
+    SAFETY * (h / h_acc) * (err_acc / err_norm ** 2) ** (1/4), each within
+    [FAC_MIN, FAC_MAX]. h_acc and err_acc are the size and error norm
+    (floored at 1e-2) of the accepted step before, which a rejection leaves
+    as they are. An error norm of 0 scales the step by FAC_MAX.
 
     rhs_fd, if given, evaluates the FD stack of a point in one call:
     rhs_fd(y) returns rhs at every row of _fd_stack(y) (y's n FD points,
@@ -301,6 +319,9 @@ def integrate_adaptive(
 
         h = _initial_step(y, f0, r_max, rel_tol, abs_tol)
         jac = None
+        # the last accepted step's size and error norm (floored at 1e-2),
+        # for the predictive factor; a rejection leaves them
+        h_acc = err_acc = None
         while True:
             if r >= r_max:
                 return r, y, stats, IntegrationOutcome.HORIZON
@@ -355,8 +376,16 @@ def integrate_adaptive(
                 return r, y, stats, IntegrationOutcome.STOP_CONDITION
             if err_norm > 0.0:
                 fac = min(max(SAFETY * err_norm ** -0.25, FAC_MIN), FAC_MAX)
+                # Gustafsson's predictive factor, from the second accepted
+                # step on; fac <= FAC_MAX already, so it needs only its lower
+                # clip. Below about 1e-162 err_norm**2 underflows to 0, where
+                # the factor is unbounded and fac is FAC_MAX anyway
+                if h_acc is not None and err_norm**2 > 0.0:
+                    pred = SAFETY * (h / h_acc) * (err_acc / err_norm**2) ** 0.25
+                    fac = min(fac, max(pred, FAC_MIN))
             else:
                 fac = FAC_MAX
+            h_acc, err_acc = h, max(err_norm, 1e-2)
             h *= fac
     except Exception as exc:
         exc.stats = stats

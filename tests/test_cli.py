@@ -82,6 +82,14 @@ class TestValidate:
         assert captured.out == ""
         assert "n_samples must be >= 1" in captured.err
 
+    def test_a_negative_seed_is_a_usage_error_naming_seed(self, capsys):
+        with pytest.raises(SystemExit) as info:
+            main(["validate", "--seed", "-1"])
+        assert info.value.code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "seed must be >= 0, got -1" in captured.err
+
 
 class TestRun:
     def test_conversion_reaction_run(self, capsys):

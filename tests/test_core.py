@@ -516,9 +516,14 @@ def validation(**fields):
     return validate_model(linear_decay_model(), **fields)
 
 
-# every number field of the config types and validate_model's n_samples, as
-# (build, field, entries): build(**{field: value}) makes the object, and
-# entries is how many numbers a tuple field is given, None for one number
+def model_spec(**fields):
+    return dataclasses.replace(conversion_reaction_model(), **fields)
+
+
+# every number field of the config types and ModelSpec's dimensions, and
+# validate_model's n_samples and seed, as (build, field, entries):
+# build(**{field: value}) makes the object, and entries is how many numbers
+# a tuple field is given, None for one number
 REAL_FIELDS = [
     (flow_config, "lam", None),
     (flow_config, "tol", None),
@@ -551,6 +556,10 @@ INTEGER_FIELDS = [
     (bench_config, "max_rhs_evals", None),
     (NgfErkProblem, "data_seed", None),
     (validation, "n_samples", None),
+    (validation, "seed", None),
+    (model_spec, "n_x", None),
+    (model_spec, "n_theta", None),
+    (model_spec, "n_u", None),
 ]
 # an integer too large for a float is a real number's failure; an integer
 # field refuses a float even when it holds an integer
@@ -609,7 +618,7 @@ class TestOneNumberRule:
             assert type(stored) is (float if entries is None else tuple)
             assert all(type(v) is float for v in ((stored,) if entries is None else stored))
 
-    # validate_model keeps no n_samples to read back
+    # validate_model keeps no n_samples or seed to read back
     @pytest.mark.parametrize(
         "case", [case for case in INTEGER_FIELDS if case[0] is not validation], ids=field_id
     )
@@ -617,3 +626,22 @@ class TestOneNumberRule:
         build, field, _ = case
         stored = getattr(build(**{field: np.int64(3)}), field)
         assert stored == 3 and type(stored) is int
+
+    @pytest.mark.parametrize(
+        "build, field, value, message",
+        [
+            (model_spec, "n_x", 1.5, "must be an integer"),
+            (model_spec, "n_x", True, "must be an integer"),
+            (model_spec, "n_u", "0", "must be an integer"),
+            (model_spec, "n_x", 0, "must be >= 1"),
+            (model_spec, "n_theta", 0, "must be >= 1"),
+            (model_spec, "n_u", -1, "must be >= 0"),
+            (validation, "seed", True, "must be an integer"),
+            (validation, "seed", -1, "must be >= 0"),
+        ],
+    )
+    def test_dimensions_and_seed_name_their_field(self, build, field, value, message):
+        # a float, a bool or a string dimension was stored or failed in a
+        # comparison naming no field; a negative seed failed in numpy
+        with pytest.raises(ValueError, match=f"^{field} {message}, got {value!r}$"):
+            build(**{field: value})

@@ -777,6 +777,149 @@ class TestIntegrateAdaptive:
         assert info.value.stats.steps_accepted == 0
 
 
+class Done(Exception):
+    pass
+
+
+def scripted_step_sizes(monkeypatch, err_of, trials):
+    """The step sizes integrate_adaptive tries when integrator.step returns
+    the error norm err_of(h, accepted) for a trial step h after `accepted`
+    accepted ones (y_new = y, rel_tol 0 and abs_tol 1, so the error norm is
+    |err|), up to `trials` trial steps; the last entry is the step size
+    after the last trial. The first trial step is 1e6. Returns the step
+    sizes and the number of accepted steps."""
+    hs, accepted = [], []
+
+    def scripted_step(rhs, y, h, jac, f0):
+        hs.append(h)
+        if len(hs) > trials:
+            raise Done
+        return y.copy(), np.array([err_of(h, len(accepted) - 1)])
+
+    monkeypatch.setattr(integrator, "step", scripted_step)
+    with pytest.raises(Done):
+        integrate_adaptive(
+            lambda y: np.zeros(1),
+            np.zeros(1),
+            1e12,
+            rel_tol=0.0,
+            abs_tol=1.0,
+            observer=lambda r, y, dy: accepted.append(r),
+        )
+    assert hs[0] == 1e6
+    return hs, len(accepted) - 1
+
+
+def prescribed(errs):
+    """err_of for scripted_step_sizes: the error norms errs, trial by trial."""
+    errs = iter(errs)
+    return lambda h, accepted: next(errs)
+
+
+def classical(err_norm):
+    return min(max(integrator.SAFETY * err_norm**-0.25, integrator.FAC_MIN), integrator.FAC_MAX)
+
+
+def clipped(fac):
+    return min(max(fac, integrator.FAC_MIN), integrator.FAC_MAX)
+
+
+def reference_step_sizes(h, errs):
+    """The step sizes of the controller for the error norms errs, from
+    trial step h: a rejection scales h by SAFETY * err ** (-1/4) within
+    [FAC_MIN, 1]; an accepted step by the classical factor, and from the
+    second accepted step on by the smaller of it and Gustafsson's clipped
+    predictive factor, SAFETY * (h / h_acc) * (err_acc / err ** 2) ** (1/4),
+    with h_acc and err_acc (floored at 1e-2) the last accepted step's. An
+    error norm of 0 gives FAC_MAX."""
+    hs, h_acc = [h], None
+    for err in errs:
+        if err > 1.0:
+            h *= max(min(integrator.SAFETY * err**-0.25, 1.0), integrator.FAC_MIN)
+        else:
+            fac = classical(err) if err > 0.0 else integrator.FAC_MAX
+            if err > 0.0 and h_acc is not None:
+                pred = integrator.SAFETY * (h / h_acc) * (err_acc / err**2) ** 0.25
+                fac = min(fac, clipped(pred))
+            h_acc, err_acc = h, max(err, 1e-2)
+            h *= fac
+        hs.append(h)
+    return hs
+
+
+class TestPredictiveController:
+    """Gustafsson's predictive step-size controller (ACM TOMS 20 (1994)
+    496-517; Hairer & Wanner II, Sec. IV.8), on scripted error norms."""
+
+    def test_the_step_sizes_of_a_scripted_run(self, monkeypatch):
+        # accepted steps whose error grows, falls, sits at 1 long enough for
+        # the predictive factor to reach FAC_MIN, and falls below 1e-2
+        errs = [0.5, 0.8, 0.2, 1e-4, 0.9] + [1.0] * 16 + [1e-3, 0.3]
+        hs, _ = scripted_step_sizes(monkeypatch, prescribed(errs), len(errs))
+        assert hs == reference_step_sizes(1e6, errs)
+        # the first accepted step takes the classical factor
+        assert hs[1] == hs[0] * classical(0.5)
+        # a growing error: the predictive factor is the smaller
+        pred = integrator.SAFETY * (hs[1] / hs[0]) * (0.5 / 0.8**2) ** 0.25
+        assert pred < classical(0.8)
+        assert hs[2] == hs[1] * pred
+        # a falling error: the classical factor is the smaller
+        assert hs[3] == hs[2] * classical(0.2)
+        # at err 1 the predictive factor shrinks by SAFETY a step until it
+        # is clipped at FAC_MIN
+        factors = [b / a for a, b in zip(hs[5:21], hs[6:22])]
+        assert factors[-1] == pytest.approx(integrator.FAC_MIN, rel=1e-15)
+        assert all(a > b for a, b in zip(factors, factors[1:-1]))
+
+    def test_a_zero_error_gives_fac_max(self, monkeypatch):
+        errs = [0.5, 0.0, 0.0, 0.5]
+        hs, _ = scripted_step_sizes(monkeypatch, prescribed(errs), len(errs))
+        assert hs == reference_step_sizes(1e6, errs)
+        assert hs[2] == hs[1] * integrator.FAC_MAX
+        assert hs[3] == hs[2] * integrator.FAC_MAX
+
+    def test_an_error_that_underflows_when_squared_takes_the_classical_factor(
+        self, monkeypatch
+    ):
+        # err ** 2 is 0 below about 1e-162; the classical factor is FAC_MAX
+        errs = [0.5, 1e-200, 0.5]
+        hs, _ = scripted_step_sizes(monkeypatch, prescribed(errs), len(errs))
+        assert hs[2] == hs[1] * integrator.FAC_MAX
+
+    def test_a_rejection_leaves_the_last_accepted_step_alone(self, monkeypatch):
+        errs = [0.5, 0.6, 3.0, 0.7]
+        hs, _ = scripted_step_sizes(monkeypatch, prescribed(errs), len(errs))
+        assert hs == reference_step_sizes(1e6, errs)
+        assert hs[3] == hs[2] * max(integrator.SAFETY * 3.0**-0.25, integrator.FAC_MIN)
+        # h_acc and err_acc are still those of the step accepted at 0.6
+        pred = integrator.SAFETY * (hs[3] / hs[1]) * (0.6 / 0.7**2) ** 0.25
+        assert hs[4] == hs[3] * min(classical(0.7), clipped(pred))
+
+    def test_an_error_constant_growing_fourfold_takes_no_alternating_rejections(
+        self, monkeypatch
+    ):
+        # err = C h^4 with C four times larger after each accepted step: the
+        # step must shrink by 4 ** (-1/4) a step. The classical rule lags a
+        # step behind and rejects every other trial; the predictive factor
+        # learns the trend from two accepted steps
+        def err_of(h, accepted):
+            return 0.5 * 4.0**accepted * (h / 1e6) ** 4
+
+        trials = 60
+        _, accepted = scripted_step_sizes(monkeypatch, err_of, trials)
+        assert trials - accepted <= 1
+        # the classical rule alone on the same errors
+        h, accepted_classical = 1e6, 0
+        for _ in range(trials):
+            err = err_of(h, accepted_classical)
+            if err > 1.0:
+                h *= max(min(integrator.SAFETY * err**-0.25, 1.0), integrator.FAC_MIN)
+            else:
+                accepted_classical += 1
+                h *= classical(err)
+        assert trials - accepted_classical >= trials // 3
+
+
 def held_and_rotating(y):
     # entry 0 is constant, so its error is exactly 0 at every step; entries
     # 1-2 rotate fast, and their error grows with the step without bound
