@@ -3,7 +3,6 @@
 __version__ = "0.1.0"
 
 from .core import (  # noqa: F401
-    Condition,
     FlowConfig,
     FlowState,
     ModelSpec,

@@ -3,7 +3,7 @@
 quasi_newton_unconstrained is a BFGS iteration with Armijo backtracking for
 the analytically reduced problems; augmented_lagrangian_constrained solves
 the equality-constrained formulation of a problem bundle (its model(),
-objective() and conditions()) with a multiplier/penalty outer loop around
+objective() and u_matrix) with a multiplier/penalty outer loop around
 the same BFGS inner solver. Both report why they stopped as a StopReason.
 """
 
@@ -128,7 +128,8 @@ def _violation(cvec):
 
 
 def augmented_lagrangian_constrained(bundle, init, tol=1e-6, max_outer=20):
-    """Equality-constrained solver over a bundle's full (theta, states) vector.
+    """Equality-constrained solver over a bundle's full (theta, states) vector,
+    one state row and one constraint block f = 0 per row of bundle.u_matrix.
 
     Outer loop: multiplier update mu += rho * f; penalty rho starts at 10
     and grows tenfold whenever the constraint violation fails to shrink by
@@ -138,7 +139,7 @@ def augmented_lagrangian_constrained(bundle, init, tol=1e-6, max_outer=20):
     t0 = time.perf_counter()
     model = bundle.model()
     objective = bundle.objective()
-    u_mat = np.stack([c.u for c in bundle.conditions()])
+    u_mat = bundle.u_matrix
     n_theta = model.n_theta
     n_x = model.n_x
     m = len(u_mat)

@@ -179,7 +179,7 @@ def sample_starts(config, bundle=None):
     if bundle is None:
         bundle = _build_problem(config)
     model = bundle.model()
-    m = len(bundle.conditions())
+    m = len(bundle.u_matrix)
     rng = np.random.default_rng(config.seed + 1)
     starts = []
     for _ in range(config.n_starts):
@@ -202,11 +202,10 @@ def _flow_config(config, lam):
 
 
 def _reduced_value(config, bundle, theta):
-    """Objective restricted to the steady-state manifold at theta."""
+    """Objective restricted to the steady-state manifold at theta; inf where
+    it is not finite (reduced_objective's own rule) or the bundle raises."""
     try:
-        with np.errstate(all="ignore"):
-            value, _ = bundle.reduced_objective(theta)
-        return float(value) if np.isfinite(value) else float("inf")
+        return float(bundle.reduced_objective(theta)[0])
     except Exception:
         return float("inf")
 

@@ -1,4 +1,7 @@
-"""Shared domain types: models, objectives, conditions, flow state and results."""
+"""Shared domain types: models, objectives, flow state and results.
+
+Condition i of a problem is no type of its own: it is row i of the input
+matrix (flow.FlowProblem), and its observed data belong to the objective."""
 
 import enum
 import itertools
@@ -171,23 +174,6 @@ class ModelSpec:
 
 
 @dataclass(frozen=True)
-class Condition:
-    """One experiment: an input vector and the observed steady-state data."""
-
-    u: np.ndarray
-    data: np.ndarray
-    id: str = ""
-
-    def __post_init__(self):
-        object.__setattr__(self, "u", np.atleast_1d(np.asarray(self.u, dtype=float)))
-        object.__setattr__(
-            self, "data", np.atleast_1d(np.asarray(self.data, dtype=float))
-        )
-        if not np.all(np.isfinite(self.data)):
-            raise ValueError(f"condition {self.id!r}: data entries must be finite")
-
-
-@dataclass(frozen=True)
 class ObjectiveSpec:
     """Objective over parameters and per-condition state blocks.
 
@@ -238,9 +224,6 @@ class FlowState:
         if vec.size != n_theta + m * n_x:
             raise ValueError("vector length does not match (n_theta, n_x, m)")
         return cls(theta=vec[:n_theta], states=vec[n_theta:].reshape(m, n_x), r=r)
-
-    def copy(self):
-        return FlowState(self.theta.copy(), self.states.copy(), self.r)
 
 
 @dataclass(frozen=True)

@@ -31,25 +31,37 @@ _NUMERICAL_FAILURES = (
 
 @dataclass(frozen=True)
 class FlowProblem:
+    """A model, an objective, the (m, n_u) input matrix, one row u_i for each
+    of the m >= 1 experimental conditions, and a FlowConfig; the observed
+    data are the objective's. u_matrix is kept as a read-only float copy;
+    anything but a finite 2-D array of model.n_u columns is a ValueError."""
+
     model: object
     objective: object
-    conditions: list
+    u_matrix: np.ndarray
     config: FlowConfig
 
     def __post_init__(self):
-        if len(self.conditions) < 1:
-            raise ValueError("at least one condition is required")
-
-    @cached_property
-    def u_matrix(self):
-        return np.stack([c.u for c in self.conditions])
+        try:
+            u_matrix = np.array(self.u_matrix, dtype=float)
+        except (TypeError, ValueError) as exc:
+            raise ValueError(f"u_matrix: {exc}") from None
+        n_u = self.model.n_u
+        if u_matrix.ndim != 2 or len(u_matrix) < 1 or u_matrix.shape[1] != n_u:
+            raise ValueError(
+                f"u_matrix must have shape (m, {n_u}), m >= 1, got {u_matrix.shape}"
+            )
+        if not np.isfinite(u_matrix).all():
+            raise ValueError("u_matrix entries must be finite")
+        u_matrix.flags.writeable = False
+        object.__setattr__(self, "u_matrix", u_matrix)
 
     @cached_property
     def block_starts(self):
         """Where the parameter block and each state block start in the
         packed state."""
         n_theta = self.model.n_theta
-        states = n_theta + self.model.n_x * np.arange(len(self.conditions))
+        states = n_theta + self.model.n_x * np.arange(len(self.u_matrix))
         return np.concatenate([[0], states])
 
     @cached_property
@@ -146,7 +158,7 @@ def _fd_plan(problem):
     condition order, then the own rows in stack order.
     """
     n_theta, n_x = problem.model.n_theta, problem.model.n_x
-    m = len(problem.conditions)
+    m = len(problem.u_matrix)
     n = n_theta + m * n_x
     conditions = np.arange(m)
     own_q = np.concatenate(
@@ -200,7 +212,7 @@ def rhs(problem, y):
     """Flow derivative at the packed state y = (theta, x^1..x^m), as one
     packed vector; the flow is autonomous, so it takes no pseudo-time."""
     n_theta = problem.model.n_theta
-    states = y[n_theta:].reshape(len(problem.conditions), problem.model.n_x)
+    states = y[n_theta:].reshape(len(problem.u_matrix), problem.model.n_x)
     d_theta, d_states = _assemble(problem, y[:n_theta], states)
     return np.concatenate([d_theta, d_states.ravel()])
 
@@ -216,7 +228,7 @@ def rhs_fd(problem, y):
     ys = integrator._fd_stack(y)
     p = len(ys)
     n_theta = problem.model.n_theta
-    states = ys[:, n_theta:].reshape(p, len(problem.conditions), problem.model.n_x)
+    states = ys[:, n_theta:].reshape(p, len(problem.u_matrix), problem.model.n_x)
     d_theta, d_states = _assemble(problem, ys[:, :n_theta], states)
     return np.concatenate([d_theta, d_states.reshape(p, -1)], axis=1)
 
@@ -243,7 +255,7 @@ def _error_tolerances(problem):
     cfg = problem.config
     n_theta = problem.model.n_theta
     state_tol = np.inf if cfg.lam > 0 else cfg.integrator_abs_tol
-    abs_tol = np.full(n_theta + len(problem.conditions) * problem.model.n_x, state_tol)
+    abs_tol = np.full(n_theta + len(problem.u_matrix) * problem.model.n_x, state_tol)
     abs_tol[:n_theta] = cfg.integrator_abs_tol
     return cfg.integrator_rel_tol, abs_tol
 
@@ -259,7 +271,7 @@ def run_flow(problem, init, store_trajectory=False):
     cfg = problem.config
     n_theta = problem.model.n_theta
     n_x = problem.model.n_x
-    m = len(problem.conditions)
+    m = len(problem.u_matrix)
     if init.theta.shape != (n_theta,) or init.states.shape != (m, n_x):
         raise ValueError(
             f"initial state has theta {init.theta.shape} and states "

@@ -14,7 +14,7 @@ from typing import ClassVar, Optional
 
 import numpy as np
 
-from .core import Condition, FlowConfig, ModelSpec, ObjectiveSpec, _integer, _real, _reals
+from .core import FlowConfig, ModelSpec, ObjectiveSpec, _integer, _real, _reals
 from .flow import FlowProblem
 from .sensitivity import manifold_gradient
 from .sensitivity import sensitivity_exact  # noqa: F401  (perfbench traces it here)
@@ -57,23 +57,19 @@ def _model_spec(f_batch, f_jac_batch, **fields):
 
 class _Bundle:
     """A problem bundle's two optimisation views, built from its model(),
-    objective() and conditions().
+    objective() and u_matrix, its (m, n_u) input rows, one per condition.
 
-    A bundle builds its conditions once, as the tuple ``_conditions`` that
-    the frozen dataclass keeps in its ``__dict__``; it pickles with them.
-    model() and objective() are built on each call: their closures do not
-    pickle, and bundles are pickled to pool workers.
+    A bundle builds u_matrix once, read-only, kept in the frozen dataclass's
+    ``__dict__``, so it pickles with the bundle; its data fields are read by
+    objective() only. model() and objective() are built on each call: their
+    closures do not pickle, and bundles are pickled to pool workers.
     """
-
-    def conditions(self):
-        """The bundle's conditions, as a new list on each call."""
-        return list(self._conditions)
 
     def flow_problem(self, config: FlowConfig):
         return FlowProblem(
             model=self.model(),
             objective=self.objective(),
-            conditions=self.conditions(),
+            u_matrix=self.u_matrix,
             config=config,
         )
 
@@ -92,16 +88,16 @@ def reduced_objective(theta, problem):
     can overflow a steady state, the value or the gradient: the result is
     then (+inf, zeros), so callers treat the point as unacceptable.
 
-    The model and objective are built on each call, the conditions once
+    The model and objective are built on each call, the input matrix once
     per bundle (_Bundle).
     """
-    model, objective, conditions = problem.model(), problem.objective(), problem.conditions()
+    model, objective, u_matrix = problem.model(), problem.objective(), problem.u_matrix
     theta = np.asarray(theta, dtype=float)
     with np.errstate(all="ignore"):
-        states = np.array([model.analytic_steady_state(theta, c.u) for c in conditions])
+        states = np.array([model.analytic_steady_state(theta, u) for u in u_matrix])
         if np.isfinite(states).all():
             value = objective.eval(theta, states)
-            grad = manifold_gradient(model, objective, theta, states, conditions)
+            grad = manifold_gradient(model, objective, theta, states, u_matrix)
             if np.isfinite(value) and np.isfinite(grad).all():
                 return value, grad
     return float("inf"), np.zeros(model.n_theta)
@@ -177,8 +173,11 @@ class ConversionReactionProblem(_Bundle):
         return conversion_reaction_model(self.xi)
 
     @cached_property
-    def _conditions(self):
-        return (Condition(u=np.zeros(0), data=np.array([self.x_bar]), id="steady"),)
+    def u_matrix(self):
+        """One condition, the observed steady state, with no inputs."""
+        u_matrix = np.zeros((1, 0))
+        u_matrix.flags.writeable = False
+        return u_matrix
 
     def objective(self):
         # 0-d arrays: no Python float to convert on each gradient call
@@ -316,13 +315,11 @@ class NgfErkProblem(_Bundle):
         )
 
     @cached_property
-    def _conditions(self):
-        if self.data is None:
-            raise ValueError("data not set; call with_generated_data or supply data")
-        return tuple(
-            Condition(u=np.array([u]), data=np.array([d]), id=f"dose{i}")
-            for i, (u, d) in enumerate(zip(self.inputs, self.data))
-        )
+    def u_matrix(self):
+        """One condition per dose: the (10, 1) column of inputs."""
+        u_matrix = np.array(self.inputs)[:, None]
+        u_matrix.flags.writeable = False
+        return u_matrix
 
     def objective(self):
         if self.data is None:

@@ -31,8 +31,9 @@ Jacobians of three or more states go to LAPACK.
 
 Unlike LAPACK, the closed forms may overflow in a product or ratio; the
 flow's finiteness check then fails the point. They set no np.errstate,
-which would cost about a third of what they save per call; ``run_flow``
-sets one around the whole integration.
+which would cost about a third of what they save per call; the flow's is
+the one on ``integrator.integrate_adaptive``, a decorator around the whole
+integration, and ``models.reduced_objective`` sets its own.
 
 A second rule survives only in ``sensitivity_exact``, which only tests
 call: ``numerics.solve`` raises ``SingularMatrixError`` when a pivot is at
@@ -128,15 +129,15 @@ def sensitivity_hat(model, theta, x, u):
     return pinv_sensitivity(*_jacobian_blocks(model, theta, x, u))
 
 
-def manifold_gradient(model, objective, theta, states, conditions):
-    """Total objective gradient d J/d theta along the steady-state manifold.
+def manifold_gradient(model, objective, theta, states, u_matrix):
+    """Total objective gradient d J/d theta along the steady-state manifold
+    at the states (m, n_x) of the conditions with inputs u_matrix (m, n_u).
 
     Chain rule: explicit parameter gradient plus, per condition, the state
     gradient pulled back through the pseudoinverse sensitivity.
     """
     x_mat = np.asarray(states, dtype=float)
-    u_mat = np.stack([c.u for c in conditions])
-    _, jac = model.f_jac_batch(theta, x_mat, u_mat)
+    _, jac = model.f_jac_batch(theta, x_mat, u_matrix)
     s_hat = pinv_sensitivity(jac[..., : model.n_x], jac[..., model.n_x :])
     return total_gradient(
         objective.grad_theta(theta, states), s_hat, objective.grad_x(theta, states)

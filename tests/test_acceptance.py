@@ -197,7 +197,7 @@ def test_criterion_5_sensitivity_equivalences():
         model = cr.model()
         x_s = model.analytic_steady_state(theta, NO_U)
         grad = manifold_gradient(
-            model, cr.objective(), theta, [x_s], cr.conditions()
+            model, cr.objective(), theta, [x_s], cr.u_matrix
         )
         fd = numerics.finite_diff_jacobian(
             lambda t: np.array([reduced_objective(t, cr)[0]]), theta
@@ -205,12 +205,12 @@ def test_criterion_5_sensitivity_equivalences():
         worst_grad = max(worst_grad, np.abs(grad - fd).max() / (1.0 + np.abs(fd).max()))
     ngf = NgfErkProblem().with_generated_data(BENCH_SEED)
     model = ngf.model()
-    conditions = ngf.conditions()
+    u_matrix = ngf.u_matrix
     objective = ngf.objective()
     for _ in range(100):
         theta = rng.uniform(-2.0, 1.0, 6)
-        states = [model.analytic_steady_state(theta, c.u) for c in conditions]
-        grad = manifold_gradient(model, objective, theta, states, conditions)
+        states = [model.analytic_steady_state(theta, u) for u in u_matrix]
+        grad = manifold_gradient(model, objective, theta, states, u_matrix)
         fd = numerics.finite_diff_jacobian(
             lambda t: np.array([reduced_objective(t, ngf)[0]]), theta
         )[0]

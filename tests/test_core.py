@@ -11,7 +11,6 @@ from hypothesis.extra.numpy import arrays
 from ssflow import numerics
 from ssflow.bench import BenchConfig
 from ssflow.core import (
-    Condition,
     FlowConfig,
     FlowState,
     ModelSpec,
@@ -371,17 +370,6 @@ class TestAnalyticSteadyStates:
             u = rng.uniform(0.0, 2.0, n_u)
             x_s = model.analytic_steady_state(theta, u)
             assert np.abs(model.f(theta, x_s, u)).max() < 1e-12
-
-
-class TestCondition:
-    def test_rejects_non_finite_data(self):
-        with pytest.raises(ValueError, match="finite"):
-            Condition(u=np.zeros(1), data=np.array([np.inf]), id="bad")
-
-    def test_coerces_scalars(self):
-        c = Condition(u=1.0, data=0.5)
-        assert c.u.shape == (1,)
-        assert c.data.shape == (1,)
 
 
 class TestFlowState:

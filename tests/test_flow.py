@@ -58,7 +58,7 @@ def derivative(problem, state):
     """The packed flow rhs at state, unpacked into its blocks."""
     dy = rhs(problem, state.pack())
     model = problem.model
-    return FlowState.unpack(dy, model.n_theta, model.n_x, len(problem.conditions))
+    return FlowState.unpack(dy, model.n_theta, model.n_x, len(problem.u_matrix))
 
 
 class TestRhs:
@@ -369,7 +369,7 @@ class TestOnePath:
         user = FlowProblem(
             model=hand_written_conversion_reaction(),
             objective=prob.objective(),
-            conditions=prob.conditions(),
+            u_matrix=prob.u_matrix,
             config=FlowConfig(lam=20.0),
         )
         init = FlowState(theta=np.array([5.0, 3.0]), states=[np.array([0.9])])
@@ -408,6 +408,54 @@ class TestOnePath:
         assert np.array_equal(d_theta, np.asarray(prob.theta_bar))
         assert np.all(np.isfinite(d_states))
         assert np.array_equal(d_states, np.zeros((1, 1)))
+
+
+def ngf_parts():
+    prob = NgfErkProblem().with_generated_data(0)
+    return prob.model(), prob.objective()
+
+
+class TestInputMatrix:
+    @pytest.mark.parametrize(
+        "u_matrix, match",
+        [
+            (np.zeros((0, 1)), r"shape \(m, 1\), m >= 1, got \(0, 1\)$"),
+            (np.zeros((10, 2)), r"shape \(m, 1\), m >= 1, got \(10, 2\)$"),
+            (np.zeros(10), r"shape \(m, 1\), m >= 1, got \(10,\)$"),
+            (np.array([[0.5]] * 9 + [[np.nan]]), "entries must be finite"),
+            (np.array([[0.5]] * 9 + [[np.inf]]), "entries must be finite"),
+            (np.array([[-np.inf]] + [[0.5]] * 9), "entries must be finite"),
+            ([["dose"]] * 10, "could not convert string to float"),
+        ],
+        ids=["no-rows", "two-columns", "1-D", "nan", "inf", "-inf", "string"],
+    )
+    def test_rejects(self, u_matrix, match):
+        model, objective = ngf_parts()
+        with pytest.raises(ValueError, match=f"^u_matrix.*{match}"):
+            FlowProblem(model, objective, u_matrix, FlowConfig(lam=20.0))
+
+    def test_stores_a_read_only_float_copy(self):
+        model, objective = ngf_parts()
+        u_matrix = np.arange(10)[:, None]
+        problem = FlowProblem(model, objective, u_matrix, FlowConfig(lam=20.0))
+        assert problem.u_matrix.dtype == float and problem.u_matrix.shape == (10, 1)
+        assert np.array_equal(problem.u_matrix, u_matrix)
+        assert not problem.u_matrix.flags.writeable
+        with pytest.raises(ValueError, match="read-only"):
+            problem.u_matrix[0, 0] = 1.0
+        # the caller's array is left as it was
+        assert u_matrix.flags.writeable
+
+    @pytest.mark.parametrize(
+        "bundle",
+        [ConversionReactionProblem(), NgfErkProblem().with_generated_data(0)],
+        ids=["cr", "ngf"],
+    )
+    def test_a_bundle_problem_takes_the_bundle_inputs(self, bundle):
+        problem = bundle.flow_problem(FlowConfig(lam=20.0))
+        assert problem.u_matrix.shape == bundle.u_matrix.shape
+        assert problem.u_matrix.tobytes() == bundle.u_matrix.tobytes()
+        assert not problem.u_matrix.flags.writeable
 
 
 def lapack_only_pinv_sensitivity(jac_x, jac_theta):
@@ -775,7 +823,7 @@ class TestNumericalFailureCounts:
         problem = FlowProblem(
             model=prob.model(),
             objective=ObjectiveSpec(base.eval, grad_theta, base.grad_x),
-            conditions=prob.conditions(),
+            u_matrix=prob.u_matrix,
             config=FlowConfig(lam=20.0),
         )
         init = FlowState(theta=np.array([5.0, 3.0]), states=[np.array([0.9])])
@@ -1158,7 +1206,7 @@ def test_stacked_derivative_equals_per_point_rhs(name, data):
     # alone, and the call raises a numerical failure iff some row fails
     # alone (the integrator then finds the row with plain calls)
     problem = STACK_PROBLEMS[name]()
-    n = problem.model.n_theta + len(problem.conditions) * problem.model.n_x
+    n = problem.model.n_theta + len(problem.u_matrix) * problem.model.n_x
     y = draw_base_point(data, n)
     with np.errstate(all="ignore"):
         ys = integrator._fd_stack(y)
@@ -1183,7 +1231,7 @@ def test_stacked_objective_gradients_equal_per_point(make, data):
     # point alone, bit for bit
     prob = make()
     model = prob.model()
-    m = len(prob.conditions())
+    m = len(prob.u_matrix)
     objective = prob.objective()
     p = data.draw(st.integers(1, 30), label="p")
     value = st.floats(-1e6, 1e6)

@@ -13,7 +13,7 @@ from hypothesis.extra.numpy import arrays
 from scipy.linalg import lu_factor, lu_solve
 
 from ssflow import flow, integrator
-from ssflow.core import Condition, FlowConfig, FlowState, ObjectiveSpec
+from ssflow.core import FlowConfig, FlowState, ObjectiveSpec
 from ssflow.integrator import (
     IntegrationOutcome,
     _fd_jacobian,
@@ -406,7 +406,6 @@ class TestSharedColumns:
         # Jacobian in the shared stack is exactly zero and takes the
         # truncated pseudoinverse; the objective's gradients take a point or
         # a stack
-        cond = Condition(u=np.zeros(0), data=np.array([0.2]))
         objective = ObjectiveSpec(
             eval=lambda theta, states: 0.0,
             grad_theta=lambda theta, states: theta - 1.0,
@@ -415,7 +414,7 @@ class TestSharedColumns:
         problem = flow.FlowProblem(
             conversion_reaction_model(),
             objective,
-            [cond, cond],
+            np.zeros((2, 0)),
             FlowConfig(lam=20.0),
         )
         rhs = partial(flow.rhs, problem)

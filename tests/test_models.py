@@ -30,13 +30,13 @@ def reduced_objective_per_dose(theta, problem, causes):
     model, objective = problem.model(), problem.objective()
     theta = np.asarray(theta, dtype=float)
     with np.errstate(all="ignore"):
-        conditions = problem.conditions()
-        states = np.array([model.analytic_steady_state(theta, c.u) for c in conditions])
+        u_matrix = problem.u_matrix
+        states = np.array([model.analytic_steady_state(theta, u) for u in u_matrix])
         if not np.all(np.isfinite(states)):
             causes["state"] += 1
             return float("inf"), np.zeros(model.n_theta)
         s_hat = np.stack(
-            [sensitivity_hat(model, theta, x, c.u) for x, c in zip(states, conditions)]
+            [sensitivity_hat(model, theta, x, u) for x, u in zip(states, u_matrix)]
         )
         value = objective.eval(theta, states)
         grad = total_gradient(
@@ -441,9 +441,13 @@ class TestNgfErkProblem:
         with pytest.raises(ValueError, match="^noise_var must be a finite number, got inf$"):
             NgfErkProblem(noise_var=float("inf"))
 
-    def test_conditions_require_data(self):
-        with pytest.raises(ValueError, match="data not set"):
-            NgfErkProblem().conditions()
+    def test_flow_problem_and_objective_require_data(self):
+        prob = NgfErkProblem()
+        for call in (prob.objective, lambda: prob.flow_problem(FlowConfig(lam=20.0))):
+            with pytest.raises(ValueError, match="data not set"):
+                call()
+        # u_matrix needs no data
+        assert prob.u_matrix.shape == (10, 1)
 
     def test_default_inputs(self):
         assert NgfErkProblem().inputs == (
@@ -491,15 +495,26 @@ def bundles():
     return [ConversionReactionProblem(), NgfErkProblem().with_generated_data(0)]
 
 
-class TestBundleConditions:
+def input_rows(bundle):
+    """The bundle's input rows as a model's n_u reads them: no input for the
+    conversion reaction, one dose per row for NGF."""
+    if isinstance(bundle, ConversionReactionProblem):
+        return np.zeros((1, 0))
+    return np.array(bundle.inputs)[:, None]
+
+
+class TestBundleInputs:
     @pytest.mark.parametrize("bundle", bundles(), ids=["cr", "ngf"])
     def test_built_once_per_bundle(self, bundle):
-        # each call returns a new list of the same Condition objects
-        first, second = bundle.conditions(), bundle.conditions()
-        assert first is not second and first == second
-        assert all(a is b for a, b in zip(first, second))
-        first.clear()
-        assert len(bundle.conditions()) == len(second)
+        # the same read-only array on every read, one row per condition
+        u_matrix, want = bundle.u_matrix, input_rows(bundle)
+        assert bundle.u_matrix is u_matrix
+        assert u_matrix.dtype == float and u_matrix.shape == want.shape
+        assert u_matrix.tobytes() == want.tobytes()
+        assert not u_matrix.flags.writeable
+        with pytest.raises(ValueError, match="read-only"):
+            u_matrix[...] = 1.0
+        assert bundle.u_matrix.tobytes() == want.tobytes()
 
     @pytest.mark.parametrize("bundle", bundles(), ids=["cr", "ngf"])
     def test_pickles_after_a_call(self, bundle):
@@ -510,15 +525,20 @@ class TestBundleConditions:
         again = copy.reduced_objective(theta)
         assert np.float64(again[0]).tobytes() == np.float64(value).tobytes()
         assert again[1].tobytes() == grad.tobytes()
-        for a, b in zip(copy.conditions(), bundle.conditions()):
-            assert a.id == b.id
-            assert a.u.tobytes() == b.u.tobytes() and a.data.tobytes() == b.data.tobytes()
+        assert copy.u_matrix.shape == bundle.u_matrix.shape
+        assert copy.u_matrix.tobytes() == bundle.u_matrix.tobytes()
 
-    def test_a_replaced_bundle_builds_its_own(self):
+    def test_a_replaced_bundle_keeps_its_inputs_and_takes_new_data(self):
         prob = NgfErkProblem().with_generated_data(0)
-        prob.conditions()
+        u_matrix = prob.u_matrix
         other = prob.with_generated_data(1)
-        assert [c.data[0] for c in other.conditions()] == list(other.data)
+        assert other.data != prob.data
+        assert other.u_matrix.shape == u_matrix.shape
+        assert other.u_matrix.tobytes() == u_matrix.tobytes()
+        # the new objective's residuals vanish at the new data only
+        at_data = np.column_stack([np.zeros(10), other.data])
+        assert other.objective().eval(np.zeros(6), at_data) == 0.0
+        assert prob.objective().eval(np.zeros(6), at_data) > 0.0
 
 
 class TestGenerateData:
@@ -654,7 +674,7 @@ def test_reduced_gradient_is_the_flow_parameter_derivative(prob, draws):
     for _ in range(draws):
         theta = rng.uniform(*prob.theta_box, problem.model.n_theta)
         states = np.array(
-            [problem.model.analytic_steady_state(theta, c.u) for c in problem.conditions]
+            [problem.model.analytic_steady_state(theta, u) for u in problem.u_matrix]
         )
         value, grad = reduced_objective(theta, prob)
         assert np.isfinite(value)

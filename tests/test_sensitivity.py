@@ -9,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ssflow import numerics
-from ssflow.core import Condition, ModelSpec, ObjectiveSpec
+from ssflow.core import ModelSpec, ObjectiveSpec
 from ssflow.models import (
     ConversionReactionProblem,
     NgfErkProblem,
@@ -578,7 +578,7 @@ class TestManifoldGradient:
         theta = np.array([3.9, 1.5])
         x_s = model.analytic_steady_state(theta, NO_U)
         grad = manifold_gradient(
-            model, prob.objective(), theta, [x_s], prob.conditions()
+            model, prob.objective(), theta, [x_s], prob.u_matrix
         )
         s = sensitivity_exact(model, theta, x_s, NO_U)[0]
         expected = 10.0 * (x_s[0] - 0.2) * s
@@ -597,7 +597,7 @@ class TestManifoldGradient:
             states = rng.uniform(0.0, 3.0, (10, 2))
             d_theta, _ = _assemble(problem, theta, states)
             grad = manifold_gradient(
-                problem.model, problem.objective, theta, list(states), problem.conditions
+                problem.model, problem.objective, theta, list(states), problem.u_matrix
             )
             assert np.array_equal(grad, -d_theta)
 
@@ -611,7 +611,7 @@ class TestManifoldGradient:
         )
         theta = np.array([2.0, 0.5])
         grad = manifold_gradient(
-            model, objective, theta, [np.array([0.3])], prob.conditions()
+            model, objective, theta, [np.array([0.3])], prob.u_matrix
         )
         assert np.array_equal(grad, 2.0 * theta)
 
@@ -619,12 +619,12 @@ class TestManifoldGradient:
         prob = ConversionReactionProblem()
         model = prob.model()
         objective = prob.objective()
-        conditions = prob.conditions()
+        u_matrix = prob.u_matrix
         rng = np.random.default_rng(23)
         for _ in range(100):
             theta = rng.uniform(0.1, 8.0, 2)
             x_s = model.analytic_steady_state(theta, NO_U)
-            grad = manifold_gradient(model, objective, theta, [x_s], conditions)
+            grad = manifold_gradient(model, objective, theta, [x_s], u_matrix)
             fd = numerics.finite_diff_jacobian(
                 lambda t: np.array([reduced_objective(t, prob)[0]]), theta
             )[0]
@@ -634,14 +634,12 @@ class TestManifoldGradient:
         prob = NgfErkProblem().with_generated_data(0)
         model = prob.model()
         objective = prob.objective()
-        conditions = prob.conditions()
+        u_matrix = prob.u_matrix
         rng = np.random.default_rng(29)
         for _ in range(100):
             theta = rng.uniform(-2.0, 1.0, 6)
-            states = [
-                model.analytic_steady_state(theta, c.u) for c in conditions
-            ]
-            grad = manifold_gradient(model, objective, theta, states, conditions)
+            states = [model.analytic_steady_state(theta, u) for u in u_matrix]
+            grad = manifold_gradient(model, objective, theta, states, u_matrix)
             fd = numerics.finite_diff_jacobian(
                 lambda t: np.array([reduced_objective(t, prob)[0]]), theta
             )[0]
