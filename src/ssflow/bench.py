@@ -7,7 +7,6 @@ import os
 import statistics
 import tempfile
 from collections import Counter
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import asdict, dataclass
 from typing import Optional
 
@@ -330,6 +329,10 @@ def run_bench(config):
                 tasks.append((config, bundle, method, lam, idx, start))
 
     if workers > 1 and len(tasks) > 1:
+        # imported here: a one-worker bench never starts a pool, and the
+        # module is a noticeable part of importing the bench
+        from concurrent.futures import ProcessPoolExecutor
+
         with ProcessPoolExecutor(max_workers=workers) as pool:
             records = list(pool.map(_execute_task, tasks, chunksize=4))
     else:

@@ -65,6 +65,12 @@ class FlowProblem:
         return np.concatenate([[0], states])
 
     @cached_property
+    def lam(self):
+        """The retraction factor config.lam as a 0-d array, a cheaper ufunc
+        operand than a Python float."""
+        return np.array(self.config.lam, dtype=float)
+
+    @cached_property
     def fd_plan(self):
         """The kernel-row plan of the FD stack of a point (_fd_plan). Built
         once; every stacked evaluation of the problem reuses it."""
@@ -110,7 +116,7 @@ def _assemble(problem, theta, states):
     d_theta = -total_gradient(
         objective.grad_theta(theta, states), s_hat, objective.grad_x(theta, states)
     )
-    d_states = _pull_back(s_hat, d_theta) + problem.config.lam * f_mat
+    d_states = _pull_back(s_hat, d_theta) + problem.lam * f_mat
     # a non-finite entry of d_theta makes every entry of its point's d_states
     # non-finite (0 * inf and inf - inf are NaN), so one pass checks both
     if not numerics.all_finite(d_states):

@@ -20,6 +20,9 @@ from .sensitivity import manifold_gradient
 from .sensitivity import sensitivity_exact  # noqa: F401  (perfbench traces it here)
 
 _LN10 = math.log(10.0)
+# ln(10) with the sign of the NGF Jacobian entries that take each rate's
+# derivative
+_LN10_SIGNED = np.array([_LN10, -_LN10, _LN10, -_LN10, _LN10, _LN10])
 
 
 def _model_spec(f_batch, f_jac_batch, **fields):
@@ -60,10 +63,17 @@ class _Bundle:
     objective() and u_matrix, its (m, n_u) input rows, one per condition.
 
     A bundle builds u_matrix once, read-only, kept in the frozen dataclass's
-    ``__dict__``, so it pickles with the bundle; its data fields are read by
-    objective() only. model() and objective() are built on each call: their
-    closures do not pickle, and bundles are pickled to pool workers.
+    ``__dict__``; its data fields are read by objective() only. A pickled
+    bundle leaves it out and builds it again on first use, since pickle
+    protocols before 5 bring a read-only array back writeable. model() and
+    objective() are built on each call: their closures do not pickle, and
+    bundles are pickled to pool workers.
     """
+
+    def __getstate__(self):
+        state = dict(self.__dict__)
+        state.pop("u_matrix", None)
+        return state
 
     def flow_problem(self, config: FlowConfig):
         return FlowProblem(
@@ -132,8 +142,8 @@ def conversion_reaction_model(xi=1.0):
         total = k[0] + k[1]
         jac = np.empty((x_mat.shape[0], 1, 3))
         jac[..., 0] = -total
-        np.negative(x_mat, out=jac[..., 1])
-        np.subtract(xi, x_mat, out=jac[..., 2])
+        np.negative(x_mat, jac[..., 1])
+        np.subtract(xi, x_mat, jac[..., 2])
         return vector_field(k, total, x_mat), jac
 
     return _model_spec(
@@ -214,51 +224,54 @@ def ngf_erk_model():
         x2 = p[5] * (x1 + p[2]) / (x1 + p[2] + p[3])
         return np.array([x1, x2])
 
-    # p = 10**theta is transposed: p[k] is a scalar for one theta, and holds
-    # the value of every row for one theta per row
-    def shared_terms(p, x_mat, u_mat):
-        # the sub-expressions f and its Jacobian share: p0 u, p4 - x1,
-        # p5 - x2 and x1 + p2
-        x1 = x_mat[:, 0]
-        return p[0] * u_mat[:, 0], p[4] - x1, p[5] - x_mat[:, 1], x1 + p[2]
-
-    def vector_field(p, x_mat, terms):
-        pu, free1, free2, drive = terms
-        out = np.empty_like(x_mat)
-        out[:, 0] = pu * free1 - p[1] * x_mat[:, 0]
-        out[:, 1] = drive * free2 - p[3] * x_mat[:, 1]
-        return out
+    # p = 10**theta transposed: p[k, ...] is a 0-d array at one theta, a
+    # cheaper ufunc operand than the numpy scalar p[k], and holds the value
+    # of every row at one theta per row
+    def f_with_terms(theta, x_mat, u_mat):
+        # f, written into its columns by positional out, with p and the
+        # operands and sub-expressions its Jacobian shares: x1, x2, u, p0 u,
+        # p4 - x1, p5 - x2 and x1 + p2
+        p = np.power(10.0, theta).T
+        x1, x2 = x_mat[:, 0], x_mat[:, 1]
+        u = u_mat[:, 0]
+        pu = p[0, ...] * u
+        free1 = p[4, ...] - x1
+        free2 = p[5, ...] - x2
+        drive = x1 + p[2, ...]
+        f = np.empty(x_mat.shape)
+        np.subtract(pu * free1, p[1, ...] * x1, f[:, 0])
+        np.subtract(drive * free2, p[3, ...] * x2, f[:, 1])
+        return f, p, x1, x2, u, pu, free1, free2, drive
 
     def f_batch(theta, x_mat, u_mat):
-        p = np.power(10.0, theta).T
-        return vector_field(p, x_mat, shared_terms(p, x_mat, u_mat))
+        return f_with_terms(theta, x_mat, u_mat)[0]
 
     def f_jac_batch(theta, x_mat, u_mat):
-        p = np.power(10.0, theta).T
-        terms = shared_terms(p, x_mat, u_mat)
-        pu, free1, free2, drive = terms
-        x1 = x_mat[:, 0]
-        x2 = x_mat[:, 1]
+        f, p, x1, x2, u, pu, free1, free2, drive = f_with_terms(theta, x_mat, u_mat)
+        # d p_k / d theta_k = ln(10) p_k, signed as the Jacobian entries
+        # that take it; (-ln 10) p_k is -(ln(10) p_k) exactly
+        lnp = (_LN10_SIGNED * p.T).T
         jac = np.zeros((x_mat.shape[0], 2, 8))
-        # each entry is computed into its column, with the operand order of
+        # col[8 i + j] is the column jac[:, i, j]. Each entry is computed
+        # into its column, with the operand order of
         # jac[:, i, j] = <expression>; out is given positionally, which costs
         # a ufunc call on a few rows about 0.4 us less than out=
-        row0, row1 = jac[:, 0], jac[:, 1]
+        col = jac.reshape(-1, 16).T
         # d f / d x
-        entry = row0[:, 0]
-        np.negative(np.add(pu, p[1], entry), entry)
-        row1[:, 0] = free2
-        entry = row1[:, 1]
-        np.negative(np.add(drive, p[3], entry), entry)
-        # d f / d theta, with d p_k / d theta_k = ln(10) p_k
-        activation = _LN10 * p[0] * u_mat[:, 0]
-        np.multiply(activation, free1, row0[:, 2])
-        np.multiply(-_LN10 * p[1], x1, row0[:, 3])
-        np.multiply(activation, p[4], row0[:, 6])
-        np.multiply(_LN10 * p[2], free2, row1[:, 4])
-        np.multiply(-_LN10 * p[3], x2, row1[:, 5])
-        np.multiply(_LN10 * p[5], drive, row1[:, 7])
-        return vector_field(p, x_mat, terms), jac
+        entry = col[0]
+        np.negative(np.add(pu, p[1, ...], entry), entry)
+        col[8] = free2
+        entry = col[9]
+        np.negative(np.add(drive, p[3, ...], entry), entry)
+        # d f / d theta
+        activation = lnp[0, ...] * u
+        np.multiply(activation, free1, col[2])
+        np.multiply(lnp[1, ...], x1, col[3])
+        np.multiply(activation, p[4, ...], col[6])
+        np.multiply(lnp[2, ...], free2, col[12])
+        np.multiply(lnp[3, ...], x2, col[13])
+        np.multiply(lnp[5, ...], drive, col[15])
+        return f, jac
 
     return _model_spec(
         f_batch,
@@ -336,8 +349,8 @@ class NgfErkProblem(_Bundle):
 
         def grad_x(theta, states):
             x = np.asarray(states, dtype=float)
-            out = np.zeros_like(x)
-            out[..., 1] = x[..., 1] - data
+            out = np.zeros(x.shape)
+            np.subtract(x[..., 1], data, out[..., 1])
             return out
 
         return ObjectiveSpec(eval=evaluate, grad_theta=grad_theta, grad_x=grad_x)

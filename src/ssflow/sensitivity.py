@@ -90,11 +90,13 @@ def pinv_sensitivity(jac_x, jac_theta):
         #   S[1] = (a B[1] - c B[0]) / (b c - a d)
         # each product, difference and quotient rounded once (b c - a d is
         # -det exactly); prod holds (a d, b c) and det (det, -det), row by row
-        prod = jac_x[..., 0, :, None] * jac_x[..., 1, ::-1, None]
+        row0 = jac_x[..., 0, :, None]
+        row1_reversed = jac_x[..., 1, ::-1, None]
+        prod = row0 * row1_reversed
         det = prod - prod[..., ::-1, :]
         if np.count_nonzero(det) == det.size:
-            s = jac_x[..., 0, ::-1, None] * jac_theta[..., 1:, :]
-            s -= jac_x[..., 1, ::-1, None] * jac_theta[..., :1, :]
+            s = row0[..., ::-1, :] * jac_theta[..., 1:, :]
+            s -= row1_reversed * jac_theta[..., :1, :]
             s /= det
             return s
     else:
@@ -113,9 +115,7 @@ def total_gradient(grad_theta, s_hat, grads_x):
     pulled back through its sensitivity: g + sum_i S_i^T (d J/d x_i), at
     one point or at each point of a stack (a leading axis on every
     argument), each point with the bits it gets alone."""
-    return np.asarray(grad_theta, dtype=float) + np.einsum(
-        "...ixt,...ix->...t", s_hat, np.asarray(grads_x, dtype=float)
-    )
+    return grad_theta + np.einsum("...ixt,...ix->...t", s_hat, grads_x)
 
 
 def sensitivity_hat(model, theta, x, u):

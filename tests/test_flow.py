@@ -29,6 +29,14 @@ from ssflow.models import (
     reduced_objective,
 )
 
+from replaced_forms import (
+    asarray_total_gradient,
+    matmul_stage_step,
+    shared_terms_ngf_kernels,
+    view_per_use_pinv_sensitivity,
+    zeros_like_ngf_grad_x,
+)
+
 NO_U = np.zeros(0)
 
 
@@ -727,6 +735,50 @@ def test_runs_bit_identical_to_the_per_call_numpy_forms(
     monkeypatch.setattr(flow, "stop_check", method_stop_check)
     per_call = [run_bits(run_flow(problem, init)) for init in starts]
     assert lean == per_call
+
+
+@pytest.mark.parametrize(
+    "make_problem, n_starts",
+    [
+        (lambda: cr_flow_problem(2.0), 4),
+        (lambda: cr_flow_problem(20.0), 4),
+        # criterion 6's lambda and integrator tolerances
+        (
+            lambda: ngf_flow_problem_with(integrator_rel_tol=1e-4, integrator_abs_tol=1e-6),
+            3,
+        ),
+    ],
+    ids=["cr-lam2", "cr-lam20", "ngf-criterion6"],
+)
+def test_runs_bit_identical_to_the_forms_the_hot_path_replaced(
+    make_problem, n_starts, monkeypatch
+):
+    # the step's ndarray.dot stage products, positional LAPACK flags and
+    # 0-d h, |y| made once per accepted point, the 0-d lam, the kernels'
+    # 0-d rates and positional outs, the NGF state gradient without
+    # zeros_like, the adjugate's shared views and the total gradient without
+    # asarray leave every bit of a run as the forms they replace make it:
+    # final point, r, objective, residual and every counter
+    problem = make_problem()
+    name = problem.model.name
+    starts = bench.sample_starts(bench.default_config(name, n_starts=n_starts, seed=5))
+    lean = [run_bits(run_flow(problem, init)) for init in starts]
+    if name == "conversion_reaction":
+        model = dataclasses.replace(problem.model, f_jac_batch=slice_assigned_cr_kernel())
+        objective = problem.objective
+    else:
+        f_batch, f_jac_batch = shared_terms_ngf_kernels()
+        model = dataclasses.replace(problem.model, f_batch=f_batch, f_jac_batch=f_jac_batch)
+        data = NgfErkProblem().with_generated_data(0).data
+        objective = dataclasses.replace(problem.objective, grad_x=zeros_like_ngf_grad_x(data))
+    problem = dataclasses.replace(problem, model=model, objective=objective)
+    monkeypatch.setattr(FlowProblem, "lam", property(lambda self: self.config.lam))
+    assert type(problem.lam) is float
+    monkeypatch.setattr(flow, "pinv_sensitivity", view_per_use_pinv_sensitivity)
+    monkeypatch.setattr(flow, "total_gradient", asarray_total_gradient)
+    monkeypatch.setattr(integrator, "step", matmul_stage_step)
+    replaced = [run_bits(run_flow(problem, init)) for init in starts]
+    assert lean == replaced
 
 
 class TestNonFiniteBlocks:

@@ -22,6 +22,8 @@ from ssflow.integrator import (
 )
 from ssflow.models import NgfErkProblem, conversion_reaction_model
 
+from replaced_forms import matmul_stage_step
+
 
 def decay(y):
     return -y
@@ -176,6 +178,32 @@ class TestStep:
             assert len(calls) == 5
             # the first stage solve must not overwrite the caller's f0
             assert np.array_equal(f0, f0_before)
+
+    @pytest.mark.parametrize("n", [1, 3, 26])
+    def test_bit_identical_to_the_matmul_stage_loop(self, n):
+        # ndarray.dot for the stage products, the LAPACK flags passed
+        # positionally and a 0-d h leave every bit of both results as the @
+        # stage loop with keyword flags makes them; every fifth system draws
+        # magnitudes that overflow on the way, so NaN and inf entries must
+        # have the same bits too
+        rng = np.random.default_rng(200 + n)
+        for trial in range(50):
+            wide = trial % 5 == 0
+            scale = rng.uniform(-8.0, 8.0, n) if wide else rng.uniform(-4.0, 1.0, n)
+            y = rng.uniform(-2.0, 2.0, n) * 10.0**scale
+            jac = rng.normal(size=(n, n)) * 10.0 ** rng.uniform(-2.0, 2.0)
+            if trial % 2:
+                jac -= np.diag(rng.uniform(1.0, 1e4, n))
+            h = 10.0 ** rng.uniform(-6.0, 0.0)
+            f0 = coupled(y)
+            f0_before = f0.copy()
+            with np.errstate(all="ignore"):
+                want = matmul_stage_step(coupled, y, h, jac, f0)
+                got = step(coupled, y, h, jac, f0)
+            for a, b in zip(got, want):
+                assert a.shape == b.shape == (n,)
+                assert a.tobytes() == b.tobytes()
+            assert f0.tobytes() == f0_before.tobytes()
 
     def test_nan_in_jacobian_raises(self):
         jac = -np.eye(3)

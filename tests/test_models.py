@@ -20,6 +20,8 @@ from ssflow.models import (
 )
 from ssflow.sensitivity import sensitivity_hat, total_gradient
 
+from replaced_forms import shared_terms_ngf_kernels, zeros_like_ngf_grad_x
+
 NO_U = np.zeros(0)
 
 
@@ -419,6 +421,56 @@ def test_fused_kernel_keeps_the_bits_of_its_unshared_form(name, make_model, data
     assert jac.tobytes() == want_jac.tobytes()
 
 
+def ngf_rows(rng, rows, per_row):
+    """theta (one or one per row), x and the ten doses tiled to ``rows``
+    rows; every third draw puts a -0.0, subnormal, overflowing, infinite or
+    NaN value into theta and into x."""
+    specials = [-0.0, 5e-324, -1e-310, 309.0, 1e300, np.inf, -np.inf, np.nan]
+    theta = rng.uniform(-3.0, 1.0, (rows, 6) if per_row else 6)
+    x_mat = rng.uniform(0.0, 3.0, (rows, 2))
+    if rng.integers(3) == 0:
+        theta.flat[rng.integers(theta.size)] = rng.choice(specials)
+        x_mat.flat[rng.integers(x_mat.size)] = rng.choice(specials)
+    u_mat = np.tile(np.array(NgfErkProblem().inputs)[:, None], (9, 1))[:rows]
+    return theta, x_mat, u_mat
+
+
+@pytest.mark.parametrize("per_row", [False, True], ids=["one-theta", "theta-per-row"])
+@pytest.mark.parametrize("rows", [1, 10, 90])
+def test_ngf_kernels_bit_identical_to_the_shared_terms_form(rows, per_row):
+    # 0-d rates, the signed ln(10) rates in one product, f written by
+    # positional out and the Jacobian columns as rows of its transposed
+    # view leave every bit of f and of the Jacobian, and their layout, as
+    # the kernels through shared_terms and vector_field make them
+    model = ngf_erk_model()
+    want_f_batch, want_f_jac_batch = shared_terms_ngf_kernels()
+    rng = np.random.default_rng(rows + 1000 * per_row)
+    for trial in range(30):
+        args = ngf_rows(rng, rows, per_row)
+        with np.errstate(all="ignore"):
+            got = (model.f_batch(*args), *model.f_jac_batch(*args))
+            want = (want_f_batch(*args), *want_f_jac_batch(*args))
+        for a, b in zip(got, want):
+            assert a.shape == b.shape
+            assert a.flags.c_contiguous and b.flags.c_contiguous
+            assert a.tobytes() == b.tobytes()
+
+
+def test_ngf_state_gradient_bit_identical_to_the_zeros_like_form():
+    # np.zeros and a positional-out subtract give the zeros_like form's
+    # bits at a point and at each point of a stack
+    prob = NgfErkProblem().with_generated_data(0)
+    grad_x = prob.objective().grad_x
+    want = zeros_like_ngf_grad_x(prob.data)
+    rng = np.random.default_rng(7)
+    for shape in [(10, 2), (27, 10, 2)]:
+        states = rng.uniform(-3.0, 3.0, shape)
+        states.flat[rng.integers(states.size)] = -0.0
+        got = grad_x(None, states)
+        assert got.shape == shape
+        assert got.tobytes() == want(None, states).tobytes()
+
+
 class TestNgfErkProblem:
     def test_requires_ten_inputs(self):
         with pytest.raises(ValueError):
@@ -516,17 +568,22 @@ class TestBundleInputs:
             u_matrix[...] = 1.0
         assert bundle.u_matrix.tobytes() == want.tobytes()
 
+    @pytest.mark.parametrize("protocol", [2, 3, 4, 5])
     @pytest.mark.parametrize("bundle", bundles(), ids=["cr", "ngf"])
-    def test_pickles_after_a_call(self, bundle):
+    def test_pickles_after_a_call(self, bundle, protocol):
+        # the input matrix comes back read-only under every protocol; before
+        # 5, pickle brings a read-only array back writeable
         theta = np.full(bundle.model().n_theta, 0.5)
         value, grad = bundle.reduced_objective(theta)
-        copy = pickle.loads(pickle.dumps(bundle))
+        copy = pickle.loads(pickle.dumps(bundle, protocol=protocol))
         assert copy == bundle
+        assert not copy.u_matrix.flags.writeable
+        assert copy.u_matrix.shape == bundle.u_matrix.shape
+        assert copy.u_matrix.tobytes() == bundle.u_matrix.tobytes()
         again = copy.reduced_objective(theta)
         assert np.float64(again[0]).tobytes() == np.float64(value).tobytes()
         assert again[1].tobytes() == grad.tobytes()
-        assert copy.u_matrix.shape == bundle.u_matrix.shape
-        assert copy.u_matrix.tobytes() == bundle.u_matrix.tobytes()
+        assert copy.u_matrix is copy.u_matrix
 
     def test_a_replaced_bundle_keeps_its_inputs_and_takes_new_data(self):
         prob = NgfErkProblem().with_generated_data(0)

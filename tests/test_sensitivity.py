@@ -22,7 +22,10 @@ from ssflow.sensitivity import (
     pinv_sensitivity,
     sensitivity_exact,
     sensitivity_hat,
+    total_gradient,
 )
+
+from replaced_forms import asarray_total_gradient, view_per_use_pinv_sensitivity
 
 NO_U = np.zeros(0)
 
@@ -486,6 +489,39 @@ def singular_alone(a, b):
     except np.linalg.LinAlgError:
         return True
     return False
+
+
+class TestReplacedForms:
+    @given(
+        stacks_with_singular_matrices()
+        | st.integers(1, 3).flatmap(
+            lambda n: st.tuples(log_uniform((2, 2)), log_uniform((2, n)), st.just({}))
+        )
+    )
+    @settings(max_examples=300, deadline=None)
+    def test_2x2_bits_of_a_view_per_use(self, system):
+        # the adjugate's shared views of jac_x give every bit, NaN signs
+        # and singular matrices included, of a new view at each use
+        a, b, _ = system
+        with np.errstate(all="ignore"):
+            assert same_bits(pinv_sensitivity(a, b), view_per_use_pinv_sensitivity(a, b))
+
+    @pytest.mark.parametrize("lead", [(), (27,)], ids=["point", "stack"])
+    def test_total_gradient_bits_without_asarray(self, lead):
+        # the gradients go into the sum as given: float arrays and lists
+        # give the asarray form's bits
+        rng = np.random.default_rng(17)
+        s_hat = rng.normal(size=lead + (10, 2, 6))
+        grad_theta = rng.normal(size=lead + (6,))
+        grads_x = rng.normal(size=lead + (10, 2))
+        grads_x[..., 0] = -0.0
+        want = asarray_total_gradient(grad_theta, s_hat, grads_x)
+        for given_theta, given_x in [
+            (grad_theta, grads_x),
+            (grad_theta.tolist(), grads_x.tolist()),
+        ]:
+            got = total_gradient(given_theta, s_hat, given_x)
+            assert same_bits(got, want)
 
 
 class TestOneSingularityRule:
