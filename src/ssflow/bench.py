@@ -7,7 +7,7 @@ import os
 import statistics
 import tempfile
 from collections import Counter
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, fields
 from typing import Optional
 
 import numpy as np
@@ -16,7 +16,7 @@ from . import __version__
 from .baselines import augmented_lagrangian_constrained, quasi_newton_unconstrained
 from .core import FlowConfig, FlowState, _integer, _real, _reals
 from .flow import run_flow
-from .models import ConversionReactionProblem, NgfErkProblem, ngf_erk_model
+from .models import ConversionReactionProblem, NgfErkProblem
 
 # problem name -> bundle class; the one place a name picks a problem
 PROBLEMS = {
@@ -85,13 +85,21 @@ SCHEMA_VERSION = 1
 WORKERS_ENV = "SSFLOW_WORKERS"
 
 
+# the settings a BenchConfig passes to each lambda's FlowConfig, by name
+_FLOW_FIELDS = tuple(f.name for f in fields(FlowConfig) if f.name != "lam")
+
+
 @dataclass
 class BenchConfig:
-    """One bench run's settings. Every number follows core's one rule: the
-    float fields become finite floats, the boxes, lambdas and theta_true
-    tuples of them, n_starts, seed and max_rhs_evals ints; a bool, a string,
-    NaN, +-inf or an integer too large for a float is a ValueError naming
-    the field."""
+    """One bench run's settings. The five flow settings (tol, r_max,
+    max_rhs_evals and the integrator tolerances) take their defaults from
+    core.FlowConfig and are checked by building it at each lambda; noise_var
+    and theta_true take theirs from models.NgfErkProblem and are checked by
+    building one without data, whatever the problem. Each keeps its owner's
+    normalised value. Every number follows core's one rule: the float fields
+    become finite floats, the boxes, lambdas and theta_true tuples of them,
+    n_starts, seed and max_rhs_evals ints; a bool, a string, NaN, +-inf or
+    an integer too large for a float is a ValueError naming the field."""
 
     problem: str = "conversion_reaction"
     methods: tuple = METHODS
@@ -102,13 +110,13 @@ class BenchConfig:
     theta_box: Optional[tuple] = None
     state_box: Optional[tuple] = None
     output_dir: str = ""
-    tol: float = 1e-6
-    r_max: float = 1e4
-    max_rhs_evals: int = 100_000
-    integrator_rel_tol: float = 1e-6
-    integrator_abs_tol: float = 1e-8
-    noise_var: float = 0.01
-    theta_true: tuple = (0.0,) * 6
+    tol: float = FlowConfig.tol
+    r_max: float = FlowConfig.r_max
+    max_rhs_evals: int = FlowConfig.max_rhs_evals
+    integrator_rel_tol: float = FlowConfig.integrator_rel_tol
+    integrator_abs_tol: float = FlowConfig.integrator_abs_tol
+    noise_var: float = NgfErkProblem.noise_var
+    theta_true: tuple = NgfErkProblem.theta_true
     classification_tol: float = 1e-3
 
     def __post_init__(self):
@@ -116,11 +124,13 @@ class BenchConfig:
             raise ValueError(f"unknown problem {self.problem!r}")
         # ngf_erk draws its data from seed and every problem its starts from
         # seed + 1; numpy's generators take no negative seed
-        for name, low in (("n_starts", 1), ("seed", 0), ("max_rhs_evals", 1)):
+        for name, low in (("n_starts", 1), ("seed", 0)):
             setattr(self, name, _integer(name, getattr(self, name), low))
-        flow_reals = ("tol", "r_max", "integrator_rel_tol", "integrator_abs_tol")
-        for name in flow_reals + ("noise_var", "classification_tol"):
-            setattr(self, name, _real(name, getattr(self, name)))
+        ngf = NgfErkProblem(noise_var=self.noise_var, theta_true=self.theta_true)
+        self.noise_var, self.theta_true = ngf.noise_var, ngf.theta_true
+        self.classification_tol = _real("classification_tol", self.classification_tol)
+        if not self.classification_tol >= 0:
+            raise ValueError("classification_tol must be finite and >= 0")
         for name in ("theta_box", "state_box"):
             box = getattr(self, name)
             box = _reals(name, getattr(PROBLEMS[self.problem], name) if box is None else box, 2)
@@ -131,7 +141,6 @@ class BenchConfig:
             raise TypeError(f"output_dir must be a string, got {self.output_dir!r}")
         self.methods = tuple(self.methods)
         self.lambdas = _reals("lambdas", self.lambdas)
-        self.theta_true = _reals("theta_true", self.theta_true, ngf_erk_model().n_theta)
         unknown = set(self.methods) - set(METHODS)
         if unknown:
             raise ValueError(f"unknown methods {sorted(unknown)}")
@@ -142,12 +151,9 @@ class BenchConfig:
             values = getattr(self, name)
             if len(set(values)) != len(values):
                 raise ValueError(f"{name} must not repeat, got {list(values)}")
-        for lam in self.lambdas:
-            _flow_config(self, lam)
-        if not self.classification_tol >= 0:
-            raise ValueError("classification_tol must be finite and >= 0")
-        if not self.noise_var >= 0:
-            raise ValueError("noise variance must be non-negative and finite")
+        flow_configs = [_flow_config(self, lam) for lam in self.lambdas]
+        for name in _FLOW_FIELDS:
+            setattr(self, name, getattr(flow_configs[0], name))
 
 
 def default_config(problem, **overrides):
@@ -190,14 +196,7 @@ def sample_starts(config, bundle=None):
 
 
 def _flow_config(config, lam):
-    return FlowConfig(
-        lam=lam,
-        tol=config.tol,
-        r_max=config.r_max,
-        max_rhs_evals=config.max_rhs_evals,
-        integrator_rel_tol=config.integrator_rel_tol,
-        integrator_abs_tol=config.integrator_abs_tol,
-    )
+    return FlowConfig(lam=lam, **{name: getattr(config, name) for name in _FLOW_FIELDS})
 
 
 def _reduced_value(config, bundle, theta):
@@ -264,7 +263,7 @@ def classify(records, classification_tol):
     return best
 
 
-def summarize(records, classification_tol=1e-3):
+def summarize(records, classification_tol=BenchConfig.classification_tol):
     """Per-method statistics, stop reason counts included; also (re)derives
     the classification so the summary can be recomputed from a parsed
     runs.csv alone."""

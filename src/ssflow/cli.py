@@ -46,13 +46,9 @@ def _merged_config(parser, args, extra_overrides=None):
     """Build a BenchConfig from defaults, then the config file, then flags;
     an invalid config (an unknown field, a value of the wrong type or out of
     range) is a usage error."""
-    problem = args.problem
-    file_cfg = _load_config_file(parser, args.config) if args.config else {}
-    if problem is None:
-        problem = file_cfg.get("problem", "conversion_reaction")
-    overrides = dict(file_cfg)
-    overrides.pop("problem", None)
+    overrides = _load_config_file(parser, args.config) if args.config else {}
     flag_map = {
+        "problem": "problem",
         "starts": "n_starts",
         "seed": "seed",
         "tol": "tol",
@@ -66,7 +62,7 @@ def _merged_config(parser, args, extra_overrides=None):
     if extra_overrides:
         overrides.update(extra_overrides)
     try:
-        return default_config(problem, **overrides)
+        return BenchConfig(**overrides)
     except (TypeError, ValueError) as exc:
         parser.error(str(exc))
 
@@ -92,13 +88,11 @@ def main(argv=None):
         "generate-data", help="generate synthetic dose-response data"
     )
     p_gen.add_argument("--seed", type=int, default=0)
-    p_gen.add_argument("--noise-var", type=float, default=0.01)
+    p_gen.add_argument("--noise-var", type=float)
     p_gen.add_argument("--out", default=None, help="write JSON here instead of stdout")
 
     p_val = sub.add_parser("validate", help="check model Jacobians against finite differences")
-    p_val.add_argument(
-        "--problem", choices=bench_mod.PROBLEMS, default="conversion_reaction"
-    )
+    p_val.add_argument("--problem", choices=bench_mod.PROBLEMS, default=BenchConfig.problem)
     p_val.add_argument("--samples", type=int, default=100)
     p_val.add_argument("--seed", type=int, default=0)
 
@@ -128,14 +122,15 @@ def main(argv=None):
     args = parser.parse_args(argv)
 
     if args.command == "generate-data":
+        noise = {} if args.noise_var is None else {"noise_var": args.noise_var}
         try:
-            config = default_config("ngf_erk", seed=args.seed, noise_var=args.noise_var)
+            config = default_config("ngf_erk", seed=args.seed, **noise)
         except ValueError as exc:
             p_gen.error(str(exc))
         problem = bench_mod._build_problem(config)
         payload = {
             "seed": args.seed,
-            "noise_var": args.noise_var,
+            "noise_var": problem.noise_var,
             "inputs": list(problem.inputs),
             "data": [float(v) for v in problem.data],
         }
@@ -151,8 +146,7 @@ def main(argv=None):
         return 0
 
     if args.command == "validate":
-        config = default_config(args.problem)
-        model = bench_mod._build_problem(config).model()
+        model = bench_mod.PROBLEMS[args.problem]().model()
         try:
             report = validate_model(model, n_samples=args.samples, seed=args.seed)
         except ValueError as exc:

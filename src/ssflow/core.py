@@ -246,7 +246,8 @@ class FlowConfig:
     Every field is a number under one rule (_real, _integer): the float
     fields become finite floats and max_rhs_evals an int >= 1; a bool, a
     string, NaN, +-inf or an integer too large for a float is a ValueError
-    naming the field."""
+    naming the field. This class owns the defaults and checks of the five
+    fields after lam; bench.BenchConfig takes them from here."""
 
     lam: float
     tol: float = 1e-6

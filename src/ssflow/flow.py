@@ -339,14 +339,9 @@ def run_flow(problem, init, store_trajectory=False):
         manifold_residual=residual,
         converged=reason is StopReason.TOLERANCE_MET,
         reason=reason,
-        rhs_evals=stats.rhs_evals,
-        steps_accepted=stats.steps_accepted,
-        steps_rejected=stats.steps_rejected,
         wall_time=wall,
-        jacobian_evals=stats.jacobian_evals,
-        discarded_evals=stats.discarded_evals,
-        min_step=stats.min_step,
-        max_step=stats.max_step,
+        # the integrator counters, which RunResult names as IntegratorStats does
+        **vars(stats),
     )
     if store_trajectory:
         return result, trajectory

@@ -25,7 +25,7 @@ from ssflow.bench import (
     sample_starts,
     summarize,
 )
-from ssflow.core import StopReason
+from ssflow.core import FlowConfig, StopReason
 from ssflow.flow import FlowNumericalError
 from ssflow.models import ConversionReactionProblem, NgfErkProblem
 
@@ -74,6 +74,17 @@ class TestBenchConfig:
         assert cfg.lambdas == (2.0, 20.0)
         assert cfg.n_starts == 100
         assert cfg.classification_tol == 1e-3
+        # each of these has one default, its owner's
+        flow = FlowConfig(lam=20.0)
+        assert [getattr(cfg, name) for name in bench._FLOW_FIELDS] == [
+            getattr(flow, name) for name in bench._FLOW_FIELDS
+        ]
+        assert bench._FLOW_FIELDS == (
+            "tol", "r_max", "max_rhs_evals", "integrator_rel_tol", "integrator_abs_tol"
+        )
+        ngf = NgfErkProblem()
+        assert (cfg.noise_var, cfg.theta_true) == (ngf.noise_var, ngf.theta_true)
+        assert bench._flow_config(cfg, 20.0) == flow
 
     @pytest.mark.parametrize(
         "kwargs",

@@ -22,6 +22,13 @@ class TestGenerateData:
         expected = generate_data(NgfErkProblem(), 42)
         assert np.allclose(payload["data"], expected, atol=0.0)
 
+    def test_noise_variance_defaults_to_the_problem_s(self, capsys):
+        assert main(["generate-data", "--seed", "3"]) == 0
+        default = json.loads(capsys.readouterr().out)
+        assert main(["generate-data", "--seed", "3", "--noise-var", "0.01"]) == 0
+        assert default["noise_var"] == 0.01
+        assert default == json.loads(capsys.readouterr().out)
+
     def test_prints_to_stdout_without_out(self, capsys):
         assert main(["generate-data", "--seed", "1"]) == 0
         payload = json.loads(capsys.readouterr().out)
@@ -71,6 +78,12 @@ class TestValidate:
     def test_passes_for_benchmarks(self, problem, capsys):
         assert main(["validate", "--problem", problem]) == 0
         assert "PASS" in capsys.readouterr().out
+
+    def test_validates_conversion_reaction_by_default(self, capsys):
+        assert main(["validate"]) == 0
+        out = capsys.readouterr().out
+        assert out.startswith("model: conversion_reaction\n")
+        assert out.endswith("PASS\n")
 
     @pytest.mark.parametrize("samples", ["0", "-3"])
     def test_no_samples_is_a_usage_error(self, capsys, samples):
