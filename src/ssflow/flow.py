@@ -27,6 +27,13 @@ _NUMERICAL_FAILURES = (
     numerics.NumericalFailure,
     FloatingPointError,
 )
+# the stop reason of each way an integration ends
+_STOP_REASONS = {
+    integrator.IntegrationOutcome.STOP_CONDITION: StopReason.TOLERANCE_MET,
+    integrator.IntegrationOutcome.HORIZON: StopReason.HORIZON_REACHED,
+    integrator.IntegrationOutcome.BUDGET_EXHAUSTED: StopReason.EVAL_BUDGET_EXHAUSTED,
+    integrator.IntegrationOutcome.STEP_UNDERFLOW: StopReason.NUMERICAL_FAILURE,
+}
 
 
 @dataclass(frozen=True)
@@ -313,12 +320,7 @@ def run_flow(problem, init, store_trajectory=False):
             observer=observer,
             rhs_fd=stacked,
         )
-        reason = {
-            integrator.IntegrationOutcome.STOP_CONDITION: StopReason.TOLERANCE_MET,
-            integrator.IntegrationOutcome.HORIZON: StopReason.HORIZON_REACHED,
-            integrator.IntegrationOutcome.BUDGET_EXHAUSTED: StopReason.EVAL_BUDGET_EXHAUSTED,
-            integrator.IntegrationOutcome.STEP_UNDERFLOW: StopReason.NUMERICAL_FAILURE,
-        }[outcome]
+        reason = _STOP_REASONS[outcome]
     except _NUMERICAL_FAILURES as exc:
         # the integrator attaches the counters of the work it did
         stats = exc.stats

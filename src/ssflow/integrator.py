@@ -241,6 +241,12 @@ def integrate_adaptive(
     checked before each step, and a step of n variables makes up to n + 6
     (Jacobian, five stages, new point), so a run can end n + 5 past it.
 
+    The run is two nested loops: an outer one with one pass per base point
+    (evaluate and check its value, count the step that reached it, call
+    observer and stop) around an inner one of trial steps from that point,
+    where a failed stage solve and a failed error test share one rejection
+    and the first step that passes the error test is accepted.
+
     A step is accepted when max |err| / sc <= 1 with the scale
     sc = abs_tol + rel_tol * max(|y|, |y_new|). abs_tol is a scalar or one
     value per entry; an entry with abs_tol = inf is left out of the error
@@ -289,107 +295,95 @@ def integrate_adaptive(
         raise ValueError("initial state must not be empty")
     n = y.size
     stats = IntegratorStats()
-    # the FD rows made with the last base_value call, or None. Every accepted
-    # step ends with one for its new point, so when a step needs a Jacobian
-    # they are y's
-    ahead = None
 
     def counted_rhs(y):
         # counted before the call, so a call that raises is counted too
         stats.rhs_evals += 1
         return rhs(y)
 
-    def base_value(y):
-        # rhs(y) for a base point: the last row of one call on y's FD
-        # stack, whose other rows wait in ahead
-        nonlocal ahead
-        ahead = None
-        if rhs_fd is None:
-            return counted_rhs(y)
-        try:
-            values = rhs_fd(y)
-        except Exception:
-            # whatever failed, plain calls raise it again where they reach
-            # the failing row, if the run gets there
-            return counted_rhs(y)
-        stats.rhs_evals += 1
-        stats.discarded_evals += n
-        ahead = values[:-1]
-        return values[-1]
-
     try:
         r = 0.0
-        f0 = base_value(y)
-        if not all_finite(f0):
-            raise FloatingPointError("non-finite right-hand side at the initial point")
-        if observer is not None:
-            observer(r, y, f0)
-        if stop is not None and stop(y, f0):
-            return r, y, stats, IntegrationOutcome.STOP_CONDITION
-        if r >= r_max:
-            return r, y, stats, IntegrationOutcome.HORIZON
-
-        h = _initial_step(y, f0, r_max, rel_tol, abs_tol)
-        jac = None
-        # |y|, made once per accepted point for its FD steps and the error
+        # |y|, made once per base point for its FD steps and the error
         # scales of the steps from it
         abs_y = np.abs(y)
         # the last accepted step's size and error norm (floored at 1e-2),
-        # for the predictive factor; a rejection leaves them
+        # for the predictive factor; a rejection leaves them, and h_acc is
+        # None only on the initial point's pass
         h_acc = err_acc = None
         while True:
-            if r >= r_max:
-                return r, y, stats, IntegrationOutcome.HORIZON
-            if stats.rhs_evals >= budget:
-                return r, y, stats, IntegrationOutcome.BUDGET_EXHAUSTED
-            h = min(h, r_max - r)
-            if h < H_MIN * max(1.0, abs(r)):
-                return r, y, stats, IntegrationOutcome.STEP_UNDERFLOW
-            if jac is None:
-                steps = _SQRT_EPS * (1.0 + abs_y)
-                if ahead is None:
-                    # y's stack call raised, or there is no rhs_fd: its n
-                    # FD rows as plain calls, in stack order
-                    values = np.empty((n, n))
-                    for j, row in enumerate(_fd_stack(y, steps)[:n]):
-                        values[j] = counted_rhs(row)
+            # y's value: the last row of one call on y's FD stack, whose
+            # other rows wait in ahead until a step takes y's Jacobian
+            ahead = None
+            if rhs_fd is None:
+                f0 = counted_rhs(y)
+            else:
+                try:
+                    values = rhs_fd(y)
+                except Exception:
+                    # whatever failed, plain calls raise it again where they
+                    # reach the failing row, if the run gets there
+                    f0 = counted_rhs(y)
                 else:
-                    # y's FD rows, made ahead with its value: counted now
-                    # that a Jacobian takes them
-                    values, ahead = ahead, None
-                    stats.discarded_evals -= n
-                    stats.rhs_evals += n
-                jac = _fd_jacobian(values, f0, steps)
-                stats.jacobian_evals += 1
-            try:
-                y_new, err = step(counted_rhs, y, h, jac, f0)
-            except StageSolveFailure:
-                stats.steps_rejected += 1
-                h *= FAC_MIN
-                continue
-            abs_new = np.abs(y_new)
-            sc = abs_tol + rel_tol * np.maximum(abs_y, abs_new)
-            err_norm = _err_norm(err, sc)
-            if not math.isfinite(err_norm) or err_norm > 1.0:
-                stats.steps_rejected += 1
-                if math.isfinite(err_norm) and err_norm > 0.0:
-                    h *= max(min(SAFETY * err_norm ** -0.25, 1.0), FAC_MIN)
-                else:
-                    h *= FAC_MIN
-                continue
-            r += h
-            y, abs_y = y_new, abs_new
-            f0 = base_value(y)
+                    stats.rhs_evals += 1
+                    stats.discarded_evals += n
+                    ahead, f0 = values[:-1], values[-1]
             if not all_finite(f0):
-                raise FloatingPointError("non-finite right-hand side after a step")
-            jac = None
-            stats.steps_accepted += 1
-            stats.min_step = min(stats.min_step, h)
-            stats.max_step = max(stats.max_step, h)
+                where = "at the initial point" if h_acc is None else "after a step"
+                raise FloatingPointError(f"non-finite right-hand side {where}")
+            if h_acc is not None:
+                # the step to y counts once y's value has passed the check
+                stats.steps_accepted += 1
+                stats.min_step = min(stats.min_step, h_acc)
+                stats.max_step = max(stats.max_step, h_acc)
             if observer is not None:
                 observer(r, y, f0)
             if stop is not None and stop(y, f0):
                 return r, y, stats, IntegrationOutcome.STOP_CONDITION
+            if h_acc is None:
+                h = _initial_step(y, f0, r_max, rel_tol, abs_tol)
+            jac = None
+            while True:
+                if r >= r_max:
+                    return r, y, stats, IntegrationOutcome.HORIZON
+                if stats.rhs_evals >= budget:
+                    return r, y, stats, IntegrationOutcome.BUDGET_EXHAUSTED
+                h = min(h, r_max - r)
+                if h < H_MIN * max(1.0, abs(r)):
+                    return r, y, stats, IntegrationOutcome.STEP_UNDERFLOW
+                if jac is None:
+                    steps = _SQRT_EPS * (1.0 + abs_y)
+                    if ahead is None:
+                        # y's stack call raised, or there is no rhs_fd: its n
+                        # FD rows as plain calls, in stack order
+                        values = np.empty((n, n))
+                        for j, row in enumerate(_fd_stack(y, steps)[:n]):
+                            values[j] = counted_rhs(row)
+                    else:
+                        # y's FD rows, made ahead with its value: counted now
+                        # that a Jacobian takes them
+                        values, ahead = ahead, None
+                        stats.discarded_evals -= n
+                        stats.rhs_evals += n
+                    jac = _fd_jacobian(values, f0, steps)
+                    stats.jacobian_evals += 1
+                try:
+                    y_new, err = step(counted_rhs, y, h, jac, f0)
+                except StageSolveFailure:
+                    err_norm = math.nan
+                else:
+                    abs_new = np.abs(y_new)
+                    sc = abs_tol + rel_tol * np.maximum(abs_y, abs_new)
+                    err_norm = _err_norm(err, sc)
+                    if err_norm <= 1.0:
+                        break
+                # a failed stage solve or error test; NaN fails the test
+                stats.steps_rejected += 1
+                if math.isfinite(err_norm):
+                    h *= max(min(SAFETY * err_norm ** -0.25, 1.0), FAC_MIN)
+                else:
+                    h *= FAC_MIN
+            r += h
+            y, abs_y = y_new, abs_new
             if err_norm > 0.0:
                 fac = min(max(SAFETY * err_norm ** -0.25, FAC_MIN), FAC_MAX)
                 # Gustafsson's predictive factor, from the second accepted

@@ -709,6 +709,31 @@ class TestIntegrateAdaptive:
         assert stats.steps_rejected == 1
         assert stats.steps_accepted >= 1
 
+    def test_a_failed_stage_solve_rejects_with_fac_min(self, monkeypatch):
+        # the first trial's stage solve fails: the step is rejected, h
+        # shrinks by FAC_MIN and the retry reuses the point's Jacobian
+        real_step = integrator.step
+        hs = []
+
+        def first_step_fails(rhs, y, h, jac, f0):
+            hs.append(h)
+            if len(hs) == 1:
+                raise integrator.StageSolveFailure("singular or ill-conditioned stage system")
+            return real_step(rhs, y, h, jac, f0)
+
+        monkeypatch.setattr(integrator, "step", first_step_fails)
+        _, _, stats, outcome = integrate_adaptive(coupled, np.ones(3), 1.0)
+        assert outcome is IntegrationOutcome.HORIZON
+        assert hs[1] == hs[0] * integrator.FAC_MIN
+        assert stats.steps_rejected == 1
+        assert stats.steps_accepted >= 1
+        assert stats.jacobian_evals == stats.steps_accepted
+        # the initial value, n rows per Jacobian, five stages per step that
+        # ran and each accepted point's value
+        stages = 5 * (len(hs) - 1)
+        assert stats.rhs_evals == 1 + 3 * stats.jacobian_evals + stages + stats.steps_accepted
+        assert stats.rhs_evals == 163
+
     def test_budget_exhausted(self):
         # the budget is checked before each step, and a step makes up to
         # n + 6 rhs calls: a run ends at most n + 5 calls past it
@@ -764,10 +789,38 @@ class TestIntegrateAdaptive:
         assert calls == []
 
     def test_non_finite_initial_rhs_raises(self):
-        with pytest.raises(FloatingPointError):
+        with pytest.raises(
+            FloatingPointError, match="^non-finite right-hand side at the initial point$"
+        ):
             integrate_adaptive(
                 lambda y: np.array([np.nan]), np.array([1.0]), 1.0
             )
+
+    def test_non_finite_rhs_after_a_step_raises_without_that_step(self, monkeypatch):
+        # the second accepted step lands where rhs is NaN: the run raises,
+        # and its stats count only the first accepted step
+        real_step = integrator.step
+        hs = []
+
+        def second_step_to_ten(rhs, y, h, jac, f0):
+            hs.append(h)
+            if len(hs) == 2:
+                return np.full_like(y, 10.0), np.zeros_like(y)
+            return real_step(rhs, y, h, jac, f0)
+
+        def rhs(y):
+            return np.full_like(y, np.nan) if y[0] == 10.0 else coupled(y)
+
+        monkeypatch.setattr(integrator, "step", second_step_to_ten)
+        message = "^non-finite right-hand side after a step$"
+        with pytest.raises(FloatingPointError, match=message) as info:
+            integrate_adaptive(rhs, np.ones(3), 1e3)
+        stats = info.value.stats
+        assert len(hs) == 2
+        assert hs[1] != hs[0]
+        assert stats.steps_accepted == 1
+        assert stats.steps_rejected == 0
+        assert stats.min_step == stats.max_step == hs[0]
 
     def test_counts_every_call_made_when_rhs_raises(self):
         # the k-th rhs call raises, wherever it falls: the initial point, the
