@@ -89,8 +89,8 @@ def _assemble(problem, theta, states):
     every evaluation of the flow derivative is one call.
 
     One point: theta (n_theta,) and states (m, n_x); returns d_theta
-    (n_theta,) and d_states (m, n_x). The FD stack of a point
-    (integrator._fd_stack: its n forward-difference points, then the point
+    (n_theta,) and d_states (m, n_x). The FD stack of a point, as the
+    integrator builds it (its n forward-difference points, then the point
     as row n): theta (n + 1, n_theta) and states (n + 1, m, n_x); returns
     (n + 1, n_theta) and (n + 1, m, n_x) arrays whose row q has the bits of
     point q alone. Any other stack is wrong: the model part follows the
@@ -158,9 +158,9 @@ def _first_failing_point(d_theta, d_states):
 
 
 def _fd_plan(problem):
-    """The kernel-row plan of the FD stack of a point y
-    (integrator._fd_stack: y's n forward-difference points, then y as row
-    n): per kernel row, the stack row of its theta and the stack row * m +
+    """The kernel-row plan of the FD stack of a point y, as the integrator
+    builds it (y's n forward-difference points, then y as row n): per
+    kernel row, the stack row of its theta and the stack row * m +
     condition of its state, the kernel rows' inputs gathered from u_matrix,
     and the (n + 1, m) kernel row of each condition of each point.
 
@@ -230,15 +230,12 @@ def rhs(problem, y):
     return np.concatenate([d_theta, d_states.ravel()])
 
 
-def rhs_fd(problem, y):
-    """Flow derivative at every row of ys = integrator._fd_stack(y), the FD
-    stack of the packed point y (its n forward-difference points, then y
-    itself as row n), in one _assemble call, as an (n + 1, n) array whose
-    row q has the bits of rhs(problem, ys[q]). Any failing row fails the
-    whole call; the integrator then makes y's value, and its n
-    forward-difference rows if a step needs them, as plain rhs calls to
-    find it."""
-    ys = integrator._fd_stack(y)
+def rhs_fd(problem, ys):
+    """Flow derivative at every row of ys, the FD stack the integrator
+    builds for a packed point y (y's n forward-difference points, then y as
+    row n), in one _assemble call, as an (n + 1, n) array whose row q has
+    the bits of rhs(problem, ys[q]). Any failing row fails the whole call;
+    the integrator then finds it with plain rhs calls."""
     p = len(ys)
     n_theta = problem.model.n_theta
     states = ys[:, n_theta:].reshape(p, len(problem.u_matrix), problem.model.n_x)

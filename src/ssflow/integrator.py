@@ -31,15 +31,16 @@ approximated by forward differences. Each step factorises its stage matrix
 once with LAPACK getrf and runs its six stage solves with getrs, called
 directly.
 
-Every accepted step's new point is the next step's base. Given rhs_fd,
-which evaluates the FD stack of one point in one call, every base point
-(the initial point and each accepted step's new point) is evaluated in one
-call, made once the step is accepted. The FD stack has one shape
-(_fd_stack): the point's n forward-difference points, then the point itself
-as row n. Its last row is the value; the other n rows become the point's
-Jacobian when the next step starts there, so each base point costs one
-derivative call instead of two. Every stack has this shape, so the rows it
-shares follow one fixed pattern per problem.
+Every accepted step's new point is the next step's base, whose FD steps
+_SQRT_EPS * (1 + |y|) and FD stack (_fd_stack: its n forward-difference
+points, then the point as row n) the loop builds once. Given rhs_fd, which
+evaluates the stack it is handed in one call, every base point (the
+initial point and each accepted step's new point) is evaluated in one
+call, made once the step is accepted. The last row is the value; the
+other n rows, over the same steps, become the point's Jacobian when the
+next step starts there, so each base point costs one derivative call
+instead of two. Every stack has this shape, so the rows it shares follow
+one fixed pattern per problem.
 
 One rule covers failures: a stack call that raises is made again as plain
 rhs calls, the value at once and the n forward-difference rows, in stack
@@ -171,21 +172,20 @@ def step(rhs, y, h, jac, f0):
     return z + k[5], k[5]
 
 
-def _fd_stack(y, steps=None):
+def _fd_stack(y, steps):
     """The FD stack of y: its n forward-difference points, row j being y
-    with its entry j stepped by steps[j], by default _SQRT_EPS * (1 + |y[j]|),
-    then y itself as row n."""
+    with its entry j stepped by steps[j], then y itself as row n."""
     n = y.size
     ys = np.empty((n + 1, n))
     ys[:] = y
-    ys.flat[:: n + 1] = y + (_SQRT_EPS * (1.0 + np.abs(y)) if steps is None else steps)
+    ys.flat[:: n + 1] = y + steps
     return ys
 
 
 def _fd_jacobian(values, f0, steps):
-    """Forward-difference Jacobian at y from f0 = rhs(y), the steps of
-    _fd_stack(y, steps) and values, rhs at its first n rows: column j is
-    (values[j] - f0) / steps[j], in a new C-ordered array; values is only read."""
+    """Forward-difference Jacobian at y from f0 = rhs(y), values, rhs at the
+    first n rows of y's FD stack _fd_stack(y, steps), and those steps: column
+    j is (values[j] - f0) / steps[j], in a new C-ordered array; values is only read."""
     jac = np.subtract(values.T, f0[:, None], order="C")
     jac /= steps
     return jac
@@ -216,9 +216,11 @@ def _initial_step(y, f0, r_max, rel_tol, abs_tol):
     return min(h0, r_max)
 
 
-# a point past the float range fails the finiteness checks, which carry the
-# cause; the overflow or invalid operation on the way there is not reported
-@np.errstate(over="ignore", invalid="ignore")
+# the overflow, invalid operation or division by zero on the way to a
+# non-finite value is not reported: past the float range the finiteness
+# checks fail with the cause, and a zero error scale's inf or NaN takes
+# the initial step's fallback or fails the error test
+@np.errstate(over="ignore", invalid="ignore", divide="ignore")
 def integrate_adaptive(
     rhs,
     y0,
@@ -265,12 +267,13 @@ def integrate_adaptive(
     (floored at 1e-2) of the accepted step before, which a rejection leaves
     as they are. An error norm of 0 scales the step by FAC_MAX.
 
-    rhs_fd, if given, evaluates the FD stack of a point in one call:
-    rhs_fd(y) returns rhs at every row of _fd_stack(y) (y's n FD points,
-    then y as row n) as rows, row q with the bits of rhs at row q. It sees
-    no other stack, so it may plan its evaluation once. rhs_fd is called
-    only for a base point (see the module docstring): the initial point and
-    each accepted step's new point, after the error test accepts the step.
+    rhs_fd, if given, evaluates y's FD stack ys = _fd_stack(y, steps), which
+    the loop builds once with the steps its Jacobian divides by, in one
+    call: rhs_fd(ys) returns rhs at every row of ys as rows, row q with the
+    bits of rhs at ys[q], and only reads ys. It is handed no other stack
+    shape, so it may plan its evaluation once. rhs_fd is called only for a
+    base point (see the module docstring): the initial point and each
+    accepted step's new point, after the error test accepts the step.
     The counting is that of one plain call for the value and one stack call
     per Jacobian: the value counts 1 when it is made, and the n rows add n
     to rhs_evals when a step takes its Jacobian from them, after the budget
@@ -280,9 +283,7 @@ def integrate_adaptive(
     discarded_evals is the number of points evaluated, stack calls that
     raised apart.
 
-    Failures follow the one rule of the module docstring. A stack call that
-    raises is made again as one plain rhs call for the value and, if a step
-    needs the point's Jacobian, n plain calls for its rows. A plain call
+    Failures follow the one rule of the module docstring. A plain call
     counts before it is made, so the call that raises is counted.
 
     Returns (final r, final y, IntegratorStats, IntegrationOutcome). An
@@ -311,14 +312,17 @@ def integrate_adaptive(
         # None only on the initial point's pass
         h_acc = err_acc = None
         while True:
-            # y's value: the last row of one call on y's FD stack, whose
-            # other rows wait in ahead until a step takes y's Jacobian
+            # y's FD steps and stack, made once for every use of them
+            steps = _SQRT_EPS * (1.0 + abs_y)
+            ys = _fd_stack(y, steps)
+            # y's value: the last row of one call on ys, whose other rows
+            # wait in ahead until a step takes y's Jacobian
             ahead = None
             if rhs_fd is None:
                 f0 = counted_rhs(y)
             else:
                 try:
-                    values = rhs_fd(y)
+                    values = rhs_fd(ys)
                 except Exception:
                     # whatever failed, plain calls raise it again where they
                     # reach the failing row, if the run gets there
@@ -351,12 +355,11 @@ def integrate_adaptive(
                 if h < H_MIN * max(1.0, abs(r)):
                     return r, y, stats, IntegrationOutcome.STEP_UNDERFLOW
                 if jac is None:
-                    steps = _SQRT_EPS * (1.0 + abs_y)
                     if ahead is None:
                         # y's stack call raised, or there is no rhs_fd: its n
                         # FD rows as plain calls, in stack order
                         values = np.empty((n, n))
-                        for j, row in enumerate(_fd_stack(y, steps)[:n]):
+                        for j, row in enumerate(ys[:n]):
                             values[j] = counted_rhs(row)
                     else:
                         # y's FD rows, made ahead with its value: counted now

@@ -40,6 +40,11 @@ from replaced_forms import (
 NO_U = np.zeros(0)
 
 
+def fd_stack(y):
+    """The FD stack of y, as integrate_adaptive hands it to flow.rhs_fd."""
+    return integrator._fd_stack(y, integrator._SQRT_EPS * (1.0 + np.abs(y)))
+
+
 def cr_flow_problem(lam, **cfg_overrides):
     prob = ConversionReactionProblem()
     return prob.flow_problem(FlowConfig(lam=lam, **cfg_overrides))
@@ -662,9 +667,9 @@ class PerCallNumpy:
         return [None] * shape[0]
 
 
-def twice_built_fd_stack(y, steps=None):
+def twice_built_fd_stack(y, steps):
     """integrator._fd_stack building its own step vector, whatever it is
-    given, as before the integrator built one per Jacobian."""
+    given, as before the integrator built one per base point."""
     n = y.size
     ys = np.empty((n + 1, n))
     ys[:] = y
@@ -844,7 +849,7 @@ def test_non_finite_jacobian_rows_are_named_at_a_point_and_on_a_stack(kernel):
         rhs(problem, y)
     assert str(info.value) == "non-finite Jacobian in condition block(s) [4]"
     with pytest.raises(FlowNumericalError) as info:
-        flow.rhs_fd(problem, y)
+        flow.rhs_fd(problem, fd_stack(y))
     assert str(info.value) == (
         "non-finite Jacobian in condition block(s) "
         "[4, 14, 24, 34, 44, 54, 64, 78, 79]"
@@ -1261,16 +1266,16 @@ def test_stacked_derivative_equals_per_point_rhs(name, data):
     n = problem.model.n_theta + len(problem.u_matrix) * problem.model.n_x
     y = draw_base_point(data, n)
     with np.errstate(all="ignore"):
-        ys = integrator._fd_stack(y)
+        ys = fd_stack(y)
         values = per_point_values(problem, ys)
         if values is not None:
-            got = flow.rhs_fd(problem, y)
+            got = flow.rhs_fd(problem, ys)
             assert got.shape == ys.shape
             for q, want in enumerate(values):
                 assert got[q].tobytes() == want.tobytes(), q
         else:
             with pytest.raises(flow._NUMERICAL_FAILURES):
-                flow.rhs_fd(problem, y)
+                flow.rhs_fd(problem, ys)
 
 
 @pytest.mark.parametrize(
@@ -1336,10 +1341,9 @@ class TestDistinctRowPlan:
         are left in self.calls; each row of its value has the bits of rhs
         alone."""
         # the base point is the stack's last row
-        y = ys[-1]
-        assert integrator._fd_stack(y).tobytes() == ys.tobytes()
+        assert fd_stack(ys[-1]).tobytes() == ys.tobytes()
         self.calls.clear()
-        got = flow.rhs_fd(self.problem, y)
+        got = flow.rhs_fd(self.problem, ys)
         stack_calls = list(self.calls)
         for q, row in enumerate(ys):
             assert got[q].tobytes() == rhs(self.problem, row).tobytes(), q
@@ -1354,7 +1358,7 @@ class TestDistinctRowPlan:
         y = ngf_start().pack()
         j = 6 + 2 * 3
         y[j] = -0.0
-        ys = integrator._fd_stack(y)
+        ys = fd_stack(y)
         assert self.rows_per_kernel(ys) == [("f_jac_batch", 90)]
         for _, _, x_mat, _ in self.calls:
             signs = np.signbit(x_mat[:, 0]).tolist()
@@ -1369,7 +1373,7 @@ class TestDistinctRowPlan:
         # a step resolve to them too
         y = ngf_start().pack()
         n = y.size
-        assert self.rows_per_kernel(integrator._fd_stack(y)) == [("f_jac_batch", 90)]
+        assert self.rows_per_kernel(fd_stack(y)) == [("f_jac_batch", 90)]
         theta_rows, x_rows, _, row = self.problem.fd_plan
         assert theta_rows[:10].tolist() == [n] * 10
         assert x_rows[:10].tolist() == [n * 10 + i for i in range(10)]
@@ -1397,11 +1401,11 @@ class TestDistinctRowPlan:
         rng = np.random.default_rng(4)
         for _ in range(3):
             y = ngf_start().pack() + rng.uniform(-0.1, 0.1, 26)
-            flow.rhs_fd(problem, y)
+            flow.rhs_fd(problem, fd_stack(y))
             assert built == [problem]
             assert built[0] is problem
         other = dataclasses.replace(problem)
-        flow.rhs_fd(other, y)
+        flow.rhs_fd(other, fd_stack(y))
         assert len(built) == 2
         assert built[1] is other
 
@@ -1415,7 +1419,7 @@ class TestDistinctRowPlan:
         steps = integrator._SQRT_EPS * (1.0 + np.abs(y))
         fd = y + np.diag(steps)
         ys = np.vstack([fd, y])
-        assert np.array_equal(integrator._fd_stack(y), ys)
+        assert np.array_equal(fd_stack(y), ys)
         theta, states = y[:6], y[6:].reshape(10, 2)
         u = self.problem.u_matrix
         want_theta = [theta] * 10

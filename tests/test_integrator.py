@@ -51,6 +51,11 @@ def fd_steps(y):
     return integrator._SQRT_EPS * (1.0 + np.abs(y))
 
 
+def fd_stack(y):
+    """The FD stack of y, as integrate_adaptive hands it to rhs_fd."""
+    return integrator._fd_stack(y, fd_steps(y))
+
+
 def reference_fd_jacobian(rhs, y, f0):
     """Forward differences with a fresh copy of y per column."""
     jac = np.empty((y.size, y.size))
@@ -222,7 +227,7 @@ class TestFdJacobian:
         rng = np.random.default_rng(7)
         y = rng.uniform(-3.0, 3.0, 26)
         f0 = rhs(y).copy()
-        values = np.array([rhs(row) for row in integrator._fd_stack(y)[:-1]])
+        values = np.array([rhs(row) for row in fd_stack(y)[:-1]])
         got = _fd_jacobian(values, f0, fd_steps(y))
         assert np.array_equal(got, reference_fd_jacobian(rhs, y, f0))
 
@@ -239,12 +244,12 @@ class TestFdJacobian:
         stacks = []
         values = []
 
-        def rhs_fd(y):
-            stacks.append(integrator._fd_stack(y))
-            values.append(np.array([rhs(row) for row in stacks[-1]]))
+        def rhs_fd(ys):
+            stacks.append(ys)
+            values.append(np.array([rhs(row) for row in ys]))
             return values[-1]
 
-        got = _fd_jacobian(rhs_fd(y)[:-1], f0, fd_steps(y))
+        got = _fd_jacobian(rhs_fd(fd_stack(y))[:-1], f0, fd_steps(y))
         assert len(stacks) == 1
         assert np.array_equal(got, reference_fd_jacobian(rhs, y, f0))
         assert got.flags.c_contiguous
@@ -253,7 +258,7 @@ class TestFdJacobian:
     def test_leaves_y_unchanged(self):
         y = np.array([1.5, -0.25, 1e8, 0.0])
         before = y.copy()
-        values = np.array([coupled(row) for row in integrator._fd_stack(y)[:-1]])
+        values = np.array([coupled(row) for row in fd_stack(y)[:-1]])
         _fd_jacobian(values, coupled(y), fd_steps(y))
         assert np.array_equal(y, before)
 
@@ -381,7 +386,7 @@ class TestSharedColumns:
             f0 = rhs(y)
             calls.clear()
             gradient_calls.clear()
-            values = rhs_fd(y)
+            values = rhs_fd(fd_stack(y))
             got = _fd_jacobian(values[:-1], f0, fd_steps(y))
             # one fused kernel call over the 10 base rows, the 20 perturbed
             # state rows and the 6 x 10 parameter-column rows, and no other
@@ -448,9 +453,7 @@ class TestSharedColumns:
         rhs = partial(flow.rhs, problem)
         y = np.array([0.0, 0.0, 0.3, 0.7])
         f0 = rhs(y)
-        got = _fd_jacobian(
-            flow.rhs_fd(problem, y)[:-1], f0, fd_steps(y)
-        )
+        got = _fd_jacobian(flow.rhs_fd(problem, fd_stack(y))[:-1], f0, fd_steps(y))
         assert np.all(np.isfinite(got))
         assert np.array_equal(got, reference_fd_jacobian(rhs, y, f0))
 
@@ -472,9 +475,9 @@ class TestSharedColumns:
                 seen.append(y.copy())
                 return coupled(y)
 
-            def rhs_fd(y):
-                stacks.append(integrator._fd_stack(y))
-                return np.array([coupled(row) for row in stacks[-1]])
+            def rhs_fd(ys):
+                stacks.append(ys.copy())
+                return np.array([coupled(row) for row in ys])
 
             _, y, stats, outcome = integrate_adaptive(
                 rhs, y0, 1e3, budget=2, rhs_fd=rhs_fd if stacked else None
@@ -490,7 +493,7 @@ class TestSharedColumns:
                 assert stats.jacobian_evals == 1 < len(stacks)
                 assert np.array_equal(stacks[0], np.vstack([fd_points, y0]))
                 for ys in stacks:
-                    assert np.array_equal(ys, integrator._fd_stack(ys[-1]))
+                    assert np.array_equal(ys, fd_stack(ys[-1]))
                 assert stats.discarded_evals == n * (len(stacks) - 1)
                 assert len(seen) == stats.rhs_evals - n - len(stacks)
             else:
@@ -498,6 +501,47 @@ class TestSharedColumns:
                 assert stats.discarded_evals == 0
                 assert np.array_equal(np.array(seen[1 : 1 + n]), fd_points)
         assert runs[0] == runs[1]
+
+    def test_rhs_fd_is_handed_each_base_points_stack_of_its_jacobian_steps(
+        self, monkeypatch
+    ):
+        # the loop builds each base point's FD steps and stack once: rhs_fd
+        # is handed one stack per base point, in order, with the bits of
+        # _fd_stack(y, steps), and the Jacobian from its rows divides by
+        # the same steps
+        prob = NgfErkProblem().with_generated_data(0)
+        problem = prob.flow_problem(FlowConfig(lam=20.0))
+        rng = np.random.default_rng(5)
+        y0 = np.concatenate(
+            [rng.uniform(*prob.theta_box, 6), rng.uniform(*prob.state_box, 20)]
+        )
+        stacks, points, jacobian_steps = [], [], []
+
+        def rhs_fd(ys):
+            stacks.append(ys.copy())
+            return flow.rhs_fd(problem, ys)
+
+        def fd_jacobian(values, f0, steps):
+            jacobian_steps.append(steps.copy())
+            return _fd_jacobian(values, f0, steps)
+
+        monkeypatch.setattr(integrator, "_fd_jacobian", fd_jacobian)
+        _, _, stats, _ = integrate_adaptive(
+            partial(flow.rhs, problem),
+            y0,
+            1e4,
+            rel_tol=1e-4,
+            abs_tol=1e-6,
+            budget=400,
+            observer=lambda r, y, dy: points.append(y.copy()),
+            rhs_fd=rhs_fd,
+        )
+        assert len(stacks) == len(points) == stats.steps_accepted + 1 > 2
+        for ys, y in zip(stacks, points):
+            assert ys.tobytes() == fd_stack(y).tobytes()
+        assert len(jacobian_steps) == stats.jacobian_evals >= len(points) - 1
+        for steps, y in zip(jacobian_steps, points):
+            assert steps.tobytes() == fd_steps(y).tobytes()
 
     def test_only_the_last_point_leaves_discarded_rows(self):
         # a base point's stack is made once its step is accepted, so a
@@ -527,8 +571,8 @@ class TestSharedColumns:
 
         points = []
 
-        def rhs_fd(y):
-            points.append(y.tobytes())
+        def rhs_fd(ys):
+            points.append(ys.tobytes())
             raise Refused
 
         runs = []
@@ -551,7 +595,7 @@ class TestSharedColumns:
         class Stop(Exception):
             pass
 
-        def rhs_fd(y):
+        def rhs_fd(ys):
             raise RuntimeError("stack refused")
 
         n = 5
@@ -573,6 +617,26 @@ class TestSharedColumns:
 
 
 class TestIntegrateAdaptive:
+    def test_zero_error_scale_runs_without_warnings(self):
+        # abs_tol = 0 where y starts at 0: the initial step's estimate and
+        # the first error test divide by a zero scale. The inf or NaN takes
+        # the initial step's fallback or fails the test, with no
+        # RuntimeWarning, and the run ends as it does with warnings ignored
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            r, y, stats, outcome = integrate_adaptive(
+                lambda y: 1.0 - y, np.array([0.0]), 1.0, abs_tol=0.0
+            )
+        assert outcome is IntegrationOutcome.HORIZON
+        assert r == 1.0
+        assert (stats.steps_accepted, stats.steps_rejected, stats.rhs_evals) == (
+            19,
+            0,
+            134,
+        )
+        assert stats.min_step == 1e-6
+        assert y[0] == pytest.approx(0.63212054, abs=1e-8)
+
     def test_linear_decay_accuracy(self):
         rel_tol = 1e-6
         r, y, stats, outcome = integrate_adaptive(
@@ -1118,8 +1182,8 @@ def van_der_pol(y):
     return out
 
 
-def van_der_pol_fd(y):
-    return np.array([van_der_pol(row) for row in integrator._fd_stack(y)])
+def van_der_pol_fd(ys):
+    return np.array([van_der_pol(row) for row in ys])
 
 
 def draw_system(name, data):
@@ -1153,9 +1217,9 @@ def counted_run(rhs, y0, r_max, budget, tolerances, rhs_fd=None):
         points[0] += 1
         return rhs(y)
 
-    def counted_fd(y):
-        points[0] += y.size + 1
-        return rhs_fd(y)
+    def counted_fd(ys):
+        points[0] += len(ys)
+        return rhs_fd(ys)
 
     try:
         r, y, stats, outcome = integrate_adaptive(
