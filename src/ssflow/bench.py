@@ -139,11 +139,14 @@ class BenchConfig:
             setattr(self, name, box)
         if not isinstance(self.output_dir, str):
             raise TypeError(f"output_dir must be a string, got {self.output_dir!r}")
+        # a string is iterable too, one method name per character
+        if isinstance(self.methods, str) or not hasattr(self.methods, "__iter__"):
+            raise ValueError(f"methods must hold method names, got {self.methods!r}")
         self.methods = tuple(self.methods)
         self.lambdas = _reals("lambdas", self.lambdas)
-        unknown = set(self.methods) - set(METHODS)
+        unknown = [name for name in self.methods if name not in METHODS]
         if unknown:
-            raise ValueError(f"unknown methods {sorted(unknown)}")
+            raise ValueError(f"unknown methods {unknown}")
         if not (self.methods and self.lambdas):
             raise ValueError("methods and lambdas must not be empty")
         # a repeat would run, and count, every start of it twice
@@ -294,10 +297,14 @@ def summarize(records, classification_tol=BenchConfig.classification_tol):
 
 def worker_count():
     """The bench's worker count: the SSFLOW_WORKERS environment variable,
-    or the available parallelism when it is unset. Raises ValueError naming
-    the variable when its value is not an integer >= 1."""
+    or the available parallelism when it is unset: the CPUs this process
+    may run on, where the platform tells (os.sched_getaffinity), else every
+    CPU. Raises ValueError naming the variable when its value is not an
+    integer >= 1."""
     value = os.environ.get(WORKERS_ENV)
     if value is None:
+        if hasattr(os, "sched_getaffinity"):
+            return len(os.sched_getaffinity(0))
         return os.cpu_count() or 1
     try:
         workers = int(value)

@@ -223,24 +223,17 @@ def _sensitivities(jac, n_x):
 
 def rhs(problem, y):
     """Flow derivative at the packed state y = (theta, x^1..x^m), as one
-    packed vector; the flow is autonomous, so it takes no pseudo-time."""
-    n_theta = problem.model.n_theta
-    states = y[n_theta:].reshape(len(problem.u_matrix), problem.model.n_x)
-    d_theta, d_states = _assemble(problem, y[:n_theta], states)
-    return np.concatenate([d_theta, d_states.ravel()])
-
-
-def rhs_fd(problem, ys):
-    """Flow derivative at every row of ys, the FD stack the integrator
-    builds for a packed point y (y's n forward-difference points, then y as
+    packed vector, or at every row of y, the FD stack the integrator builds
+    for a packed point (its n forward-difference points, then the point as
     row n), in one _assemble call, as an (n + 1, n) array whose row q has
-    the bits of rhs(problem, ys[q]). Any failing row fails the whole call;
-    the integrator then finds it with plain rhs calls."""
-    p = len(ys)
+    the bits of rhs(problem, y[q]). The flow is autonomous, so it takes no
+    pseudo-time. Any failing row of a stack fails the whole call; the
+    integrator then finds it with calls at single points."""
     n_theta = problem.model.n_theta
-    states = ys[:, n_theta:].reshape(p, len(problem.u_matrix), problem.model.n_x)
-    d_theta, d_states = _assemble(problem, ys[:, :n_theta], states)
-    return np.concatenate([d_theta, d_states.reshape(p, -1)], axis=1)
+    lead = y.shape[:-1]
+    states = y[..., n_theta:].reshape(lead + (len(problem.u_matrix), problem.model.n_x))
+    d_theta, d_states = _assemble(problem, y[..., :n_theta], states)
+    return np.concatenate([d_theta, d_states.reshape(lead + (-1,))], axis=-1)
 
 
 def stop_check(problem, y, dy):
@@ -300,14 +293,12 @@ def run_flow(problem, init, store_trajectory=False):
         if store_trajectory:
             trajectory.append(FlowState.unpack(yvec, n_theta, n_x, m, r=r))
 
-    # one state column keeps plain calls, so perfbench's traced cr_methods
-    # run still makes one _assemble call per rhs evaluation
-    stacked = partial(rhs_fd, problem) if m * n_x >= 2 else None
+    flow_rhs = partial(rhs, problem)
     rel_tol, abs_tol = _error_tolerances(problem)
     t0 = time.perf_counter()
     try:
         r_end, y_end, stats, outcome = integrator.integrate_adaptive(
-            partial(rhs, problem),
+            flow_rhs,
             init.pack(),
             cfg.r_max,
             rel_tol=rel_tol,
@@ -315,7 +306,9 @@ def run_flow(problem, init, store_trajectory=False):
             stop=partial(stop_check, problem),
             budget=cfg.max_rhs_evals,
             observer=observer,
-            rhs_fd=stacked,
+            # one state column keeps plain calls, so perfbench's traced
+            # cr_methods run still makes one _assemble call per rhs evaluation
+            rhs_fd=flow_rhs if m * n_x >= 2 else None,
         )
         reason = _STOP_REASONS[outcome]
     except _NUMERICAL_FAILURES as exc:

@@ -1,15 +1,12 @@
 """Dense linear-algebra kernels and the one finiteness test.
 
-Thin, explicit wrappers around LAPACK (via numpy/scipy) with the
-truncation and singularity policies used throughout the package, and
-``all_finite``, the finiteness test of the flow's and the integrator's hot
-paths.
+Thin, explicit wrappers around numpy's LAPACK: the truncated pseudoinverse
+and the one solve, whose exact-singularity rule is the package's (the
+``sensitivity`` module docstring states it), and ``all_finite``, the
+finiteness test of the flow's and the integrator's hot paths.
 """
 
-import warnings
-
 import numpy as np
-from scipy.linalg import LinAlgWarning, lu_factor, lu_solve
 
 _EPS = np.finfo(float).eps
 
@@ -19,7 +16,8 @@ class NumericalFailure(RuntimeError):
 
 
 class SingularMatrixError(RuntimeError):
-    """Partial-pivot factorisation hit a pivot below the singularity threshold."""
+    """A matrix to solve with is exactly singular (``sensitivity`` module
+    docstring)."""
 
 
 def all_finite(a):
@@ -56,26 +54,20 @@ def pinv(m):
 
 
 def solve(a, b):
-    """Solve A X = B by partial-pivot LU.
+    """Solve A X = B by LAPACK's partial-pivot LU (gesv), for one matrix or
+    a stack ``(..., n, n)``.
 
-    Raises SingularMatrixError when the smallest pivot is at or below
-    1e-14 * ||A||_inf; callers fall back to pinv in that case.
+    Raises ValueError unless A is square, and SingularMatrixError when the
+    LU meets an exactly zero pivot in any matrix; no nearly singular matrix
+    is refused.
     """
-    a = np.asarray(a, dtype=float)
-    b = np.asarray(b, dtype=float)
-    if a.ndim != 2 or a.shape[0] != a.shape[1]:
-        raise ValueError("solve expects a square matrix A")
-    with warnings.catch_warnings():
-        # exact singularity is detected via the pivot check below
-        warnings.simplefilter("ignore", LinAlgWarning)
-        lu, piv = lu_factor(a, check_finite=False)
-    norm_a = np.abs(a).sum(axis=1).max() if a.size else 0.0
-    pivots = np.abs(np.diag(lu))
-    if pivots.size and pivots.min() <= 1e-14 * norm_a:
-        raise SingularMatrixError(
-            f"pivot {pivots.min():.3e} below threshold for ||A||_inf = {norm_a:.3e}"
-        )
-    return lu_solve((lu, piv), b, check_finite=False)
+    a = np.asarray(a)
+    if a.ndim < 2 or a.shape[-1] != a.shape[-2]:
+        raise ValueError("solve expects a square matrix A or a stack of them")
+    try:
+        return np.linalg.solve(a, b)
+    except np.linalg.LinAlgError as exc:
+        raise SingularMatrixError(f"exactly singular matrix: {exc}") from exc
 
 
 def finite_diff_jacobian(fn, x, h=1e-6):

@@ -1,20 +1,23 @@
 """Steady-state parameter sensitivities and the objective gradient along the manifold.
 
-``pinv_sensitivity`` is the one kernel behind every sensitivity the package
-optimises with: the flow's right-hand side, ``sensitivity_hat`` and
-``manifold_gradient``, hence also ``models.reduced_objective``, the reduced
-baseline's objective. It solves, and truncates with the pseudoinverse only
-at exact singularity, by one rule for every state dimension n_x:
+This docstring holds the package's one singularity policy. ``_solve`` is
+the one sensitivity solve: ``sensitivity_exact`` calls it, and so does
+``pinv_sensitivity``, behind the flow's right-hand side, ``sensitivity_hat``
+and ``manifold_gradient`` (hence ``models.reduced_objective``). Its rule
+holds for every state dimension n_x:
 
 - a state Jacobian is exactly singular when its computed det is exactly
-  zero (either sign) for n_x <= 2, and when LAPACK's LU meets a zero pivot
-  for n_x >= 3; NaN is no zero;
-- a call that meets one is redone matrix by matrix through the same
-  function, and a lone singular matrix A takes ``-(numerics.pinv(A) @ B)``.
+  zero (either sign) for n_x <= 2, and when LAPACK's LU (``numerics.solve``)
+  meets a zero pivot for n_x >= 3; NaN is no zero, and a nearly singular
+  one is solved;
+- ``_solve`` then raises ``numerics.SingularMatrixError``, which
+  ``sensitivity_exact`` passes on; ``pinv_sensitivity`` redoes the call
+  matrix by matrix, and a lone singular A takes ``-(numerics.pinv(A) @ B)``.
 
-So each matrix of a stack gets the bits it would get alone, and a stack may
-hold the rows of several flow points. No singular matrix reaches a
-division, so none warns.
+So each matrix of a stack, which may hold the rows of several flow points,
+gets the bits it would get alone, and ``sensitivity_exact`` has those of
+``pinv_sensitivity`` wherever it does not raise. No singular matrix reaches
+a division, so none warns.
 
 Each size keeps its solver. 1x1 state Jacobians (one state per condition,
 as in the conversion reaction) are solved in closed form, without LAPACK's
@@ -27,18 +30,13 @@ in elementwise ufuncs only (no matmul, einsum or LAPACK), so their bits
 depend on no BLAS kernel; Cramer's rule is forward stable on 2x2 systems
 (Higham, Accuracy and Stability of Numerical Algorithms, 1.10.1). For
 n_x <= 2 no call reaches ``np.linalg.solve``, singular or not. State
-Jacobians of three or more states go to LAPACK.
+Jacobians of three or more states go to LAPACK through ``numerics.solve``.
 
 Unlike LAPACK, the closed forms may overflow in a product or ratio; the
 flow's finiteness check then fails the point. They set no np.errstate,
 which would cost about a third of what they save per call; the flow's is
 the one on ``integrator.integrate_adaptive``, a decorator around the whole
 integration, and ``models.reduced_objective`` sets its own.
-
-A second rule survives only in ``sensitivity_exact``, which only tests
-call: ``numerics.solve`` raises ``SingularMatrixError`` when a pivot is at
-or below 1e-14 * ||A||_inf. Replacing both rules with one pivot threshold
-is ROADMAP item 3; it changes results near singular points.
 """
 
 import numpy as np
@@ -59,23 +57,17 @@ def sensitivity_exact(model, theta, x, u):
     Jacobians from one call of the fused kernel on a batch of one.
 
     Intended for on-manifold points where the state Jacobian is invertible;
-    raises SingularMatrixError otherwise (use sensitivity_hat then).
+    raises SingularMatrixError exactly where pinv_sensitivity takes the
+    pseudoinverse (module docstring), and has its bits elsewhere.
     """
-    a, b = _jacobian_blocks(model, theta, x, u)
-    return numerics.solve(a, -b)
+    return _solve(*_jacobian_blocks(model, theta, x, u))
 
 
-def pinv_sensitivity(jac_x, jac_theta):
-    """Pseudoinverse sensitivity S_hat = -(d f/d x)^+ (d f/d theta) of one
-    Jacobian pair or of a stack ``(..., n_x, n_x)``, ``(..., n_x, n_theta)``.
-
-    Solves where the state Jacobian is invertible (the generic case, on and
-    off manifold), each size by its own solver: 1x1 and 2x2 in closed form,
-    larger by LAPACK. One rule for every n_x (module docstring): a call
-    that meets an exactly singular state Jacobian is redone matrix by
-    matrix, and a lone singular one takes ``-(numerics.pinv(A) @ B)``, so
-    every matrix of a stack gets the bits of its own call.
-    """
+def _solve(jac_x, jac_theta):
+    """-(d f/d x)^-1 (d f/d theta) of one Jacobian pair or of a stack, each
+    size by its own solver: 1x1 and 2x2 in closed form, larger by LAPACK.
+    Raises SingularMatrixError when some state Jacobian is exactly singular
+    (module docstring)."""
     n_x = jac_x.shape[-1]
     # count_nonzero takes -0.0 for a zero and NaN for none
     if n_x == 1:
@@ -100,11 +92,23 @@ def pinv_sensitivity(jac_x, jac_theta):
             s /= det
             return s
     else:
-        try:
-            return -np.linalg.solve(jac_x, jac_theta)
-        except np.linalg.LinAlgError:
-            pass
-    # some matrix is exactly singular: redo the call matrix by matrix
+        return -numerics.solve(jac_x, jac_theta)
+    raise numerics.SingularMatrixError(f"exactly singular {n_x}x{n_x} state Jacobian")
+
+
+def pinv_sensitivity(jac_x, jac_theta):
+    """Pseudoinverse sensitivity S_hat = -(d f/d x)^+ (d f/d theta) of one
+    Jacobian pair or of a stack ``(..., n_x, n_x)``, ``(..., n_x, n_theta)``.
+
+    Solves by _solve where the state Jacobian is invertible (the generic
+    case, on and off manifold); a call that meets an exactly singular one
+    is redone matrix by matrix, each with the bits of its own call, and a
+    lone singular one is truncated (module docstring).
+    """
+    try:
+        return _solve(jac_x, jac_theta)
+    except numerics.SingularMatrixError:
+        pass
     if jac_x.ndim == 2:
         return -(numerics.pinv(jac_x) @ jac_theta)
     return np.stack([pinv_sensitivity(a, b) for a, b in zip(jac_x, jac_theta)])

@@ -6,8 +6,10 @@ stage loop through the ``@`` operator with keyword LAPACK flags and a Python
 float h, the NGF kernel through its ``shared_terms`` and ``vector_field``
 helpers with numpy scalar rates, the NGF state gradient through
 ``zeros_like``, the 2x2 adjugate with a view per use and the total gradient
-with ``asarray`` wrappers. The tests assert that the current forms give the
-same bits.
+with ``asarray`` wrappers. The pseudoinverse sensitivity is kept as it was
+before its solve became the one shared with ``sensitivity_exact``: each
+size's solver inline, ``np.linalg.solve`` called directly for three or more
+states. The tests assert that the current forms give the same bits.
 """
 
 import math
@@ -15,7 +17,7 @@ import math
 import numpy as np
 from scipy.linalg.lapack import dgetrf, dgetrs
 
-from ssflow import integrator
+from ssflow import integrator, numerics
 from ssflow.numerics import all_finite
 from ssflow.sensitivity import pinv_sensitivity
 
@@ -113,6 +115,38 @@ def view_per_use_pinv_sensitivity(jac_x, jac_theta):
             s /= det
             return s
     return pinv_sensitivity(jac_x, jac_theta)
+
+
+def inline_solve_pinv_sensitivity(jac_x, jac_theta):
+    """pinv_sensitivity with each size's solver inline and the fallback
+    after the if chain, recursing into itself."""
+    n_x = jac_x.shape[-1]
+    # count_nonzero takes -0.0 for a zero and NaN for none
+    if n_x == 1:
+        if np.count_nonzero(jac_x) == jac_x.size:
+            if jac_theta.shape[-1] == 1:
+                return jac_theta / -jac_x
+            return jac_theta * (-1.0 / jac_x)
+    elif n_x == 2:
+        row0 = jac_x[..., 0, :, None]
+        row1_reversed = jac_x[..., 1, ::-1, None]
+        prod = row0 * row1_reversed
+        det = prod - prod[..., ::-1, :]
+        if np.count_nonzero(det) == det.size:
+            s = row0[..., ::-1, :] * jac_theta[..., 1:, :]
+            s -= row1_reversed * jac_theta[..., :1, :]
+            s /= det
+            return s
+    else:
+        try:
+            return -np.linalg.solve(jac_x, jac_theta)
+        except np.linalg.LinAlgError:
+            pass
+    if jac_x.ndim == 2:
+        return -(numerics.pinv(jac_x) @ jac_theta)
+    return np.stack(
+        [inline_solve_pinv_sensitivity(a, b) for a, b in zip(jac_x, jac_theta)]
+    )
 
 
 def asarray_total_gradient(grad_theta, s_hat, grads_x):

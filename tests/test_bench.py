@@ -138,6 +138,22 @@ class TestBenchConfig:
         with pytest.raises(ValueError):
             BenchConfig(**kwargs)
 
+    @pytest.mark.parametrize(
+        "methods, message",
+        [
+            # a string is no list of names, though it iterates
+            ("flow", "methods must hold method names, got 'flow'"),
+            (5, "methods must hold method names, got 5"),
+            (None, "methods must hold method names, got None"),
+            (("flow", "newton"), "unknown methods ['newton']"),
+            ([["flow"]], "unknown methods [['flow']]"),
+        ],
+    )
+    def test_a_bad_methods_value_names_the_field(self, methods, message):
+        with pytest.raises(ValueError) as info:
+            BenchConfig(methods=methods)
+        assert str(info.value) == message
+
     def test_round_trips_through_dict(self):
         # summary.json echoes asdict(config); its arrays read back as tuples
         cfg = default_config("ngf_erk", n_starts=7, seed=3)
@@ -278,7 +294,24 @@ class TestRunBench:
         monkeypatch.setenv("SSFLOW_WORKERS", "3")
         assert bench.worker_count() == 3
         monkeypatch.delenv("SSFLOW_WORKERS")
-        assert bench.worker_count() == (os.cpu_count() or 1)
+        if hasattr(os, "sched_getaffinity"):
+            assert bench.worker_count() == len(os.sched_getaffinity(0))
+        else:
+            assert bench.worker_count() == (os.cpu_count() or 1)
+
+    def test_worker_count_defaults_to_the_cpus_the_process_may_run_on(
+        self, monkeypatch
+    ):
+        # an affinity mask (taskset, a cpuset) narrower than the machine
+        monkeypatch.delenv("SSFLOW_WORKERS", raising=False)
+        monkeypatch.setattr(os, "cpu_count", lambda: 64)
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {2, 5}, raising=False)
+        assert bench.worker_count() == 2
+        # a platform without affinity masks counts every CPU
+        monkeypatch.delattr(os, "sched_getaffinity")
+        assert bench.worker_count() == 64
+        monkeypatch.setattr(os, "cpu_count", lambda: None)
+        assert bench.worker_count() == 1
 
     def test_failed_run_gives_a_failure_record(self, monkeypatch, tmp_path):
         monkeypatch.setenv("SSFLOW_WORKERS", "1")

@@ -273,6 +273,8 @@ class TestBench:
             ),
             ('{"lambdas": ["20"]}', [], "lambdas must be a finite number, got '20'"),
             ('{"noise_var": "0.1"}', [], "noise_var must be a finite number, got '0.1'"),
+            ('{"methods": "flow"}', [], "methods must hold method names, got 'flow'"),
+            ('{"methods": 5}', [], "methods must hold method names, got 5"),
         ],
         ids=[
             "unknown-key",
@@ -301,6 +303,8 @@ class TestBench:
             "bool-noise-and-classification-tol",
             "string-lambda",
             "string-noise",
+            "string-methods",
+            "number-methods",
         ],
     )
     def test_bad_config_file_is_a_usage_error(

@@ -41,7 +41,7 @@ NO_U = np.zeros(0)
 
 
 def fd_stack(y):
-    """The FD stack of y, as integrate_adaptive hands it to flow.rhs_fd."""
+    """The FD stack of y, as integrate_adaptive hands it to its rhs_fd."""
     return integrator._fd_stack(y, integrator._SQRT_EPS * (1.0 + np.abs(y)))
 
 
@@ -849,7 +849,7 @@ def test_non_finite_jacobian_rows_are_named_at_a_point_and_on_a_stack(kernel):
         rhs(problem, y)
     assert str(info.value) == "non-finite Jacobian in condition block(s) [4]"
     with pytest.raises(FlowNumericalError) as info:
-        flow.rhs_fd(problem, fd_stack(y))
+        flow.rhs(problem, fd_stack(y))
     assert str(info.value) == (
         "non-finite Jacobian in condition block(s) "
         "[4, 14, 24, 34, 44, 54, 64, 78, 79]"
@@ -950,7 +950,7 @@ def run_flow_integration(problem, init):
         problem.config.r_max,
         rel_tol=rel_tol,
         abs_tol=abs_tol,
-        rhs_fd=partial(flow.rhs_fd, problem),
+        rhs_fd=partial(flow.rhs, problem),
     )
 
 
@@ -1087,21 +1087,21 @@ def assert_same_run(a, b):
 
 def test_state_columns_share_their_model_part_from_two_on(monkeypatch):
     # the conversion reaction (one state column) keeps plain rhs calls; NGF
-    # evaluates each FD Jacobian as one stack
+    # evaluates each FD Jacobian as one stack, by the same rhs
     seen = []
     integrate = integrator.integrate_adaptive
 
-    def capture(*args, rhs_fd=None, **kwargs):
-        seen.append(rhs_fd)
-        return integrate(*args, rhs_fd=rhs_fd, **kwargs)
+    def capture(rhs, *args, rhs_fd=None, **kwargs):
+        seen.append((rhs, rhs_fd))
+        return integrate(rhs, *args, rhs_fd=rhs_fd, **kwargs)
 
     monkeypatch.setattr(integrator, "integrate_adaptive", capture)
     cr_init = FlowState(theta=np.array([5.0, 3.0]), states=[np.array([0.9])])
     run_flow(cr_flow_problem(20.0, max_rhs_evals=10), cr_init)
     ngf = NgfErkProblem().with_generated_data(0)
     run_flow(ngf.flow_problem(FlowConfig(lam=20.0, max_rhs_evals=10)), ngf_start())
-    assert seen[0] is None
-    assert seen[1].func is flow.rhs_fd
+    assert seen[0][0].func is flow.rhs and seen[0][1] is None
+    assert seen[1][0].func is flow.rhs and seen[1][1] is seen[1][0]
 
 
 class TestSharedColumnFailureParity:
@@ -1269,13 +1269,13 @@ def test_stacked_derivative_equals_per_point_rhs(name, data):
         ys = fd_stack(y)
         values = per_point_values(problem, ys)
         if values is not None:
-            got = flow.rhs_fd(problem, ys)
+            got = flow.rhs(problem, ys)
             assert got.shape == ys.shape
             for q, want in enumerate(values):
                 assert got[q].tobytes() == want.tobytes(), q
         else:
             with pytest.raises(flow._NUMERICAL_FAILURES):
-                flow.rhs_fd(problem, ys)
+                flow.rhs(problem, ys)
 
 
 @pytest.mark.parametrize(
@@ -1337,13 +1337,13 @@ class TestDistinctRowPlan:
         self.problem, self.calls = recording_kernels(problem)
 
     def rows_per_kernel(self, ys):
-        """(kernel, rows) of the rhs_fd call on the FD stack ys, whose calls
+        """(kernel, rows) of the rhs call on the FD stack ys, whose calls
         are left in self.calls; each row of its value has the bits of rhs
         alone."""
         # the base point is the stack's last row
         assert fd_stack(ys[-1]).tobytes() == ys.tobytes()
         self.calls.clear()
-        got = flow.rhs_fd(self.problem, ys)
+        got = flow.rhs(self.problem, ys)
         stack_calls = list(self.calls)
         for q, row in enumerate(ys):
             assert got[q].tobytes() == rhs(self.problem, row).tobytes(), q
@@ -1401,11 +1401,11 @@ class TestDistinctRowPlan:
         rng = np.random.default_rng(4)
         for _ in range(3):
             y = ngf_start().pack() + rng.uniform(-0.1, 0.1, 26)
-            flow.rhs_fd(problem, fd_stack(y))
+            flow.rhs(problem, fd_stack(y))
             assert built == [problem]
             assert built[0] is problem
         other = dataclasses.replace(problem)
-        flow.rhs_fd(other, fd_stack(y))
+        flow.rhs(other, fd_stack(y))
         assert len(built) == 2
         assert built[1] is other
 

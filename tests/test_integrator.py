@@ -377,7 +377,6 @@ class TestSharedColumns:
         objective, gradient_calls = counting_gradients(base.objective)
         problem = dataclasses.replace(base, model=model, objective=objective)
         rhs = partial(flow.rhs, problem)
-        rhs_fd = partial(flow.rhs_fd, problem)
         rng = np.random.default_rng(11)
         for _ in range(12):
             y = np.concatenate(
@@ -386,7 +385,7 @@ class TestSharedColumns:
             f0 = rhs(y)
             calls.clear()
             gradient_calls.clear()
-            values = rhs_fd(fd_stack(y))
+            values = rhs(fd_stack(y))
             got = _fd_jacobian(values[:-1], f0, fd_steps(y))
             # one fused kernel call over the 10 base rows, the 20 perturbed
             # state rows and the 6 x 10 parameter-column rows, and no other
@@ -453,7 +452,7 @@ class TestSharedColumns:
         rhs = partial(flow.rhs, problem)
         y = np.array([0.0, 0.0, 0.3, 0.7])
         f0 = rhs(y)
-        got = _fd_jacobian(flow.rhs_fd(problem, fd_stack(y))[:-1], f0, fd_steps(y))
+        got = _fd_jacobian(flow.rhs(problem, fd_stack(y))[:-1], f0, fd_steps(y))
         assert np.all(np.isfinite(got))
         assert np.array_equal(got, reference_fd_jacobian(rhs, y, f0))
 
@@ -519,7 +518,7 @@ class TestSharedColumns:
 
         def rhs_fd(ys):
             stacks.append(ys.copy())
-            return flow.rhs_fd(problem, ys)
+            return flow.rhs(problem, ys)
 
         def fd_jacobian(values, f0, steps):
             jacobian_steps.append(steps.copy())
@@ -1198,9 +1197,10 @@ def draw_system(name, data):
     problem = prob.flow_problem(FlowConfig(lam=20.0))
     theta = data.draw(arrays(float, 6, elements=st.floats(*prob.theta_box)))
     states = data.draw(arrays(float, 20, elements=st.floats(*prob.state_box)))
+    rhs = partial(flow.rhs, problem)
     return (
-        partial(flow.rhs, problem),
-        partial(flow.rhs_fd, problem),
+        rhs,
+        rhs,
         np.concatenate([theta, states]),
         1e4,
         {"rel_tol": 1e-4, "abs_tol": 1e-6},

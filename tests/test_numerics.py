@@ -124,9 +124,33 @@ class TestSolve:
                 x = numerics.solve(a, b)
                 assert np.abs(a @ x - b).max() <= 1e-10 * max(np.abs(b).max(), 1.0)
 
-    def test_rejects_non_square(self):
+    @pytest.mark.parametrize("a", [np.zeros((2, 3)), np.zeros((4, 2, 3)), np.zeros(2)])
+    def test_rejects_non_square(self, a):
         with pytest.raises(ValueError):
-            numerics.solve(np.zeros((2, 3)), np.zeros(2))
+            numerics.solve(a, np.zeros(2))
+
+    @pytest.mark.parametrize(
+        "a", [[[1.0, 1.0], [1.0, 1.0 + 1e-15]], np.diag([3.0, 2.0, 1.0, 1e-15])]
+    )
+    def test_nearly_singular_matrices_solve(self, a):
+        # a nonzero pivot at or below 1e-14 ||A||_inf is no singularity:
+        # only LAPACK's exact zero pivot is
+        a = np.asarray(a)
+        b = np.arange(2.0 * len(a)).reshape(len(a), 2) + 1.0
+        x = numerics.solve(a, b)
+        assert np.array_equal(x, np.linalg.solve(a, b))
+        assert np.isfinite(x).all()
+
+    def test_stack_has_the_bits_of_each_matrix_and_raises_at_a_singular_one(self):
+        rng = np.random.default_rng(13)
+        a = rng.standard_normal((6, 3, 3))
+        b = rng.standard_normal((6, 3, 2))
+        x = numerics.solve(a, b)
+        for k in range(6):
+            assert np.array_equal(x[k], numerics.solve(a[k], b[k])), k
+        a[4, 1] = 0.0
+        with pytest.raises(numerics.SingularMatrixError):
+            numerics.solve(a, b)
 
 
 class TestFiniteDiffJacobian:

@@ -5,6 +5,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
+import scipy.linalg
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -25,7 +26,11 @@ from ssflow.sensitivity import (
     total_gradient,
 )
 
-from replaced_forms import asarray_total_gradient, view_per_use_pinv_sensitivity
+from replaced_forms import (
+    asarray_total_gradient,
+    inline_solve_pinv_sensitivity,
+    view_per_use_pinv_sensitivity,
+)
 
 NO_U = np.zeros(0)
 
@@ -506,6 +511,42 @@ class TestReplacedForms:
         with np.errstate(all="ignore"):
             assert same_bits(pinv_sensitivity(a, b), view_per_use_pinv_sensitivity(a, b))
 
+    @pytest.mark.parametrize("lead", [(), (10,), (27, 10)], ids=["2-D", "3-D", "4-D"])
+    @pytest.mark.parametrize("n_theta", [1, 2, 6])
+    @pytest.mark.parametrize("n_x", [1, 2, 3, 4])
+    def test_pinv_sensitivity_bits_of_the_inline_solve(self, n_x, n_theta, lead):
+        # the solve shared with sensitivity_exact gives every bit, signed
+        # zeros included, of the solve inline, at regular matrices and at
+        # exactly singular ones (a row of signed zeros, a row twice
+        # another), alone and in stacks
+        rng = np.random.default_rng(100 * n_x + n_theta)
+        a = rng.standard_normal(lead + (n_x, n_x))
+        b = rng.standard_normal(lead + (n_x, n_theta))
+        b[..., 0] = np.copysign(0.0, b[..., 0])
+        singular = a.copy()
+        flat = singular.reshape(-1, n_x, n_x)
+        flat[::2, 0] = np.copysign(0.0, flat[::2, 0])
+        if n_x > 1:
+            flat[1::2, 1] = 2.0 * flat[1::2, 0]
+        mixed = a.copy()
+        mixed.reshape(-1, n_x, n_x)[::3] = flat[::3]
+        members = zip(mixed.reshape(-1, n_x, n_x), b.reshape(-1, n_x, n_theta))
+        for x, y in [(a, b), (singular, b), (mixed, b), *members]:
+            want = inline_solve_pinv_sensitivity(x, y)
+            assert same_bits(pinv_sensitivity(x, y), want)
+
+    @given(stacks_with_singular_matrices(sizes=(1, 2, 3, 4), max_axes=2))
+    @settings(max_examples=200, deadline=None)
+    def test_pinv_sensitivity_bits_of_the_inline_solve_at_any_scale(self, system):
+        a, b, _ = system
+        n_x, n_theta = b.shape[-2:]
+        members = zip(a.reshape(-1, n_x, n_x), b.reshape(-1, n_x, n_theta))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for x, y in [(a, b), *members]:
+                want = inline_solve_pinv_sensitivity(x, y)
+                assert same_bits(pinv_sensitivity(x, y), want)
+
     @pytest.mark.parametrize("lead", [(), (27,)], ids=["point", "stack"])
     def test_total_gradient_bits_without_asarray(self, lead):
         # the gradients go into the sum as given: float arrays and lists
@@ -566,6 +607,79 @@ class TestOneSingularityRule:
             assert same_bits(alone[k], want), k
 
 
+def fixed_jacobian_model(a, b):
+    """A model without inputs whose state and parameter Jacobians are a and
+    b everywhere."""
+    n_x, n_theta = b.shape
+    return ModelSpec(
+        n_x=n_x,
+        n_theta=n_theta,
+        n_u=0,
+        f=lambda theta, x, u: np.zeros(n_x),
+        jac_x=lambda theta, x, u: a,
+        jac_theta=lambda theta, x, u: b,
+    )
+
+
+def exact_at(a, b):
+    """sensitivity_exact of fixed_jacobian_model(a, b), at the origin."""
+    n_x, n_theta = b.shape
+    model = fixed_jacobian_model(a, b)
+    return sensitivity_exact(model, np.zeros(n_theta), np.zeros(n_x), NO_U)
+
+
+class TestSensitivityExactRaisesWherePinvTruncates:
+    @given(stacks_with_singular_matrices(sizes=(1, 2, 3, 4)))
+    @settings(max_examples=200, deadline=None)
+    def test_raises_iff_pinv_sensitivity_takes_the_pseudoinverse(self, system):
+        # one rule: sensitivity_exact raises SingularMatrixError at exactly
+        # the state Jacobians pinv_sensitivity truncates, and has its bits
+        # at every other one
+        a, b, _ = system
+        pinv = numerics.pinv
+        truncated = []
+
+        def counted(m):
+            truncated.append(m)
+            return pinv(m)
+
+        for x, y in zip(a, b):
+            truncated.clear()
+            with mock.patch.object(numerics, "pinv", counted):
+                want = pinv_sensitivity(x, y)
+            if truncated:
+                with pytest.raises(numerics.SingularMatrixError):
+                    exact_at(x, y)
+            else:
+                assert same_bits(exact_at(x, y), want)
+
+    @pytest.mark.parametrize(
+        "a",
+        [
+            [[1.0, 1.0], [1.0, 1.0 + 1e-15]],
+            [
+                [1.0, 2.0, 3.0, 4.0],
+                [2.0, 3.0, 4.0, 5.0],
+                [3.0, 4.0, 5.0, 6.0 + 1e-13],
+                [1.0, 0.0, 0.0, 1.0],
+            ],
+        ],
+        ids=["2x2", "4x4"],
+    )
+    def test_nearly_singular_state_jacobians_are_solved(self, a):
+        # LU's smallest pivot is nonzero but at most 1e-14 ||A||_inf, which
+        # a pivot threshold once refused: only exact singularity counts
+        a = np.array(a)
+        pivots = np.abs(np.diag(scipy.linalg.lu_factor(a)[0]))
+        assert 0.0 < pivots.min() <= 1e-14 * np.abs(a).sum(axis=1).max()
+        b = np.arange(2.0 * len(a)).reshape(len(a), 2) - 1.0
+        exact = exact_at(a, b)
+        assert numerics.all_finite(exact)
+        assert same_bits(exact, pinv_sensitivity(a, b))
+        residual = np.abs(a @ exact + b).max()
+        assert residual <= 1e-14 * np.abs(a).max() * np.abs(exact).max()
+
+
 def per_condition_ngf_model():
     """The NGF model given per condition: its fused kernel is composed."""
     ngf = ngf_erk_model()
@@ -585,8 +699,8 @@ class TestHelpersCallTheFusedKernel:
     )
     def test_bits_of_the_solve_of_the_fused_blocks(self, make_model, box, state_box):
         # sensitivity_exact and sensitivity_hat solve the blocks of one
-        # f_jac_batch call on a batch of one, and get the bits of the
-        # per-condition jac_x and jac_theta too
+        # f_jac_batch call on a batch of one by pinv_sensitivity's solve,
+        # and get the bits of the per-condition jac_x and jac_theta too
         model = make_model()
         n_x = model.n_x
         rng = np.random.default_rng(11)
@@ -597,12 +711,12 @@ class TestHelpersCallTheFusedKernel:
             _, jac = model.f_jac_batch(theta, x[None], u[None])
             a, b = jac[0, :, :n_x], jac[0, :, n_x:]
             single = (model.jac_x(theta, x, u), model.jac_theta(theta, x, u))
-            exact = sensitivity_exact(model, theta, x, u)
-            assert same_bits(exact, numerics.solve(a, -b))
-            assert same_bits(exact, numerics.solve(single[0], -single[1]))
-            s_hat = sensitivity_hat(model, theta, x, u)
-            assert same_bits(s_hat, pinv_sensitivity(a, b))
-            assert same_bits(s_hat, pinv_sensitivity(*single))
+            for got in (
+                sensitivity_exact(model, theta, x, u),
+                sensitivity_hat(model, theta, x, u),
+            ):
+                assert same_bits(got, pinv_sensitivity(a, b))
+                assert same_bits(got, pinv_sensitivity(*single))
 
 
 class TestManifoldGradient:
