@@ -272,6 +272,44 @@ class TestRunFlow:
         assert traj[-1].r == result.final.r
 
 
+TIGHT_TOLS = dict(integrator_rel_tol=1e-6, integrator_abs_tol=1e-8)
+
+
+class TestDefaultTolerances:
+    """The default integrator tolerances follow the path loosely; the stop
+    test still sets the end point, so they reach the end points of the
+    tight 1e-6 / 1e-8 runs on fewer rhs evaluations."""
+
+    @pytest.mark.parametrize("lam", [2.0, 20.0])
+    def test_conversion_reaction_reaches_the_tight_end_points(self, lam):
+        # the first 10 of acceptance criterion 1's starts
+        rng = np.random.default_rng(12345)
+        starts = [(rng.uniform(0.1, 8.0, 2), rng.uniform(0.0, 1.0, 1)) for _ in range(10)]
+        default, tight = cr_flow_problem(lam), cr_flow_problem(lam, **TIGHT_TOLS)
+        for k, (theta0, x0) in enumerate(starts):
+            init = FlowState(theta=theta0, states=[x0])
+            a, b = run_flow(default, init), run_flow(tight, init)
+            assert a.reason is b.reason is StopReason.TOLERANCE_MET, k
+            assert np.linalg.norm(a.final.theta - b.final.theta) <= 1e-4, k
+            assert a.rhs_evals < b.rhs_evals, k
+
+    def test_ngf_reaches_the_tight_reduced_objectives(self):
+        # the first 5 bench starts at lambda 20; the NGF parameters have
+        # non-identifiable directions, so converged end points may differ in
+        # theta and are compared by their reduced objective
+        config = bench.default_config("ngf_erk", n_starts=5)
+        prob = bench._build_problem(config)
+        default = prob.flow_problem(FlowConfig(lam=20.0))
+        tight = prob.flow_problem(FlowConfig(lam=20.0, **TIGHT_TOLS))
+        for k, init in enumerate(bench.sample_starts(config, prob)):
+            a, b = run_flow(default, init), run_flow(tight, init)
+            assert a.reason is b.reason, k
+            j_a = reduced_objective(a.final.theta, prob)[0]
+            j_b = reduced_objective(b.final.theta, prob)[0]
+            assert abs(j_a - j_b) <= config.classification_tol, k
+            assert a.rhs_evals < b.rhs_evals, k
+
+
 def run_and_replay(problem, init, monkeypatch):
     """run_flow's result from init, and a function that makes its
     integrate_adaptive call again with another abs_tol and returns the
@@ -873,7 +911,9 @@ def nan_from_point(grad, k):
 
 class TestNumericalFailureCounts:
     def test_reports_the_work_done_before_the_failure(self):
-        # grad_theta (one call per rhs evaluation) turns NaN after 200 calls
+        # grad_theta (one call per rhs evaluation) turns NaN after 200 calls;
+        # at the tight tolerances the run takes more than 201 evaluations,
+        # where the default ones reach the stop test first
         prob = ConversionReactionProblem()
         base = prob.objective()
         grad_theta, calls = nan_from_point(base.grad_theta, 201)
@@ -881,7 +921,7 @@ class TestNumericalFailureCounts:
             model=prob.model(),
             objective=ObjectiveSpec(base.eval, grad_theta, base.grad_x),
             u_matrix=prob.u_matrix,
-            config=FlowConfig(lam=20.0),
+            config=FlowConfig(lam=20.0, **TIGHT_TOLS),
         )
         init = FlowState(theta=np.array([5.0, 3.0]), states=[np.array([0.9])])
         result, traj = run_flow(problem, init, store_trajectory=True)
