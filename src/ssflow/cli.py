@@ -181,6 +181,7 @@ def main(argv=None):
             "discarded_evals": result.discarded_evals,
             "steps_accepted": result.steps_accepted,
             "steps_rejected": result.steps_rejected,
+            "stage_failures": result.stage_failures,
             "jacobian_evals": result.jacobian_evals,
             "min_step": result.min_step if result.steps_accepted else None,
             "max_step": result.max_step if result.steps_accepted else None,

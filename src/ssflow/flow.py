@@ -309,6 +309,9 @@ def run_flow(problem, init, store_trajectory=False):
             # one state column keeps plain calls, so perfbench's traced
             # cr_methods run still makes one _assemble call per rhs evaluation
             rhs_fd=flow_rhs if m * n_x >= 2 else None,
+            # a failing stage point rejects its step; a failing base point
+            # ends the run (integrator module docstring)
+            recoverable=_NUMERICAL_FAILURES,
         )
         reason = _STOP_REASONS[outcome]
     except _NUMERICAL_FAILURES as exc:

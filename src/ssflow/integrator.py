@@ -42,11 +42,19 @@ next step starts there, so each base point costs one derivative call
 instead of two. Every stack has this shape, so the rows it shares follow
 one fixed pattern per problem.
 
-One rule covers failures: a stack call that raises is made again as plain
-rhs calls, the value at once and the n forward-difference rows, in stack
-order, only if a step needs the point's Jacobian. So a failing row fails the
-run where plain calls meet it, with their count and their error; a stack's
-own exception decides neither.
+One rule covers failures, by where the failing point lies. A stage point
+is a trial: when its rhs call raises one of the caller's recoverable
+types, the step is rejected and shrunk by FAC_MIN, as after a failed stage
+solve, which is what CVODE does when its rhs reports a recoverable error
+(Hindmarsh et al., ACM TOMS 31 (2005) 363-396). The run still ends at
+H_MIN or at the budget, so a rhs that fails at every stage point ends it in
+StepUnderflow. A base point belongs to a step already accepted, so a
+failure there, of its value or of its FD rows, ends the run, as does any
+failure of a type the caller did not list. A stack call that raises is made
+again as plain rhs calls, the value at once and the n forward-difference
+rows, in stack order, only if a step needs the point's Jacobian. So a
+failing row fails the run where plain calls meet it, with their count and
+their error; a stack's own exception decides neither.
 """
 
 import enum
@@ -115,6 +123,8 @@ class IntegratorStats:
     discarded_evals: int = 0
     min_step: float = field(default=math.inf)
     max_step: float = 0.0
+    # the rejected steps whose stage rhs call raised a recoverable type
+    stage_failures: int = 0
 
 
 @lru_cache(maxsize=8)
@@ -231,6 +241,7 @@ def integrate_adaptive(
     budget=100_000,
     observer=None,
     rhs_fd=None,
+    recoverable=(),
 ):
     """Integrate the autonomous system dy/dr = rhs(y) from r = 0 to r_max
     with adaptive steps.
@@ -246,8 +257,9 @@ def integrate_adaptive(
     The run is two nested loops: an outer one with one pass per base point
     (evaluate and check its value, count the step that reached it, call
     observer and stop) around an inner one of trial steps from that point,
-    where a failed stage solve and a failed error test share one rejection
-    and the first step that passes the error test is accepted.
+    where a failed stage solve, a recoverable failure of a stage call and a
+    failed error test share one rejection and the first step that passes
+    the error test is accepted.
 
     A step is accepted when max |err| / sc <= 1 with the scale
     sc = abs_tol + rel_tol * max(|y|, |y_new|). abs_tol is a scalar or one
@@ -258,10 +270,11 @@ def integrate_adaptive(
 
     A rejected step's size is scaled by SAFETY * err_norm ** (-1/4), the
     exponent of a third-order estimate, within [FAC_MIN, 1] (by FAC_MIN for
-    a non-finite error norm or a failed stage solve). An accepted step's is
-    scaled by Gustafsson's predictive controller (see the module
-    docstring): the classical factor SAFETY * err_norm ** (-1/4), and from
-    the second accepted step on the smaller of it and the predictive factor
+    a non-finite error norm, a failed stage solve or a recoverable stage
+    failure). An accepted step's is scaled by Gustafsson's predictive
+    controller (see the module docstring): the classical factor
+    SAFETY * err_norm ** (-1/4), and from the second accepted step on the
+    smaller of it and the predictive factor
     SAFETY * (h / h_acc) * (err_acc / err_norm ** 2) ** (1/4), each within
     [FAC_MIN, FAC_MAX]. h_acc and err_acc are the size and error norm
     (floored at 1e-2) of the accepted step before, which a rejection leaves
@@ -283,13 +296,19 @@ def integrate_adaptive(
     discarded_evals is the number of points evaluated, stack calls that
     raised apart.
 
-    Failures follow the one rule of the module docstring. A plain call
-    counts before it is made, so the call that raises is counted.
+    Failures follow the one rule of the module docstring. recoverable is a
+    tuple of exception types: a stage call of step that raises one of them
+    rejects the step like a failed stage solve (h shrinks by FAC_MIN) and
+    adds 1 to stage_failures, a subset of steps_rejected. A failure at a
+    base point, its value or its FD rows, ends the run whatever its type.
+    A plain call counts before it is made, so the call that raises is
+    counted.
 
     Returns (final r, final y, IntegratorStats, IntegrationOutcome). An
     exception raised on the way (by rhs, stop or observer, or on a non-finite
-    rhs value) propagates with the IntegratorStats of the work done so far
-    attached as its ``stats`` attribute.
+    rhs value), a recoverable one at a stage point apart, propagates with
+    the IntegratorStats of the work done so far attached as its ``stats``
+    attribute.
     """
     y = np.atleast_1d(np.asarray(y0, dtype=float)).copy()
     if y.size == 0:
@@ -373,13 +392,17 @@ def integrate_adaptive(
                     y_new, err = step(counted_rhs, y, h, jac, f0)
                 except StageSolveFailure:
                     err_norm = math.nan
+                except recoverable:
+                    stats.stage_failures += 1
+                    err_norm = math.nan
                 else:
                     abs_new = np.abs(y_new)
                     sc = abs_tol + rel_tol * np.maximum(abs_y, abs_new)
                     err_norm = _err_norm(err, sc)
                     if err_norm <= 1.0:
                         break
-                # a failed stage solve or error test; NaN fails the test
+                # a failed stage solve, stage call or error test; NaN fails
+                # the test
                 stats.steps_rejected += 1
                 if math.isfinite(err_norm):
                     h *= max(min(SAFETY * err_norm ** -0.25, 1.0), FAC_MIN)

@@ -29,7 +29,7 @@ NO_U = np.zeros(0)
 BENCH_SEED = 0
 BENCH_STARTS = 100
 # the comparison harness pins the flow's integrator tolerances at 1e-4 /
-# 1e-6, tighter than FlowConfig's defaults (1e-3 / 1e-5), so criteria 6 and
+# 1e-6, tighter than FlowConfig's defaults (1e-2 / 1e-4), so criteria 6 and
 # 9 do not move with the defaults; the whole 300-run benchmark fits the time
 # budget on one core
 BENCH_KWARGS = dict(

@@ -128,6 +128,24 @@ class TestRun:
         assert 0.0 < payload["min_step"] <= payload["max_step"]
         # one state column: plain calls, nothing evaluated ahead
         assert payload["discarded_evals"] == 0
+        assert payload["stage_failures"] == 0
+
+    def test_a_run_past_failing_stage_points_says_so(self, capsys, tmp_path):
+        # criterion 6's start 80 meets two stage points where the flow rhs
+        # fails; each rejects its step, and the run reaches the stop test
+        config = tmp_path / "c6.json"
+        config.write_text(
+            json.dumps(
+                {"problem": "ngf_erk", "integrator_rel_tol": 1e-4, "integrator_abs_tol": 1e-6}
+            )
+        )
+        code = main(["run", "--config", str(config), "--start-index", "80"])
+        assert code == 0
+        payload = json.loads(capsys.readouterr().out)
+        assert payload["reason"] == "ToleranceMet"
+        assert (payload["stage_failures"], payload["steps_rejected"]) == (2, 20)
+        keys = list(payload)
+        assert keys.index("stage_failures") == keys.index("steps_rejected") + 1
 
     def test_run_stopped_at_the_start_prints_no_step_sizes(self, capsys):
         # with a huge tolerance the stop test passes at the initial point

@@ -424,8 +424,8 @@ class TestFlowConfig:
         assert cfg.tol == 1e-6
         assert cfg.r_max == 1e4
         assert cfg.max_rhs_evals == 100_000
-        assert cfg.integrator_rel_tol == 1e-3
-        assert cfg.integrator_abs_tol == 1e-5
+        assert cfg.integrator_rel_tol == 1e-2
+        assert cfg.integrator_abs_tol == 1e-4
 
     @pytest.mark.parametrize(
         "kwargs",

@@ -920,6 +920,151 @@ class TestIntegrateAdaptive:
         assert info.value.stats.steps_accepted == 0
 
 
+class Recoverable(Exception):
+    pass
+
+
+class Unlisted(Exception):
+    pass
+
+
+def stage_marked(monkeypatch):
+    """Patch integrator.step to record each trial's h and to flag the rhs
+    calls made inside it: returns (hs, in_step), in_step non-empty while a
+    step runs."""
+    real_step = integrator.step
+    hs, in_step = [], []
+
+    def marked(rhs, y, h, jac, f0):
+        hs.append(h)
+        in_step.append(True)
+        try:
+            return real_step(rhs, y, h, jac, f0)
+        finally:
+            in_step.pop()
+
+    monkeypatch.setattr(integrator, "step", marked)
+    return hs, in_step
+
+
+def raising_at_call(k, error):
+    """coupled, raising error at its k-th call; returns (rhs, calls)."""
+    calls = []
+
+    def rhs(y):
+        calls.append(y.copy())
+        if len(calls) == k:
+            raise error(f"rhs call {k}")
+        return coupled(y)
+
+    return rhs, calls
+
+
+class TestRecoverableStageFailures:
+    """integrate_adaptive(..., recoverable=types): a stage call raising one
+    of the types rejects its step; a base point's failure ends the run."""
+
+    Y0 = np.ones(3)
+
+    def test_a_listed_failure_at_a_stage_point_rejects_with_fac_min(self, monkeypatch):
+        # the first trial's third stage call (rhs call 1 + 3 + 3) raises: the
+        # step is rejected and h shrinks by FAC_MIN, as after a failed stage
+        # solve, so the run is that run's with the three stage calls added
+        hs, _ = stage_marked(monkeypatch)
+        rhs, _ = raising_at_call(7, Recoverable)
+        r, y, stats, outcome = integrate_adaptive(
+            rhs, self.Y0, 1.0, recoverable=(Recoverable,)
+        )
+        assert outcome is IntegrationOutcome.HORIZON
+        assert hs[1] == hs[0] * integrator.FAC_MIN
+        assert (stats.steps_rejected, stats.stage_failures) == (1, 1)
+        assert stats.jacobian_evals == stats.steps_accepted
+        stages = 3 + 5 * (len(hs) - 1)
+        assert stats.rhs_evals == 1 + 3 * stats.jacobian_evals + stages + stats.steps_accepted
+        assert stats.rhs_evals == 166
+
+        monkeypatch.undo()
+        real_step = integrator.step
+
+        def first_solve_fails(rhs, y, h, jac, f0):
+            if not solve_failed:
+                solve_failed.append(h)
+                raise integrator.StageSolveFailure("singular or ill-conditioned stage system")
+            return real_step(rhs, y, h, jac, f0)
+
+        solve_failed = []
+        monkeypatch.setattr(integrator, "step", first_solve_fails)
+        r_ref, y_ref, ref, _ = integrate_adaptive(coupled, self.Y0, 1.0)
+        assert (r, y.tobytes()) == (r_ref, y_ref.tobytes())
+        assert stats.rhs_evals == ref.rhs_evals + 3
+        assert (stats.steps_accepted, stats.steps_rejected) == (
+            ref.steps_accepted,
+            ref.steps_rejected,
+        )
+        assert ref.stage_failures == 0
+
+    def test_an_unlisted_failure_at_a_stage_point_propagates(self, monkeypatch):
+        stage_marked(monkeypatch)
+        rhs, calls = raising_at_call(7, Unlisted)
+        with pytest.raises(Unlisted, match="^rhs call 7$") as info:
+            integrate_adaptive(rhs, self.Y0, 1.0, recoverable=(Recoverable,))
+        stats = info.value.stats
+        assert stats.rhs_evals == len(calls) == 7
+        assert (stats.steps_accepted, stats.steps_rejected, stats.stage_failures) == (0, 0, 0)
+        assert stats.jacobian_evals == 1
+
+    def test_a_listed_failure_ends_the_run_only_at_a_base_point(self, monkeypatch):
+        # the k-th rhs call raises a listed type, wherever it falls: at a
+        # base point's value or FD rows the run ends there, counted; at a
+        # stage point the run goes on to the horizon with one rejection more
+        _, in_step = stage_marked(monkeypatch)
+        kinds = set()
+        for k in range(1, 40):
+            rhs, calls = raising_at_call(k, Recoverable)
+            stage = []
+
+            def flagged(y):
+                if len(calls) == k - 1:
+                    stage.append(bool(in_step))
+                return rhs(y)
+
+            try:
+                _, _, stats, outcome = integrate_adaptive(
+                    flagged, self.Y0, 1.0, recoverable=(Recoverable,)
+                )
+            except Recoverable as exc:
+                assert stage == [False], k
+                assert exc.stats.rhs_evals == len(calls) == k
+                assert exc.stats.stage_failures == 0
+            else:
+                assert stage == [True], k
+                assert outcome is IntegrationOutcome.HORIZON
+                assert stats.stage_failures == 1
+                assert stats.steps_rejected >= 1
+            kinds.add(stage[0])
+        assert kinds == {False, True}
+
+    def test_a_rhs_failing_at_every_stage_point_ends_in_step_underflow(self, monkeypatch):
+        # every trial's first stage call raises: each rejection shrinks h by
+        # FAC_MIN until it falls below H_MIN, so the rule always terminates
+        hs, in_step = stage_marked(monkeypatch)
+
+        def rhs(y):
+            if in_step:
+                raise Recoverable("stage point")
+            return coupled(y)
+
+        _, _, stats, outcome = integrate_adaptive(
+            rhs, self.Y0, 1.0, recoverable=(Recoverable,)
+        )
+        assert outcome is IntegrationOutcome.STEP_UNDERFLOW
+        assert stats.steps_accepted == 0
+        assert stats.steps_rejected == stats.stage_failures == len(hs)
+        assert all(b == a * integrator.FAC_MIN for a, b in zip(hs, hs[1:]))
+        assert hs[-1] * integrator.FAC_MIN < integrator.H_MIN <= hs[-1]
+        assert (stats.jacobian_evals, stats.rhs_evals) == (1, 1 + 3 + len(hs))
+
+
 class Done(Exception):
     pass
 
