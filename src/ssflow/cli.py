@@ -177,6 +177,8 @@ def main(argv=None):
             "manifold_residual": result.manifold_residual,
             "converged": result.converged,
             "reason": result.reason.value,
+            "failure": result.failure,
+            "scheme": result.scheme,
             "rhs_evals": result.rhs_evals,
             "discarded_evals": result.discarded_evals,
             "steps_accepted": result.steps_accepted,

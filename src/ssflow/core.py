@@ -257,6 +257,12 @@ class FlowConfig:
     needs an accurate trajectory sets them, as acceptance criterion 4 does
     with integrator_rel_tol=1e-6.
 
+    integrator_rel_tol also picks the integrator's scheme, by one constant
+    (flow.RODAS3_FROM_REL_TOL, 3.2e-3): from it up, the defaults included,
+    the flow runs Rodas3, whose step makes two new rhs evaluations where
+    RODAS4's makes five; below it, RODAS4, where Rodas3 would take too many
+    steps. RunResult.scheme names the one a run used.
+
     Every field is a number under one rule (_real, _integer): the float
     fields become finite floats and max_rhs_evals an int >= 1; a bool, a
     string, NaN, +-inf or an integer too large for a float is a ValueError
@@ -308,6 +314,12 @@ class RunResult:
     step was accepted), and ``stage_failures`` counts the rejected steps
     whose trial (stage) point failed to evaluate, a subset of
     ``steps_rejected``.
+
+    ``scheme`` names the integrator's coefficient table the run used,
+    ``"rodas3"`` or ``"rodas4"`` (FlowConfig says which). ``failure`` says
+    why a ``NumericalFailure`` run failed: ``"StepUnderflow"`` when the step
+    size fell below the integrator's floor, or the raised failure as
+    ``"<Type>: <message>"``; it is empty for every other reason.
     """
 
     final: FlowState
@@ -324,6 +336,8 @@ class RunResult:
     min_step: float = math.inf
     max_step: float = 0.0
     stage_failures: int = 0
+    scheme: str = ""
+    failure: str = ""
 
     def __post_init__(self):
         if self.converged and self.reason is not StopReason.TOLERANCE_MET:

@@ -27,6 +27,14 @@ _NUMERICAL_FAILURES = (
     numerics.NumericalFailure,
     FloatingPointError,
 )
+# the integrator_rel_tol from which run_flow integrates with Rodas3
+# (integrator.RODAS3) rather than RODAS4, set by the committed sweep
+# (BENCH_rodas3_flow.json): the tightest rel_tol at which Rodas3, in every
+# cell, converged no fewer starts, had no more NumericalFailure runs and
+# took less flow time than RODAS4, with its Prothero-Robinson error within
+# rel_tol. 1e-3 fails the last (2.6 rel_tol); at 1e-4 Rodas3 takes 1.7x
+# RODAS4's accepted steps and more flow time
+RODAS3_FROM_REL_TOL = 3.2e-3
 # the stop reason of each way an integration ends
 _STOP_REASONS = {
     integrator.IntegrationOutcome.STOP_CONDITION: StopReason.TOLERANCE_MET,
@@ -263,6 +271,13 @@ def _error_tolerances(problem):
     return cfg.integrator_rel_tol, abs_tol
 
 
+def _scheme(config):
+    """The integrator scheme of a run under config (RODAS3_FROM_REL_TOL)."""
+    if config.integrator_rel_tol >= RODAS3_FROM_REL_TOL:
+        return integrator.RODAS3
+    return integrator.RODAS4
+
+
 def run_flow(problem, init, store_trajectory=False):
     """Integrate the optimiser flow from init until the stopping criterion,
     the pseudo-time horizon, or the evaluation budget.
@@ -295,6 +310,8 @@ def run_flow(problem, init, store_trajectory=False):
 
     flow_rhs = partial(rhs, problem)
     rel_tol, abs_tol = _error_tolerances(problem)
+    scheme = _scheme(cfg)
+    failure = ""
     t0 = time.perf_counter()
     try:
         r_end, y_end, stats, outcome = integrator.integrate_adaptive(
@@ -312,13 +329,17 @@ def run_flow(problem, init, store_trajectory=False):
             # a failing stage point rejects its step; a failing base point
             # ends the run (integrator module docstring)
             recoverable=_NUMERICAL_FAILURES,
+            scheme=scheme,
         )
         reason = _STOP_REASONS[outcome]
+        if outcome is integrator.IntegrationOutcome.STEP_UNDERFLOW:
+            failure = outcome.value
     except _NUMERICAL_FAILURES as exc:
         # the integrator attaches the counters of the work it did
         stats = exc.stats
         r_end, y_end = last["r"], last["y"]
         reason = StopReason.NUMERICAL_FAILURE
+        failure = f"{type(exc).__name__}: {exc}"
     wall = time.perf_counter() - t0
 
     final = FlowState.unpack(y_end, n_theta, n_x, m, r=r_end)
@@ -335,6 +356,8 @@ def run_flow(problem, init, store_trajectory=False):
         converged=reason is StopReason.TOLERANCE_MET,
         reason=reason,
         wall_time=wall,
+        scheme=scheme.name,
+        failure=failure,
         # the integrator counters, which RunResult names as IntegratorStats does
         **vars(stats),
     )

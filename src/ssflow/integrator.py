@@ -1,34 +1,44 @@
 """Adaptive linearly implicit integration of autonomous ODEs dy/dr = rhs(y).
 
-The scheme is RODAS4, the stiffly accurate fourth-order Rosenbrock pair of
-Hairer & Wanner (Solving Ordinary Differential Equations II, Sec. VI.4;
-their code rodas.f, METH = 1): six stages, five of them new rhs
-evaluations, a fourth-order solution and an embedded third-order one whose
-difference, the last stage, is the local error estimate. A step advances
-the fourth-order solution. Both solutions are stiffly accurate, so both are
-L-stable and an estimate at a point off a stiff component's slow manifold
-carries no part of that offset. At moderate stiffness the estimate can
-still understate a step's error: on the Prothero-Robinson problem
-y' = -1000 (y - cos t) the largest error along a run stays below rel_tol
-for rel_tol >= 1e-4 but reaches about 6 rel_tol at rel_tol = 1e-6.
+The scheme is a stiffly accurate Rosenbrock pair in the modified form of
+Hairer & Wanner (Solving Ordinary Differential Equations II, Sec. VI.4),
+given as a coefficient table (Scheme) that the one step function runs:
+a solution and an embedded one of an order less whose difference, the last
+stage, is the local error estimate. A step advances the higher-order
+solution. Both solutions are stiffly accurate, so both are L-stable and an
+estimate at a point off a stiff component's slow manifold carries no part
+of that offset. Two tables are given:
+
+- RODAS4, the default (their code rodas.f, METH = 1): six stages, five of
+  them new rhs evaluations, order 4(3). At moderate stiffness its estimate
+  can understate a step's error: on the Prothero-Robinson problem
+  y' = -1000 (y - cos t) the largest error along a run stays below rel_tol
+  for rel_tol >= 1e-4 but reaches about 6 rel_tol at rel_tol = 1e-6.
+- RODAS3, Rodas3 of Sandu et al. (Atmos. Environ. 31 (1997) 3459-3472;
+  KPP's ros_Method 4): four stages, order 3(2). Its second stage's point
+  is y itself, whose value is f0, so a step makes two new rhs evaluations.
+  On Prothero-Robinson its error stays within rel_tol for rel_tol <= 1e-4
+  and for rel_tol >= 3.2e-3, but reaches 1.2 rel_tol at 3.2e-4 and 2.6 at
+  1e-3.
 
 The step size follows Gustafsson's predictive controller (K. Gustafsson,
 ACM TOMS 20 (1994) 496-517; Hairer & Wanner II, Sec. IV.8, the default
 step strategy of their RADAU5): after an accepted step the classical factor
-SAFETY * err ** (-1/4) is capped by a factor extrapolated from the last two
+SAFETY * err ** (-1/q) (q = 4 under RODAS4, 3 under RODAS3: the order of
+the estimate) is capped by a factor extrapolated from the last two
 accepted steps' sizes and errors, so a run whose error constant grows step
 after step shrinks the step ahead of the error instead of one rejection
 behind it. On acceptance criterion 6's NGF flow (100 starts, lambda 20,
-tolerances 1e-4 / 1e-6) the classical factor alone took 8246 accepted and
-1758 rejected steps (272,792 rhs evaluations), the predictive controller
-8371 and 561 (270,807), with the same 84 starts converged.
+tolerances 1e-4 / 1e-6, RODAS4) the classical factor alone took 8246
+accepted and 1758 rejected steps (272,792 rhs evaluations), the predictive
+controller 8371 and 561 (270,807), with the same 84 starts converged.
 
 The scheme handles the stiffness a large retraction factor induces without
 Newton iterations per step. The optimiser flow does not depend on r, so the
 scheme's time-derivative terms are zero and left out (append a clock state
 y' = 1 to integrate a non-autonomous system). The rhs Jacobian is
 approximated by forward differences. Each step factorises its stage matrix
-once with LAPACK getrf and runs its six stage solves with getrs, called
+once with LAPACK getrf and runs its stage solves with getrs, called
 directly.
 
 Every accepted step's new point is the next step's base, whose FD steps
@@ -67,11 +77,9 @@ from scipy.linalg.lapack import dgetrf, dgetrs
 
 from .numerics import all_finite
 
-# the RODAS4 coefficients (Hairer & Wanner, rodas.f, METH = 1): the stage
-# matrix is I / (h * _GAMMA) - J; stage i + 2 is evaluated at
-# y + _A[i] @ k[:5], and its solve's right-hand side adds (_C[i] @ k[:5]) / h
-# to the stage value. The last row of _A is the embedded third-order
-# solution, the sixth stage's point; the fourth-order solution adds k[5] to it
+# the RODAS4 coefficients (Hairer & Wanner, rodas.f, METH = 1), in Scheme's
+# form: the last row of _A is the embedded third-order solution, the sixth
+# stage's point; the fourth-order solution adds k[5] to it
 _GAMMA = 0.25
 _A = np.array(
     [
@@ -91,8 +99,6 @@ _C = np.array(
         [8.083246795921522, -7.981132988064893, -31.52159432874371, 16.31930543123136, -6.058818238834054],
     ]
 )
-# the coefficient rows of each stage i + 2, i = 0..4
-_STAGES = tuple(zip(_A, _C))
 _SQRT_EPS = math.sqrt(np.finfo(float).eps)
 
 SAFETY = 0.9
@@ -101,6 +107,54 @@ FAC_MAX = 5.0
 # the smallest step, relative to max(1, |r|), before a run ends with
 # StepUnderflow
 H_MIN = 1e-14
+
+
+@dataclass(frozen=True, eq=False)
+class Scheme:
+    """A stiffly accurate Rosenbrock pair of s stages in the modified form
+    of rodas.f. The stage matrix is W = I / (h * gamma) - J. Stage 1 solves
+    W k_1 = f0; stage i + 2 (i = 0..s - 2) is evaluated at
+    z = y + a[i] @ k[:s - 1], and its solve's right-hand side adds
+    (c[i] @ k[:s - 1]) / h to the value there, which is f0 itself where
+    reuses_f0[i] (its row of a is zero, so z is y). The last stage's point
+    is the embedded solution; the solution adds k_s to it, so k_s is the
+    estimate. exponent is 1 / q, q the order of the estimate (the embedded
+    solution's order plus one); the step-size controller raises the error
+    norm to it. a and c are (s - 1, s - 1), lower triangular, read-only."""
+
+    name: str
+    gamma: float
+    a: np.ndarray
+    c: np.ndarray
+    reuses_f0: tuple
+    exponent: float
+
+    def __post_init__(self):
+        for name in ("a", "c"):
+            rows = np.array(getattr(self, name), dtype=float)
+            rows.flags.writeable = False
+            object.__setattr__(self, name, rows)
+        # the number of stages, s, and each stage i + 2's coefficient rows,
+        # a's as None where it reuses f0: attributes, read once per step
+        object.__setattr__(self, "size", len(self.a) + 1)
+        stages = tuple(
+            (None if reuse else a, c) for a, c, reuse in zip(self.a, self.c, self.reuses_f0)
+        )
+        object.__setattr__(self, "stages", stages)
+
+
+RODAS4 = Scheme("rodas4", _GAMMA, _A, _C, (False,) * 5, 0.25)
+# Rodas3 (Sandu et al. 1997; KPP's ros_Method 4): its solution weights
+# M = (2, 0, 1, 1) are stage 4's point plus k_4, and its error weights
+# E = (0, 0, 0, 1) are k_4
+RODAS3 = Scheme(
+    "rodas3",
+    0.5,
+    [[0.0, 0.0, 0.0], [2.0, 0.0, 0.0], [2.0, 0.0, 1.0]],
+    [[4.0, 0.0, 0.0], [1.0, -1.0, 0.0], [1.0, -1.0, -8.0 / 3.0]],
+    (True, False, False),
+    1.0 / 3.0,
+)
 
 
 class StageSolveFailure(RuntimeError):
@@ -136,18 +190,19 @@ def _identity(n):
     return eye
 
 
-def step(rhs, y, h, jac, f0):
-    """One step of the scheme from y, with f0 = rhs(y) and jac the rhs
-    Jacobian at y; returns (y_new, error_estimate), y_new the fourth-order
-    solution and the estimate its difference from the embedded third-order
-    one.
+def step(rhs, y, h, jac, f0, scheme=RODAS4):
+    """One step of scheme from y, with f0 = rhs(y) and jac the rhs Jacobian
+    at y; returns (y_new, error_estimate), y_new the higher-order solution
+    and the estimate its difference from the embedded one.
 
-    W = I / (h * gamma) - jac is factorised once, and the six stages are
-    solves with it: k1 = W^-1 f0 and, for i = 2..6,
-    k_i = W^-1 (f(y + sum_j a_ij k_j) + sum_j c_ij k_j / h). The sixth
-    stage's point is the embedded solution, and y_new adds k6 to it, so k6
-    is the estimate. A step makes five rhs calls; f0 is the caller's, and
-    the new point's value is made by the caller once the step is accepted.
+    W = I / (h * gamma) - jac is factorised once, and the s stages are
+    solves with it: k1 = W^-1 f0 and, for i = 2..s,
+    k_i = W^-1 (f(y + sum_j a_ij k_j) + sum_j c_ij k_j / h), with f0 for a
+    stage that reuses it. The last stage's point is the embedded solution,
+    and y_new adds k_s to it, so k_s is the estimate. A step makes one rhs
+    call per stage that does not reuse f0 (five under RODAS4, two under
+    RODAS3); f0 is the caller's, and the new point's value is made by the
+    caller once the step is accepted.
 
     Each stage combination is the product of a coefficient row with the
     stage array through ndarray.dot, one BLAS dgemv as with the @ operator
@@ -157,7 +212,7 @@ def step(rhs, y, h, jac, f0):
     if h <= 0:
         raise ValueError("step size must be positive")
     n = y.size
-    w = _identity(n) / (h * _GAMMA) - jac
+    w = _identity(n) / (h * scheme.gamma) - jac
     # overwrite_a = 1; a singular stage matrix (info > 0) is caught by the
     # finiteness check on k[0] below
     lu, piv, info = dgetrf(w, 1)
@@ -165,21 +220,25 @@ def step(rhs, y, h, jac, f0):
         raise StageSolveFailure(f"illegal value in argument {-info} of getrf")
     if not all_finite(lu):
         raise StageSolveFailure("non-finite stage factorisation")
-    # the stages k[0..5]; the rows not yet solved are zero, so each stage
-    # combination is one product over the rows before it
-    k = np.zeros((6, n))
-    k5 = k[:5]
+    # the stages k[0..s - 1]; the rows not yet solved are zero, so each stage
+    # combination is one product over the rows before the last
+    k = np.zeros((scheme.size, n))
+    lead = k[:-1]
     # f0 belongs to the caller: getrs solves a copy of it (overwrite_b = 0)
     k[0] = dgetrs(lu, piv, f0)[0]
     if not all_finite(k[0]):
         raise StageSolveFailure("singular or ill-conditioned stage system")
     h = np.array(h)
-    for i, (a, c) in enumerate(_STAGES):
-        z = y + a.dot(k5)
+    for i, (a, c) in enumerate(scheme.stages, 1):
+        if a is None:
+            value = f0
+        else:
+            z = y + a.dot(lead)
+            value = rhs(z)
         # trans = 0, overwrite_b = 1
-        k[i + 1] = dgetrs(lu, piv, rhs(z) + c.dot(k5) / h, 0, 1)[0]
+        k[i] = dgetrs(lu, piv, value + c.dot(lead) / h, 0, 1)[0]
     # z is the embedded solution
-    return z + k[5], k[5]
+    return z + k[-1], k[-1]
 
 
 def _fd_stack(y, steps):
@@ -242,9 +301,11 @@ def integrate_adaptive(
     observer=None,
     rhs_fd=None,
     recoverable=(),
+    scheme=RODAS4,
 ):
     """Integrate the autonomous system dy/dr = rhs(y) from r = 0 to r_max
-    with adaptive steps.
+    with adaptive steps of scheme (RODAS4 unless given: see the module
+    docstring).
 
     The stop callback, if given, receives (y, dy/dr) after every accepted
     step (and once at the initial point) and terminates the integration by
@@ -252,7 +313,8 @@ def integrate_adaptive(
     the initial point and after every accepted step. budget bounds the rhs
     evaluations, Jacobian differencing included, but is not a cap: it is
     checked before each step, and a step of n variables makes up to n + 6
-    (Jacobian, five stages, new point), so a run can end n + 5 past it.
+    under RODAS4 (Jacobian, five stages, new point) and n + 3 under RODAS3
+    (two stages), so a run can end n + 5 (n + 2) past it.
 
     The run is two nested loops: an outer one with one pass per base point
     (evaluate and check its value, count the step that reached it, call
@@ -268,14 +330,15 @@ def integrate_adaptive(
     algebraic variables, but a NaN or inf error there still gives a NaN
     norm and rejects the step.
 
-    A rejected step's size is scaled by SAFETY * err_norm ** (-1/4), the
-    exponent of a third-order estimate, within [FAC_MIN, 1] (by FAC_MIN for
-    a non-finite error norm, a failed stage solve or a recoverable stage
+    With e = scheme.exponent (1/4 under RODAS4, whose estimate is of order
+    4, and 1/3 under RODAS3), a rejected step's size is scaled by
+    SAFETY * err_norm ** (-e) within [FAC_MIN, 1] (by FAC_MIN for a
+    non-finite error norm, a failed stage solve or a recoverable stage
     failure). An accepted step's is scaled by Gustafsson's predictive
     controller (see the module docstring): the classical factor
-    SAFETY * err_norm ** (-1/4), and from the second accepted step on the
+    SAFETY * err_norm ** (-e), and from the second accepted step on the
     smaller of it and the predictive factor
-    SAFETY * (h / h_acc) * (err_acc / err_norm ** 2) ** (1/4), each within
+    SAFETY * (h / h_acc) * (err_acc / err_norm ** 2) ** e, each within
     [FAC_MIN, FAC_MAX]. h_acc and err_acc are the size and error norm
     (floored at 1e-2) of the accepted step before, which a rejection leaves
     as they are. An error norm of 0 scales the step by FAC_MAX.
@@ -315,6 +378,7 @@ def integrate_adaptive(
         raise ValueError("initial state must not be empty")
     n = y.size
     stats = IntegratorStats()
+    exponent = scheme.exponent
 
     def counted_rhs(y):
         # counted before the call, so a call that raises is counted too
@@ -389,7 +453,7 @@ def integrate_adaptive(
                     jac = _fd_jacobian(values, f0, steps)
                     stats.jacobian_evals += 1
                 try:
-                    y_new, err = step(counted_rhs, y, h, jac, f0)
+                    y_new, err = step(counted_rhs, y, h, jac, f0, scheme)
                 except StageSolveFailure:
                     err_norm = math.nan
                 except recoverable:
@@ -405,19 +469,19 @@ def integrate_adaptive(
                 # the test
                 stats.steps_rejected += 1
                 if math.isfinite(err_norm):
-                    h *= max(min(SAFETY * err_norm ** -0.25, 1.0), FAC_MIN)
+                    h *= max(min(SAFETY * err_norm**-exponent, 1.0), FAC_MIN)
                 else:
                     h *= FAC_MIN
             r += h
             y, abs_y = y_new, abs_new
             if err_norm > 0.0:
-                fac = min(max(SAFETY * err_norm ** -0.25, FAC_MIN), FAC_MAX)
+                fac = min(max(SAFETY * err_norm**-exponent, FAC_MIN), FAC_MAX)
                 # Gustafsson's predictive factor, from the second accepted
                 # step on; fac <= FAC_MAX already, so it needs only its lower
                 # clip. Below about 1e-162 err_norm**2 underflows to 0, where
                 # the factor is unbounded and fac is FAC_MAX anyway
                 if h_acc is not None and err_norm**2 > 0.0:
-                    pred = SAFETY * (h / h_acc) * (err_acc / err_norm**2) ** 0.25
+                    pred = SAFETY * (h / h_acc) * (err_acc / err_norm**2) ** exponent
                     fac = min(fac, max(pred, FAC_MIN))
             else:
                 fac = FAC_MAX

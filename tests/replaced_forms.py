@@ -1,9 +1,9 @@
 """The hot path's earlier forms, kept as bit references.
 
 Each function computes what its namesake in ``src/ssflow`` computes, the way
-it was written before the flow's per-call numpy overhead was cut: the RODAS4
-stage loop through the ``@`` operator with keyword LAPACK flags and a Python
-float h, the NGF kernel through its ``shared_terms`` and ``vector_field``
+it was written before the flow's per-call numpy overhead was cut: the
+Rosenbrock stage loop (over a scheme's table) through the ``@`` operator with
+keyword LAPACK flags and a Python float h, the NGF kernel through its ``shared_terms`` and ``vector_field``
 helpers with numpy scalar rates, the NGF state gradient through
 ``zeros_like``, the 2x2 adjugate with a view per use and the total gradient
 with ``asarray`` wrappers. The pseudoinverse sensitivity is kept as it was
@@ -24,26 +24,29 @@ from ssflow.sensitivity import pinv_sensitivity
 _LN10 = math.log(10.0)
 
 
-def matmul_stage_step(rhs, y, h, jac, f0):
-    """integrator.step with the stage combinations as ``_A[i] @ k[:5]`` and
-    ``_C[i] @ k[:5]``, keyword LAPACK flags and a Python float h."""
+def matmul_stage_step(rhs, y, h, jac, f0, scheme=integrator.RODAS4):
+    """integrator.step with the stage combinations as ``a[i] @ k[:-1]`` and
+    ``c[i] @ k[:-1]``, keyword LAPACK flags and a Python float h."""
     if h <= 0:
         raise ValueError("step size must be positive")
-    w = integrator._identity(y.size) / (h * integrator._GAMMA) - jac
+    w = integrator._identity(y.size) / (h * scheme.gamma) - jac
     lu, piv, info = dgetrf(w, overwrite_a=True)
     if info < 0:
         raise integrator.StageSolveFailure(f"illegal value in argument {-info} of getrf")
     if not all_finite(lu):
         raise integrator.StageSolveFailure("non-finite stage factorisation")
-    k = np.zeros((6, y.size))
+    k = np.zeros((scheme.size, y.size))
     k[0] = dgetrs(lu, piv, f0)[0]
     if not all_finite(k[0]):
         raise integrator.StageSolveFailure("singular or ill-conditioned stage system")
-    a, c = integrator._A, integrator._C
-    for i in range(5):
-        z = y + a[i] @ k[:5]
-        k[i + 1] = dgetrs(lu, piv, rhs(z) + (c[i] @ k[:5]) / h, overwrite_b=True)[0]
-    return z + k[5], k[5]
+    for i in range(scheme.size - 1):
+        if scheme.reuses_f0[i]:
+            value = f0
+        else:
+            z = y + scheme.a[i] @ k[:-1]
+            value = rhs(z)
+        k[i + 1] = dgetrs(lu, piv, value + (scheme.c[i] @ k[:-1]) / h, overwrite_b=True)[0]
+    return z + k[-1], k[-1]
 
 
 def shared_terms_ngf_kernels():

@@ -377,7 +377,9 @@ class TestMethodTable:
 
     def test_every_reason_is_a_stop_reason_or_an_error(self, monkeypatch):
         # every method forced to its limit: the flow by its evaluation
-        # budget, BFGS by one iteration and the AL by one outer iteration
+        # budget, BFGS by one iteration and the AL by one outer iteration.
+        # The flow runs Rodas3 at the default tolerances, and its fewest
+        # evaluations to the stop test here are 49, so the budget is 30
         monkeypatch.setenv("SSFLOW_WORKERS", "1")
         qn, auglag = bench.quasi_newton_unconstrained, bench.augmented_lagrangian_constrained
         monkeypatch.setattr(
@@ -388,7 +390,7 @@ class TestMethodTable:
             "augmented_lagrangian_constrained",
             lambda *a, **k: auglag(*a, **k, max_outer=1),
         )
-        cfg = default_config("conversion_reaction", n_starts=3, seed=2, max_rhs_evals=50)
+        cfg = default_config("conversion_reaction", n_starts=3, seed=2, max_rhs_evals=30)
         _, records = run_bench(cfg)
         reasons = {r["reason"] for r in records}
         assert reasons == {"EvalBudgetExhausted", "IterationLimit", "OuterLimit"}

@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 from ssflow import bench as bench_mod
+from ssflow import integrator
 from ssflow.bench import CSV_COLUMNS
 from ssflow.cli import main
 from ssflow.models import NgfErkProblem, generate_data
@@ -129,6 +130,39 @@ class TestRun:
         # one state column: plain calls, nothing evaluated ahead
         assert payload["discarded_evals"] == 0
         assert payload["stage_failures"] == 0
+        # the default tolerances run Rodas3, and a converged run has no failure
+        assert (payload["scheme"], payload["failure"]) == ("rodas3", "")
+        keys = list(payload)
+        assert keys.index("failure") == keys.index("reason") + 1
+        assert keys.index("scheme") == keys.index("failure") + 1
+
+    @pytest.mark.parametrize(
+        "attr, error, failure",
+        [
+            (
+                "step",
+                integrator.StageSolveFailure("singular"),
+                "StepUnderflow",
+            ),
+            (
+                "_fd_jacobian",
+                FloatingPointError("no Jacobian"),
+                "FloatingPointError: no Jacobian",
+            ),
+        ],
+    )
+    def test_a_failed_run_prints_its_cause(self, capsys, monkeypatch, attr, error, failure):
+        # every trial step fails its stage solve, so the step shrinks to the
+        # floor; or the first Jacobian raises, which ends the run
+        def fail(*args):
+            raise error
+
+        monkeypatch.setattr(integrator, attr, fail)
+        code = main(["run", "--problem", "conversion_reaction"])
+        assert code == 0
+        payload = json.loads(capsys.readouterr().out)
+        assert payload["reason"] == "NumericalFailure"
+        assert payload["failure"] == failure
 
     def test_a_run_past_failing_stage_points_says_so(self, capsys, tmp_path):
         # criterion 6's start 80 meets two stage points where the flow rhs
@@ -144,6 +178,8 @@ class TestRun:
         payload = json.loads(capsys.readouterr().out)
         assert payload["reason"] == "ToleranceMet"
         assert (payload["stage_failures"], payload["steps_rejected"]) == (2, 20)
+        # rel_tol 1e-4 is below flow.RODAS3_FROM_REL_TOL
+        assert (payload["scheme"], payload["failure"]) == ("rodas4", "")
         keys = list(payload)
         assert keys.index("stage_failures") == keys.index("steps_rejected") + 1
 

@@ -318,6 +318,83 @@ class TestDefaultTolerances:
             assert a.rhs_evals < b.rhs_evals, k
 
 
+class TestSchemeChoice:
+    """run_flow integrates with Rodas3 from flow.RODAS3_FROM_REL_TOL up, the
+    default tolerances included, and with RODAS4 below it, where a run keeps
+    every bit it had before Rodas3 was added."""
+
+    @pytest.mark.parametrize(
+        "rel_tol, scheme",
+        [
+            (1e-2, integrator.RODAS3),
+            (flow.RODAS3_FROM_REL_TOL, integrator.RODAS3),
+            (0.999 * flow.RODAS3_FROM_REL_TOL, integrator.RODAS4),
+            (1e-3, integrator.RODAS4),
+            (1e-4, integrator.RODAS4),
+        ],
+    )
+    def test_the_scheme_follows_the_relative_tolerance(self, rel_tol, scheme):
+        config = FlowConfig(lam=20.0, integrator_rel_tol=rel_tol)
+        assert flow._scheme(config) is scheme
+
+    def test_default_runs_use_rodas3(self, monkeypatch):
+        # the scheme reaches the integration, and the record names it
+        schemes = []
+
+        def capture(*args, **kwargs):
+            schemes.append(kwargs["scheme"])
+            return INTEGRATE(*args, **kwargs)
+
+        monkeypatch.setattr(integrator, "integrate_adaptive", capture)
+        init = FlowState(theta=np.array([5.0, 3.0]), states=[np.array([0.9])])
+        result = run_flow(cr_flow_problem(20.0), init)
+        assert result.reason is StopReason.TOLERANCE_MET
+        assert schemes == [integrator.RODAS3]
+        assert (result.scheme, result.failure) == ("rodas3", "")
+
+    @pytest.mark.parametrize(
+        "name, counts",
+        [
+            # (reason, rhs_evals, steps_accepted, steps_rejected,
+            # jacobian_evals, discarded_evals), as before Rodas3 was added
+            ("conversion_reaction", ("ToleranceMet", 173, 18, 2, 18, 0)),
+            ("ngf", ("ToleranceMet", 2576, 80, 3, 80, 26)),
+        ],
+    )
+    def test_tight_runs_keep_their_rodas4_counts_and_bits(self, name, counts, monkeypatch):
+        tols = dict(integrator_rel_tol=1e-4, integrator_abs_tol=1e-6)
+        if name == "ngf":
+            problem, init = ngf_flow_problem_with(**tols), ngf_start()
+        else:
+            problem = cr_flow_problem(20.0, **tols)
+            init = FlowState(theta=np.array([5.0, 3.0]), states=[np.array([0.9])])
+        calls = []
+
+        def capture(*args, **kwargs):
+            calls.append((args, kwargs))
+            return INTEGRATE(*args, **kwargs)
+
+        with monkeypatch.context() as mp:
+            mp.setattr(integrator, "integrate_adaptive", capture)
+            result = run_flow(problem, init)
+        assert result.scheme == "rodas4"
+        got = (
+            result.reason.value,
+            result.rhs_evals,
+            result.steps_accepted,
+            result.steps_rejected,
+            result.jacobian_evals,
+            result.discarded_evals,
+        )
+        assert got == counts
+        # the integration with integrate_adaptive's default scheme ends alike
+        ((args, kwargs),) = calls
+        assert kwargs.pop("scheme") is integrator.RODAS4
+        assert integration_end(*INTEGRATE(*args, **dict(kwargs, observer=None))) == (
+            run_end(result)
+        )
+
+
 def run_and_replay(problem, init, monkeypatch):
     """run_flow's result from init, and a function that makes its
     integrate_adaptive call again with another abs_tol and returns the
@@ -946,42 +1023,46 @@ class TestNumericalFailureCounts:
         assert np.array_equal(result.final.pack(), traj[-1].pack())
 
     def test_reports_the_work_done_before_a_failure_inside_a_stack(self):
-        # NGF: grad_theta is NaN at the 208th point of the plain-call run,
-        # row 15 of the seventh Jacobian's FD stack (points 194-219: the
-        # initial point, then 32 points per step, its 26 FD rows, five
-        # stages and its new point). The stack call at that Jacobian's base point
-        # meets it first and raises, so the value is made again as a plain
-        # call and the Jacobian's rows as plain calls up to the failing one:
-        # the run counts up to it, as plain rhs calls would
+        # NGF at the default tolerances, which run Rodas3: grad_theta is NaN
+        # at the 190th point of the plain-call run, row 15 of the seventh
+        # Jacobian's FD stack (points 176-201: the initial point, then 29
+        # points per step, its 26 FD rows, two new stages and its new
+        # point; no step of the first seven is rejected). The stack call at
+        # that Jacobian's base point meets it first and raises, so the
+        # value is made again as a plain call and the Jacobian's rows as
+        # plain calls up to the failing one: the run counts up to it, as
+        # plain rhs calls would
         base = ngf_flow_problem()
-        points = plain_points(base, ngf_start(), 208)
+        assert flow._scheme(base.config) is integrator.RODAS3
+        points = plain_points(base, ngf_start(), 190)
         grad_theta, calls = nan_at(base.objective.grad_theta, points[-1:])
         problem = with_gradient(base, grad_theta=grad_theta)
         result, traj = run_flow(problem, ngf_start(), store_trajectory=True)
         assert result.reason is StopReason.NUMERICAL_FAILURE
         assert calls[-17:] == [27, 1] + [1] * 15
-        # every point evaluated before the failing row: the 193 counted,
+        # every point evaluated before the failing row: the 175 counted,
         # the discarded rows and the stack call that failed
-        assert sum(calls[:-15]) == 193 + result.discarded_evals + 27
-        assert result.rhs_evals == 193 + 15 == 208
+        assert sum(calls[:-15]) == 175 + result.discarded_evals + 27
+        assert result.rhs_evals == 175 + 15 == 190
         assert result.steps_accepted == len(traj) - 1 > 0
         assert result.jacobian_evals >= result.steps_accepted
         assert 0.0 < result.min_step <= result.max_step
         assert np.array_equal(result.final.pack(), traj[-1].pack())
 
     def test_stacked_gradient_failure_counts_up_to_its_point(self, monkeypatch):
-        # grad_theta is NaN from the 208th point of the plain-call run on
-        # (row 15 of the seventh Jacobian's stack): with FD stacks and with
-        # plain calls the run ends at that point, with the same error,
-        # counts and final point
+        # grad_theta is NaN from the 190th point of the plain-call run on
+        # (row 15 of the seventh Jacobian's stack under Rodas3, as above):
+        # with FD stacks and with plain calls the run ends at that point,
+        # with the same error, counts and final point
         base = ngf_flow_problem()
         points = plain_points(base, ngf_start(), 260)
-        grad_theta, _ = nan_at(base.objective.grad_theta, points[207:])
+        grad_theta, _ = nan_at(base.objective.grad_theta, points[189:])
         problem = with_gradient(base, grad_theta=grad_theta)
         runs = each_evaluation_mode(problem, ngf_start(), monkeypatch)
         merged, error = runs["merged"]
         assert merged.reason is StopReason.NUMERICAL_FAILURE
-        assert merged.rhs_evals == error.stats.rhs_evals == 208
+        assert merged.failure == "FlowNumericalError: non-finite derivative in parameter block"
+        assert merged.rhs_evals == error.stats.rhs_evals == 190
         assert merged.steps_accepted > 0
         assert str(error) == "non-finite derivative in parameter block"
         assert_same_failure(runs)
@@ -1004,6 +1085,7 @@ def run_flow_integration(problem, init):
         rel_tol=rel_tol,
         abs_tol=abs_tol,
         rhs_fd=partial(flow.rhs, problem),
+        scheme=flow._scheme(problem.config),
     )
 
 
@@ -1024,7 +1106,8 @@ def with_gradient(problem, **gradients):
 
 def plain_points(problem, init, count, stages=None):
     """The first count points that run_flow's integration from init
-    evaluates with plain rhs calls, packed, in order; they are distinct.
+    evaluates with plain rhs calls, under its scheme, packed, in order; they
+    are distinct.
     A list passed as stages gets, per point, whether it is a stage point
     of a step (and not a base point or one of its FD rows)."""
     points = []
@@ -1054,6 +1137,7 @@ def plain_points(problem, init, count, stages=None):
             rel_tol=rel_tol,
             abs_tol=abs_tol,
             budget=count,
+            scheme=flow._scheme(problem.config),
         )
     assert len({y.tobytes() for y in points[:count]}) == count
     del kinds[count:]
@@ -1271,12 +1355,15 @@ class TestSharedColumnFailureParity:
         # counts up to the k-th point and ends with the same error. run_flow
         # lists the error as recoverable: at a base point or one of its FD
         # rows the run ends there too, and at a stage point the step is
-        # rejected and the run goes on, alike in both modes
+        # rejected and the run goes on, alike in both modes. The points
+        # follow the run's scheme (Rodas3 at the default tolerances): per
+        # step, n FD rows, its new stages and its new point
         base = ngf_flow_problem()
         init = ngf_start()
         n = 26
+        new_stages = flow._scheme(base.config).reuses_f0.count(False)
         stages = []
-        points = plain_points(base, init, 2 * (n + 6) + 1, stages)
+        points = plain_points(base, init, 2 * (n + new_stages + 1) + 1, stages)
         jacobians = set()
         for k, (point, stage) in enumerate(zip(points, stages), 1):
             grad_x = raising_at(base.objective.grad_x, point, f"grad_x point {k}")
@@ -1296,7 +1383,7 @@ class TestSharedColumnFailureParity:
                 jacobians.add(merged.jacobian_evals)
             assert_same_failure(runs)
         assert jacobians == {0, 1, 2}
-        assert stages.count(True) == 10
+        assert stages.count(True) == 2 * new_stages == 4
 
 
 def per_condition_ngf_problem():

@@ -76,13 +76,64 @@ def riccati_jacobian(y):
     return np.array([[-2.0 * y[0], 0.0], [-y[1], -y[0]]])
 
 
-def stability_function(jac):
+def stability_function(jac, scheme=integrator.RODAS4):
     """R(h J) of the scheme at h = 1, applied to the first unit vector: one
     step of the linear system y' = jac y with the exact Jacobian."""
     y = np.zeros(len(jac))
     y[0] = 1.0
-    y_new, _ = step(lambda z: jac @ z, y, 1.0, jac, jac @ y)
+    y_new, _ = step(lambda z: jac @ z, y, 1.0, jac, jac @ y, scheme)
     return y_new
+
+
+def assert_l_stable(scheme):
+    """R(z) -> 0 as z -> -inf (the solution is stiffly accurate, so only
+    rounding keeps it from 0), and |R(z)| <= 1 on the negative real axis
+    and on the imaginary axis, the latter through a 2 x 2 rotation block
+    whose eigenvalues are +-i w."""
+    assert abs(stability_function(np.array([[-1e8]]), scheme)[0]) < 1e-4
+    for z in -np.logspace(-3.0, 8.0, 45):
+        assert abs(stability_function(np.array([[z]]), scheme)[0]) <= 1.0
+    for w in np.logspace(-3.0, 8.0, 45):
+        rotation = np.array([[0.0, -w], [w, 0.0]])
+        assert np.linalg.norm(stability_function(rotation, scheme)) <= 1.0
+
+
+def pendulum(y):
+    # nonlinear and coupled; unlike the Riccati system, which a Rosenbrock
+    # step of gamma = 1/2 solves exactly, it shows Rodas3's order
+    return np.array([y[1], -np.sin(y[0])])
+
+
+def pendulum_jacobian(y):
+    return np.array([[0.0, 1.0], [-np.cos(y[0]), 0.0]])
+
+
+def prothero_robinson_errors(rel_tol, scheme=integrator.RODAS4):
+    """|y - exact| at every accepted step of the Prothero-Robinson problem
+    y' = -1000 (y - cos t) (test_stiff_problem_step_count's) over [0, 10],
+    with abs_tol = rel_tol / 1000; the run must reach the horizon."""
+    a = 1000.0
+
+    def rhs(z):
+        return np.array([-a * (z[0] - math.cos(z[1])), 1.0])
+
+    def exact(r):
+        return (a**2 * math.cos(r) + a * math.sin(r)) / (a**2 + 1) - (
+            a**2 / (a**2 + 1)
+        ) * math.exp(-a * r)
+
+    errors = []
+    *_, outcome = integrate_adaptive(
+        rhs,
+        np.array([0.0, 0.0]),
+        10.0,
+        rel_tol=rel_tol,
+        abs_tol=rel_tol / 1000,
+        observer=lambda r, z, dz: errors.append(abs(z[0] - exact(r))),
+        scheme=scheme,
+    )
+    assert outcome is IntegrationOutcome.HORIZON
+    return errors
 
 
 class TestStep:
@@ -133,17 +184,57 @@ class TestStep:
         orders = np.log2(np.array(estimates[:-1]) / np.array(estimates[1:]))
         assert np.all(np.abs(orders - 4.0) < 0.2)
 
+    @pytest.mark.parametrize(
+        "scheme, order",
+        [(integrator.RODAS4, 4), (integrator.RODAS3, 3)],
+        ids=["rodas4", "rodas3"],
+    )
+    def test_empirical_order_of_each_table(self, scheme, order):
+        # one step from the same point with the exact Jacobian: the local
+        # error of the solution falls as h^(order + 1) and the estimate,
+        # the difference from the embedded solution of an order less, as
+        # h^order. The reference is 256 RODAS4 steps over the same h
+        y = np.array([1.0, 0.5])
+
+        def reference(h):
+            z = y
+            for _ in range(256):
+                z, _ = step(pendulum, z, h / 256, pendulum_jacobian(z), pendulum(z))
+            return z
+
+        errors, estimates = [], []
+        for h in (0.16, 0.08, 0.04, 0.02):
+            y_new, err = step(pendulum, y, h, pendulum_jacobian(y), pendulum(y), scheme)
+            errors.append(np.abs(y_new - reference(h)).max())
+            estimates.append(np.abs(err).max())
+        for values, slope in ((errors, order + 1), (estimates, order)):
+            slopes = np.log2(np.array(values[:-1]) / np.array(values[1:]))
+            assert np.all(np.abs(slopes - slope) < 0.4)
+            assert abs(slopes[-1] - slope) < 0.1
+        assert scheme.exponent == 1.0 / order
+
+    def test_rodas3_reuses_f0_for_its_second_stage(self):
+        # two rhs calls of stages 3 and 4, both at y for a zero rhs, and
+        # none for stage 2, whose point is y
+        y = np.array([1.0, -2.0])
+        calls = []
+
+        def zero(z):
+            calls.append(z.copy())
+            return np.zeros(2)
+
+        y_new, err = step(zero, y, 0.5, np.zeros((2, 2)), np.zeros(2), integrator.RODAS3)
+        assert np.array_equal(y_new, y)
+        assert np.all(err == 0.0)
+        assert len(calls) == 2
+        assert all(np.array_equal(z, y) for z in calls)
+        assert (integrator.RODAS3.size, integrator.RODAS4.size) == (4, 6)
+
+    def test_rodas3_l_stable(self):
+        assert_l_stable(integrator.RODAS3)
+
     def test_l_stable(self):
-        # R(z) -> 0 as z -> -inf (the solution is stiffly accurate, so only
-        # rounding keeps it from 0), and |R(z)| <= 1 on the negative real
-        # axis and on the imaginary axis, the latter through a 2 x 2
-        # rotation block whose eigenvalues are +-i w
-        assert abs(stability_function(np.array([[-1e8]]))[0]) < 1e-4
-        for z in -np.logspace(-3.0, 8.0, 45):
-            assert abs(stability_function(np.array([[z]]))[0]) <= 1.0
-        for w in np.logspace(-3.0, 8.0, 45):
-            rotation = np.array([[0.0, -w], [w, 0.0]])
-            assert np.linalg.norm(stability_function(rotation)) <= 1.0
+        assert_l_stable(integrator.RODAS4)
 
     def test_rejects_non_positive_step(self):
         with pytest.raises(ValueError):
@@ -678,27 +769,16 @@ class TestIntegrateAdaptive:
         # rel_tol. Below it the estimate can cross zero at moderate
         # stiffness, and the error is erratic: up to 5.9 rel_tol at these
         # tolerances, 9.8 at 1.8e-6 with the stage sums rounded otherwise
-        a = 1000.0
-
-        def rhs(z):
-            return np.array([-a * (z[0] - math.cos(z[1])), 1.0])
-
-        def exact(r):
-            return (a**2 * math.cos(r) + a * math.sin(r)) / (a**2 + 1) - (
-                a**2 / (a**2 + 1)
-            ) * math.exp(-a * r)
-
-        errors = []
-        *_, outcome = integrate_adaptive(
-            rhs,
-            np.array([0.0, 0.0]),
-            10.0,
-            rel_tol=rel_tol,
-            abs_tol=rel_tol / 1000,
-            observer=lambda r, z, dz: errors.append(abs(z[0] - exact(r))),
-        )
-        assert outcome is IntegrationOutcome.HORIZON
+        errors = prothero_robinson_errors(rel_tol)
         assert max(errors) <= (1.0 if rel_tol >= 1e-4 else 20.0) * rel_tol
+
+    @pytest.mark.parametrize("rel_tol", [1e-2, 3.2e-3])
+    def test_rodas3_stiff_problem_error_along_the_run(self, rel_tol):
+        # as above under Rodas3, at the tolerances the flow runs it at
+        # (flow.RODAS3_FROM_REL_TOL): 0.18 and 0.78 rel_tol. At 1e-3 its
+        # error reaches 2.6 rel_tol, which is why the flow keeps RODAS4 there
+        errors = prothero_robinson_errors(rel_tol, integrator.RODAS3)
+        assert max(errors) <= 1.0 * rel_tol
 
     def test_constant_solution(self):
         y0 = np.array([3.0, -1.0])
@@ -754,9 +834,9 @@ class TestIntegrateAdaptive:
         real_step = integrator.step
         hs = []
 
-        def first_step_bad(rhs, y, h, jac, f0):
+        def first_step_bad(rhs, y, h, jac, f0, scheme):
             hs.append(h)
-            y_new, err = real_step(rhs, y, h, jac, f0)
+            y_new, err = real_step(rhs, y, h, jac, f0, scheme)
             if len(hs) == 1:
                 err = np.full_like(err, bad_err)
                 if y_new_inf:
@@ -778,11 +858,11 @@ class TestIntegrateAdaptive:
         real_step = integrator.step
         hs = []
 
-        def first_step_fails(rhs, y, h, jac, f0):
+        def first_step_fails(rhs, y, h, jac, f0, scheme):
             hs.append(h)
             if len(hs) == 1:
                 raise integrator.StageSolveFailure("singular or ill-conditioned stage system")
-            return real_step(rhs, y, h, jac, f0)
+            return real_step(rhs, y, h, jac, f0, scheme)
 
         monkeypatch.setattr(integrator, "step", first_step_fails)
         _, _, stats, outcome = integrate_adaptive(coupled, np.ones(3), 1.0)
@@ -865,11 +945,11 @@ class TestIntegrateAdaptive:
         real_step = integrator.step
         hs = []
 
-        def second_step_to_ten(rhs, y, h, jac, f0):
+        def second_step_to_ten(rhs, y, h, jac, f0, scheme):
             hs.append(h)
             if len(hs) == 2:
                 return np.full_like(y, 10.0), np.zeros_like(y)
-            return real_step(rhs, y, h, jac, f0)
+            return real_step(rhs, y, h, jac, f0, scheme)
 
         def rhs(y):
             return np.full_like(y, np.nan) if y[0] == 10.0 else coupled(y)
@@ -935,11 +1015,11 @@ def stage_marked(monkeypatch):
     real_step = integrator.step
     hs, in_step = [], []
 
-    def marked(rhs, y, h, jac, f0):
+    def marked(rhs, y, h, jac, f0, scheme):
         hs.append(h)
         in_step.append(True)
         try:
-            return real_step(rhs, y, h, jac, f0)
+            return real_step(rhs, y, h, jac, f0, scheme)
         finally:
             in_step.pop()
 
@@ -986,11 +1066,11 @@ class TestRecoverableStageFailures:
         monkeypatch.undo()
         real_step = integrator.step
 
-        def first_solve_fails(rhs, y, h, jac, f0):
+        def first_solve_fails(rhs, y, h, jac, f0, scheme):
             if not solve_failed:
                 solve_failed.append(h)
                 raise integrator.StageSolveFailure("singular or ill-conditioned stage system")
-            return real_step(rhs, y, h, jac, f0)
+            return real_step(rhs, y, h, jac, f0, scheme)
 
         solve_failed = []
         monkeypatch.setattr(integrator, "step", first_solve_fails)
@@ -1078,7 +1158,7 @@ def scripted_step_sizes(monkeypatch, err_of, trials):
     sizes and the number of accepted steps."""
     hs, accepted = [], []
 
-    def scripted_step(rhs, y, h, jac, f0):
+    def scripted_step(rhs, y, h, jac, f0, scheme):
         hs.append(h)
         if len(hs) > trials:
             raise Done
@@ -1248,9 +1328,9 @@ class TestPerEntryTolerance:
         real_step = integrator.step
         hs = []
 
-        def first_step_bad(rhs, y, h, jac, f0):
+        def first_step_bad(rhs, y, h, jac, f0, scheme):
             hs.append(h)
-            y_new, err = real_step(rhs, y, h, jac, f0)
+            y_new, err = real_step(rhs, y, h, jac, f0, scheme)
             if len(hs) == 1:
                 err[2] = bad_err
             return y_new, err
